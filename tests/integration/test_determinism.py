@@ -185,3 +185,132 @@ def test_sanitized_run_matches_unsanitized_run(monkeypatch):
     assert sum(s._sanitizer.checks_run for s in shards if s._sanitizer) > 0
     assert engine_sane.range_cache._sanitizer is not None
     assert engine_sane.range_cache._sanitizer.checks_run > 0
+
+
+# -- fleet-fingerprint matrix ---------------------------------------------------
+#
+# Double-run equality proves a run is deterministic, not that a refactor
+# kept it: a wrong serve-loop change passes it on both runs.  These
+# fingerprints were recorded at the commit before the scalar/batched
+# dispatch paths were merged and pin every fork the merge touched:
+# batch size x open/closed sessions x resilience x shared L2, each on a
+# small queue so sheds, expiries, crash drops and hedges all occur.
+
+
+def _matrix_config(batch_size, closed, resilient, l2):
+    from repro.faults.fleet import FleetFaultConfig
+    from repro.serve import ServeConfig
+    from repro.serve.resilience import ResilienceConfig
+
+    kwargs = dict(
+        SERVE_KWARGS,
+        total_ops=2_400,
+        batch_size=batch_size,
+        closed_clients=3 if closed else 0,
+        queue_depth=8,
+        arrival_rate_ops_s=1_800.0,
+        rebalance_every=500,
+        l2_budget_bytes=64 * 1024 if l2 else 0,
+    )
+    if resilient:
+        kwargs["op_deadline_us"] = 4_000.0
+        kwargs["resilience"] = ResilienceConfig(
+            fleet_faults=FleetFaultConfig(
+                crashes=1, earliest_us=20_000.0, latest_us=60_000.0, seed=3
+            ),
+            hedge_quantile=0.9,
+            hedge_min_samples=16,
+            hedge_floor_us=200.0,
+        )
+    return ServeConfig(**kwargs)
+
+
+# (batch_size, closed sessions, resilience, shared L2) -> fingerprint
+GOLDEN_FLEET_FINGERPRINTS = {
+    (1, 0, 0, 0): "d356f4dfbaa2534a27896563e55bafff657827aeb61eaa723a4c441780e0cbf8",
+    (1, 0, 0, 1): "af97d0d676f29ced26c0d72726defea39c4e99aa481304175c46f1ca1b8aa060",
+    (1, 0, 1, 0): "9ef7bd3039136c674f3af6bd2eabe2d67c7803092b1dcb1fc7d080b31d79e1f9",
+    (1, 0, 1, 1): "351c1c04b4a94209080a09845572466e068a64909d6142a892b696a801466067",
+    (1, 1, 0, 0): "7cb7542a8c3e7f41165d463395a65aedbf146a5132f39dcf5d2c411bf534e986",
+    (1, 1, 0, 1): "f585340fbb18df17e661cce9bafbf653fceadfca4176dcdfa33d94ee94d57c93",
+    (1, 1, 1, 0): "2eaafc42bf816584838172820123f0a0f841d71b7b78bc3f0ec6a26176ff4216",
+    (1, 1, 1, 1): "7b1841e9e0e18d1d60ad095ae83f4d977f40d89d3d9c2646e31722b2a4f4bc4f",
+    (8, 0, 0, 0): "79f415bc6e70d2aa91999e9514b06e43a58e4372a916ba7fef2b859633722c0c",
+    (8, 0, 0, 1): "02fe938283f2958941997522d92084062cc60e401fd82d7cbb45111c026d65b7",
+    (8, 0, 1, 0): "b42b6f1fd4f65ae2c59635cd3a0eb761eca65ec0763a88215c7c9f4f0af7e6ee",
+    (8, 0, 1, 1): "c3bc7d3c30271b76a3669532ba845aaff7dd0ec873034b385f0322e1311c7ee5",
+    (8, 1, 0, 0): "a077c32bdfe370834039c1461ebf47bf58b270c2f618672369ff3b17f286b43b",
+    (8, 1, 0, 1): "1b4142bf89ea7b6c745f8cf6ca204a316c8c3e82a49f206cca7bb4de6e3aae56",
+    (8, 1, 1, 0): "bf02830ad12e1bad83a2e07a45997e1ecf5da3cd5f490cf149698c3ef9771542",
+    (8, 1, 1, 1): "aff9b53bf0148ae766917730b943a55a39625c1aa7821cf2db3ded71a7f28476",
+}
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(GOLDEN_FLEET_FINGERPRINTS), ids=lambda c: "b%d-c%d-r%d-l%d" % c
+)
+def test_fleet_fingerprint_matrix_matches_recorded(cell):
+    from repro.serve import run_serve
+
+    result = run_serve(_matrix_config(*cell))
+    # The cell must exercise what it pins.
+    assert result.rejected > 0 and result.rebalances >= 2
+    if cell[2]:
+        assert result.crashes == result.promotions == 1
+        assert result.hedge_wins > 0 and result.scans_partial > 0
+        assert result.shed_by_reason["deadline"] > 0
+    assert result.fingerprint() == GOLDEN_FLEET_FINGERPRINTS[cell]
+
+
+def _run_write_flood():
+    from repro.faults.fleet import FleetFaultConfig
+    from repro.serve import ServeConfig, run_serve
+    from repro.serve.resilience import ResilienceConfig
+    from repro.workloads.scenarios import ScenarioParams, build_scenario
+
+    schedule = build_scenario(
+        "write_flood",
+        ScenarioParams(
+            num_keys=3_000,
+            tenants=4,
+            phase_ops=150,
+            arrival_rate_ops_s=500.0,
+            seed=5,
+        ),
+    )
+    duration = schedule.total_duration_us
+    return run_serve(
+        ServeConfig(
+            num_shards=4,
+            seed=5,
+            cache_bytes=256 * 1024,
+            l2_budget_bytes=64 * 1024,
+            batch_size=8,
+            resilience=ResilienceConfig(
+                fleet_faults=FleetFaultConfig(
+                    crashes=1,
+                    earliest_us=duration / 30.0,
+                    latest_us=duration / 4.0,
+                    seed=5,
+                )
+            ),
+            obs=True,
+            schedule=schedule,
+        )
+    )
+
+
+GOLDEN_WRITE_FLOOD_FINGERPRINT = (
+    "dace631195032b771b9f3bf4edeb49f2c71af162529065c4f617974ae6e70cda"
+)
+GOLDEN_WRITE_FLOOD_OBS_EVENTS = 312
+
+
+def test_scripted_write_flood_fingerprint_matches_recorded():
+    result = _run_write_flood()
+    assert result.crashes == result.promotions == 1
+    assert result.l2_probes > 0 and result.acked_writes_checked > 0
+    assert result.fingerprint() == GOLDEN_WRITE_FLOOD_FINGERPRINT
+    # The fingerprint does not cover what the run recorded for obs.
+    events = sum(r.trace.next_seq for r in result.obs_recorders)
+    assert events == GOLDEN_WRITE_FLOOD_OBS_EVENTS
