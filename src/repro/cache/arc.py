@@ -11,14 +11,18 @@ consultation happens in :meth:`record_insert` (which the container calls
 on every admitted miss), and :meth:`select_victim` implements REPLACE.
 Sizes are tracked in keys rather than bytes; for the fixed-size entries
 used in this simulator the two are proportional.  The ghost bookkeeping
-is the shared :class:`~repro.cache.ghost.GhostList` (also the promotion
-signal for the fleet L2 tier, :mod:`repro.cache.tier2`).
+is the shared :class:`~repro.cache.ghost.GhostList`.
+
+This is the repo's one T1/T2/B1/B2 state machine: the fleet L2 tier
+(:mod:`repro.cache.tier2`) is a container around the same policy, with
+an admission filter in front of :meth:`ARCPolicy.record_insert`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Hashable, TypeVar
+from itertools import chain
+from typing import Generic, Hashable, Iterator, Optional, TypeVar
 
 from repro.cache.base import EvictionPolicy
 from repro.cache.ghost import GhostList
@@ -51,6 +55,26 @@ class ARCPolicy(EvictionPolicy[K], Generic[K]):
     def p(self) -> float:
         """Current adaptive target for |T1|."""
         return self._p
+
+    def resize(self, capacity: int) -> None:
+        """Rebound the resident capacity ``c`` and clamp ``p`` to it.
+
+        The ghost lists keep the bound they were built with.
+        """
+        if capacity <= 0:
+            raise CacheError("capacity must be positive")
+        self._c = capacity
+        self._p = min(self._p, float(capacity))
+
+    def ghost_of(self, key: K) -> Optional[str]:
+        """Which ghost list remembers ``key``: ``"B1"``, ``"B2"`` or None."""
+        if key in self._b1:
+            return "B1"
+        return "B2" if key in self._b2 else None
+
+    def tracked_keys(self) -> Iterator[K]:
+        """Every key with state here: residents first, then ghosts."""
+        return chain(self._t1, self._t2, self._b1, self._b2)
 
     def record_insert(self, key: K) -> None:
         if key in self._b1:
@@ -116,11 +140,6 @@ class ARCPolicy(EvictionPolicy[K], Generic[K]):
                     )
         self._b1.check_invariants()
         self._b2.check_invariants()
-        if len(self._b1) > self._c or len(self._b2) > self._c:
-            raise InvariantError(
-                f"ARCPolicy ghost lists exceed capacity {self._c}: "
-                f"|B1|={len(self._b1)}, |B2|={len(self._b2)}"
-            )
         if not 0.0 <= self._p <= float(self._c):
             raise InvariantError(
                 f"ARCPolicy adaptive target p={self._p} outside [0, {self._c}]"

@@ -10,9 +10,9 @@ read — that turns one shard's evicted-but-hot blocks into fleet-wide
 capacity, the motivation LSbM-tree (arXiv:1606.02015) gives for a
 dedicated second buffer under compaction churn.
 
-Structure is ARC-flavoured (Megiddo & Modha, FAST'03): resident blocks
-live in a recency list T1 or a frequency list T2; two
-:class:`~repro.cache.ghost.GhostList`\\ s B1/B2 remember recent
+Structure is ARC (Megiddo & Modha, FAST'03), held by one
+:class:`~repro.cache.arc.ARCPolicy`: resident blocks live in a recency
+list T1 or a frequency list T2; the ghost lists B1/B2 remember recent
 evictions and steer the adaptive recency target ``p``.  Admission is
 *filtered*: an L1 victim enters only with proven reuse — a ghost hit
 (the block was here before and was re-demanded) or a decaying
@@ -36,11 +36,10 @@ program-wide.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.cache.arc import ARCPolicy
 from repro.cache.base import CacheBase
-from repro.cache.ghost import GhostList
 from repro.cache.sketch import CountMinSketch
 from repro.errors import CacheError, InvariantError
 from repro.lsm.block import BlockHandle, DataBlock
@@ -60,17 +59,10 @@ class Tier2Cache(CacheBase):
         Charge per cached block (one LSM data block).
     sketch_seed:
         Salt for the admission sketch's row hashes.
-    ghost_capacity:
-        Keys each ghost list remembers; defaults to the resident
-        capacity in blocks (the classic ARC bound).
     """
 
     def __init__(
-        self,
-        budget_bytes: int,
-        block_size: int,
-        sketch_seed: int = 0,
-        ghost_capacity: Optional[int] = None,
+        self, budget_bytes: int, block_size: int, sketch_seed: int = 0
     ) -> None:
         if budget_bytes < 0:
             raise CacheError("budget_bytes must be >= 0")
@@ -78,14 +70,13 @@ class Tier2Cache(CacheBase):
             raise CacheError("block_size must be positive")
         self.block_size = block_size
         self._budget = budget_bytes
-        capacity = max(1, budget_bytes // block_size)
-        self._capacity = capacity
-        self._p = 0.0  # adaptive target size of T1, in blocks
-        self._t1: "OrderedDict[Tier2Key, DataBlock]" = OrderedDict()
-        self._t2: "OrderedDict[Tier2Key, DataBlock]" = OrderedDict()
-        ghosts = ghost_capacity if ghost_capacity is not None else capacity
-        self._b1: GhostList[Tier2Key] = GhostList(max(1, ghosts))
-        self._b2: GhostList[Tier2Key] = GhostList(max(1, ghosts))
+        # Residency order, ghosts and the adaptive target live in the
+        # policy (capacity in blocks: the classic ARC ghost bound);
+        # this container holds the payloads.
+        self._arc: ARCPolicy[Tier2Key] = ARCPolicy(
+            max(1, budget_bytes // block_size)
+        )
+        self._blocks: Dict[Tier2Key, DataBlock] = {}
         self._sketch = CountMinSketch(
             width=2048, depth=4, saturation=16, seed=sketch_seed
         )
@@ -111,7 +102,7 @@ class Tier2Cache(CacheBase):
     @property
     def used_bytes(self) -> int:
         """Bytes charged by resident blocks."""
-        return (len(self._t1) + len(self._t2)) * self.block_size
+        return len(self._blocks) * self.block_size
 
     @property
     def ghost_hits(self) -> int:
@@ -143,19 +134,14 @@ class Tier2Cache(CacheBase):
         the fleet-wide demand count the double-hit filter consults when
         this block is later demoted out of some shard's L1.
         """
-        block = self._t1.pop(key, None)
-        if block is not None:
-            self._t2[key] = block
-            self.hits += 1
-            return block
-        block = self._t2.get(key)
-        if block is not None:
-            self._t2.move_to_end(key)
-            self.hits += 1
-            return block
-        self.misses += 1
-        self._sketch.increment(self._sketch_key(key))
-        return None
+        block = self._blocks.get(key)
+        if block is None:
+            self.misses += 1
+            self._sketch.increment(self._sketch_key(key))
+            return None
+        self._arc.record_access(key)
+        self.hits += 1
+        return block
 
     # -- admission (L1 demotion) -------------------------------------------
 
@@ -175,31 +161,22 @@ class Tier2Cache(CacheBase):
         shared bytes.  Returns whether the block was admitted.
         """
         self.demotions += 1
-        if self.block_size > self._budget:
+        if self.block_size > self._budget or key in self._blocks:
+            # Larger than the whole tier, or already resident (another
+            # shard re-fetched it first or a probe raced a demotion
+            # through the loop): the offer is counted as a reject.
             self.rejects += 1
             return False
-        if key in self._t1 or key in self._t2:
-            # Already resident (another shard re-fetched it first or a
-            # probe raced a demotion through the loop); refresh only.
-            self.rejects += 1
-            return False
-        if key in self._b1:
-            delta = max(1.0, len(self._b2) / max(1, len(self._b1)))
-            self._p = min(float(self._capacity), self._p + delta)
-            self._b1.discard(key)
+        ghost = self._arc.ghost_of(key)
+        if ghost == "B1":
             self.ghost_hits_recency += 1
-            self._t2[key] = block
-        elif key in self._b2:
-            delta = max(1.0, len(self._b1) / max(1, len(self._b2)))
-            self._p = max(0.0, self._p - delta)
-            self._b2.discard(key)
+        elif ghost == "B2":
             self.ghost_hits_frequency += 1
-            self._t2[key] = block
-        elif self._sketch.estimate(self._sketch_key(key)) >= 2:
-            self._t1[key] = block
-        else:
+        elif self._sketch.estimate(self._sketch_key(key)) < 2:
             self.rejects += 1
             return False
+        self._arc.record_insert(key)
+        self._blocks[key] = block
         self.admits += 1
         self._evict_to_fit()
         self._after_mutation()
@@ -208,15 +185,12 @@ class Tier2Cache(CacheBase):
     def _evict_to_fit(self) -> int:
         """REPLACE: evict T1 past target ``p`` (else T2) into ghosts."""
         evicted = 0
-        while self.used_bytes > self._budget and (self._t1 or self._t2):
-            if self._t1 and (len(self._t1) > self._p or not self._t2):
-                victim, _ = self._t1.popitem(last=False)
-                self._b1.record(victim)
-            else:
-                victim, _ = self._t2.popitem(last=False)
-                self._b2.record(victim)
-            self.evictions += 1
+        while self.used_bytes > self._budget and self._blocks:
+            victim = self._arc.select_victim()
+            self._arc.record_evict(victim)
+            del self._blocks[victim]
             evicted += 1
+        self.evictions += evicted
         return evicted
 
     # -- maintenance -------------------------------------------------------
@@ -226,81 +200,62 @@ class Tier2Cache(CacheBase):
         if budget_bytes < 0:
             raise CacheError("budget_bytes must be >= 0")
         self._budget = budget_bytes
-        self._capacity = max(1, budget_bytes // self.block_size)
-        self._p = min(self._p, float(self._capacity))
+        self._arc.resize(max(1, budget_bytes // self.block_size))
         evicted = self._evict_to_fit()
         self._after_mutation()
         return evicted
+
+    def _forget(self, keys: List[Tier2Key]) -> int:
+        """Erase ``keys`` from residency and history; returns blocks dropped."""
+        dropped = 0
+        for key in keys:
+            self._arc.record_remove(key)
+            if self._blocks.pop(key, None) is not None:
+                dropped += 1
+        self.invalidations += dropped
+        self._after_mutation()
+        return dropped
 
     def tier2_drop_shard(self, shard_id: int) -> int:
         """Purge one shard's namespace (its engine was replaced).
 
         A promoted replica allocates SSTable ids from its own simulated
         disk, so the dead primary's cached blocks would alias fresh
-        handles with stale bytes.  Ghosts and sketch history go too:
-        the signal they encode belongs to the dead namespace.
+        handles with stale bytes.  Ghosts go too: the signal they
+        encode belongs to the dead namespace.
         """
-        dropped = 0
-        for resident in (self._t1, self._t2):
-            stale = [key for key in resident if key[0] == shard_id]
-            for key in stale:
-                del resident[key]
-                dropped += 1
-        for ghost in (self._b1, self._b2):
-            for key in [k for k in ghost if k[0] == shard_id]:
-                ghost.discard(key)
-        self.invalidations += dropped
-        self._after_mutation()
-        return dropped
+        return self._forget(
+            [key for key in self._arc.tracked_keys() if key[0] == shard_id]
+        )
 
     def tier2_clear(self) -> None:
-        """Drop every resident block and all history."""
-        self.invalidations += len(self._t1) + len(self._t2)
-        self._t1.clear()
-        self._t2.clear()
-        for ghost in (self._b1, self._b2):
-            for key in list(ghost):
-                ghost.discard(key)
-        self._after_mutation()
+        """Drop every resident block and all ghost history."""
+        self._forget(list(self._arc.tracked_keys()))
 
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._t1) + len(self._t2)
+        return len(self._blocks)
 
     def __contains__(self, key: Tier2Key) -> bool:
-        return key in self._t1 or key in self._t2
+        return key in self._blocks
 
     # -- sanitizer protocol -------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Budget conservation, list disjointness, ghost bounds, p range."""
+        """Budget conservation, the policy's own invariants, accounting."""
         if self.used_bytes > self._budget:
             raise InvariantError(
                 f"Tier2Cache over budget at rest: used_bytes "
                 f"{self.used_bytes} > budget_bytes {self._budget}"
             )
-        lists = {
-            "T1": self._t1.keys(),
-            "T2": self._t2.keys(),
-            "B1": self._b1.keys(),
-            "B2": self._b2.keys(),
-        }
-        names = list(lists)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                overlap = lists[a] & lists[b]
-                if overlap:
-                    raise InvariantError(
-                        f"Tier2Cache: {a} and {b} share keys "
-                        f"{sorted(map(repr, overlap))[:3]}"
-                    )
-        self._b1.check_invariants()
-        self._b2.check_invariants()
-        if not 0.0 <= self._p <= float(self._capacity):
+        self._arc.check_invariants()
+        if len(self._arc) != len(self._blocks) or any(
+            key not in self._arc for key in self._blocks
+        ):
             raise InvariantError(
-                f"Tier2Cache adaptive target p={self._p} outside "
-                f"[0, {self._capacity}]"
+                f"Tier2Cache payloads and policy disagree: {len(self._blocks)} "
+                f"blocks held, {len(self._arc)} keys resident"
             )
         if self.admits + self.rejects != self.demotions:
             raise InvariantError(

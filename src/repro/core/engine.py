@@ -41,6 +41,8 @@ if TYPE_CHECKING:  # bench.simclock imports this module; runtime import is local
     from repro.serve.tier2 import Tier2Client
 
 Entry = Tuple[str, str]
+#: :meth:`KVEngine._probe`'s "no cache could answer" (``None`` is an answer).
+_TO_SSTABLES = object()
 #: Controller callback: receives the sealed window's statistics.
 WindowCallback = Callable[[WindowStats], None]
 
@@ -224,47 +226,58 @@ class KVEngine:
 
     # -- reads ---------------------------------------------------------------
 
-    def get(self, key: str) -> Optional[str]:  # hot-path
-        """Point lookup via the query handling path."""
-        collector = self.collector
-        window_size = self.window_size
+    def _probe(self, key: str) -> object:  # hot-path
+        """The cache half of the query handling path, one key at a time.
+
+        Probes range cache -> KV cache -> MemTable -> KP cache, in that
+        order, and notes the lookup where it is answered.  Returns the
+        answer (``None`` for a MemTable tombstone or a KP-resolved
+        miss), or :data:`_TO_SSTABLES` when only the SSTables can tell.
+        """
         range_cache = self.range_cache
         if range_cache is not None:
             value = range_cache.get_point(key)
             if value is not None:
-                collector.note_point(True)
-                if collector.current.ops >= window_size:
-                    self._maybe_end_window()
+                self._note_point(True)
                 return value
         kv_cache = self.kv_cache
         if kv_cache is not None:
             value = kv_cache.get(key)
             if value is not None:
-                collector.note_point(False, True)
-                if collector.current.ops >= window_size:
-                    self._maybe_end_window()
+                self._note_point(False, True)
                 return value
         tree = self.tree
-        kp_cache = self.kp_cache
         found, value = tree.get_from_memtable(key)
         if not found:
-            if kp_cache is not None:
-                # tree.fetch_block keeps KP-cache reads on the same
-                # transient-retry / corruption-repair path as the tree's.
-                hit, value = kp_cache.lookup(key, tree.fetch_block)
-                if hit:
-                    collector.note_point(False)
-                    if collector.current.ops >= window_size:
-                        self._maybe_end_window()
-                    return value
-            value, origin = tree.get_from_sstables_with_origin(key)
-            if value is not None:
-                self._fill_point(key, value)
-                if kp_cache is not None and origin is not None:
-                    kp_cache.remember(key, origin)
-        collector.note_point(False)
-        if collector.current.ops >= window_size:
+            kp_cache = self.kp_cache
+            if kp_cache is None:
+                return _TO_SSTABLES
+            # tree.fetch_block keeps KP-cache reads on the same
+            # transient-retry / corruption-repair path as the tree's.
+            found, value = kp_cache.lookup(key, tree.fetch_block)
+            if not found:
+                return _TO_SSTABLES
+        self._note_point(False)
+        return value
+
+    def _note_point(self, range_hit: bool, kv_hit: bool = False) -> None:  # hot-path
+        """Count one point lookup, sealing the window it fills."""
+        collector = self.collector
+        collector.note_point(range_hit, kv_hit)
+        if collector.current.ops >= self.window_size:
             self._maybe_end_window()
+
+    def get(self, key: str) -> Optional[str]:  # hot-path
+        """Point lookup via the query handling path."""
+        value = self._probe(key)
+        if value is not _TO_SSTABLES:
+            return value  # type: ignore[return-value]
+        value, origin = self.tree.get_from_sstables_with_origin(key)
+        if value is not None:
+            self._fill_point(key, value)
+            if self.kp_cache is not None and origin is not None:
+                self.kp_cache.remember(key, origin)
+        self._note_point(False)
         return value
 
     def scan(self, start: str, length: int) -> List[Entry]:  # hot-path
@@ -292,12 +305,11 @@ class KVEngine:
         Three stages, each preserving the scalar path's per-key
         effects:
 
-        1. cache probes in arrival order (range -> KV -> MemTable ->
-           KP), recording hits exactly as :meth:`get` does — except
-           that a key repeated within the batch is probed once: all
-           requests see the same pre-batch snapshot, so later
-           occurrences share the first's result and count as hits
-           (no I/O happened for them);
+        1. :meth:`get`'s own cache probes (:meth:`_probe`) in arrival
+           order — except that a key repeated within the batch is
+           probed once: all requests see the same pre-batch snapshot,
+           so later occurrences share the first's result and count as
+           hits (no I/O happened for them);
         2. one table-major batched SSTable pass over the remaining
            misses — vectorized bloom probes and per-batch
            duplicate-block coalescing
@@ -308,85 +320,39 @@ class KVEngine:
            and a sort-and-splice run into the range cache
            (:meth:`~repro.cache.range_cache.RangeCache.insert_points`).
 
-        A batch of one executes :meth:`get`'s exact effect sequence —
-        digests, fingerprints, and counters are bit-identical.  Larger
-        batches keep identical admission decisions and counter totals
-        for the probe work but spend fewer block fetches; that saving
-        is the point.
+        A batch of one is :meth:`get`.  Larger batches keep identical
+        admission decisions and counter totals for the probe work but
+        spend fewer block fetches; that saving is the point.
         """
-        collector = self.collector
-        window_size = self.window_size
+        n = len(keys)
+        if n == 1:
+            return [self.get(keys[0])]
         range_cache = self.range_cache
         kv_cache = self.kv_cache
         kp_cache = self.kp_cache
-        tree = self.tree
-        n = len(keys)
         out: List[Optional[str]] = [None] * n
         pending_idx: List[int] = []
         pending_keys: List[str] = []
         first_of: Dict[str, int] = {}
         dups: List[Tuple[int, int]] = []
-        get_point = range_cache.get_point if range_cache is not None else None
-        kv_get = kv_cache.get if kv_cache is not None else None
-        get_from_memtable = tree.get_from_memtable
-        kp_lookup = kp_cache.lookup if kp_cache is not None else None
-        tree_fetch = tree.fetch_block
-        note_point = collector.note_point
-        current = collector.current
-        for i in range(n):
-            key = keys[i]
-            if n > 1:
-                first = first_of.get(key)
-                if first is not None:
-                    # Duplicate within the batch: same snapshot, same
-                    # answer; copied from the first occurrence after the
-                    # tree pass resolves it.
-                    dups.append((i, first))
-                    note_point(True)
-                    if current.ops >= window_size:
-                        self._maybe_end_window()
-                        current = collector.current
-                    continue
-                first_of[key] = i
-            if get_point is not None:
-                value = get_point(key)
-                if value is not None:
-                    out[i] = value
-                    note_point(True)
-                    if current.ops >= window_size:
-                        self._maybe_end_window()
-                        current = collector.current
-                    continue
-            if kv_get is not None:
-                value = kv_get(key)
-                if value is not None:
-                    out[i] = value
-                    note_point(False, True)
-                    if current.ops >= window_size:
-                        self._maybe_end_window()
-                        current = collector.current
-                    continue
-            found, value = get_from_memtable(key)
-            if found:
-                out[i] = value
-                note_point(False)
-                if current.ops >= window_size:
-                    self._maybe_end_window()
-                    current = collector.current
+        probe = self._probe
+        for i, key in enumerate(keys):
+            first = first_of.setdefault(key, i)
+            if first != i:
+                # Duplicate within the batch: same snapshot, same
+                # answer; copied from the first occurrence after the
+                # tree pass resolves it.
+                dups.append((i, first))
+                self._note_point(True)
                 continue
-            if kp_lookup is not None:
-                hit, value = kp_lookup(key, tree_fetch)
-                if hit:
-                    out[i] = value
-                    note_point(False)
-                    if current.ops >= window_size:
-                        self._maybe_end_window()
-                        current = collector.current
-                    continue
-            pending_idx.append(i)
-            pending_keys.append(key)
+            value = probe(key)
+            if value is _TO_SSTABLES:
+                pending_idx.append(i)
+                pending_keys.append(key)
+            else:
+                out[i] = value  # type: ignore[assignment]
         if pending_idx:
-            values, origins = tree.multi_get_from_sstables(pending_keys)
+            values, origins = self.tree.multi_get_from_sstables(pending_keys)
             found_keys: List[str] = []
             found_values: List[str] = []
             found_origins: List[Optional[BlockHandle]] = []
@@ -424,9 +390,7 @@ class KVEngine:
                             kp_cache.remember(key, origin)
             for j, i in enumerate(pending_idx):
                 out[i] = values[j]
-                collector.note_point(False)
-                if collector.current.ops >= window_size:
-                    self._maybe_end_window()
+                self._note_point(False)
         for i, first in dups:
             out[i] = out[first]
         return out

@@ -378,115 +378,76 @@ class LSMTree:
             return out_v, out_h
         values: List[Optional[str]] = [None] * n
         handles: List[Optional[BlockHandle]] = [None] * n
-        resolved = [False] * n
         block_memo: Dict[BlockHandle, DataBlock] = {}
         levels = self.levels
         find_file = levels.find_file
         fetch_block = self.fetch_block
-        # ---- plan: which tables can each key touch, at any level ----
-        salts: List[int] = []
-        in_fence: List[int] = []
-        l0_tables: List[SSTable] = []
+        # ---- plan: the (key index, table) probes in walk order ----
+        # Level 0 is table-major, newest first; each deeper level lists
+        # its one candidate file per key.
+        plan: List[Tuple[int, SSTable]] = []
         fence = levels.level_fence(0)
         if fence is not None:
             lo, hi = fence
             in_fence = [i for i in range(n) if lo <= keys[i] <= hi]
             if in_fence:
-                l0_tables = list(levels.iter_level(0))  # newest first
-                for table in l0_tables:
-                    seed = table.bloom.seed
-                    salts.append(seed)
-                    salts.append(seed ^ GOLDEN_GAMMA)
-        plan: List[List[Tuple[int, SSTable]]] = []
+                for table in levels.iter_level(0):
+                    first_key = table.first_key
+                    last_key = table.last_key
+                    plan.extend(
+                        (i, table)
+                        for i in in_fence
+                        if first_key <= keys[i] <= last_key
+                    )
         for level in range(1, self.options.max_levels):
             fence = levels.level_fence(level)
             if fence is None:
                 continue
             lo, hi = fence
-            pairs: List[Tuple[int, SSTable]] = []
             for i in range(n):
                 key = keys[i]
                 if key < lo or key > hi:
                     continue
-                table = find_file(level, key)
-                if table is not None:
-                    pairs.append((i, table))
-                    seed = table.bloom.seed
-                    salts.append(seed)
-                    salts.append(seed ^ GOLDEN_GAMMA)
-            if pairs:
-                plan.append(pairs)
-        if not salts:
+                candidate = find_file(level, key)
+                if candidate is not None:
+                    plan.append((i, candidate))
+        if not plan:
             return values, handles
         # ---- one vectorized digest pass for the whole walk ----
-        uniq = list(dict.fromkeys(salts))
+        uniq = list(dict.fromkeys(table.bloom.seed for _, table in plan))
+        uniq += [seed ^ GOLDEN_GAMMA for seed in uniq]
         datas = [key.encode("utf-8") for key in keys]
         matrix = fnv1a_batch_multi(datas, uniq).tolist()
         rows: Dict[int, List[int]] = dict(zip(uniq, matrix))
-        # ---- level 0: table-major, newest first ----
-        for table in l0_tables:
-            if not in_fence:
-                break
-            first_key = table.first_key
-            last_key = table.last_key
-            bloom = table.bloom
-            seed = bloom.seed
-            row1 = rows[seed]
-            row2 = rows[seed ^ GOLDEN_GAMMA]
-            may_contain_hashed = bloom.may_contain_hashed
-            block_handles = table.block_handles
-            find_block_no = table.find_block_no
-            for i in in_fence:
-                key = keys[i]
-                if key < first_key or key > last_key:
-                    continue
-                if not may_contain_hashed(row1[i], row2[i]):
-                    self.bloom_negative_total += 1
-                    continue
-                block_no = find_block_no(key)
-                if block_no is None:
-                    continue
-                handle = block_handles[block_no]
-                block = block_memo.get(handle)
-                if block is None:
-                    block = fetch_block(handle)
-                    block_memo[handle] = block
-                found, value = block.get(key)
-                if found:
-                    values[i] = value
-                    handles[i] = handle
-                    resolved[i] = True
-                else:
-                    self.bloom_false_positive_total += 1
-            in_fence = [i for i in in_fence if not resolved[i]]
-        # ---- deeper levels: one planned file per key ----
-        for pairs in plan:
-            for i, table in pairs:
-                if resolved[i]:
-                    continue
+        # ---- walk: a key stops at the first table that holds it ----
+        current: Optional[SSTable] = None
+        for i, table in plan:
+            if handles[i] is not None:
+                continue
+            if table is not current:
+                # Level-0 runs probe one table for many keys in a row.
+                current = table
                 bloom = table.bloom
-                seed = bloom.seed
-                if not bloom.may_contain_hashed(
-                    rows[seed][i], rows[seed ^ GOLDEN_GAMMA][i]
-                ):
-                    self.bloom_negative_total += 1
-                    continue
-                key = keys[i]
-                block_no = table.find_block_no(key)
-                if block_no is None:
-                    continue
-                handle = table.block_handles[block_no]
-                block = block_memo.get(handle)
-                if block is None:
-                    block = fetch_block(handle)
-                    block_memo[handle] = block
-                found, value = block.get(key)
-                if found:
-                    values[i] = value
-                    handles[i] = handle
-                    resolved[i] = True
-                else:
-                    self.bloom_false_positive_total += 1
+                row1 = rows[bloom.seed]
+                row2 = rows[bloom.seed ^ GOLDEN_GAMMA]
+            if not bloom.may_contain_hashed(row1[i], row2[i]):
+                self.bloom_negative_total += 1
+                continue
+            key = keys[i]
+            block_no = table.find_block_no(key)
+            if block_no is None:
+                continue
+            handle = table.block_handles[block_no]
+            block = block_memo.get(handle)
+            if block is None:
+                block = fetch_block(handle)
+                block_memo[handle] = block
+            found, value = block.get(key)
+            if found:
+                values[i] = value
+                handles[i] = handle
+            else:
+                self.bloom_false_positive_total += 1
         return values, handles
 
     def _get_from_table(

@@ -35,7 +35,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import sanitize
 from repro.bench.report import LatencyHistogram, format_table, latency_table
@@ -917,10 +917,7 @@ class _Simulation:
             for _ in burst:
                 delay += session.next_delay_us()
             self.loop.after(delay, lambda: self.issue(session))
-        if len(burst) == 1:
-            self._dispatch(session, op)
-        else:
-            self._dispatch_batch(session, burst)
+        self._arrive(session, burst)
 
     def issue_scripted(self, session: ScriptedSession) -> None:
         """Arrival path for scenario-scripted tenants.
@@ -941,106 +938,77 @@ class _Simulation:
         self.loop.after(
             session.arrival_delay_us(), lambda: self.issue_scripted(session)
         )
-        self._dispatch(session, op)
+        self._arrive(session, [op])
 
-    def _dispatch(self, session: ClientSession, op) -> None:
-        if self.res is not None:
-            self._issue_resilient(session, op)
-            return
-        plan = self.router.plan(op)
-        seq = self._next_seq
-        self._next_seq += 1
-        deadline = (
-            self.loop.now + self.config.op_deadline_us
-            if self.config.op_deadline_us
-            else 0.0
-        )
-        request = Request(
-            seq, session.name, op, self.loop.now, len(plan), deadline
-        )
-        self.emit("arrive", seq, session.name, op.kind)
-        queues = [self.shards[shard_id].queue for shard_id, _ in plan]
-        if any(not q.has_room() for q in queues):
-            # All-or-nothing shed: account it at every full target queue.
-            for q in queues:
-                if not q.has_room():
-                    q.note_rejected()
-            if self.active:
-                self._shed("queue_full")
-            session.rejected += 1
-            self.rejected_total += 1
-            self.emit("shed", seq, session.name)
-            if session.mode == "closed":
-                self.loop.after(
-                    session.next_delay_us(), lambda: self.issue(session)
-                )
-            return
-        for shard_id, sub_op in plan:
-            shard = self.shards[shard_id]
-            sub = SubRequest(request, shard_id, sub_op, self.loop.now, shard.epoch)
-            shard.queue.push(sub)
-            self.maybe_start(shard_id)
+    def _arrive(self, session: ClientSession, ops: List[Operation]) -> None:
+        """Plan, build, and admit-or-shed every operation of one arrival.
 
-    def _dispatch_batch(
-        self, session: ClientSession, ops: List[Operation]
-    ) -> None:
-        """Dispatch one open-loop burst as per-shard sub-batches.
-
-        Every operation is planned and enqueued before any shard starts
-        serving, so an idle shard's first service slot sees the whole
-        sub-batch the router assigned it rather than a batch of one.
-        Queue admission stays all-or-nothing per operation, with the
-        same shed accounting as the scalar path.
+        Queue admission is all-or-nothing per operation: if any target
+        queue is full the whole request is shed and accounted at every
+        full queue.  Shards start serving only once the whole burst is
+        queued, so an idle shard's first service slot sees the sub-batch
+        the router assigned it rather than a batch of one.  The failure
+        model is the exception: its ladder and breakers gate each
+        operation on the queues as the previous one left them, so there
+        an operation's shards start before the next one is gated.
         """
-        if self.res is not None:
-            # The failure model gates arrivals one op at a time (ladder,
-            # breakers, hedges); batching still happens at the servers,
-            # which drain queued backlog in batch_size service slots.
-            for op in ops:
-                self._issue_resilient(session, op)
-            return
+        now = self.loop.now
+        op_deadline_us = self.config.op_deadline_us
+        deadline = now + op_deadline_us if op_deadline_us else 0.0
         touched: Set[int] = set()
         for op in ops:
-            plan = self.router.plan(op)
             seq = self._next_seq
             self._next_seq += 1
-            deadline = (
-                self.loop.now + self.config.op_deadline_us
-                if self.config.op_deadline_us
-                else 0.0
-            )
-            request = Request(
-                seq, session.name, op, self.loop.now, len(plan), deadline
-            )
             self.emit("arrive", seq, session.name, op.kind)
-            queues = [self.shards[shard_id].queue for shard_id, _ in plan]
-            if any(not q.has_room() for q in queues):
-                for q in queues:
-                    if not q.has_room():
-                        q.note_rejected()
+            if self.res is not None:
+                plan, dropped = self._plan_resilient(session, seq, op)
+                if not plan:
+                    continue
+            else:
+                plan, dropped = self.router.plan(op), []
+            request = Request(seq, session.name, op, now, len(plan), deadline)
+            if dropped:
+                # Scatter-gather minus the dead shards: the eventual result
+                # carries an explicit partial marker.
+                request.parts_dropped += len(dropped)
+                self.emit(
+                    "drop", seq, " ".join(str(i) for i in dropped), "unplanned"
+                )
+            full = [
+                q
+                for q in (self.shards[shard_id].queue for shard_id, _ in plan)
+                if not q.has_room()
+            ]
+            if full:
+                for q in full:
+                    q.note_rejected()
                 if self.active:
                     self._shed("queue_full")
-                session.rejected += 1
-                self.rejected_total += 1
-                self.emit("shed", seq, session.name)
+                self._reject(session, "shed", seq)
                 continue
             for shard_id, sub_op in plan:
                 shard = self.shards[shard_id]
-                sub = SubRequest(
-                    request, shard_id, sub_op, self.loop.now, shard.epoch
+                shard.queue.push(
+                    SubRequest(request, shard_id, sub_op, now, shard.epoch)
                 )
-                shard.queue.push(sub)
-                touched.add(shard_id)
+            if self.res is not None:
+                for shard_id, _ in plan:
+                    self.maybe_start(shard_id)
+                self._maybe_hedge(request, plan)
+            else:
+                touched.update(shard_id for shard_id, _ in plan)
         for shard_id in sorted(touched):
             self.maybe_start(shard_id)
 
-    def _issue_resilient(self, session: ClientSession, op) -> None:
-        """Arrival path with the full failure model in front of the queues."""
-        res = self.res
-        assert res is not None and self.ladder is not None
-        seq = self._next_seq
-        self._next_seq += 1
-        self.emit("arrive", seq, session.name, op.kind)
+    def _plan_resilient(
+        self, session: ClientSession, seq: int, op: Operation
+    ) -> Tuple[List[Tuple[int, Operation]], List[int]]:
+        """Gate one arrival through the failure model and plan around it.
+
+        Returns ``(live_plan, dropped_shards)``; the plan is empty once
+        the arrival has been rejected (and accounted) here.
+        """
+        assert self.ladder is not None
         # 1. Degradation ladder: re-evaluate, then gate this arrival.
         self.ladder.observe(
             self._queue_pressure(),
@@ -1056,8 +1024,9 @@ class _Simulation:
         reason = self.ladder.admits(op.kind, owner, resident)
         if reason is not None:
             self._record(0, N.SERVE_SHED_DEGRADED)
-            self._reject_at_issue(session, seq, reason)
-            return
+            self._shed(reason)
+            self._reject(session, "shedr", seq, reason)
+            return [], []
         # 2. Health-aware planning: route around dead / open shards.
         unavailable = {s.shard_id for s in self.shards if s.down}
         for shard in self.shards:
@@ -1074,108 +1043,44 @@ class _Simulation:
                 if any(self.shards[i].down for i in dropped)
                 else "breaker_open"
             )
-            self._reject_at_issue(session, seq, reason)
-            return
-        deadline = (
-            self.loop.now + self.config.op_deadline_us
-            if self.config.op_deadline_us
-            else 0.0
-        )
-        request = Request(
-            seq, session.name, op, self.loop.now, len(plan), deadline
-        )
-        if dropped:
-            # Scatter-gather minus the dead shards: the eventual result
-            # carries an explicit partial marker.
-            request.parts_dropped += len(dropped)
-            self.emit("drop", seq, " ".join(str(i) for i in dropped), "unplanned")
-        queues = [self.shards[shard_id].queue for shard_id, _ in plan]
-        if any(not q.has_room() for q in queues):
-            for q in queues:
-                if not q.has_room():
-                    q.note_rejected()
-            self._shed("queue_full")
-            session.rejected += 1
-            self.rejected_total += 1
-            self.emit("shed", seq, session.name)
-            if session.mode == "closed":
-                self.loop.after(
-                    session.next_delay_us(), lambda: self.issue(session)
-                )
-            return
-        for shard_id, sub_op in plan:
-            shard = self.shards[shard_id]
-            sub = SubRequest(request, shard_id, sub_op, self.loop.now, shard.epoch)
-            shard.queue.push(sub)
-            self.maybe_start(shard_id)
-        self._maybe_hedge(request, plan)
+            self._shed(reason)
+            self._reject(session, "shedr", seq, reason)
+        return plan, dropped
 
-    def _reject_at_issue(
-        self, session: ClientSession, seq: int, reason: str
+    def _reject(
+        self, session: ClientSession, record: str, seq: int, *fields: object
     ) -> None:
-        """Fail a request fast at arrival with an explicit reason."""
-        self._shed(reason)
+        """Account one failed request and let its closed-loop client move on."""
         session.rejected += 1
         self.rejected_total += 1
-        self.emit("shedr", seq, session.name, reason)
+        self.emit(record, seq, session.name, *fields)
+        self._issue_after_think(session)
+
+    def _issue_after_think(self, session: ClientSession) -> None:
+        """Closed loop: the next issue follows this request's outcome."""
         if session.mode == "closed":
             self.loop.after(
                 session.next_delay_us(), lambda: self.issue(session)
             )
 
     def maybe_start(self, shard_id: int) -> None:
-        shard = self.shards[shard_id]
-        if shard.down or shard.busy or len(shard.queue) == 0:
-            return
-        if self.config.batch_size > 1:
-            self._start_batch(shard)
-            return
-        if self.active:
-            sub, expired = shard.queue.pop_live(self.loop.now)
-            for dead in expired:
-                self._record(shard_id, N.SERVE_SHED_DEADLINE)
-                self.emit("expire", dead.request.seq, shard_id)
-                self._sub_dropped(dead, "deadline")
-            if sub is None:
-                return
-        else:
-            sub = shard.queue.pop()
-        shard.busy = True
-        sub.start_us = self.loop.now
-        self.queue_wait.record(sub.start_us - sub.enqueue_us)
-        if self.obs_recorders:
-            # Serving-layer time is richer than engine-work time (it
-            # includes queueing), so recordings carry event-loop stamps.
-            self.obs_recorders[shard_id].advance_to(self.loop.now)
-        # Execute now and charge the metered delta as this sub-request's
-        # service time; event callbacks are synchronous, so no other
-        # shard's work can leak into this clock window.
-        entries = self.router.execute(shard.engine, sub.op)
-        if sub.request.parts is not None:
-            sub.request.parts.append(entries)
-        if self.res is not None:
-            self._ship_to_replica(shard, sub)
-        service_us = max(0.0, shard.clock.charge())
-        shard.busy_us += service_us
-        self.emit("start", sub.request.seq, shard_id)
-        self.loop.after(service_us, lambda: self.complete(sub))
+        """Drain up to ``batch_size`` live sub-requests into one service slot.
 
-    def _start_batch(self, shard: _Shard) -> None:
-        """Drain up to ``batch_size`` sub-requests into one service slot.
-
-        The popped run executes through the engine's batched API (same-
-        kind runs share one ``multi_*`` call) and the whole slot is
-        charged as one metered delta — coalesced block fetches inside a
-        run cost one simulated read instead of N.
+        A slot of several executes through the engine's batched API
+        (same-kind runs share one ``multi_*`` call) and the whole slot
+        is charged as one metered delta — coalesced block fetches inside
+        a run cost one simulated read instead of N.
         """
+        shard = self.shards[shard_id]
+        if shard.down or shard.busy:
+            return
         subs: List[SubRequest] = []
-        limit = self.config.batch_size
-        while len(subs) < limit and len(shard.queue):
+        while len(subs) < self.config.batch_size and len(shard.queue):
             if self.active:
                 sub, expired = shard.queue.pop_live(self.loop.now)
                 for dead in expired:
-                    self._record(shard.shard_id, N.SERVE_SHED_DEADLINE)
-                    self.emit("expire", dead.request.seq, shard.shard_id)
+                    self._record(shard_id, N.SERVE_SHED_DEADLINE)
+                    self.emit("expire", dead.request.seq, shard_id)
                     self._sub_dropped(dead, "deadline")
                 if sub is None:
                     break
@@ -1189,10 +1094,18 @@ class _Simulation:
             sub.start_us = self.loop.now
             self.queue_wait.record(sub.start_us - sub.enqueue_us)
         if self.obs_recorders:
-            self.obs_recorders[shard.shard_id].advance_to(self.loop.now)
-        results = self.router.execute_batch(
-            shard.engine, [sub.op for sub in subs]
-        )
+            # Serving-layer time is richer than engine-work time (it
+            # includes queueing), so recordings carry event-loop stamps.
+            self.obs_recorders[shard_id].advance_to(self.loop.now)
+        # Execute now and charge the metered delta as this slot's service
+        # time; event callbacks are synchronous, so no other shard's work
+        # can leak into this clock window.
+        if len(subs) == 1:
+            results = [self.router.execute(shard.engine, subs[0].op)]
+        else:
+            results = self.router.execute_batch(
+                shard.engine, [sub.op for sub in subs]
+            )
         for sub, entries in zip(subs, results):
             if sub.request.parts is not None:
                 sub.request.parts.append(entries)
@@ -1201,60 +1114,37 @@ class _Simulation:
         service_us = max(0.0, shard.clock.charge())
         shard.busy_us += service_us
         for sub in subs:
-            self.emit("start", sub.request.seq, shard.shard_id)
-        self.loop.after(service_us, lambda: self._complete_batch(subs))
+            self.emit("start", sub.request.seq, shard_id)
+        self.loop.after(service_us, lambda: self.complete(subs))
 
-    def _complete_batch(self, subs: List[SubRequest]) -> None:
-        """Batched twin of :meth:`complete` for one service slot."""
-        shard = self.shards[subs[0].shard]
-        live = [sub for sub in subs if sub.epoch == shard.epoch]
-        for sub in subs:
-            if sub.epoch != shard.epoch:
-                # The executor died while this slot was in flight.
-                self.emit("drop", sub.request.seq, sub.shard, "crash_inflight")
+    def complete(self, subs: List[SubRequest]) -> None:
+        """Finish one service slot and start the shard's next."""
+        shard_id = subs[0].shard
+        shard = self.shards[shard_id]
+        # A crash drains the queue as it bumps the epoch, so a slot's
+        # subs share one incarnation: all live or all dead.
+        if subs[0].epoch != shard.epoch:
+            # The executor died while this slot was in flight; its
+            # incarnation is gone and the results with it.
+            for sub in subs:
+                self.emit("drop", sub.request.seq, shard_id, "crash_inflight")
                 self._sub_dropped(sub, "crash_inflight")
-        if not live:
             return
         shard.busy = False
         timeout = self.res.op_timeout_us if self.res else 0.0
-        for sub in live:
+        for sub in subs:
             request = sub.request
             request.remaining -= 1
-            self.emit("finish", request.seq, sub.shard)
+            self.emit("finish", request.seq, shard_id)
             if shard.breaker is not None:
-                service_us = self.loop.now - sub.start_us
-                if timeout and service_us > timeout:
+                if timeout and self.loop.now - sub.start_us > timeout:
                     shard.breaker.record_failure(self.loop.now, "timeout")
                 else:
                     shard.breaker.record_success(self.loop.now)
-                self._flush_breaker_trace(sub.shard)
+                self._flush_breaker_trace(shard_id)
             if request.remaining == 0:
                 self.finish_request(request)
-        self.maybe_start(subs[0].shard)
-
-    def complete(self, sub: SubRequest) -> None:
-        shard = self.shards[sub.shard]
-        if sub.epoch != shard.epoch:
-            # The executor died while this result was in flight; its
-            # incarnation is gone and the result with it.
-            self.emit("drop", sub.request.seq, sub.shard, "crash_inflight")
-            self._sub_dropped(sub, "crash_inflight")
-            return
-        shard.busy = False
-        request = sub.request
-        request.remaining -= 1
-        self.emit("finish", request.seq, sub.shard)
-        if shard.breaker is not None:
-            service_us = self.loop.now - sub.start_us
-            timeout = self.res.op_timeout_us if self.res else 0.0
-            if timeout and service_us > timeout:
-                shard.breaker.record_failure(self.loop.now, "timeout")
-            else:
-                shard.breaker.record_success(self.loop.now)
-            self._flush_breaker_trace(sub.shard)
-        if request.remaining == 0:
-            self.finish_request(request)
-        self.maybe_start(sub.shard)
+        self.maybe_start(shard_id)
 
     def _sub_dropped(self, sub: SubRequest, reason: str) -> None:
         """Account one sub-request that will never produce a result."""
@@ -1275,14 +1165,7 @@ class _Simulation:
             request.parts is None or not request.parts
         ):
             # Every part died (crash / expiry): the request fails.
-            session = self._session_of(request.tenant)
-            session.rejected += 1
-            self.rejected_total += 1
-            self.emit("fail", request.seq, request.tenant)
-            if session.mode == "closed":
-                self.loop.after(
-                    session.next_delay_us(), lambda: self.issue(session)
-                )
+            self._reject(self._session_of(request.tenant), "fail", request.seq)
             return
         if request.parts is not None:
             # The gather half of scatter-gather; the merged result is the
@@ -1335,10 +1218,7 @@ class _Simulation:
                         budget=self.tier2.budget_bytes,
                         evicted=evicted,
                     )
-        if session.mode == "closed":
-            self.loop.after(
-                session.next_delay_us(), lambda: self.issue(session)
-            )
+        self._issue_after_think(session)
 
     # -- hedged reads -------------------------------------------------------
 

@@ -25,9 +25,13 @@ class TestNullRecorder:
     def test_every_method_is_a_noop(self):
         r = NullRecorder()
         # No validation, no state: even an unregistered name is ignored.
+        # lint: disable-next=OBS001  # a no-op recorder must ignore unregistered names
         assert r.inc("anything") is None
+        # lint: disable-next=OBS001  # a no-op recorder must ignore unregistered names
         assert r.set_gauge("anything", 1.0) is None
+        # lint: disable-next=OBS001  # a no-op recorder must ignore unregistered names
         assert r.observe("anything", 1.0) is None
+        # lint: disable-next=OBS001  # a no-op recorder must ignore unregistered names
         assert r.event("anything", key=1) is None
         assert r.advance_to(5.0) is None
         assert r.end_window(0) is None

@@ -160,8 +160,8 @@ class TestBatchedServing:
         assert a.shed_by_reason == b.shed_by_reason
 
     def test_batch_of_one_matches_default_config(self):
-        # batch_size=1 takes the scalar dispatch path; explicitly passing
-        # it must not perturb the simulation in any observable way.
+        # batch_size=1 is the default; explicitly passing it must not
+        # perturb the simulation in any observable way.
         assert (
             _run(seed=32, batch_size=1).fingerprint()
             == _run(seed=32).fingerprint()
