@@ -66,30 +66,34 @@ class ARCPolicy(EvictionPolicy[K], Generic[K]):
         self._c = capacity
         self._p = min(self._p, float(capacity))
 
-    def ghost_of(self, key: K) -> Optional[str]:
-        """Which ghost list remembers ``key``: ``"B1"``, ``"B2"`` or None."""
-        if key in self._b1:
-            return "B1"
-        return "B2" if key in self._b2 else None
-
     def tracked_keys(self) -> Iterator[K]:
         """Every key with state here: residents first, then ghosts."""
         return chain(self._t1, self._t2, self._b1, self._b2)
 
-    def record_insert(self, key: K) -> None:
+    def readmit_ghost(self, key: K) -> Optional[str]:
+        """Seat a ghost-remembered ``key`` in T2, steering ``p``.
+
+        Returns the list that remembered it (``"B1"``/``"B2"``), or None
+        with nothing changed when neither does.
+        """
         if key in self._b1:
             # Ghost hit in B1: T1 was evicted too eagerly -> grow p.
             delta = max(1.0, len(self._b2) / max(1, len(self._b1)))
             self._p = min(float(self._c), self._p + delta)
             self._b1.discard(key)
             self._t2[key] = None
-        elif key in self._b2:
+            return "B1"
+        if key in self._b2:
             # Ghost hit in B2 -> shrink p.
             delta = max(1.0, len(self._b1) / max(1, len(self._b2)))
             self._p = max(0.0, self._p - delta)
             self._b2.discard(key)
             self._t2[key] = None
-        else:
+            return "B2"
+        return None
+
+    def record_insert(self, key: K) -> None:
+        if self.readmit_ghost(key) is None:
             self._t1[key] = None
 
     def record_access(self, key: K) -> None:
@@ -123,7 +127,7 @@ class ARCPolicy(EvictionPolicy[K], Generic[K]):
         self._b2.discard(key)
 
     def check_invariants(self) -> None:
-        """T1/T2/B1/B2 pairwise disjointness, ghost bounds, and p's range."""
+        """T1/T2/B1/B2 pairwise disjointness, each ghost list's bound, p's range."""
         lists = {
             "T1": self._t1.keys(),
             "T2": self._t2.keys(),

@@ -167,7 +167,7 @@ class Tier2Cache(CacheBase):
             # through the loop): the offer is counted as a reject.
             self.rejects += 1
             return False
-        ghost = self._arc.ghost_of(key)
+        ghost = self._arc.readmit_ghost(key)
         if ghost == "B1":
             self.ghost_hits_recency += 1
         elif ghost == "B2":
@@ -175,7 +175,8 @@ class Tier2Cache(CacheBase):
         elif self._sketch.estimate(self._sketch_key(key)) < 2:
             self.rejects += 1
             return False
-        self._arc.record_insert(key)
+        else:
+            self._arc.record_insert(key)
         self._blocks[key] = block
         self.admits += 1
         self._evict_to_fit()

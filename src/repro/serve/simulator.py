@@ -1086,6 +1086,8 @@ class _Simulation:
                     break
             else:
                 sub = shard.queue.pop()
+            # complete() judges a whole slot by its first sub's epoch.
+            assert sub.epoch == shard.epoch, "queued sub outlived its shard"
             subs.append(sub)
         if not subs:
             return
@@ -1122,7 +1124,8 @@ class _Simulation:
         shard_id = subs[0].shard
         shard = self.shards[shard_id]
         # A crash drains the queue as it bumps the epoch, so a slot's
-        # subs share one incarnation: all live or all dead.
+        # subs share one incarnation (maybe_start asserts it): all live
+        # or all dead.
         if subs[0].epoch != shard.epoch:
             # The executor died while this slot was in flight; its
             # incarnation is gone and the results with it.
