@@ -242,8 +242,11 @@ class PolicyDecisionController:
             self._replay.append(transition)
             train_actor = window.window_index >= self.config.actor_warmup_windows
             self.agent.update(*transition, update_actor=train_actor)
-            # Replay a few recent transitions: the asynchronous trainer's
-            # extra passes, off the serving path.
+            # Replay a few recent transitions: the paper's asynchronous
+            # trainer runs these extra passes off the serving path; the
+            # simulator runs them inline, on the host clock of the op
+            # that sealed the window (~0.6 ms per update, ~5 ms per
+            # default window; see docs/performance.md, "Controller window").
             for _ in range(max(0, self.config.updates_per_window - 1)):
                 s, a, r, s2 = self._replay_rng.choice(self._replay)
                 self.agent.update(s, a, r, s2, update_actor=train_actor)
@@ -374,7 +377,7 @@ class PolicyDecisionController:
 
     def _apply(self, action: np.ndarray) -> np.ndarray:
         """Execute an action; returns the normalized action as applied."""
-        ratio, thr_norm, a_norm, b = (float(x) for x in action)
+        ratio, thr_norm, a_norm, b = action.tolist()
         if self.config.enable_partitioning:
             # Walk the boundary toward the target at a bounded rate so a
             # single exploratory action cannot flush either cache.

@@ -67,8 +67,18 @@ class ActorCriticAgent:
         self.actor = MLP([state_dim, hidden_dim, hidden_dim, action_dim], seed=seed)
         self.critic = MLP([state_dim, hidden_dim, hidden_dim, 1], seed=seed + 1)
         self.log_std = np.full(action_dim, initial_log_std, dtype=np.float32)
-        self._actor_opt = Adam(self.actor.parameters() + [self.log_std], lr=actor_lr)
-        self._critic_opt = Adam(self.critic.parameters(), lr=critic_lr)
+        # The critic's step finishes before the actor's backward begins,
+        # so the two optimizers share one gradient/scratch workspace.
+        workspace = np.empty(
+            (2, max(self.actor.num_parameters + action_dim, self.critic.num_parameters)),
+            dtype=np.float32,
+        )
+        self._actor_opt = Adam(
+            self.actor.parameters() + [self.log_std], lr=actor_lr, workspace=workspace
+        )
+        self._critic_opt = Adam(
+            self.critic.parameters(), lr=critic_lr, workspace=workspace
+        )
         self._rng = np.random.default_rng(seed + 2)
         self.updates_total = 0
 
@@ -90,7 +100,7 @@ class ActorCriticAgent:
 
     def action_mean(self, state: Array) -> Array:
         """Deterministic policy output in [0, 1]^d."""
-        return sigmoid(self.actor.forward(np.asarray(state, dtype=np.float32)))
+        return sigmoid(self.actor.forward(state))
 
     def act(self, state: Array, explore: bool = True) -> Array:
         """Sample an action; deterministic when ``explore`` is False.
@@ -116,9 +126,9 @@ class ActorCriticAgent:
 
     def value(self, state: Array) -> float:
         """Critic estimate V(s)."""
-        return float(self.critic.forward(np.asarray(state, dtype=np.float32))[0])
+        return float(self.critic.forward(state)[0])
 
-    def update(
+    def update(  # hot-path
         self,
         state: Array,
         action: Array,
@@ -135,23 +145,25 @@ class ActorCriticAgent:
         bounds the advantage fed to the actor so a still-cold critic
         cannot imprint arbitrary early actions onto the policy.
         """
-        state = np.asarray(state, dtype=np.float32)
-        next_state = np.asarray(next_state, dtype=np.float32)
+        # float32 like mu, or the gradient arithmetic below widens.
         action = np.asarray(action, dtype=np.float32)
 
         v_next = 0.0 if done else self.value(next_state)
-        v_out = self.critic.forward(state, remember=True)
-        v = float(v_out[0])
+        v = float(self.critic.forward(state, remember=True)[0])
         delta = reward + self.gamma * v_next - v
 
         # Critic: minimise 0.5 * delta^2  =>  dL/dv = -(delta).
-        critic_grads = self.critic.backward(np.array([-delta], dtype=np.float32))
-        self._critic_opt.step(critic_grads)
+        critic_opt = self._critic_opt
+        critic_opt.step(self.critic.backward(-delta, out=critic_opt.grads))
         if not update_actor:
             self.updates_total += 1
             return float(delta)
         if delta_clip is not None:
-            delta = float(np.clip(delta, -delta_clip, delta_clip))
+            # NaN compares false both ways and passes through, as np.clip did.
+            if delta > delta_clip:
+                delta = delta_clip
+            elif delta < -delta_clip:
+                delta = -delta_clip
 
         # Actor: maximise delta * log pi(a|s) with pi = N(mu(s), sigma^2).
         pre = self.actor.forward(state, remember=True)
@@ -161,11 +173,13 @@ class ActorCriticAgent:
         # d(-delta * logpi)/dmu = -delta * (a - mu) / var
         dmu = (-delta) * (action - mu) / var
         dpre = dmu * mu * (1.0 - mu)  # through the sigmoid
-        actor_grads = self.actor.backward(dpre.astype(np.float32))
+        actor_opt = self._actor_opt
+        actor_grads = self.actor.backward(dpre, out=actor_opt.grads)
         # d(-delta * logpi)/dlog_std = -delta * ((a - mu)^2 / var - 1)
-        dlog_std = (-delta) * (((action - mu) ** 2) / var - 1.0)
-        self._actor_opt.step(actor_grads + [dlog_std.astype(np.float32)])
-        np.clip(self.log_std, _LOG_STD_MIN, _LOG_STD_MAX, out=self.log_std)
+        actor_grads[-1][...] = (-delta) * (((action - mu) ** 2) / var - 1.0)
+        actor_opt.step(actor_grads)
+        np.maximum(self.log_std, _LOG_STD_MIN, out=self.log_std)
+        np.minimum(self.log_std, _LOG_STD_MAX, out=self.log_std)
 
         self.updates_total += 1
         return float(delta)

@@ -7,7 +7,7 @@ reproduce its Table 2 memory-overhead numbers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,12 +23,31 @@ def relu(x: Array) -> Array:
 
 def sigmoid(x: Array) -> Array:
     """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows: the exponent is <= 0
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
+
+
+class _Buffers:
+    """One batch size's per-layer working arrays, reused across calls.
+
+    ``acts[i]`` is layer ``i``'s activation (``acts[0]`` the input),
+    ``deltas[i]`` is dLoss/d``acts[i]`` and ``masks[i]`` its ReLU mask.
+    Indexed by layer throughout, so the small entries no pass touches
+    (the input's delta, the end layers' masks, everything but ``acts``
+    in the inference set) are allocated anyway.
+    """
+
+    __slots__ = ("rows", "acts", "deltas", "masks")
+
+    def __init__(self, rows: int, layer_sizes: Sequence[int]) -> None:
+        def per_layer(dtype: type) -> List[Array]:
+            return [np.empty((rows, s), dtype=dtype) for s in layer_sizes]
+
+        self.rows = rows
+        self.acts = per_layer(np.float32)
+        self.deltas = per_layer(np.float32)
+        self.masks = per_layer(np.bool_)
 
 
 class MLP:
@@ -37,6 +56,12 @@ class MLP:
     The output layer is linear; squashing (sigmoid for the actor's
     bounded actions) is applied by the caller so the same class serves
     actor and critic.
+
+    All parameters live in one float32 arena; ``weights[i]`` and
+    ``biases[i]`` are views into it.  Forward and backward reuse
+    per-batch-size buffers, so a steady stream of same-shaped calls
+    (the controller's single-sample updates) allocates only the small
+    output copy.
 
     Parameters
     ----------
@@ -53,59 +78,98 @@ class MLP:
             raise ConfigError("layer sizes must be positive")
         rng = np.random.default_rng(seed)
         self.layer_sizes = list(layer_sizes)
+        shapes = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        self._arena = np.zeros(
+            sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes),
+            dtype=np.float32,
+        )
         self.weights: List[Array] = []
         self.biases: List[Array] = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(
-                (rng.standard_normal((fan_in, fan_out)) * scale).astype(np.float32)
-            )
-            self.biases.append(np.zeros(fan_out, dtype=np.float32))
-        self._cache: Optional[List[Array]] = None
+        offset = 0
+        for fan_in, fan_out in shapes:
+            w = self._arena[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+            offset += w.size
+            w[...] = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
+            self.weights.append(w)
+            self.biases.append(self._arena[offset : offset + fan_out])
+            offset += fan_out
+        # Inference and remembered passes keep separate buffers: a plain
+        # forward() between forward(remember=True) and backward() must
+        # not disturb the activations backward() reads.
+        self._bufs = {
+            remember: _Buffers(1, self.layer_sizes) for remember in (False, True)
+        }
+        self._remembered = False
 
     # -- inference ------------------------------------------------------------
 
-    def forward(self, x: Array, remember: bool = False) -> Array:
+    def forward(self, x: Array, remember: bool = False) -> Array:  # hot-path
         """Compute outputs for ``x`` of shape ``(d,)`` or ``(n, d)``.
 
         With ``remember=True`` the per-layer activations are stored for
-        a subsequent :meth:`backward`.
+        a subsequent :meth:`backward`.  The result is the caller's own
+        copy, never a view of the reused buffers.
         """
-        single = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=np.float32))
-        activations = [h]
+        single = np.ndim(x) == 1
+        rows = 1 if single else len(x)
+        bufs = self._bufs[remember]
+        if bufs.rows != rows:
+            bufs = self._bufs[remember] = _Buffers(rows, self.layer_sizes)
+        acts = bufs.acts
+        np.copyto(acts[0], x)  # casts to float32; (d,) broadcasts to (1, d)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = acts[i + 1]
+            # 2-D operands on purpose: (1, d) @ (d, n) and (d,) @ (d, n)
+            # differ in the last bit (gemm vs gemv).
+            np.matmul(acts[i], w, out=h)
+            np.add(h, b, out=h)
             if i < last:
-                h = relu(h)
-            activations.append(h)
+                np.maximum(h, 0.0, out=h)
         if remember:
-            self._cache = activations
-        return h[0] if single else h
+            self._remembered = True
+        return h[0].copy() if single else h.copy()
 
     # -- training ------------------------------------------------------------
 
-    def backward(self, grad_out: Array) -> List[Array]:
+    def backward(  # hot-path
+        self, grad_out: Union[Array, float], out: Optional[Sequence[Array]] = None
+    ) -> Sequence[Array]:
         """Backprop ``dLoss/dOutput`` through the remembered forward pass.
 
         Returns gradients interleaved ``[dW0, db0, dW1, db1, ...]``
-        matching :meth:`parameters`.
+        matching :meth:`parameters`.  ``out`` names where to write them
+        (e.g. :attr:`repro.rl.optim.Adam.grads`; entries past the
+        network's own are left alone) and is returned; without it fresh
+        arrays are allocated.
         """
-        if self._cache is None:
+        if not self._remembered:
             raise ConfigError("backward() requires a forward(remember=True) first")
-        activations = self._cache
-        self._cache = None
-        grad = np.atleast_2d(np.asarray(grad_out, dtype=np.float32))
-        grads: List[Array] = [np.empty(0)] * (2 * len(self.weights))
-        for i in range(len(self.weights) - 1, -1, -1):
-            inputs = activations[i]
-            grads[2 * i] = inputs.T @ grad
-            grads[2 * i + 1] = grad.sum(axis=0)
+        self._remembered = False
+        if out is None:
+            out = [np.empty_like(p) for p in self.parameters()]
+        bufs = self._bufs[True]
+        acts, deltas, masks = bufs.acts, bufs.deltas, bufs.masks
+        last = len(self.weights) - 1
+        grad = deltas[last + 1]
+        np.copyto(grad, grad_out)
+        for i in range(last, -1, -1):
+            inputs = acts[i]
+            if bufs.rows == 1:
+                # Rank-1: einsum's outer-product loop is bit-equal to the
+                # gemm below (zero signs included) at a fifth of its cost.
+                # Over more rows it may sum in another order, so gemm stays.
+                np.einsum("ni,nj->ij", inputs, grad, out=out[2 * i])
+            else:
+                np.matmul(inputs.T, grad, out=out[2 * i])
+            grad.sum(axis=0, out=out[2 * i + 1])
             if i > 0:
-                grad = grad @ self.weights[i].T
-                grad = grad * (activations[i] > 0)  # ReLU mask
-        return grads
+                prev = deltas[i]
+                np.matmul(grad, self.weights[i].T, out=prev)
+                np.greater(inputs, 0, out=masks[i])  # ReLU mask
+                np.multiply(prev, masks[i], out=prev)
+                grad = prev
+        return out
 
     # -- parameter plumbing ------------------------------------------------------------
 
@@ -120,12 +184,12 @@ class MLP:
     @property
     def num_parameters(self) -> int:
         """Total scalar parameters."""
-        return sum(p.size for p in self.parameters())
+        return self._arena.size
 
     @property
     def size_bytes(self) -> int:
         """Bytes of float32 weight storage (Table 2's 'model weights')."""
-        return sum(p.nbytes for p in self.parameters())
+        return self._arena.nbytes
 
     def state_dict(self) -> Dict[str, Array]:
         """Copy of all parameters, keyed for (de)serialisation."""

@@ -1,12 +1,14 @@
 """Adam optimizer (Kingma & Ba) over lists of numpy arrays.
 
 Maintains first/second moment estimates per parameter — the "optimizer
-states" line of the paper's Table 2 memory accounting.
+states" line of the paper's Table 2 memory accounting.  The moments and
+the gradients live in flat arenas, so one step is a fixed number of
+elementwise passes over the whole parameter set and allocates nothing.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +27,19 @@ class Adam:
     lr:
         Learning rate; mutable via :attr:`lr` for the paper's adaptive
         actor rate.
+    workspace:
+        Optional float32 array of shape ``(2, >= total parameters)``
+        holding the gradient arena and the scratch row.  Optimizers
+        that never step concurrently (an agent's actor and critic) may
+        share one; it is working memory, not optimizer state.
+
+    Attributes
+    ----------
+    grads:
+        Per-parameter views into the gradient arena, shaped like the
+        parameters.  A producer that writes its gradients here and
+        passes the same list to :meth:`step` skips the gather copy.
+        :meth:`step` consumes them: their contents are undefined after.
     """
 
     def __init__(
@@ -34,6 +49,7 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
+        workspace: Optional[Array] = None,
     ) -> None:
         if lr <= 0:
             raise ConfigError("lr must be positive")
@@ -42,33 +58,72 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: List[Array] = [np.zeros_like(p, dtype=np.float32) for p in params]
-        self._v: List[Array] = [np.zeros_like(p, dtype=np.float32) for p in params]
+        total = sum(p.size for p in self._params)
+        if workspace is None:
+            workspace = np.empty((2, total), dtype=np.float32)
+        elif (
+            workspace.dtype != np.float32
+            or workspace.ndim != 2
+            or workspace.shape[0] != 2
+            or workspace.shape[1] < total
+        ):
+            raise ConfigError(
+                f"workspace must be float32 of shape (2, >= {total})"
+            )
+        self._m = np.zeros(total, dtype=np.float32)
+        self._v = np.zeros(total, dtype=np.float32)
+        self._g = workspace[0, :total]
+        self._scratch = workspace[1, :total]
+        self.grads: List[Array] = []
+        offset = 0
+        for p in self._params:
+            self.grads.append(self._g[offset : offset + p.size].reshape(p.shape))
+            offset += p.size
         self._t = 0
 
-    def step(self, grads: Sequence[Array]) -> None:
+    def step(self, grads: Sequence[Array]) -> None:  # hot-path
         """Apply one update given gradients aligned with the parameters."""
-        if len(grads) != len(self._params):
+        views = self.grads
+        if len(grads) != len(views):
             raise ConfigError(
-                f"expected {len(self._params)} gradients, got {len(grads)}"
+                f"expected {len(views)} gradients, got {len(grads)}"
             )
+        for i, (view, grad) in enumerate(zip(views, grads)):
+            if grad is view:
+                continue
+            if grad.size != view.size:
+                raise ConfigError(
+                    f"gradient {i} has {grad.size} elements, "
+                    f"parameter {i} has {view.size}"
+                )
+            view[...] = grad.reshape(view.shape)
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        for p, g, m, v in zip(self._params, grads, self._m, self._v):
-            g = g.astype(np.float32).reshape(p.shape)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, g, s = self._m, self._v, self._g, self._scratch
+        # m = m*b1 + (1-b1)*g ; v = v*b2 + (1-b2)*(g*g), one pass each.
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(g, g, out=s)
+        np.multiply(s, 1.0 - self.beta2, out=s)
+        np.add(v, s, out=v)
+        # The gradient is spent: its arena now carries the update,
+        # lr*(m/bc1) / (sqrt(v/bc2) + eps).
+        np.divide(m, bc1, out=g)
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        np.add(s, self.eps, out=s)
+        np.multiply(g, self.lr, out=g)
+        np.divide(g, s, out=g)
+        for p, update in zip(self._params, views):
+            np.subtract(p, update, out=p)
 
     @property
     def state_bytes(self) -> int:
         """Bytes held in moment estimates (2 tensors per parameter)."""
-        return sum(m.nbytes + v.nbytes for m, v in zip(self._m, self._v))
+        return self._m.nbytes + self._v.nbytes
 
     @property
     def steps_taken(self) -> int:

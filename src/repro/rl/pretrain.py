@@ -160,7 +160,6 @@ def pretrain_actor_supervised(
             epoch_loss += float((err**2).mean()) * len(idx)
             # d(MSE)/dpre through the sigmoid; mean over batch and dims.
             grad = (2.0 * err * mu * (1.0 - mu)) / (len(idx) * y.shape[1])
-            grads = agent.actor.backward(grad.astype(np.float32))
-            opt.step(grads)
+            opt.step(agent.actor.backward(grad, out=opt.grads))
         losses.append(epoch_loss / n)
     return losses

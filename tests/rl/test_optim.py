@@ -40,6 +40,20 @@ class TestAdam:
         with pytest.raises(ConfigError):
             opt.step([np.ones(2), np.ones(2)])
 
+    def test_gradient_size_validated(self):
+        """A wrong-sized gradient names its parameter, not a numpy reshape."""
+        params = [np.zeros((2, 3), dtype=np.float32), np.zeros(3, dtype=np.float32)]
+        opt = Adam(params)
+        with pytest.raises(ConfigError, match="gradient 1 has 4 elements"):
+            opt.step([np.ones((3, 2)), np.ones(4)])
+        assert opt.steps_taken == 0 and not params[0].any()
+
+    def test_workspace_validated(self):
+        params = [np.zeros(8, dtype=np.float32)]
+        for bad in (np.empty((2, 7), np.float32), np.empty((2, 8)), np.empty(16, np.float32)):
+            with pytest.raises(ConfigError):
+                Adam(params, workspace=bad)
+
     def test_lr_validated(self):
         with pytest.raises(ConfigError):
             Adam([np.zeros(1)], lr=0.0)
