@@ -7,12 +7,9 @@
 * :mod:`repro.bench.harness` — drives workloads, measures estimated hit
   rate / SST reads / simulated QPS, and seeds databases.
 * :mod:`repro.bench.report` — ascii tables and rankings (Table 4 style).
-* :mod:`repro.bench.perf` — host-side wall-clock microbenchmarks
-  (``repro bench``) and the perf-regression gate over ``BENCH_*.json``.
 """
 
 from repro.bench.harness import RunResult, run_workload, seed_database
-from repro.bench.perf import PerfReport, compare_reports, run_perf
 from repro.bench.simclock import CostModel
 from repro.bench.strategies import STRATEGIES, build_engine
 
@@ -23,7 +20,4 @@ __all__ = [
     "CostModel",
     "STRATEGIES",
     "build_engine",
-    "PerfReport",
-    "compare_reports",
-    "run_perf",
 ]

@@ -180,40 +180,6 @@ def format_series(
     return f"== {title} ==\n" + format_table(headers, rows)
 
 
-def perf_table(report: Dict[str, object]) -> str:
-    """Render a ``repro bench`` report dict (the perf JSON schema).
-
-    Accepts the exact dict :meth:`repro.bench.perf.PerfReport.to_dict`
-    emits (and ``BENCH_*.json`` stores), so the CLI, CI logs, and saved
-    artifacts all read the same way.
-    """
-    phases = report.get("phases")
-    if not isinstance(phases, list):
-        raise ConfigError("perf report has no 'phases' list")
-    headers = [
-        "phase", "ops", "wall s", "ops/sec", "normalized",
-        "sim QPS", "hit rate", "SST reads",
-    ]
-    rows = []
-    for p in phases:
-        rows.append([
-            str(p["name"]),
-            f"{int(p['ops']):,}",
-            f"{float(p['wall_s']):.3f}",
-            f"{float(p['ops_per_sec']):,.0f}",
-            f"{float(p['normalized_score']):.4f}",
-            f"{float(p['sim_qps']):,.0f}",
-            f"{float(p['hit_rate']):.3f}",
-            f"{int(p['sst_reads']):,}",
-        ])
-    lines = [format_table(headers, rows)]
-    lines.append(
-        f"calibration: {float(report.get('calibration', 0.0)):,.0f} loop-ops/s"
-        f"  (normalized = ops/sec / calibration)"
-    )
-    return "\n".join(lines)
-
-
 def rank(values: Dict[str, float], higher_is_better: bool = True) -> Dict[str, int]:
     """1-based ranks (1 = best), ties broken by name for determinism."""
     ordered = sorted(

@@ -75,16 +75,6 @@ def _arc_factory(cache_bytes: int, tree: LSMTree):
     return ARCPolicy(capacity_hint=max(8, cache_bytes // tree.options.block_size))
 
 
-def _make_tinylfu(seed: int):
-    from repro.cache.tinylfu import TinyLFUPolicy
-
-    return TinyLFUPolicy(seed=seed)
-
-
-def _tinylfu_factory(seed: int):
-    return lambda: _make_tinylfu(seed)
-
-
 def _kv_engine(tree: LSMTree, cache_bytes: int, seed: int, num_shards: int) -> KVEngine:
     cache = KVCache(cache_bytes, entry_charge=_entry_charge(tree))
     return KVEngine(tree, kv_cache=cache)
@@ -175,12 +165,6 @@ STRATEGIES: Dict[str, Callable[..., KVEngine]] = {
     "block-prefetch": lambda tree, cache_bytes, seed, num_shards: _block_engine(
         tree, cache_bytes, seed, num_shards, prefetch=True
     ),
-    "block-tinylfu": lambda tree, cache_bytes, seed, num_shards: _block_engine(
-        tree, cache_bytes, seed, num_shards, policy_factory=_tinylfu_factory(seed)
-    ),
-    "range-tinylfu": _range_engine_with(
-        lambda cap, seed: _make_tinylfu(seed)
-    ),
     "kv": _kv_engine,
     "ackey": _ackey_engine,
     "range": _range_engine_with(lambda _cap, _seed: None),
@@ -208,8 +192,6 @@ DISPLAY_NAMES: Dict[str, str] = {
     "block-clock": "Block Cache (CLOCK)",
     "block-arc": "Block Cache (ARC)",
     "block-prefetch": "Block Cache + Leaper-style prefetch",
-    "block-tinylfu": "Block Cache (TinyLFU-gated LRU)",
-    "range-tinylfu": "Range Cache + TinyLFU",
     "kv": "KV Cache",
     "ackey": "AC-Key-style (KV + KP + block)",
     "range": "Range Cache",

@@ -29,18 +29,15 @@ Simulate a multi-tenant serving fleet (shard router + client sessions)::
 
     python -m repro serve --clients 8 --shards 4 --ops 20000 --seed 0
 
-Run the repo's static-analysis pass::
+Run the repo's static-analysis pass (arguments are those of
+``python -m repro.lint``)::
 
-    python -m repro lint src/repro
+    python -m repro lint src tests
 
 Export observability artifacts and render them::
 
     python -m repro run --strategy adcache --obs-dir /tmp/obs
     python -m repro report /tmp/obs --validate
-
-Measure host-side simulator throughput and gate against a baseline::
-
-    python -m repro bench --quick --json bench.json --baseline BENCH_PR4.json
 """
 
 from __future__ import annotations
@@ -412,51 +409,6 @@ def cmd_atlas(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the host-side perf microbenchmarks (see docs/performance.md)."""
-    import json
-
-    from repro.bench.perf import (
-        compare_reports,
-        load_baseline,
-        run_perf,
-    )
-    from repro.bench.report import perf_table
-
-    report, profile_text = run_perf(
-        quick=args.quick,
-        seed=args.seed,
-        strategy=args.strategy,
-        label=args.label,
-        profile_sort=args.profile,
-        repeats=args.repeats,
-        batch_sizes=args.batch_sizes,
-    )
-    print(perf_table(report.to_dict()))
-    if profile_text:
-        print(profile_text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    if args.baseline:
-        baseline = load_baseline(args.baseline)
-        problems = compare_reports(
-            report, baseline, threshold=args.threshold,
-            strict_fingerprints=args.strict_fingerprints,
-        )
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}")
-            return 1
-        print(
-            f"OK: no phase regressed more than {args.threshold:.0%} "
-            f"vs {args.baseline}"
-        )
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Render (and optionally validate) an exported obs directory."""
     from repro.obs.report import list_metrics, render_report
@@ -476,36 +428,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"OK: {args.directory} validates against the obs schema")
     print(render_report(args.directory, max_rows=args.max_rows))
     return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the repo's static-analysis engine (delegates to :mod:`repro.lint`)."""
-    from repro.lint.runner import main as lint_main
-
-    argv: List[str] = list(args.paths)
-    if args.select:
-        argv += ["--select", args.select]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.sarif:
-        argv += ["--sarif", args.sarif]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.changed is not None:
-        argv.append(
-            "--changed" if args.changed == "" else f"--changed={args.changed}"
-        )
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.stats:
-        argv.append("--stats")
-    return lint_main(argv)
 
 
 def _add_resilience_flags(
@@ -539,21 +461,6 @@ def _add_resilience_flags(
         help="service time that counts as a circuit-breaker failure "
         "(0: only crashes trip breakers)",
     )
-
-
-def _batch_size_arg(value: str) -> int:
-    """argparse type for ``--batch-size``: a strictly positive integer."""
-    try:
-        size = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"batch size must be a positive integer, got {value!r}"
-        ) from None
-    if size < 1:
-        raise argparse.ArgumentTypeError(
-            f"batch size must be positive, got {size}"
-        )
-    return size
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -762,97 +669,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.set_defaults(func=cmd_report)
 
-    bench = sub.add_parser(
-        "bench",
-        help="host-side perf microbenchmarks + regression gate (docs/performance.md)",
-    )
-    bench.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    bench.add_argument("--strategy", choices=sorted(STRATEGIES), default="adcache")
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="small CI configuration (2k keys, 4k ops/phase, 256 KiB cache)",
-    )
-    bench.add_argument("--label", default="bench", help="label stored in the report")
-    bench.add_argument(
-        "--repeats", type=int, default=1,
-        help="run each phase N times and keep the best wall time "
-        "(use 3+ when recording a committed baseline)",
-    )
-    bench.add_argument(
-        "--batch-size", type=_batch_size_arg, action="append", default=None,
-        metavar="N", dest="batch_sizes",
-        help="also run the batched family (mixedb) at this batch size via "
-        "the engine's multi_get/multi_scan/multi_put path, with a scalar "
-        "batch-of-1 reference run; repeat the flag for a sweep",
-    )
-    bench.add_argument("--json", help="write the report JSON to this path")
-    bench.add_argument(
-        "--baseline",
-        help="compare against this report or BENCH_PR*.json envelope; "
-        "exit 1 on regression",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="normalized-throughput drop that counts as a regression",
-    )
-    bench.add_argument(
-        "--strict-fingerprints", action="store_true",
-        help="also fail if simulated-counter fingerprints differ from the "
-        "baseline (same-host comparisons only)",
-    )
-    bench.add_argument(
-        "--profile", nargs="?", const="cumulative", default=None,
-        metavar="SORT",
-        help="profile the phases with cProfile and print the top entries "
-        "(optional sort key, default 'cumulative')",
-    )
-    bench.set_defaults(func=cmd_bench)
-
-    lint = sub.add_parser(
+    # ``repro lint ARGS`` is ``python -m repro.lint ARGS``: the sub-parser
+    # declares nothing, so main() hands the unparsed rest to the runner.
+    sub.add_parser(
         "lint",
+        add_help=False,
         help="run the whole-program static-analysis engine "
         "(see docs/static_analysis.md)",
     )
-    lint.add_argument("paths", nargs="*", help="files/dirs (default: the repro package)")
-    lint.add_argument(
-        "--select", "--rules", dest="select",
-        help="comma-separated rule ids and/or families (e.g. DET,OWN002)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue grouped by family",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-        help="primary report format",
-    )
-    lint.add_argument("--output", help="write the report to this file")
-    lint.add_argument("--sarif", help="additionally write a SARIF report here")
-    lint.add_argument(
-        "--baseline", help="suppress findings recorded in this baseline file"
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from current findings",
-    )
-    lint.add_argument(
-        "--changed", nargs="?", const="", default=None, metavar="REF",
-        help="lint only files modified vs a git ref (default origin/main)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true", help="disable the AST cache"
-    )
-    lint.add_argument(
-        "--stats", action="store_true", help="print cache statistics"
-    )
-    lint.set_defaults(func=cmd_lint)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.lint.runner import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

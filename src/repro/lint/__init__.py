@@ -2,9 +2,9 @@
 
 A multi-pass lint engine (stdlib :mod:`ast` only — no third-party
 dependency) enforcing the repository's simulation discipline on top of
-what generic linters check.  Pass 1 parses every file (through a
-content-hash AST cache) into a project-wide symbol table and call
-graph; pass 2 runs two rule sets over it:
+what generic linters check.  Pass 1 parses every file into a
+project-wide symbol table and call graph; pass 2 runs two rule sets
+over it:
 
 * **syntactic, per-module** (:mod:`repro.lint.rules`) — determinism
   imports (SIM001), metered disk reads (SIM002), sanitizer coverage
@@ -19,11 +19,9 @@ graph; pass 2 runs two rule sets over it:
   single-writer metric-counter ownership (OWN002).
 
 Run it with ``python -m repro.lint [paths]`` or ``repro lint``.
-Suppress findings with ``# lint: disable=RULE`` (same line),
-``# lint: disable-next=RULE`` (following line), or
-``# lint: disable-file=RULE``; accept a legacy backlog with a
-checked-in baseline (``--baseline lint-baseline.json``).  Reports are
-text, ``--format json``, or SARIF (``--sarif lint.sarif``); see
+The gate is zero findings; a deliberate violation is suppressed where
+it stands, with its reason, by ``# lint: disable=RULE`` (same line) or
+``# lint: disable-next=RULE`` (following line).  See
 ``docs/static_analysis.md`` for the full catalogue and workflow.
 """
 
@@ -35,13 +33,11 @@ from repro.lint.passes import (
     run_whole_program_rules,
 )
 from repro.lint.rules import ALL_RULES, RULE_METADATA, Violation
-from repro.lint.runner import LintEngine, lint_file, lint_paths, main
-from repro.lint.sarif import to_sarif, validate_sarif
-from repro.lint.symbols import AstCache, SymbolTable, build_symbol_table
+from repro.lint.runner import LintEngine, lint_file, main
+from repro.lint.symbols import SymbolTable, build_symbol_table
 
 __all__ = [
     "ALL_RULES",
-    "AstCache",
     "CallGraph",
     "LintEngine",
     "Project",
@@ -53,9 +49,6 @@ __all__ = [
     "build_project",
     "build_symbol_table",
     "lint_file",
-    "lint_paths",
     "main",
     "run_whole_program_rules",
-    "to_sarif",
-    "validate_sarif",
 ]

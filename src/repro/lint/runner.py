@@ -1,10 +1,9 @@
-"""The lint engine: discovery, passes, suppressions, baseline, output.
+"""The lint engine: discovery, passes, suppressions, output.
 
 ``python -m repro.lint [paths]`` (default: the ``repro`` package) runs
 two analysis passes:
 
-1. **parse + index** — every file is parsed (through a content-hash
-   AST cache, so unchanged files re-run for free) and folded into a
+1. **parse + index** — every file is parsed and folded into a
    project-wide symbol table and call graph;
 2. **rules** — the per-module syntactic rules run over each file and
    the whole-program rules (DET0xx/OWN0xx) run over the project.
@@ -13,26 +12,15 @@ Findings are filtered by suppression comments::
 
     x = foo()  # lint: disable=RULE[,RULE2]     same line only
     # lint: disable-next=RULE                   the following line
-    # lint: disable-file=RULE                   the whole file
 
-then optionally diffed against a checked-in baseline file
-(``--baseline lint-baseline.json``), which is how new rules land
-strict: pre-existing findings are recorded once with
-``--update-baseline`` and only *new* violations fail the run, printed
-diff-style (``+`` new / ``-`` stale).  ``--changed[=REF]`` restricts
-reporting to files modified vs a git ref for fast pre-commit runs
-(the whole-program analysis still sees the full tree).  Output is
-text, ``--format json``, or ``--format sarif``; ``--sarif FILE``
-additionally writes the SARIF report for CI artifact upload.
+and printed as text; the gate is zero findings (exit 1 otherwise).
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
 import os
-import subprocess
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -48,29 +36,17 @@ from repro.lint.rules import (
     Violation,
     rule_family,
 )
-from repro.lint.sarif import render_sarif, to_json
-from repro.lint.symbols import (
-    AstCache,
-    ModuleInfo,
-    content_hash,
-    module_name_for,
-)
+from repro.lint.symbols import ModuleInfo, module_name_for
 
 _DISABLE_MARKER = "# lint: disable="
 _DISABLE_NEXT_MARKER = "# lint: disable-next="
-_DISABLE_FILE_MARKER = "# lint: disable-file="
-
-DEFAULT_BASELINE = "lint-baseline.json"
-DEFAULT_CACHE_DIR = ".repro_lint_cache"
-DEFAULT_CHANGED_REF = "origin/main"
 
 
 class Suppressions:
-    """Per-file suppression state parsed from the three comment forms."""
+    """Per-file suppression state parsed from the two comment forms."""
 
     def __init__(self, source: str) -> None:
         self.by_line: Dict[int, Set[str]] = {}
-        self.whole_file: Set[str] = set()
         for lineno, line in enumerate(source.splitlines(), start=1):
             self._scan(line, lineno)
 
@@ -83,19 +59,16 @@ class Suppressions:
         return {part.strip() for part in spec.split(",") if part.strip()}
 
     def _scan(self, line: str, lineno: int) -> None:
-        # The three markers are mutually exclusive matches: the literal
-        # "disable=" never occurs inside "disable-next="/"disable-file=".
+        # The two markers are mutually exclusive matches: the literal
+        # "disable=" never occurs inside "disable-next=".
         same_line = self._ids_after(line, _DISABLE_MARKER)
         if same_line:
             self.by_line.setdefault(lineno, set()).update(same_line)
         next_line = self._ids_after(line, _DISABLE_NEXT_MARKER)
         if next_line:
             self.by_line.setdefault(lineno + 1, set()).update(next_line)
-        self.whole_file.update(self._ids_after(line, _DISABLE_FILE_MARKER))
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
-        if rule_id in self.whole_file:
-            return True
         return rule_id in self.by_line.get(line, ())
 
 
@@ -108,7 +81,7 @@ def _iter_python_files(paths: Iterable[str]) -> List[str]:
                 dirnames[:] = sorted(
                     d
                     for d in dirnames
-                    if d not in ("__pycache__", ".git", DEFAULT_CACHE_DIR)
+                    if d not in ("__pycache__", ".git")
                 )
                 for name in sorted(filenames):
                     if name.endswith(".py"):
@@ -132,9 +105,8 @@ class LintResult:
     """Everything one engine run produced."""
 
     findings: List[Violation] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    files: int = 0
+    #: What the suppression comments hid, so a gate can pin the inventory.
+    suppressed: List[Violation] = field(default_factory=list)
 
 
 class LintEngine:
@@ -144,11 +116,9 @@ class LintEngine:
         self,
         paths: Iterable[str],
         rule_ids: Optional[Sequence[str]] = None,
-        cache_dir: Optional[str] = None,
     ) -> None:
         self.paths = list(paths)
         self.rule_ids = list(rule_ids) if rule_ids is not None else None
-        self.cache = AstCache(cache_dir)
 
     def _selected(self, registry: Iterable[str]) -> List[str]:
         if self.rule_ids is None:
@@ -161,7 +131,7 @@ class LintEngine:
         suppressions: Dict[str, Suppressions] = {}
         findings: List[Violation] = []
 
-        # Pass 1: parse (cached) + index.
+        # Pass 1: parse + index.
         for path in _iter_python_files(self.paths):
             try:
                 with open(path, "rb") as fh:
@@ -170,29 +140,22 @@ class LintEngine:
                 findings.append(Violation(path, 0, 0, "PARSE", str(exc)))
                 continue
             source = raw.decode("utf-8", errors="replace")
-            digest = content_hash(raw)
-            tree = self.cache.get(digest)
-            if tree is None:
-                try:
-                    tree = ast.parse(source, filename=path)
-                except SyntaxError as exc:
-                    findings.append(
-                        Violation(
-                            path,
-                            exc.lineno or 0,
-                            exc.offset or 0,
-                            "PARSE",
-                            f"file does not parse: {exc.msg}",
-                        )
+            try:
+                tree = ast.parse(source, filename=path)
+            except SyntaxError as exc:
+                findings.append(
+                    Violation(
+                        path,
+                        exc.lineno or 0,
+                        exc.offset or 0,
+                        "PARSE",
+                        f"file does not parse: {exc.msg}",
                     )
-                    continue
-                self.cache.put(digest, tree)
+                )
+                continue
             modname, is_package = module_name_for(path)
-            modules.append(
-                ModuleInfo(path, modname, is_package, tree, source, digest)
-            )
+            modules.append(ModuleInfo(path, modname, is_package, tree, source))
             suppressions[path] = Suppressions(source)
-        result.files = len(modules)
 
         # Pass 2a: per-module syntactic rules.
         for info in modules:
@@ -209,154 +172,20 @@ class LintEngine:
         )
 
         # Suppressions + deterministic order.
-        kept = [
-            v
-            for v in findings
-            if v.rule_id == "PARSE"
-            or not (
-                v.path in suppressions
+        findings.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
+        for v in findings:
+            hidden = (
+                v.rule_id != "PARSE"
+                and v.path in suppressions
                 and suppressions[v.path].is_suppressed(v.rule_id, v.line)
             )
-        ]
-        kept.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-        result.findings = kept
-        result.cache_hits = self.cache.hits
-        result.cache_misses = self.cache.misses
-        self.cache.save()
+            (result.suppressed if hidden else result.findings).append(v)
         return result
-
-
-# -- compatibility API --------------------------------------------------------
 
 
 def lint_file(path: str, rule_ids: Optional[Sequence[str]] = None) -> List[Violation]:
     """Run the (selected) rules over one file, honoring suppressions."""
     return LintEngine([path], rule_ids).run().findings
-
-
-def lint_paths(
-    paths: Iterable[str], rule_ids: Optional[Sequence[str]] = None
-) -> List[Violation]:
-    """Run the (selected) rules over files/directories; all findings."""
-    return LintEngine(paths, rule_ids).run().findings
-
-
-# -- baseline -----------------------------------------------------------------
-
-
-BaselineKey = Tuple[str, str, str]
-
-
-@dataclass
-class BaselineDiff:
-    """The comparison of one run against a baseline file."""
-
-    new: List[Violation] = field(default_factory=list)
-    suppressed: int = 0
-    stale: List[Tuple[BaselineKey, int]] = field(default_factory=list)
-
-
-def _baseline_key(violation: Violation, root: str) -> BaselineKey:
-    rel = os.path.relpath(os.path.abspath(violation.path), root)
-    return (rel.replace(os.sep, "/"), violation.rule_id, violation.message)
-
-
-def load_baseline(path: str) -> Dict[BaselineKey, int]:
-    """The committed baseline as ``(path, rule, message) -> count``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    entries: Dict[BaselineKey, int] = {}
-    for entry in payload.get("entries", []):
-        key = (entry["path"], entry["rule"], entry["message"])
-        entries[key] = entries.get(key, 0) + int(entry.get("count", 1))
-    return entries
-
-
-def write_baseline(path: str, findings: List[Violation]) -> int:
-    """Record the current findings as the accepted baseline."""
-    root = os.path.dirname(os.path.abspath(path)) or "."
-    counts: Dict[BaselineKey, int] = {}
-    for violation in findings:
-        key = _baseline_key(violation, root)
-        counts[key] = counts.get(key, 0) + 1
-    entries = [
-        {"path": p, "rule": r, "message": m, "count": counts[(p, r, m)]}
-        for (p, r, m) in sorted(counts)
-    ]
-    payload = {
-        "version": 1,
-        "note": (
-            "Accepted pre-existing lint findings. New violations fail the "
-            "run; refresh with: python -m repro.lint <paths> --baseline "
-            f"{os.path.basename(path)} --update-baseline"
-        ),
-        "entries": entries,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return len(entries)
-
-
-def diff_against_baseline(
-    findings: List[Violation], baseline: Dict[BaselineKey, int], root: str
-) -> BaselineDiff:
-    """Split findings into baselined vs new; spot stale baseline rows."""
-    remaining = dict(baseline)
-    diff = BaselineDiff()
-    for violation in findings:
-        key = _baseline_key(violation, root)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            diff.suppressed += 1
-        else:
-            diff.new.append(violation)
-    diff.stale = [(key, count) for key, count in sorted(remaining.items()) if count > 0]
-    return diff
-
-
-# -- --changed ----------------------------------------------------------------
-
-
-def changed_files(ref: str, cwd: str) -> Optional[Set[str]]:
-    """Absolute paths of ``*.py`` files modified vs ``ref`` (+ untracked).
-
-    Returns None (meaning: lint everything) when git or the ref is
-    unavailable, so the flag degrades safely outside a checkout.
-    """
-
-    def _git(*args: str) -> Optional[List[str]]:
-        try:
-            proc = subprocess.run(
-                ["git", *args],
-                capture_output=True,
-                text=True,
-                cwd=cwd,
-                check=False,
-            )
-        except OSError:
-            return None
-        if proc.returncode != 0:
-            return None
-        return [line for line in proc.stdout.splitlines() if line.strip()]
-
-    toplevel = _git("rev-parse", "--show-toplevel")
-    if not toplevel:
-        return None
-    root = toplevel[0]
-    diffed = _git(
-        "diff", "--name-only", "--diff-filter=ACMR", ref, "--", "*.py"
-    )
-    if diffed is None:
-        return None
-    untracked = _git(
-        "ls-files", "--others", "--exclude-standard", "--", "*.py"
-    ) or []
-    return {
-        os.path.abspath(os.path.join(root, rel))
-        for rel in diffed + untracked
-        if rel.endswith(".py")
-    }
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -433,61 +262,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="print the rule catalogue grouped by family (with each "
         "rule's analysis scope) and exit",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="primary report format (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write the report there instead of stdout",
-    )
-    parser.add_argument(
-        "--sarif",
-        metavar="FILE",
-        help="additionally write a SARIF 2.1.0 report (CI artifact)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=f"suppress findings recorded in this baseline file and "
-        f"report only new ones, diff-style (e.g. {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings and "
-        "exit 0",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const=DEFAULT_CHANGED_REF,
-        default=None,
-        metavar="REF",
-        help=f"report findings only in files modified vs a git ref "
-        f"(default ref: {DEFAULT_CHANGED_REF}); the whole-program "
-        f"passes still analyze the full tree",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"AST cache directory for incremental re-runs "
-        f"(default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the AST cache for this run",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print file/cache statistics to stderr",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -502,126 +276,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     paths = args.paths or [_default_target()]
-    cache_dir = None if args.no_cache else args.cache_dir
     try:
-        result = LintEngine(paths, rule_ids, cache_dir=cache_dir).run()
+        findings = LintEngine(paths, rule_ids).run().findings
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
-    findings = result.findings
-    filtered_view = False
-    if args.changed is not None:
-        allowed = changed_files(args.changed, os.getcwd())
-        if allowed is not None:
-            findings = [
-                v for v in findings if os.path.abspath(v.path) in allowed
-            ]
-            filtered_view = True
-        else:
-            print(
-                f"warning: could not resolve --changed ref "
-                f"{args.changed!r}; linting everything",
-                file=sys.stderr,
-            )
-
-    if args.stats:
-        print(
-            f"{result.files} file(s), AST cache: {result.cache_hits} hit(s), "
-            f"{result.cache_misses} miss(es)",
-            file=sys.stderr,
-        )
-
-    if args.update_baseline:
-        baseline_path = args.baseline or DEFAULT_BASELINE
-        entries = write_baseline(baseline_path, findings)
-        print(
-            f"wrote {entries} baseline entr{'y' if entries == 1 else 'ies'} "
-            f"({len(findings)} finding(s)) to {baseline_path}"
-        )
-        return 0
-
-    reportable = findings
-    diff: Optional[BaselineDiff] = None
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            print(
-                f"baseline file not found: {args.baseline} "
-                f"(create it with --update-baseline)",
-                file=sys.stderr,
-            )
-            return 2
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            print(f"malformed baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-        root = os.path.dirname(os.path.abspath(args.baseline)) or "."
-        diff = diff_against_baseline(findings, baseline, root)
-        if filtered_view:
-            # --changed hides findings in untouched files, so baseline
-            # entries for them would look stale; only a full view can
-            # judge staleness.
-            diff.stale = []
-        reportable = diff.new
-
-    if args.sarif:
-        with open(args.sarif, "w", encoding="utf-8") as fh:
-            fh.write(render_sarif(findings, base=os.getcwd()))
-
-    body = _render(reportable, args.format, diff)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    elif body:
-        print(body, end="" if body.endswith("\n") else "\n")
-
-    if diff is not None:
-        _print_baseline_summary(diff, args.baseline, file=sys.stderr)
-        return 1 if diff.new else 0
-    if reportable:
-        print(f"\n{len(reportable)} violation(s) found", file=sys.stderr)
+    for violation in findings:
+        print(violation.render())
+    if findings:
+        print(f"\n{len(findings)} violation(s) found", file=sys.stderr)
         return 1
     return 0
-
-
-def _render(
-    findings: List[Violation],
-    fmt: str,
-    diff: Optional[BaselineDiff],
-) -> str:
-    if fmt == "json":
-        return to_json(findings, base=os.getcwd())
-    if fmt == "sarif":
-        return render_sarif(findings, base=os.getcwd())
-    prefix = "+ " if diff is not None else ""
-    lines = [prefix + violation.render() for violation in findings]
-    if diff is not None:
-        lines.extend(
-            f"- {path}: {rule} no longer fires (x{count}): {message[:60]}"
-            for (path, rule, message), count in diff.stale
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _print_baseline_summary(
-    diff: BaselineDiff, baseline_path: Optional[str], file: object
-) -> None:
-    out = file if file is not None else sys.stderr
-    name = baseline_path or DEFAULT_BASELINE
-    if diff.new:
-        print(
-            f"\n{len(diff.new)} new violation(s) not in {name} "
-            f"({diff.suppressed} baselined); fix them or refresh with "
-            f"--update-baseline",
-            file=out,  # type: ignore[arg-type]
-        )
-    else:
-        stale = sum(count for _, count in diff.stale)
-        message = f"clean vs {name} ({diff.suppressed} baselined finding(s)"
-        if stale:
-            message += (
-                f", {stale} stale entr{'y' if stale == 1 else 'ies'} — "
-                f"refresh with --update-baseline"
-            )
-        print(message + ")", file=out)  # type: ignore[arg-type]

@@ -1,33 +1,24 @@
-"""Pass 1 of the lint engine: project-wide symbol table + AST cache.
+"""Pass 1 of the lint engine: the project-wide symbol table.
 
 The whole-program rules (:mod:`repro.lint.passes`) need to see the
 project as Python's import machinery does, not one file at a time.
 This module builds that view:
 
 * :class:`ModuleInfo` — one parsed file: its dotted module name
-  (inferred from ``__init__.py`` package markers), AST, source, and a
-  content hash;
+  (inferred from ``__init__.py`` package markers), AST and source;
 * :class:`SymbolTable` — every module, class, function/method and
   module-level mutable binding in the project, plus each module's
   import-alias map so dotted names resolve the way the interpreter
   would (``import x as y``, ``from x import f as g``, relative
-  imports, and re-exports through ``__init__.py`` chains);
-* :class:`AstCache` — a content-hash-keyed pickle cache of parsed
-  ASTs, so incremental re-runs skip :func:`ast.parse` for unchanged
-  files entirely.
+  imports, and re-exports through ``__init__.py`` chains).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
-
-#: Bump when the cached representation changes shape.
-CACHE_VERSION = 1
 
 #: Constructors whose module-level result is shared mutable state.
 _MUTABLE_CONSTRUCTORS = (
@@ -43,74 +34,6 @@ _MUTABLE_CONSTRUCTORS = (
 #: Module-level names that are conventionally written once at import
 #: time and never mutated afterwards (dunder metadata).
 _EXEMPT_GLOBALS = ("__all__",)
-
-
-def content_hash(data: bytes) -> str:
-    """Stable content key for the AST cache."""
-    return hashlib.sha256(data).hexdigest()
-
-
-class AstCache:
-    """Content-addressed pickle cache of parsed module ASTs.
-
-    Keys are source-content hashes, so renames are free hits and any
-    edit is a precise miss.  Only entries touched during the current
-    run are persisted, which keeps the file from growing without
-    bound as the tree churns.
-    """
-
-    def __init__(self, cache_dir: Optional[str]) -> None:
-        self.cache_dir = cache_dir
-        self.hits = 0
-        self.misses = 0
-        self._entries: Dict[str, bytes] = {}
-        self._live: Set[str] = set()
-        if cache_dir is not None:
-            try:
-                with open(self._cache_file(), "rb") as fh:
-                    payload = pickle.load(fh)
-                if payload.get("version") == CACHE_VERSION:
-                    self._entries = payload.get("entries", {})
-            except (OSError, pickle.PickleError, EOFError, AttributeError):
-                self._entries = {}
-
-    def _cache_file(self) -> str:
-        assert self.cache_dir is not None
-        return os.path.join(self.cache_dir, f"ast-v{CACHE_VERSION}.pickle")
-
-    def get(self, key: str) -> Optional[ast.Module]:
-        """The cached AST for this content hash, if present."""
-        raw = self._entries.get(key)
-        if raw is None:
-            self.misses += 1
-            return None
-        try:
-            tree = pickle.loads(raw)
-        except (pickle.PickleError, EOFError, AttributeError):
-            self.misses += 1
-            return None
-        if not isinstance(tree, ast.Module):
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._live.add(key)
-        return tree
-
-    def put(self, key: str, tree: ast.Module) -> None:
-        self._entries[key] = pickle.dumps(tree)
-        self._live.add(key)
-
-    def save(self) -> None:
-        """Persist the entries touched this run (no-op when disabled)."""
-        if self.cache_dir is None:
-            return
-        entries = {k: v for k, v in self._entries.items() if k in self._live}
-        try:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            with open(self._cache_file(), "wb") as fh:
-                pickle.dump({"version": CACHE_VERSION, "entries": entries}, fh)
-        except OSError:
-            pass  # caching is best-effort; linting must not fail on it
 
 
 def module_name_for(path: str) -> Tuple[str, bool]:
@@ -184,7 +107,6 @@ class ModuleInfo:
     is_package: bool
     tree: ast.Module
     source: str
-    digest: str
 
     @property
     def package(self) -> str:

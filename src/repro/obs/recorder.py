@@ -6,7 +6,7 @@ Two implementations share an interface:
   ``False`` and every method is a no-op, so instrumented code guards
   with ``if recorder.enabled:`` and pays a single attribute read on the
   disabled path.  This is what keeps the determinism golden digest and
-  the perf-smoke gate untouched when observability is off.
+  the benchmark's host numbers untouched when observability is off.
 * :class:`ObsRecorder` — owns a :class:`~repro.obs.metrics.MetricsRegistry`,
   an :class:`~repro.obs.trace.EventTrace`, and a
   :class:`~repro.obs.audit.DecisionAudit`, and carries the sim-clock

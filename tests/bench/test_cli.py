@@ -80,22 +80,3 @@ class TestCommands:
     def test_serve_rejects_bad_partition(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--partition", "bogus"])
-
-
-class TestBenchBatchSize:
-    def test_batch_sizes_accumulate(self):
-        args = build_parser().parse_args(
-            ["bench", "--batch-size", "8", "--batch-size", "32"]
-        )
-        assert args.batch_sizes == [8, 32]
-
-    def test_default_is_no_batched_family(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.batch_sizes is None
-
-    @pytest.mark.parametrize("bad", ["0", "-3", "two", "1.5"])
-    def test_non_positive_batch_size_rejected(self, bad, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--batch-size", bad])
-        err = capsys.readouterr().err
-        assert "batch size must be" in err

@@ -16,7 +16,11 @@ from repro.core.adcache import AdCacheEngine
 from repro.errors import ConfigError
 from repro.lsm.options import LSMOptions
 from repro.workloads.dynamic import dynamic_phase_specs
-from repro.workloads.generator import WorkloadGenerator, point_lookup_workload
+from repro.workloads.generator import (
+    WorkloadGenerator,
+    batched_mixed_workload,
+    point_lookup_workload,
+)
 from repro.workloads.keys import key_of, value_of
 
 OPTS = LSMOptions(memtable_entries=32, entries_per_sstable=64)
@@ -126,6 +130,26 @@ class TestHarness:
         gen = WorkloadGenerator(point_lookup_workload(100), seed=1)
         with pytest.raises(ValueError):
             run_workload(engine, gen)
+
+    def test_batched_run_executes_every_op_and_only_saves_reads(self):
+        def run(batch_size):
+            tree = seed_database(500, OPTS)
+            engine = build_engine("adcache", tree, cache_bytes=32 * 1024, seed=1)
+            gen = WorkloadGenerator(batched_mixed_workload(500), seed=2)
+            return run_workload(
+                engine, gen, num_ops=300, warmup_ops=50, batch_size=batch_size
+            )
+
+        scalar, batched = run(1), run(8)
+        assert scalar.ops == batched.ops == 300
+        # Coalescing inside a batch may only remove metered reads.
+        assert batched.sst_reads <= scalar.sst_reads
+
+    def test_non_positive_batch_size_rejected(self):
+        tree = seed_database(100, OPTS)
+        engine = build_engine("block", tree, cache_bytes=32 * 1024)
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            run_workload(engine, [], batch_size=0)
 
     def test_estimated_hit_rate_no_cache_is_zero_ish(self):
         """With no cache at all, measured I/O should match the estimate

@@ -1,19 +1,7 @@
-"""The lint engine end to end: suppression forms, incremental AST
-cache, baseline workflow, ``--changed``, report formats, SARIF
-validity, and the rule catalogue listing."""
+"""The lint engine end to end: suppression forms, rule selection and
+the rule catalogue listing."""
 
-import json
-import subprocess
-
-import pytest
-
-from repro.lint.runner import (
-    LintEngine,
-    Suppressions,
-    changed_files,
-    main,
-)
-from repro.lint.sarif import to_sarif, validate_sarif
+from repro.lint.runner import LintEngine, Suppressions, main
 
 VIOLATION = "import random\n"
 
@@ -55,308 +43,17 @@ def test_disable_next_inside_multiline_construct(tmp_path):
     assert LintEngine([str(path)], ["MUT001"]).run().findings == []
 
 
-def test_disable_file_suppresses_every_occurrence(tmp_path):
-    source = (
-        "# lint: disable-file=SIM001\n"
-        "import random\n"
-        "import time\n"
-    )
-    path = _write(tmp_path, "f.py", source)
-    findings = LintEngine([str(path)]).run().findings
-    # SIM001 is silenced file-wide; nothing else fires on these lines.
-    assert [f.rule_id for f in findings] == []
-
-
-def test_disable_file_is_rule_specific(tmp_path):
-    source = "# lint: disable-file=MUT001\nimport random\n"
-    path = _write(tmp_path, "f.py", source)
-    findings = LintEngine([str(path)]).run().findings
-    assert [f.rule_id for f in findings] == ["SIM001"]
-
-
 def test_suppression_parser_forms():
     sup = Suppressions(
         "import x  # lint: disable=AAA001,BBB002\n"
         "# lint: disable-next=CCC003\n"
         "import y\n"
-        "# lint: disable-file=DDD004\n"
     )
     assert sup.is_suppressed("AAA001", 1)
     assert sup.is_suppressed("BBB002", 1)
     assert not sup.is_suppressed("CCC003", 2)
     assert sup.is_suppressed("CCC003", 3)
-    assert sup.is_suppressed("DDD004", 999)
     assert not sup.is_suppressed("AAA001", 2)
-
-
-# -- incremental AST cache ---------------------------------------------------
-
-
-def test_second_run_hits_ast_cache(tmp_path):
-    _write(tmp_path, "a.py", "x = 1\n")
-    _write(tmp_path, "b.py", "y = 2\n")
-    cache_dir = str(tmp_path / ".cache")
-
-    first = LintEngine([str(tmp_path)], cache_dir=cache_dir).run()
-    assert (first.cache_hits, first.cache_misses) == (0, 2)
-
-    second = LintEngine([str(tmp_path)], cache_dir=cache_dir).run()
-    assert (second.cache_hits, second.cache_misses) == (2, 0)
-    assert second.files == 2
-
-
-def test_edited_file_is_a_precise_cache_miss(tmp_path):
-    _write(tmp_path, "a.py", "x = 1\n")
-    _write(tmp_path, "b.py", "y = 2\n")
-    cache_dir = str(tmp_path / ".cache")
-    LintEngine([str(tmp_path)], cache_dir=cache_dir).run()
-
-    _write(tmp_path, "b.py", "y = 3\n")
-    third = LintEngine([str(tmp_path)], cache_dir=cache_dir).run()
-    assert (third.cache_hits, third.cache_misses) == (1, 1)
-
-
-# -- baseline workflow -------------------------------------------------------
-
-
-def test_baseline_update_then_clean_then_regression(tmp_path, capsys):
-    legacy = _write(tmp_path, "legacy.py", VIOLATION)
-    baseline = tmp_path / "bl.json"
-
-    # A baseline that doesn't exist yet is a usage error, not a crash.
-    assert main([str(legacy), "--baseline", str(baseline), "--no-cache"]) == 2
-
-    assert (
-        main(
-            [
-                str(legacy),
-                "--baseline",
-                str(baseline),
-                "--update-baseline",
-                "--no-cache",
-            ]
-        )
-        == 0
-    )
-    recorded = json.loads(baseline.read_text())
-    assert recorded["entries"], "baseline must record the finding"
-
-    # Same tree vs the fresh baseline: clean exit, no '+' lines.
-    capsys.readouterr()
-    assert main([str(legacy), "--baseline", str(baseline), "--no-cache"]) == 0
-    captured = capsys.readouterr()
-    assert "+ " not in captured.out
-    assert "clean vs" in captured.err
-
-    # A new violation fails with a diff-style report.
-    fresh = _write(tmp_path, "fresh.py", VIOLATION)
-    code = main(
-        [
-            str(legacy),
-            str(fresh),
-            "--baseline",
-            str(baseline),
-            "--no-cache",
-        ]
-    )
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "+ " in captured.out
-    assert "fresh.py" in captured.out
-    assert "legacy.py" not in captured.out  # baselined, not re-reported
-    assert "new violation(s)" in captured.err
-
-
-def test_baseline_reports_stale_entries(tmp_path, capsys):
-    legacy = _write(tmp_path, "legacy.py", VIOLATION)
-    baseline = tmp_path / "bl.json"
-    main(
-        [
-            str(legacy),
-            "--baseline",
-            str(baseline),
-            "--update-baseline",
-            "--no-cache",
-        ]
-    )
-
-    legacy.write_text("x = 1\n")  # the legacy violation is fixed
-    capsys.readouterr()
-    code = main([str(legacy), "--baseline", str(baseline), "--no-cache"])
-    captured = capsys.readouterr()
-    assert code == 0  # stale entries inform, they don't fail the run
-    assert "no longer fires" in captured.out
-
-
-# -- --changed ---------------------------------------------------------------
-
-
-def _git(repo, *args):
-    subprocess.run(
-        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
-        cwd=repo,
-        check=True,
-        capture_output=True,
-    )
-
-
-@pytest.fixture
-def git_repo(tmp_path):
-    _git(tmp_path, "init", "-q")
-    _write(tmp_path, "committed.py", VIOLATION)
-    _git(tmp_path, "add", "committed.py")
-    _git(tmp_path, "commit", "-qm", "seed")
-    return tmp_path
-
-
-def test_changed_files_lists_modified_and_untracked(git_repo):
-    _write(git_repo, "untracked.py", "x = 1\n")
-    changed = changed_files("HEAD", str(git_repo))
-    assert changed is not None
-    assert {p.rsplit("/", 1)[-1] for p in changed} == {"untracked.py"}
-
-
-def test_changed_reports_only_touched_files(git_repo, capsys, monkeypatch):
-    monkeypatch.chdir(git_repo)
-    _write(git_repo, "new.py", VIOLATION)
-    code = main([str(git_repo), "--changed", "HEAD", "--no-cache"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "new.py" in captured.out
-    # committed.py also violates, but it is unchanged vs HEAD.
-    assert "committed.py" not in captured.out
-
-
-def test_changed_does_not_misreport_baseline_as_stale(
-    git_repo, capsys, monkeypatch
-):
-    # committed.py's finding is baselined.  Under --changed the file is
-    # filtered from the view, which must not be mistaken for the
-    # finding having been fixed.
-    monkeypatch.chdir(git_repo)
-    baseline = git_repo / "bl.json"
-    main(
-        [
-            str(git_repo),
-            "--baseline",
-            str(baseline),
-            "--update-baseline",
-            "--no-cache",
-        ]
-    )
-    capsys.readouterr()
-    code = main(
-        [
-            str(git_repo),
-            "--baseline",
-            str(baseline),
-            "--changed",
-            "HEAD",
-            "--no-cache",
-        ]
-    )
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "no longer fires" not in captured.out
-
-
-def test_changed_with_clean_tree_exits_zero(git_repo, capsys, monkeypatch):
-    monkeypatch.chdir(git_repo)
-    code = main([str(git_repo), "--changed", "HEAD", "--no-cache"])
-    assert code == 0
-
-
-def test_changed_bad_ref_falls_back_to_everything(
-    git_repo, capsys, monkeypatch
-):
-    monkeypatch.chdir(git_repo)
-    code = main(
-        [str(git_repo), "--changed", "no-such-ref", "--no-cache"]
-    )
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "linting everything" in captured.err
-    assert "committed.py" in captured.out
-
-
-# -- report formats ----------------------------------------------------------
-
-
-def test_json_format(tmp_path, capsys):
-    path = _write(tmp_path, "f.py", VIOLATION)
-    code = main([str(path), "--format", "json", "--no-cache"])
-    captured = capsys.readouterr()
-    assert code == 1
-    payload = json.loads(captured.out)
-    (finding,) = payload["findings"]
-    assert finding["rule"] == "SIM001"
-    assert finding["family"] == "SIM"
-    assert finding["scope"] == "syntactic"
-    assert finding["line"] == 1
-
-
-def test_sarif_report_validates(tmp_path):
-    _write(tmp_path, "f.py", VIOLATION)
-    _write(
-        tmp_path,
-        "stats.py",
-        "def audit(xs):\n"
-        "    vals = set(xs)\n"
-        "    total = 0.0\n"
-        "    for v in vals:\n"
-        "        total += v\n"
-        "    return total\n",
-    )
-    findings = LintEngine([str(tmp_path)]).run().findings
-    assert findings
-    doc = to_sarif(findings, base=str(tmp_path))
-    assert validate_sarif(doc) == []
-    run = doc["runs"][0]
-    rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert rule_ids == sorted(rule_ids)
-    for result in run["results"]:
-        assert rule_ids[result["ruleIndex"]] == result["ruleId"]
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1
-        assert region["startColumn"] >= 1
-
-
-def test_sarif_validator_rejects_broken_documents():
-    doc = to_sarif([])
-    assert validate_sarif(doc) == []
-    assert validate_sarif({}) != []
-    bad = json.loads(json.dumps(doc))
-    bad["version"] = "1.0.0"
-    assert any("version" in p for p in validate_sarif(bad))
-    bad = json.loads(json.dumps(doc))
-    bad["runs"] = []
-    assert any("runs" in p for p in validate_sarif(bad))
-
-
-def test_cli_writes_sarif_artifact_even_on_failure(tmp_path, capsys):
-    path = _write(tmp_path, "f.py", VIOLATION)
-    sarif_path = tmp_path / "lint.sarif"
-    code = main([str(path), "--sarif", str(sarif_path), "--no-cache"])
-    assert code == 1  # the gate fails...
-    doc = json.loads(sarif_path.read_text())  # ...but the artifact exists
-    assert validate_sarif(doc) == []
-    assert doc["runs"][0]["results"][0]["ruleId"] == "SIM001"
-
-
-def test_output_file_option(tmp_path, capsys):
-    path = _write(tmp_path, "f.py", VIOLATION)
-    out = tmp_path / "report.json"
-    main(
-        [
-            str(path),
-            "--format",
-            "json",
-            "--output",
-            str(out),
-            "--no-cache",
-        ]
-    )
-    assert json.loads(out.read_text())["findings"]
 
 
 # -- rule catalogue ----------------------------------------------------------
@@ -382,11 +79,11 @@ def test_list_rules_grouped_by_family_with_scopes(capsys):
 def test_select_expands_families(tmp_path, capsys):
     path = _write(tmp_path, "f.py", VIOLATION)
     # The DET family alone does not include SIM001.
-    assert main([str(path), "--select", "DET", "--no-cache"]) == 0
-    assert main([str(path), "--select", "SIM", "--no-cache"]) == 1
+    assert main([str(path), "--select", "DET"]) == 0
+    assert main([str(path), "--select", "SIM"]) == 1
 
 
 def test_select_rejects_unknown_tokens(tmp_path, capsys):
     path = _write(tmp_path, "f.py", VIOLATION)
-    assert main([str(path), "--select", "BOGUS", "--no-cache"]) == 2
+    assert main([str(path), "--select", "BOGUS"]) == 2
     assert "unknown rule" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Pass 1 of the lint engine: symbol table, call graph, AST cache.
+"""Pass 1 of the lint engine: symbol table and call graph.
 
 Covers the resolution edge cases the whole-program rules depend on:
 aliased imports (``import x as y``, ``from x import f as g``), method
@@ -9,10 +9,8 @@ and names re-exported through a package ``__init__.py``.
 import ast
 
 from repro.lint.symbols import (
-    AstCache,
     ModuleInfo,
     build_symbol_table,
-    content_hash,
     module_name_for,
 )
 from repro.lint.callgraph import build_call_graph, is_ambient_target
@@ -25,7 +23,6 @@ def _module(path, modname, source, is_package=False):
         is_package=is_package,
         tree=ast.parse(source),
         source=source,
-        digest=content_hash(source.encode()),
     )
 
 
@@ -247,41 +244,3 @@ def test_reaching_and_shortest_path():
         "b.mid",
         "b.leaf",
     ]
-
-
-# -- AST cache ---------------------------------------------------------------
-
-
-def test_ast_cache_round_trip(tmp_path):
-    cache = AstCache(str(tmp_path / "cache"))
-    digest = content_hash(b"x = 1\n")
-    assert cache.get(digest) is None
-    cache.put(digest, ast.parse("x = 1\n"))
-    cache.save()
-
-    fresh = AstCache(str(tmp_path / "cache"))
-    tree = fresh.get(digest)
-    assert tree is not None
-    assert isinstance(tree.body[0], ast.Assign)
-    assert fresh.hits == 1
-    assert fresh.misses == 0
-
-
-def test_ast_cache_tolerates_corruption(tmp_path):
-    cache_dir = tmp_path / "cache"
-    cache = AstCache(str(cache_dir))
-    cache.put(content_hash(b"x = 1\n"), ast.parse("x = 1\n"))
-    cache.save()
-    (pickle_file,) = list(cache_dir.iterdir())
-    pickle_file.write_bytes(b"not a pickle")
-    fresh = AstCache(str(cache_dir))
-    assert fresh.get(content_hash(b"x = 1\n")) is None
-
-
-def test_ast_cache_disabled_without_dir():
-    cache = AstCache(None)
-    digest = content_hash(b"x = 1\n")
-    assert cache.get(digest) is None
-    cache.put(digest, ast.parse("x = 1\n"))
-    cache.save()  # must be a no-op: nothing is written anywhere
-    assert AstCache(None).get(digest) is None
