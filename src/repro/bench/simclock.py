@@ -11,8 +11,9 @@ Charged events (per run delta):
 
 * disk block reads (the dominant term),
 * memory probes of each cache layer and the MemTable,
-* skip-list insertions into the range cache (the phase-D overhead the
-  paper calls out),
+* insertions into the range cache (the phase-D overhead the paper
+  calls out; this prices the paper's skip-list insert, not the host
+  cost of this simulator's sorted key array),
 * block-cache insertions, WAL+MemTable write work, compaction entry
   moves, and write-slowdown penalties,
 * fault-path work: failed read attempts, exponential retry backoff
@@ -36,7 +37,7 @@ class CostModel:
     memtable_probe_us: float = 0.8
     block_cache_probe_us: float = 0.4
     range_cache_probe_us: float = 1.0
-    range_cache_insert_us: float = 2.5  # skip-list insert
+    range_cache_insert_us: float = 2.5  # the paper's skip-list insert
     block_cache_insert_us: float = 0.6
     range_cache_scan_entry_us: float = 0.3  # per entry returned from cache
     write_op_us: float = 2.0  # WAL append + MemTable insert

@@ -15,8 +15,8 @@ LSM-facing caches
 -----------------
 * :mod:`repro.cache.block_cache` — RocksDB-style sharded block cache.
 * :mod:`repro.cache.kv_cache` — point-lookup result cache (row cache).
-* :mod:`repro.cache.range_cache` — result-based cache over a skip list
-  with complete-interval tracking (Range Cache reimplementation).
+* :mod:`repro.cache.range_cache` — result-based cache over a sorted key
+  array with complete-interval tracking (Range Cache reimplementation).
 """
 
 from repro.cache.base import BudgetedCache, CacheStats, EvictionPolicy

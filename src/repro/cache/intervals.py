@@ -4,8 +4,8 @@ A *complete interval* ``[start, end]`` (inclusive string bounds) records
 that every live database key within the bounds is currently resident in
 the cache, so a range scan beginning inside it can be answered without
 touching the LSM-tree.  Inserting a scan result adds (and merges)
-intervals; evicting a cached key splits the interval around it using
-the evicted key's cached neighbours as the new bounds.
+intervals; evicting cached keys splits the intervals around them using
+the evicted keys' cached neighbours as the new bounds.
 """
 
 from __future__ import annotations
@@ -73,43 +73,52 @@ class IntervalSet:
         self._starts[lo:hi] = (start,)
         self._ends[lo:hi] = (end,)
 
-    def split_around(
-        self,
-        key: str,
-        left_neighbor: Optional[str],
-        right_neighbor: Optional[str],
-    ) -> bool:
-        """Shrink/split the interval containing evicted ``key``.
+    def split_evicted(
+        self, victims: List[str], cuts: List[int], resident: List[str]
+    ) -> None:  # hot-path
+        """Split the intervals around a batch of evicted keys, in one pass.
 
-        ``left_neighbor``/``right_neighbor`` are the evicted key's
-        still-resident cache neighbours (or None at the extremes).  The
-        interval ``[a, b]`` containing ``key`` becomes up to two pieces:
-        ``[a, left_neighbor]`` and ``[right_neighbor, b]``, each kept
-        only when its bound still lies inside the original interval.
-
-        Returns True when an interval was modified.
+        ``victims`` are the evicted keys in ascending order, ``resident``
+        the sorted keys still cached after their removal, and ``cuts[j]``
+        the index ``victims[j]`` would take in ``resident``
+        (``bisect_left(resident, victims[j])``).  An interval ``[a, b]``
+        holding victims ``v1 < ... < vk`` keeps one piece per gap that
+        still holds a resident key: ``[a, r]`` before ``v1`` (``r`` the
+        last resident key below it), ``[r, r']`` between two victims (the
+        first and last resident key there) and ``[r, b]`` after ``vk``.
+        That is exactly what evicting the victims one at a time, in any
+        order, and cutting the covering interval at each victim's
+        surviving neighbours would leave.  Victims outside every interval
+        change nothing.
         """
-        idx = self.index_covering(key)
-        if idx is None:
-            return False
-        a, b = self._starts[idx], self._ends[idx]
-        new_starts: List[str] = []
-        new_ends: List[str] = []
-        if left_neighbor is not None and a <= left_neighbor:
-            new_starts.append(a)
-            new_ends.append(left_neighbor)
-        if right_neighbor is not None and right_neighbor <= b:
-            new_starts.append(right_neighbor)
-            new_ends.append(b)
-        # One splice per list: replace the covering interval with its
-        # surviving pieces instead of del-then-insert tail shifts.
-        self._starts[idx : idx + 1] = new_starts
-        self._ends[idx : idx + 1] = new_ends
-        return True
-
-    def total_span_count(self) -> int:
-        """Number of tracked intervals (diagnostics)."""
-        return len(self._starts)
+        starts, ends = self._starts, self._ends
+        top = len(resident)
+        j, n = 0, len(victims)
+        while j < n:
+            idx = self.index_covering(victims[j])
+            if idx is None:
+                j += 1
+                continue
+            a, b = starts[idx], ends[idx]
+            k = bisect.bisect_right(victims, b, j)  # victims[j:k] lie in [a, b]
+            # Victims with no resident key between them share a cut, so
+            # each distinct cut closes one piece and opens the next.
+            gaps = sorted(set(cuts[j:k]))
+            new_starts: List[str] = []
+            new_ends: List[str] = []
+            first, last = gaps[0], gaps[-1]
+            if first and resident[first - 1] >= a:
+                new_starts.append(a)
+                new_ends.append(resident[first - 1])
+            for x, y in zip(gaps, gaps[1:]):
+                new_starts.append(resident[x])
+                new_ends.append(resident[y - 1])
+            if last < top and resident[last] <= b:
+                new_starts.append(resident[last])
+                new_ends.append(b)
+            starts[idx : idx + 1] = new_starts
+            ends[idx : idx + 1] = new_ends
+            j = k
 
     def check_invariants(self) -> None:
         """Intervals must be well-formed, sorted, and disjoint."""

@@ -1,10 +1,14 @@
-"""Result-based cache over a skip list: the Range Cache.
+"""Result-based cache over a sorted key array: the Range Cache.
 
 Reimplementation of Range Cache (Wang et al., ICDE'24) as the paper's
 result-caching substrate.  Query results — single keys from point
-lookups, runs of adjacent keys from scans — are stored in a skip list
-in logical key order, decoupled from SSTable layout, so compactions
-never invalidate them.
+lookups, runs of adjacent keys from scans — are stored in logical key
+order, decoupled from SSTable layout, so compactions never invalidate
+them.  The paper asks only for "a sorted structure (e.g., a skip
+list)"; here it is one sorted ``list`` of keys searched with
+:mod:`bisect`, beside one ``dict`` from key to value.  A scan result
+enters the array with one slice assignment, and one eviction pass
+removes all of its victims together.
 
 Correctness for scans needs more than resident keys: a scan must know
 that *no* database key in the requested window is missing from the
@@ -23,13 +27,13 @@ from __future__ import annotations
 import functools
 import operator
 import threading
-from typing import Any, Callable, List, Optional, Tuple, TypeVar
+from bisect import bisect_left, bisect_right
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import sanitize
 from repro.cache.base import CacheBase, CacheStats, EvictionPolicy
 from repro.cache.intervals import IntervalSet
 from repro.cache.lru import LRUPolicy
-from repro.cache.skiplist import SkipList
 from repro.errors import CacheError, InvariantError
 from repro.obs import names as N
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -71,7 +75,7 @@ class RangeCache(CacheBase):
     policy:
         Eviction policy over cached keys (default: fresh LRU).
     seed:
-        Seed for the skip list's level RNG.
+        Seed for the sampled invariant checks (``REPRO_SANITIZE``).
     """
 
     def __init__(
@@ -87,7 +91,8 @@ class RangeCache(CacheBase):
             raise CacheError("entry_charge must be positive")
         self._budget = budget_bytes
         self.entry_charge = entry_charge
-        self._entries = SkipList(seed=seed)
+        self._keys: List[str] = []  # resident keys, strictly ascending
+        self._values: Dict[str, str] = {}
         self._intervals = IntervalSet()
         self._policy: EvictionPolicy[str] = policy if policy is not None else LRUPolicy()
         self._used = 0
@@ -111,7 +116,7 @@ class RangeCache(CacheBase):
         return self._used
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     @_locked
     def resize(self, budget_bytes: int) -> int:
@@ -135,24 +140,24 @@ class RangeCache(CacheBase):
     def get_point(self, key: str) -> Optional[str]:  # hot-path
         """Serve a point lookup from cache, or None on miss."""
         with self._lock:
-            found, value = self._entries.get(key)
-            if found:
+            values = self._values
+            if key in values:
                 self.stats.hits += 1
                 self.point_hits += 1
                 self._policy.record_access(key)
-                return value
+                return values[key]
             self.stats.misses += 1
             return None
 
     @_locked
     def contains(self, key: str) -> bool:
         """Residency probe without stats side effects."""
-        return key in self._entries
+        return key in self._values
 
     def insert_point(self, key: str, value: str) -> bool:  # hot-path
         """Admit one point-lookup result."""
         with self._lock:
-            admitted = self._insert_entry(key, value)
+            admitted = self._admit(((key, value),)) > 0
             if self._sanitizer is not None:
                 self._sanitizer.after_mutation(self)
             return admitted
@@ -160,34 +165,16 @@ class RangeCache(CacheBase):
     def insert_points(self, pairs: List[Entry]) -> int:  # hot-path
         """Admit a batch of point-lookup results in one sorted splice.
 
-        ``pairs`` arrive in admission order; they are sorted by key so
-        the skip list's ascending finger
-        (:meth:`~repro.cache.skiplist.SkipList.insert_ascending`) can
-        splice the whole batch with one full descent plus amortized
-        forward steps, with eviction deferred to the end of the batch.
-        Duplicate keys keep arrival order (stable sort), so the last
-        write wins exactly as a scalar loop's would.  Unlike
+        ``pairs`` arrive in admission order; they are sorted by key
+        (stably, so duplicate keys keep arrival order and the last write
+        wins exactly as a scalar loop's would) and admitted together,
+        with eviction deferred to the end of the batch.  Unlike
         :meth:`insert_range` no complete interval is recorded — these
-        are isolated keys.  A batch of one is :meth:`insert_point`'s
-        exact effect sequence (same descent, same RNG draws, same
-        eviction timing).  Returns the number of entries admitted
-        (0 when the per-entry charge exceeds the budget).
+        are isolated keys.  Returns the number of entries admitted (0
+        when the per-entry charge exceeds the budget).
         """
         with self._lock:
-            if len(pairs) == 1:
-                key, value = pairs[0]
-                admitted = self._insert_entry(key, value)
-                if self._sanitizer is not None:
-                    self._sanitizer.after_mutation(self)
-                return 1 if admitted else 0
-            inserted = 0
-            insert_entry = self._insert_entry
-            ascending = False  # first entry needs a full descent
-            for key, value in sorted(pairs, key=_entry_key):
-                if insert_entry(key, value, True, ascending):
-                    inserted += 1
-                ascending = True
-            self._evict_to_fit()
+            inserted = self._admit(sorted(pairs, key=_entry_key))
             if self._sanitizer is not None:
                 self._sanitizer.after_mutation(self)
             return inserted
@@ -207,23 +194,19 @@ class RangeCache(CacheBase):
             if interval is None:
                 self.stats.misses += 1
                 return None
-            _, end = interval
-            result: List[Entry] = []
-            append = result.append
-            remaining = length
-            for key, value in self._entries.items_from(start):
-                if key > end or remaining <= 0:
-                    break
-                append((key, value))
-                remaining -= 1
-            if len(result) < length:
+            keys = self._keys
+            lo = bisect_left(keys, start)
+            window = keys[lo : lo + length] if length > 0 else []
+            if len(window) < length or (window and window[-1] > interval[1]):
                 # Fewer cached entries than requested before the
                 # interval's end: keys beyond the interval are unknown,
                 # so this is a miss even though a prefix was covered.
                 self.stats.misses += 1
                 return None
+            values = self._values
+            result = [(key, values[key]) for key in window]
             record_access = self._policy.record_access
-            for key, _ in result:
+            for key in window:
                 record_access(key)
             self.stats.hits += 1
             self.range_hits += 1
@@ -238,22 +221,21 @@ class RangeCache(CacheBase):
         the scan's requested start key, which anchors the complete
         interval (all database keys in ``[start, last-admitted-key]``
         are in ``entries``).  Returns the number of entries admitted.
+        An empty admission — ``admit_count`` of 0, or an entry charge
+        above the whole budget — counts one rejection and records no
+        interval: an interval over keys that are not resident would
+        serve scans that skip live keys.
         """
         with self._lock:
             if admit_count is None:
                 admit_count = len(entries)
             admit_count = max(0, min(admit_count, len(entries)))
-            if admit_count == 0:
+            if admit_count == 0 or self.entry_charge > self._budget:
                 self.stats.rejections += 1
                 return 0
             admitted = entries if admit_count == len(entries) else entries[:admit_count]
-            insert_entry = self._insert_entry
-            ascending = False  # first entry needs a full descent
-            for key, value in admitted:
-                insert_entry(key, value, True, ascending)
-                ascending = True
             self._intervals.add(start, admitted[-1][0])
-            self._evict_to_fit()
+            self._admit(admitted)
             if self._sanitizer is not None:
                 self._sanitizer.after_mutation(self)
             return admit_count
@@ -264,14 +246,18 @@ class RangeCache(CacheBase):
         """Keep the cache coherent with an upstream put.
 
         Overwrites a resident entry; a *new* key landing inside a
-        complete interval must be inserted to preserve completeness.
-        The overwrite probe and the write share one skip-list descent.
+        complete interval must be inserted to preserve completeness, or,
+        when its charge exceeds the budget, cut out of the interval.
         """
         with self._lock:
-            if self._entries.update_if_present(key, value):
+            values = self._values
+            if key in values:
+                values[key] = value
                 self._policy.record_access(key)
             elif self._intervals.covering(key) is not None:
-                self._insert_entry(key, value)
+                if not self._admit(((key, value),)):
+                    keys = self._keys
+                    self._intervals.split_evicted([key], [bisect_left(keys, key)], keys)
             if self._sanitizer is not None:
                 self._sanitizer.after_mutation(self)
 
@@ -282,74 +268,94 @@ class RangeCache(CacheBase):
         no longer a live database key, so scans must not return it.
         """
         with self._lock:
-            if self._drop_entry(key, split_interval=False):
+            values = self._values
+            if key in values:
+                del values[key]
+                keys = self._keys
+                del keys[bisect_left(keys, key)]
+                self._used -= self.entry_charge
+                self._policy.record_remove(key)
                 self.stats.invalidations += 1
             if self._sanitizer is not None:
                 self._sanitizer.after_mutation(self)
 
     # -- internals -----------------------------------------------------------
 
-    def _insert_entry(
-        self,
-        key: str,
-        value: str,
-        defer_eviction: bool = False,
-        ascending: bool = False,
-    ) -> bool:
-        if self.entry_charge > self._budget:
-            self.stats.rejections += 1
-            return False
-        if ascending:
-            # Batch admission of a sorted scan result: resume the
-            # previous entry's descent (see SkipList.insert_ascending).
-            is_new = self._entries.insert_ascending(key, value)
-        else:
-            is_new = self._entries.insert(key, value)
-        if is_new:
-            self._used += self.entry_charge
-            self._policy.record_insert(key)
-            self.stats.insertions += 1
-        else:
-            self._policy.record_access(key)
-        if not defer_eviction:
-            self._evict_to_fit()
-        return True
+    def _admit(self, pairs: Sequence[Entry]) -> int:  # hot-path
+        """Make ``pairs`` (ascending by key) resident, then evict to fit.
 
-    def _drop_entry(
-        self, key: str, split_interval: bool, evicted: bool = False
-    ) -> bool:  # hot-path
-        """Remove ``key``; returns whether it was resident.
-
-        One skip-list descent yields the removal *and* the surviving
-        neighbours the interval split needs (the old predecessor /
-        successor / remove triple cost three descents per eviction).
+        Policy and stats calls run once per pair in ``pairs`` order, as
+        one insert per pair would make them; the new keys enter the key
+        array with one slice assignment, which for a single key is
+        :func:`bisect.insort`.  Returns ``len(pairs)``, or 0 — one
+        rejection per pair — when one entry's charge exceeds the budget.
         """
-        removed, left, right = self._entries.remove_with_neighbors(key)
-        if not removed:
-            return False
-        self._used -= self.entry_charge
-        if evicted:
-            self._policy.record_evict(key)
-            self._intervals.split_around(key, left, right)
-            self.stats.evictions += 1
-        else:
-            self._policy.record_remove(key)
-            if split_interval:
-                self._intervals.split_around(key, left, right)
-        return True
+        if self.entry_charge > self._budget:
+            self.stats.rejections += len(pairs)
+            return 0
+        values = self._values
+        policy = self._policy
+        record_insert = policy.record_insert
+        record_access = policy.record_access
+        new: List[str] = []
+        for key, value in pairs:
+            if key in values:
+                record_access(key)
+            else:
+                record_insert(key)
+                new.append(key)
+            values[key] = value
+        if new:
+            keys = self._keys
+            lo = bisect_left(keys, new[0])
+            hi = bisect_right(keys, new[-1], lo)
+            keys[lo:hi] = sorted(keys[lo:hi] + new)
+            self._used += len(new) * self.entry_charge
+            self.stats.insertions += len(new)
+        self._evict_to_fit()
+        return len(pairs)
 
     def _evict_to_fit(self) -> int:  # hot-path
-        evicted = 0
-        used = self._used
-        budget = self._budget
-        if used <= budget:
+        """Evict until the budget holds; returns the number evicted.
+
+        Charges are uniform, so the victim count is known up front.
+        Victims are drawn one at a time — ``select_victim`` then
+        ``record_evict``, so learning policies see the same sequence as
+        a per-victim loop — and then leave the array, the value map and
+        the complete intervals together.
+        """
+        excess = self._used - self._budget
+        if excess <= 0:
             return 0
-        entries = self._entries
-        select_victim = self._policy.select_victim
-        while self._used > budget and len(entries):
-            self._drop_entry(select_victim(), split_interval=True, evicted=True)
-            evicted += 1
-        return evicted
+        keys = self._keys
+        charge = self.entry_charge
+        count = min(len(keys), -(-excess // charge))
+        policy = self._policy
+        select_victim = policy.select_victim
+        record_evict = policy.record_evict
+        values = self._values
+        victims: List[str] = []
+        append = victims.append
+        for _ in range(count):
+            victim = select_victim()
+            record_evict(victim)
+            del values[victim]
+            append(victim)
+        victims.sort()
+        # Remove the victims in ascending order.  Each one's index is then
+        # where it sits among the keys that stay, and a victim adjacent to
+        # the previous one has just slid into that same index.
+        cuts: List[int] = []
+        cut = 0
+        for victim in victims:
+            if keys[cut] is not victim:
+                cut = bisect_left(keys, victim, cut)
+            del keys[cut]
+            cuts.append(cut)
+        self._used -= count * charge
+        self.stats.evictions += count
+        self._intervals.split_evicted(victims, cuts, keys)
+        return count
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -365,24 +371,46 @@ class RangeCache(CacheBase):
     @_locked
     def resident_keys(self) -> List[str]:
         """All cached keys in order (diagnostics/sanitizer)."""
-        return [key for key, _ in self._entries.items()]
+        return list(self._keys)
 
     @_locked
     def clear(self) -> None:
         """Drop all entries and intervals."""
-        for key, _ in list(self._entries.items()):
-            self._drop_entry(key, split_interval=False)
+        record_remove = self._policy.record_remove
+        for key in self._keys:
+            record_remove(key)
+        self._used -= len(self._keys) * self.entry_charge
+        self._keys.clear()
+        self._values.clear()
         self._intervals.clear()
 
     # -- sanitizer protocol -----------------------------------------------------
 
     @_locked
     def check_invariants(self) -> None:
-        """Byte conservation, skip-list health, policy sync, intervals."""
-        expected = len(self._entries) * self.entry_charge
+        """Sorted key array, array/map agreement, bytes, policy sync, intervals."""
+        keys = self._keys
+        values = self._values
+        for i in range(1, len(keys)):
+            if keys[i - 1] >= keys[i]:
+                raise InvariantError(
+                    f"RangeCache key array out of order at {i}: "
+                    f"{keys[i - 1]!r} >= {keys[i]!r}"
+                )
+        if len(keys) != len(values):
+            raise InvariantError(
+                f"RangeCache key array/value map length drift: "
+                f"{len(keys)} keys, {len(values)} values"
+            )
+        for key in keys:
+            if key not in values:
+                raise InvariantError(
+                    f"RangeCache key array holds {key!r} with no value"
+                )
+        expected = len(keys) * self.entry_charge
         if expected != self._used:
             raise InvariantError(
-                f"RangeCache byte accounting drift: {len(self._entries)} "
+                f"RangeCache byte accounting drift: {len(keys)} "
                 f"entries x charge {self.entry_charge} = {expected} != "
                 f"used_bytes {self._used}"
             )
@@ -392,18 +420,17 @@ class RangeCache(CacheBase):
                 f"> budget_bytes {self._budget}"
             )
         policy_len = len(self._policy)
-        if policy_len != len(self._entries):
+        if policy_len != len(keys):
             raise InvariantError(
-                f"RangeCache policy/skip-list divergence: policy tracks "
-                f"{policy_len} keys, skip list holds {len(self._entries)} "
+                f"RangeCache policy/key-array divergence: policy tracks "
+                f"{policy_len} keys, key array holds {len(keys)} "
                 f"(a ghost entry leaked or a resident key went untracked)"
             )
-        for key, _ in self._entries.items():
+        for key in keys:
             if key not in self._policy:
                 raise InvariantError(
                     f"RangeCache resident key {key!r} is unknown to the "
                     f"eviction policy"
                 )
-        self._entries.check_invariants()
         self._intervals.check_invariants()
         self._policy.check_invariants()

@@ -41,7 +41,7 @@ class ShardedRangeCache(CacheBase):
     policy_factory:
         Builds each shard's eviction policy (None -> per-shard LRU).
     seed:
-        Base seed for the shards' skip lists.
+        Base seed for the shards' sampled invariant checks.
     """
 
     def __init__(
@@ -140,7 +140,7 @@ class ShardedRangeCache(CacheBase):
         if result is None:
             return None
         bound = self._upper_bound(idx)
-        if bound is not None and result[-1][0] >= bound:
+        if bound is not None and result and result[-1][0] >= bound:
             self.cross_shard_misses += 1
             return None
         return result

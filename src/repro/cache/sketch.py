@@ -13,7 +13,7 @@ guarantee.  Plain ints beat a numpy table here because every operation
 touches exactly ``depth`` (= 4) scalars: array fancy-indexing costs
 more per call than the whole plain-int update.  Row hashes are memoized
 per key in a bounded FIFO map, so the miss path (estimate + increment
-of the same key) and the TinyLFU victim duels hash each key once.
+of the same key) hashes each key once.
 
 Invariant (relied on by :meth:`normalized`): conservative update raises
 each touched counter to at most ``old_min + 1``, so every row's column

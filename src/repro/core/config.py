@@ -104,7 +104,7 @@ class AdCacheConfig:
     exploration_log_std:
         Initial Gaussian exploration (log scale).
     seed:
-        Master seed for the agent, sketch, and skip lists.
+        Master seed for the agent, sketch, and range-cache sanitizers.
     sanitize:
         Run runtime invariant checks (:mod:`repro.sanitize`) on the
         block and range caches after a deterministic random sample of

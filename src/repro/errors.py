@@ -54,7 +54,7 @@ class InvariantError(ReproError):
 
     Raised by the ``check_invariants()`` protocol (the sanitizer layer,
     see :mod:`repro.sanitize`): byte-accounting drift, structure
-    cross-inconsistency, broken skip-list ordering, or a version/
+    cross-inconsistency, an out-of-order key array, or a version/
     manifest that disagrees with the disk.  This is never a user error —
     it means a bug mutated internal state, and the message names the
     structure and the exact discrepancy."""

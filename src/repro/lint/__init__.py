@@ -10,7 +10,7 @@ over it:
   imports (SIM001), metered disk reads (SIM002), sanitizer coverage
   (CACHE001), retry discipline (EXC002), hot-path numpy use (PERF001),
   metric-name constants (OBS001), plus generic hygiene (MUT001,
-  EXC001, SLOT001, DET003, OWN003);
+  EXC001, DET003, OWN003);
 * **whole-program, flow-aware** (:mod:`repro.lint.passes`) — ambient
   nondeterminism reachable from serve/engine entry points through any
   number of cross-module calls (DET001), unordered set iteration

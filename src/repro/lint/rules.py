@@ -23,9 +23,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 #: Modules whose ambient state would break run-to-run determinism.
 _NONDETERMINISTIC_MODULES = ("random", "time", "datetime")
 
-#: Class-name pattern for hot-path linked-structure nodes (SLOT001).
-_NODE_CLASS_RE = re.compile(r"^_?[A-Za-z0-9_]*Node$")
-
 #: Comment marker naming the simulator's per-op functions (PERF001).
 _HOT_PATH_MARKER = "# hot-path"
 
@@ -871,41 +868,3 @@ def check_callback_capture_after_handoff(
                         f"{line}); the timer observes racy state — pass a "
                         f"snapshot instead",
                     )
-
-
-@rule("SLOT001")
-def check_node_slots(tree: ast.Module, path: str) -> Iterator[Violation]:
-    """Hot-path ``*Node`` classes must declare ``__slots__``.
-
-    Linked-structure node classes (skip-list towers and friends) are
-    allocated per cached entry; without ``__slots__`` each instance
-    carries a dict, roughly tripling memory per node and slowing every
-    attribute access on the hottest paths in the simulator.
-    """
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if not _NODE_CLASS_RE.match(node.name):
-            continue
-        has_slots = any(
-            isinstance(stmt, ast.Assign)
-            and any(
-                isinstance(t, ast.Name) and t.id == "__slots__"
-                for t in stmt.targets
-            )
-            or (
-                isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and stmt.target.id == "__slots__"
-            )
-            for stmt in node.body
-        )
-        if not has_slots:
-            yield Violation(
-                path,
-                node.lineno,
-                node.col_offset,
-                "SLOT001",
-                f"hot-path node class {node.name} lacks __slots__; "
-                f"per-instance dicts bloat every cached entry",
-            )

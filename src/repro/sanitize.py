@@ -1,12 +1,13 @@
 """Runtime invariant sanitizer gating (the repo's ASan/TSan analogue).
 
-Every core structure — caches, eviction policies, the skip list, the
-LSM version — implements a ``check_invariants()`` method that raises
+Every core structure — caches, eviction policies, the LSM version —
+implements a ``check_invariants()`` method that raises
 :class:`~repro.errors.InvariantError` when its internal state is
 corrupted (byte-accounting drift, cross-structure inconsistency, broken
-ordering).  Those checks are too expensive for every mutation in normal
-runs, so this module provides the sampling gate that decides *when* to
-run them, in the spirit of a sanitizer-instrumented debug build:
+ordering such as an unsorted range-cache key array).  Those checks are
+too expensive for every mutation in normal runs, so this module
+provides the sampling gate that decides *when* to run them, in the
+spirit of a sanitizer-instrumented debug build:
 
 * ``REPRO_SANITIZE=1`` enables sampled checking everywhere (a check
   roughly every :data:`DEFAULT_PERIOD` mutations per structure, plus a

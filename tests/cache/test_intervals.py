@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.intervals import IntervalSet
+
+
+def split(s, victims, resident):
+    s.split_evicted(victims, [bisect.bisect_left(resident, v) for v in victims], resident)
 
 
 class TestAdd:
@@ -87,32 +93,43 @@ class TestSplit:
     def test_split_middle(self):
         s = IntervalSet()
         s.add("a", "z")
-        assert s.split_around("m", left_neighbor="l", right_neighbor="n")
+        split(s, ["m"], ["l", "n"])
         assert s.intervals() == [("a", "l"), ("n", "z")]
 
     def test_split_at_left_edge_drops_left_piece(self):
         s = IntervalSet()
         s.add("c", "g")
-        s.split_around("c", left_neighbor="a", right_neighbor="d")
+        split(s, ["c"], ["a", "d"])
         assert s.intervals() == [("d", "g")]
 
     def test_split_at_right_edge_drops_right_piece(self):
         s = IntervalSet()
         s.add("c", "g")
-        s.split_around("g", left_neighbor="f", right_neighbor="x")
+        split(s, ["g"], ["f", "x"])
         assert s.intervals() == [("c", "f")]
 
     def test_split_without_neighbors_removes_interval(self):
         s = IntervalSet()
         s.add("c", "g")
-        s.split_around("e", left_neighbor=None, right_neighbor=None)
+        split(s, ["e"], [])
         assert s.intervals() == []
 
     def test_split_outside_any_interval_is_noop(self):
         s = IntervalSet()
         s.add("c", "g")
-        assert not s.split_around("z", "y", None)
+        split(s, ["z"], ["y"])
         assert s.intervals() == [("c", "g")]
+
+    def test_split_many_victims_across_intervals(self):
+        s = IntervalSet()
+        s.add("a", "f")
+        s.add("m", "q")
+        s.add("x", "z")
+        # "d" and "e" leave an empty gap; "b" stays; "o" splits [m, q]
+        # around the resident "n" and "p"; "y" empties [x, z] entirely.
+        split(s, ["c", "d", "e", "o", "y"], ["b", "n", "p"])
+        assert s.intervals() == [("a", "b"), ("m", "n"), ("p", "q")]
+        s.check_invariants()
 
     def test_clear(self):
         s = IntervalSet()

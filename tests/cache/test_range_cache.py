@@ -87,6 +87,44 @@ class TestRangePath:
         assert rc.insert_range("k0000", entries(0, 4), admit_count=0) == 0
         assert rc.stats.rejections == 1
 
+    def test_nonpositive_length_is_an_empty_hit_inside_an_interval(self):
+        rc = cache_of()
+        rc.insert_range("k0000", entries(0, 4))
+        assert rc.get_range("k0001", 0) == []
+        assert rc.get_range("k0001", -3) == []
+        assert rc.get_range("k0099", 0) is None  # not covered: still a miss
+        assert (rc.stats.hits, rc.stats.misses, rc.range_hits) == (2, 1, 2)
+
+    def test_miss_when_interval_end_is_not_resident(self):
+        rc = cache_of()
+        rc.insert_range("k0000", entries(0, 4))
+        rc.on_delete("k0003")  # the interval still ends at k0003
+        rc.insert_point("k0005", "v5")  # resident, but outside the interval
+        assert rc.complete_intervals() == [("k0000", "k0003")]
+        assert rc.get_range("k0001", 2) == entries(1, 3)
+        assert rc.get_range("k0001", 3) is None
+
+    def test_scan_ending_exactly_on_interval_end_hits(self):
+        rc = cache_of()
+        rc.insert_range("k0000", entries(0, 4))
+        rc.insert_point("k0004", "v4")
+        assert rc.get_range("k0002", 2) == entries(2, 4)
+        assert rc.get_range("k0002", 3) is None
+
+    def test_oversized_scan_records_no_interval(self):
+        """An entry charge above the whole budget admits nothing: an
+        interval over keys that never became resident would later serve
+        a scan that skips a live key."""
+        rc = RangeCache(0, entry_charge=100)
+        scan = [("k01", "a"), ("k02", "b"), ("k03", "c")]
+        assert rc.insert_range("k01", scan) == 0
+        assert rc.complete_intervals() == [] and len(rc) == 0
+        assert rc.stats.rejections == 1 and rc.stats.insertions == 0
+        rc.resize(10_000)
+        rc.insert_point("k01", "a")
+        rc.insert_point("k03", "c")
+        assert rc.get_range("k01", 2) is None  # k02 is live but uncached
+
 
 class TestEviction:
     def test_eviction_splits_interval(self):
@@ -161,6 +199,18 @@ class TestWriteCoherence:
         rc = cache_of()
         rc.on_delete("ghost")
         assert rc.stats.invalidations == 0
+
+    def test_rejected_write_is_cut_out_of_its_interval(self):
+        rc = cache_of()
+        rc.insert_range("k0000", [("k0000", "0"), ("k0002", "2"), ("k0004", "4")])
+        for key in ("k0000", "k0002", "k0004"):
+            rc.on_delete(key)
+        rc.resize(0)  # no resident key, so the interval survives
+        rc.on_write("k0002", "new")  # live, covered, and too big to admit
+        assert rc.complete_intervals() == []
+        rc.resize(16 * 100)
+        rc.on_write("k0003", "3")  # no longer covered: not admitted
+        assert rc.get_range("k0000", 1) is None
 
 
 class TestMisc:

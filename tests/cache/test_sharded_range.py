@@ -143,6 +143,12 @@ class TestRangePath:
         # Shard 0's interval covers k0010..k0014; a 5-length scan fits.
         assert c.get_range("k0010", 5) == entries(10, 15)
 
+    def test_zero_length_scan_in_a_bounded_shard(self):
+        c = cache_of(boundaries=("k0015",))
+        c.insert_range("k0010", entries(10, 15))
+        assert c.get_range("k0011", 0) == []
+        assert c.cross_shard_misses == 0
+
     def test_budget_split_and_totals(self):
         c = ShardedRangeCache(1000, ["m"], entry_charge=100)
         assert c.budget_bytes == 1000

@@ -1,7 +1,7 @@
 """Runtime invariant sanitizer: seeded corruption must be caught.
 
 Each test corrupts one structure's internals the way a real bug would
-(byte over-charge, unlinked skip-list node, ghost policy entry, manifest
+(byte over-charge, out-of-order key array, ghost policy entry, manifest
 drift) and asserts ``check_invariants()`` raises an
 :class:`~repro.errors.InvariantError` naming the broken invariant.
 """
@@ -17,7 +17,6 @@ from repro.cache.kv_cache import KVCache
 from repro.cache.lru import LRUPolicy
 from repro.cache.range_cache import RangeCache
 from repro.cache.sharded_range import ShardedRangeCache
-from repro.cache.skiplist import SkipList
 from repro.core.adcache import AdCacheEngine
 from repro.core.config import AdCacheConfig
 from repro.errors import InvariantError
@@ -151,45 +150,39 @@ def test_enabled_sanitizer_trips_on_next_mutation():
         cache.put("b", "v")
 
 
-# -- skip list corruptions ---------------------------------------------------
+# -- range cache key array corruptions ---------------------------------------
 
 
-def test_skiplist_clean_state_passes():
-    sl = SkipList(seed=5)
-    for i in range(200):
-        sl.insert(f"k{i:05d}", str(i))
+def test_range_cache_key_array_clean_state_passes():
+    cache = RangeCache(budget_bytes=64 * 150, entry_charge=64, seed=5)
+    cache.insert_range("k00000", [(f"k{i:05d}", str(i)) for i in range(200)])
     for i in range(0, 200, 3):
-        sl.remove(f"k{i:05d}")
-    sl.check_invariants()
+        cache.on_delete(f"k{i:05d}")
+    cache.check_invariants()
 
 
-def test_skiplist_detects_unlinked_node():
-    sl = SkipList(seed=5)
-    for i in range(50):
-        sl.insert(f"k{i:02d}", str(i))
-    # Unlink the first data node at level 0 only, without accounting —
-    # either the size drifts or a taller tower loses its ground level.
-    node = sl._head.forward[0]
-    sl._head.forward[0] = node.forward[0]
-    with pytest.raises(InvariantError, match="SkipList"):
-        sl.check_invariants()
+def test_range_cache_detects_key_without_value():
+    cache = _filled_range_cache()
+    # The map loses a key and gains another: lengths still agree, but
+    # one array key no longer has a value.
+    cache._values["k0005x"] = cache._values.pop("k0005")
+    with pytest.raises(InvariantError, match="with no value"):
+        cache.check_invariants()
 
 
-def test_skiplist_detects_size_drift():
-    sl = SkipList(seed=5)
-    sl.insert("a", "1")
-    sl._size += 1
-    with pytest.raises(InvariantError, match="size drift"):
-        sl.check_invariants()
+def test_range_cache_detects_array_map_length_drift():
+    cache = _filled_range_cache()
+    cache._values["stray"] = "v"  # a value the key array never got
+    with pytest.raises(InvariantError, match="length drift"):
+        cache.check_invariants()
 
 
-def test_skiplist_detects_broken_ordering():
-    sl = SkipList(seed=5)
-    sl.insert("a", "1")
-    sl.insert("b", "2")
-    sl._head.forward[0].key = "z"  # out-of-order overwrite
-    with pytest.raises(InvariantError, match="ordering broken"):
-        sl.check_invariants()
+def test_range_cache_detects_keys_out_of_order():
+    cache = _filled_range_cache()
+    keys = cache._keys
+    keys[3], keys[4] = keys[4], keys[3]  # an insert at the wrong index
+    with pytest.raises(InvariantError, match="out of order"):
+        cache.check_invariants()
 
 
 # -- interval set corruptions ------------------------------------------------
@@ -221,7 +214,7 @@ def test_range_cache_clean_state_passes():
 def test_range_cache_detects_leaked_ghost_entry():
     cache = _filled_range_cache()
     cache._policy.record_insert("ghost-key")
-    with pytest.raises(InvariantError, match="policy/skip-list divergence"):
+    with pytest.raises(InvariantError, match="policy/key-array divergence"):
         cache.check_invariants()
 
 
@@ -275,7 +268,7 @@ def test_sharded_range_cache_detects_misrouted_key():
     cache.insert_point("zebra", "v")
     cache.check_invariants()
     # Plant a key beyond the first shard's upper bound directly.
-    cache._shards[0]._insert_entry("zzz", "v")
+    cache._shards[0].insert_point("zzz", "v")
     with pytest.raises(InvariantError, match="misrouted entry"):
         cache.check_invariants()
 

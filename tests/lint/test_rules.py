@@ -155,7 +155,7 @@ def test_cache001_accepts_serve_component_with_invariants(tmp_path):
     assert _lint_source(tmp_path, source, ["CACHE001"]) == []
 
 
-# -- MUT001 / EXC001 / SLOT001 ----------------------------------------------
+# -- MUT001 / EXC001 -------------------------------------------------------
 
 
 def test_mut001_flags_mutable_defaults(tmp_path):
@@ -175,17 +175,6 @@ def test_exc001_flags_bare_except(tmp_path):
     )
     findings = _lint_source(tmp_path, source, ["EXC001"])
     assert _rule_ids(findings) == ["EXC001"]
-
-
-def test_slot001_flags_node_class_without_slots(tmp_path):
-    source = "class _TowerNode:\n    pass\n"
-    findings = _lint_source(tmp_path, source, ["SLOT001"])
-    assert _rule_ids(findings) == ["SLOT001"]
-
-
-def test_slot001_accepts_slotted_node(tmp_path):
-    source = "class _TowerNode:\n    __slots__ = ('key',)\n"
-    assert _lint_source(tmp_path, source, ["SLOT001"]) == []
 
 
 # -- EXC002 ------------------------------------------------------------------
@@ -480,7 +469,7 @@ def test_disable_comment_is_rule_specific(tmp_path):
 
 
 def test_disable_comment_takes_multiple_rules(tmp_path):
-    source = "def f(out=[]):  # lint: disable=MUT001,SLOT001\n    pass\n"
+    source = "def f(out=[]):  # lint: disable=MUT001,EXC001\n    pass\n"
     assert _lint_source(tmp_path, source, ["MUT001"]) == []
 
 
@@ -506,7 +495,7 @@ def test_list_rules_documents_every_rule(capsys):
     out = capsys.readouterr().out
     for rule_id in (
         "SIM001", "SIM002", "CACHE001", "MUT001", "EXC001", "EXC002",
-        "OBS001", "SLOT001",
+        "OBS001",
     ):
         assert rule_id in out
         assert ALL_RULES[rule_id].__doc__  # every rule is documented
