@@ -74,8 +74,9 @@ class CacheBase(ABC):
     :attr:`budget_bytes` / :attr:`used_bytes` — so the sanitizer, the
     controller, and metrics read one interface regardless of which
     composition is running.  Every subclass must also implement the
-    ``check_invariants()`` protocol (lint rule CACHE001 enforces this
-    statically; :mod:`repro.sanitize` invokes it at runtime).
+    ``check_invariants()`` protocol: it is abstract here, so a class
+    without one cannot be instantiated, and :mod:`repro.sanitize`
+    invokes it at runtime.
     """
 
     #: Sampled invariant-check gate; None when sanitizing is disabled.

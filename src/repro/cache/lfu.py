@@ -119,7 +119,7 @@ class LFUPolicy(EvictionPolicy[K], Generic[K]):
         self._drop(key)
 
     def check_invariants(self) -> None:
-        """Frequency-map/bucket cross-consistency (see CACHE001 docs)."""
+        """Frequency-map/bucket cross-consistency."""
         check_freq_buckets("LFUPolicy", self._freq, self._buckets, self._min_freq)
 
     def __len__(self) -> int:

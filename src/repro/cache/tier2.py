@@ -30,8 +30,8 @@ Determinism and ownership: the cache draws no randomness (the sketch
 is seeded) and every mutation happens through the ``tier2_*`` methods,
 which only the owning serve-side coordinator
 (:class:`repro.serve.tier2.Tier2Coordinator`) may call from inside the
-event loop — lint rule OWN004 enforces the call-site restriction
-program-wide.
+event loop — lint rule OWN004 flags a ``tier2_*`` call from any
+file not named ``tier2.py``.
 """
 
 from __future__ import annotations

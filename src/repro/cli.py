@@ -674,8 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint",
         add_help=False,
-        help="run the whole-program static-analysis engine "
-        "(see docs/static_analysis.md)",
+        help="run the static-analysis engine (see docs/static_analysis.md)",
     )
 
     return parser

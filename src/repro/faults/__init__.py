@@ -5,7 +5,7 @@
   produce transient read errors, permanent block corruption, and torn
   log tails, plus controller stats blackouts.
 * :mod:`repro.faults.retry` — the seeded, bounded :class:`RetryPolicy`
-  every retry loop must use (lint rule EXC002).
+  every retry loop must use.
 * :mod:`repro.faults.fleet` — seeded fleet-level fault plans that crash
   whole shards mid-run for the serving simulator's failover path.
 * :mod:`repro.faults.chaos` — the chaos harness: run the same seeded

@@ -1,7 +1,7 @@
 """Seeded, bounded retry policy for fault-absorbing read paths.
 
-Every retry loop in the simulator must satisfy two disciplines (lint
-rule EXC002 enforces them statically):
+Every retry loop in the simulator must satisfy two disciplines (the
+fault tests in ``tests/faults`` fail the read path on either):
 
 * **bounded** — a retry loop without an attempt budget turns a
   persistent fault into a hang; the policy owns the budget and the

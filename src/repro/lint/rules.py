@@ -1,21 +1,16 @@
-"""Syntactic lint rules: per-module simulation discipline + hygiene.
+"""Lint rules: per-module simulation discipline + hygiene.
 
 Each rule is a function from a parsed module to an iterator of
 :class:`Violation` s, registered under a stable rule id via the
 :func:`rule` decorator.  Rule docstrings are the user-facing
-documentation (``python -m repro.lint --list-rules`` prints them).
-
-These rules see one file at a time.  The whole-program rule families
-(DET0xx nondeterminism taint, OWN0xx shared-state ownership) live in
-:mod:`repro.lint.passes` and run over the project symbol table and
-call graph instead; both registries share the :class:`RuleMeta`
-catalogue here so ``--list-rules`` and ``--select`` treat them
-uniformly.
+documentation (``python -m repro.lint --list-rules`` prints their
+first paragraphs).  Every rule sees one file at a time.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -28,9 +23,6 @@ _HOT_PATH_MARKER = "# hot-path"
 
 #: Names numpy is imported as (PERF001).
 _NUMPY_ALIASES = ("np", "numpy")
-
-#: Counters a metered disk read path must charge (SIM002).
-_METER_COUNTERS = ("block_reads_total", "bytes_read_total")
 
 #: Recording methods whose first argument must be a registered
 #: metric/event-kind constant from :mod:`repro.obs.names` (OBS001).
@@ -54,74 +46,23 @@ class Violation:
 
 RuleFunc = Callable[[ast.Module, str], Iterator[Violation]]
 
-#: Registry of ``rule_id -> checker`` in registration order (the
-#: per-module, syntactic rules only).
+#: Registry of ``rule_id -> checker`` in registration order.
 ALL_RULES: Dict[str, RuleFunc] = {}
-
-#: Analysis scope markers shown by ``--list-rules``.
-SCOPE_SYNTACTIC = "syntactic"
-SCOPE_WHOLE_PROGRAM = "whole-program"
-
-
-@dataclass(frozen=True)
-class RuleMeta:
-    """Catalogue entry for one rule, syntactic or whole-program."""
-
-    rule_id: str
-    family: str
-    scope: str
-    doc: str
-
-    @property
-    def summary(self) -> str:
-        """First docstring line, for compact listings."""
-        return self.doc.strip().splitlines()[0] if self.doc else ""
-
-
-#: Every known rule's metadata, both registries (id -> meta).
-RULE_METADATA: Dict[str, RuleMeta] = {}
 
 
 def rule_family(rule_id: str) -> str:
-    """``DET001`` -> ``DET``: the catalogue family prefix."""
+    """``DET003`` -> ``DET``: the catalogue family prefix."""
     return rule_id.rstrip("0123456789")
 
 
-def register_meta(rule_id: str, scope: str, doc: str) -> None:
-    """Add a rule to the shared catalogue (used by both registries)."""
-    RULE_METADATA[rule_id] = RuleMeta(
-        rule_id, rule_family(rule_id), scope, (doc or "").strip()
-    )
-
-
 def rule(rule_id: str) -> Callable[[RuleFunc], RuleFunc]:
-    """Register a syntactic (per-module) checker under ``rule_id``."""
+    """Register a checker under ``rule_id``."""
 
     def register(func: RuleFunc) -> RuleFunc:
         ALL_RULES[rule_id] = func
-        register_meta(rule_id, SCOPE_SYNTACTIC, func.__doc__ or "")
         return func
 
     return register
-
-
-def _base_names(cls: ast.ClassDef) -> List[str]:
-    """Textual names of a class's bases (``Name`` or dotted ``Attribute``)."""
-    names: List[str] = []
-    for base in cls.bases:
-        node = base
-        # Unwrap subscripts like EvictionPolicy[K].
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Name):
-            names.append(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.append(node.attr)
-    return names
-
-
-def _own_methods(cls: ast.ClassDef) -> List[ast.FunctionDef]:
-    return [n for n in cls.body if isinstance(n, ast.FunctionDef)]
 
 
 @rule("SIM001")
@@ -179,93 +120,6 @@ def check_nondeterministic_imports(
                 )
 
 
-@rule("SIM002")
-def check_metered_disk_reads(tree: ast.Module, path: str) -> Iterator[Violation]:
-    """Every simulated-disk read path must charge the I/O meters.
-
-    The sim clock derives latency from ``block_reads_total`` and
-    ``bytes_read_total``; a ``read_*`` method on a ``*Disk`` class that
-    returns data without bumping both counters produces I/O the clock
-    never sees, silently skewing every latency figure downstream.
-    """
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.ClassDef) and "Disk" in node.name):
-            continue
-        for method in _own_methods(node):
-            if not method.name.startswith("read_"):
-                continue
-            charged = set()
-            for sub in ast.walk(method):
-                targets: Tuple[ast.expr, ...] = ()
-                if isinstance(sub, ast.AugAssign):
-                    targets = (sub.target,)
-                elif isinstance(sub, ast.Assign):
-                    targets = tuple(sub.targets)
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and target.attr in _METER_COUNTERS
-                    ):
-                        charged.add(target.attr)
-            missing = [c for c in _METER_COUNTERS if c not in charged]
-            if missing:
-                yield Violation(
-                    path,
-                    method.lineno,
-                    method.col_offset,
-                    "SIM002",
-                    f"{node.name}.{method.name} never charges "
-                    f"{'/'.join('self.' + m for m in missing)}; unmetered "
-                    f"reads are invisible to the sim clock",
-                )
-
-
-#: Bases whose direct subclasses must own a ``check_invariants`` body
-#: (CACHE001): cache containers and budget-holding serving components.
-_INVARIANT_BASES = ("CacheBase", "ServeComponent")
-
-
-@rule("CACHE001")
-def check_cache_invariant_protocol(
-    tree: ast.Module, path: str
-) -> Iterator[Violation]:
-    """``CacheBase``/``ServeComponent`` subclasses must implement
-    ``check_invariants``.
-
-    The runtime sanitizer (:mod:`repro.sanitize`) sweeps caches — and
-    the serving layer's budget holders (bounded request queues, the
-    global budget arbiter) — through ``check_invariants()``; a subclass
-    inheriting a parent's check silently skips its own bookkeeping
-    (shard routing, interval tracking, flow conservation, share
-    accounting), so each direct subclass must define the method in its
-    own body.
-    """
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        bases = _base_names(node)
-        matched = [b for b in _INVARIANT_BASES if b in bases]
-        if not matched or node.name in _INVARIANT_BASES:
-            continue
-        if not any(m.name == "check_invariants" for m in _own_methods(node)):
-            kind = (
-                "cache container"
-                if "CacheBase" in matched
-                else "serving component"
-            )
-            yield Violation(
-                path,
-                node.lineno,
-                node.col_offset,
-                "CACHE001",
-                f"{kind} {node.name} does not define "
-                f"check_invariants(); the runtime sanitizer cannot "
-                f"verify its bookkeeping",
-            )
-
-
 @rule("MUT001")
 def check_mutable_default_args(tree: ast.Module, path: str) -> Iterator[Violation]:
     """No mutable default arguments.
@@ -296,135 +150,6 @@ def check_mutable_default_args(tree: ast.Module, path: str) -> Iterator[Violatio
                     f"mutable default argument in {node.name}(); use None "
                     f"and construct inside the body",
                 )
-
-
-@rule("EXC001")
-def check_bare_except(tree: ast.Module, path: str) -> Iterator[Violation]:
-    """No bare ``except:`` clauses.
-
-    A bare except swallows ``KeyboardInterrupt``/``SystemExit`` and —
-    worse here — :class:`~repro.errors.InvariantError`, turning a
-    sanitizer-detected corruption into a silently absorbed event.
-    Catch a concrete exception type.
-    """
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is None:
-            yield Violation(
-                path,
-                node.lineno,
-                node.col_offset,
-                "EXC001",
-                "bare except swallows InvariantError and interrupts; "
-                "catch a concrete exception type",
-            )
-
-
-#: Accumulator-name pattern that counts as charging simulated time
-#: (EXC002): latency/stall counters in simulated microseconds.
-_SIM_CHARGE_RE = re.compile(r"(_us\b|_us_|latency|stall)")
-
-
-def _charges_sim_time(loop: ast.While) -> bool:
-    """Whether ``loop`` accumulates simulated time anywhere in its body.
-
-    Charging = augmented assignment to a ``*_us``/``*latency*``/
-    ``*stall*`` counter, or a ``.charge(...)`` method call.
-    """
-    for sub in ast.walk(loop):
-        if isinstance(sub, ast.AugAssign):
-            target = sub.target
-            name = (
-                target.attr
-                if isinstance(target, ast.Attribute)
-                else target.id if isinstance(target, ast.Name) else ""
-            )
-            if _SIM_CHARGE_RE.search(name):
-                return True
-        elif isinstance(sub, ast.Call):
-            func = sub.func
-            if isinstance(func, ast.Attribute) and func.attr.startswith("charge"):
-                return True
-    return False
-
-
-def _handler_retries(handler: ast.ExceptHandler) -> bool:
-    """Whether ``handler`` can fall through and re-run the loop body.
-
-    A handler whose *last* statement unconditionally leaves the loop
-    (``raise``/``return``/``break``) is an escape hatch, not a retry.
-    """
-    if not handler.body:
-        return True
-    last = handler.body[-1]
-    return not isinstance(last, (ast.Raise, ast.Return, ast.Break))
-
-
-def _handler_is_bounded(handler: ast.ExceptHandler) -> bool:
-    """Whether a retrying handler carries a conditional escape.
-
-    The bounded form is a budget check that re-raises (or returns or
-    breaks) when attempts are exhausted — i.e. the
-    :class:`~repro.faults.retry.RetryPolicy` shape.  Statically: some
-    ``raise``/``return``/``break`` must exist inside the handler.
-    """
-    return any(
-        isinstance(sub, (ast.Raise, ast.Return, ast.Break))
-        for sub in ast.walk(handler)
-    )
-
-
-@rule("EXC002")
-def check_retry_loop_discipline(tree: ast.Module, path: str) -> Iterator[Violation]:
-    """Retry loops must be bounded and sim-clock charged.
-
-    A ``while True`` loop that catches an exception and goes around
-    again is a retry loop.  Two failure modes hide there: an *unbounded*
-    loop turns a persistent fault into a hang, and an *uncharged* one
-    retries for free in simulated time, hiding fault latency from every
-    histogram downstream.  Each retrying handler must therefore contain
-    a conditional escape (``raise``/``return``/``break`` behind an
-    attempt-budget check — the :class:`~repro.faults.retry.RetryPolicy`
-    shape), and the loop must charge simulated time (an accumulating
-    ``*_us``/``*latency*``/``*stall*`` counter or a ``.charge()`` call).
-    """
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.While):
-            continue
-        test = node.test
-        infinite = isinstance(test, ast.Constant) and bool(test.value)
-        if not infinite:
-            continue  # a real condition bounds the loop on its own terms
-        retrying = [
-            handler
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Try)
-            for handler in sub.handlers
-            if _handler_retries(handler)
-        ]
-        if not retrying:
-            continue
-        for handler in retrying:
-            if not _handler_is_bounded(handler):
-                caught = ast.unparse(handler.type) if handler.type else "Exception"
-                yield Violation(
-                    path,
-                    handler.lineno,
-                    handler.col_offset,
-                    "EXC002",
-                    f"retry loop swallows {caught} with no raise/return/"
-                    f"break escape; retries must be bounded by an attempt "
-                    f"budget (see repro.faults.retry.RetryPolicy)",
-                )
-        if not _charges_sim_time(node):
-            yield Violation(
-                path,
-                node.lineno,
-                node.col_offset,
-                "EXC002",
-                "retry loop never charges simulated time (no *_us/"
-                "*latency*/*stall* accumulation or .charge() call); "
-                "free retries hide fault latency from the sim clock",
-            )
 
 
 def _hot_path_functions(
@@ -615,12 +340,11 @@ def check_obs_metric_constants(tree: ast.Module, path: str) -> Iterator[Violatio
             )
 
 
-def unordered_set_locals(func: ast.AST) -> "set[str]":
+def _unordered_set_locals(func: ast.AST) -> "set[str]":
     """Local names bound to unordered set expressions in a function.
 
     Tracks ``x = {...}`` set displays, set comprehensions, and
-    ``set(...)``/``frozenset(...)`` constructor calls.  Shared with the
-    whole-program DET002 pass.
+    ``set(...)``/``frozenset(...)`` constructor calls.
     """
     names: set[str] = set()
     for sub in ast.walk(func):
@@ -663,7 +387,7 @@ def check_unordered_float_accumulation(
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        unordered = unordered_set_locals(node)
+        unordered = _unordered_set_locals(node)
 
         def _is_unordered(expr: ast.expr) -> bool:
             if isinstance(expr, (ast.Set, ast.SetComp)):
@@ -868,3 +592,48 @@ def check_callback_capture_after_handoff(
                         f"{line}); the timer observes racy state — pass a "
                         f"snapshot instead",
                     )
+
+
+#: The shared tier's owner modules: the cache itself and the serve
+#: loop's coordinator are both ``tier2.py`` (OWN004).
+_TIER2_OWNER_FILE = "tier2.py"
+
+
+@rule("OWN004")
+def check_tier2_mutation_ownership(
+    tree: ast.Module, path: str
+) -> Iterator[Violation]:
+    """Fleet-shared Tier2 state may only be mutated through its owning
+    component on the serve event loop.
+
+    The second cache tier is the one mutable structure every shard
+    aliases, so its determinism story leans entirely on single-writer
+    ordering: all probes, offers, resizes, and shard purges flow
+    through the ``Tier2Coordinator`` inside loop callbacks.  A stray
+    ``tier2_*`` call from an engine, a session, or the arbiter would
+    mutate shared state outside that ordering (and skip the
+    coordinator's sanitizer hook) — correct-looking today,
+    nondeterministic the moment call order shifts.  Any ``*.tier2_*()``
+    call outside a ``tier2.py`` module is flagged; test modules
+    (``test_*``/``conftest``) are exempt.  Fix by routing the mutation
+    through the coordinator's surface (``probe`` / ``offer`` /
+    ``set_budget`` / ``drop_shard``).
+    """
+    name = os.path.basename(path)
+    if name in (_TIER2_OWNER_FILE, "conftest.py") or name.startswith("test_"):
+        return
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr.startswith("tier2_")
+        ):
+            yield Violation(
+                path,
+                node.lineno,
+                node.col_offset,
+                "OWN004",
+                f"shared-tier mutator {node.func.attr}() called outside "
+                f"tier2.py; Tier2 state is single-writer — route the "
+                f"mutation through the serve loop's Tier2Coordinator",
+            )

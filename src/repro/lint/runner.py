@@ -1,19 +1,13 @@
-"""The lint engine: discovery, passes, suppressions, output.
+"""The lint engine: discovery, rules, suppressions, output.
 
 ``python -m repro.lint [paths]`` (default: the ``repro`` package) runs
-two analysis passes:
-
-1. **parse + index** — every file is parsed and folded into a
-   project-wide symbol table and call graph;
-2. **rules** — the per-module syntactic rules run over each file and
-   the whole-program rules (DET0xx/OWN0xx) run over the project.
-
-Findings are filtered by suppression comments::
+one loop over the files: parse each, run the selected rules over its
+tree, and filter the findings by the file's suppression comments::
 
     x = foo()  # lint: disable=RULE[,RULE2]     same line only
     # lint: disable-next=RULE                   the following line
 
-and printed as text; the gate is zero findings (exit 1 otherwise).
+Findings print as text; the gate is zero findings (exit 1 otherwise).
 """
 
 from __future__ import annotations
@@ -25,18 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.passes import (
-    WHOLE_PROGRAM_RULES,
-    build_project,
-    run_whole_program_rules,
-)
-from repro.lint.rules import (
-    ALL_RULES,
-    RULE_METADATA,
-    Violation,
-    rule_family,
-)
-from repro.lint.symbols import ModuleInfo, module_name_for
+from repro.lint.rules import ALL_RULES, Violation, rule_family
 
 _DISABLE_MARKER = "# lint: disable="
 _DISABLE_NEXT_MARKER = "# lint: disable-next="
@@ -110,7 +93,7 @@ class LintResult:
 
 
 class LintEngine:
-    """Multi-pass lint over a set of files (see module docstring)."""
+    """Per-file lint over a set of files (see module docstring)."""
 
     def __init__(
         self,
@@ -120,30 +103,24 @@ class LintEngine:
         self.paths = list(paths)
         self.rule_ids = list(rule_ids) if rule_ids is not None else None
 
-    def _selected(self, registry: Iterable[str]) -> List[str]:
-        if self.rule_ids is None:
-            return list(registry)
-        return [r for r in self.rule_ids if r in set(registry)]
-
     def run(self) -> LintResult:
         result = LintResult()
-        modules: List[ModuleInfo] = []
-        suppressions: Dict[str, Suppressions] = {}
-        findings: List[Violation] = []
-
-        # Pass 1: parse + index.
+        checks = [
+            check
+            for rule_id, check in ALL_RULES.items()
+            if self.rule_ids is None or rule_id in self.rule_ids
+        ]
         for path in _iter_python_files(self.paths):
             try:
                 with open(path, "rb") as fh:
-                    raw = fh.read()
+                    source = fh.read().decode("utf-8", errors="replace")
             except OSError as exc:
-                findings.append(Violation(path, 0, 0, "PARSE", str(exc)))
+                result.findings.append(Violation(path, 0, 0, "PARSE", str(exc)))
                 continue
-            source = raw.decode("utf-8", errors="replace")
             try:
                 tree = ast.parse(source, filename=path)
             except SyntaxError as exc:
-                findings.append(
+                result.findings.append(
                     Violation(
                         path,
                         exc.lineno or 0,
@@ -153,33 +130,15 @@ class LintEngine:
                     )
                 )
                 continue
-            modname, is_package = module_name_for(path)
-            modules.append(ModuleInfo(path, modname, is_package, tree, source))
-            suppressions[path] = Suppressions(source)
+            suppressions = Suppressions(source)
+            for check in checks:
+                for v in check(tree, path):
+                    hidden = suppressions.is_suppressed(v.rule_id, v.line)
+                    (result.suppressed if hidden else result.findings).append(v)
 
-        # Pass 2a: per-module syntactic rules.
-        for info in modules:
-            for rule_id in self._selected(ALL_RULES):
-                for violation in ALL_RULES[rule_id](info.tree, info.path):
-                    findings.append(violation)
-
-        # Pass 2b: whole-program rules over the project.
-        project = build_project(modules)
-        findings.extend(
-            run_whole_program_rules(
-                project, self._selected(WHOLE_PROGRAM_RULES)
-            )
-        )
-
-        # Suppressions + deterministic order.
-        findings.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-        for v in findings:
-            hidden = (
-                v.rule_id != "PARSE"
-                and v.path in suppressions
-                and suppressions[v.path].is_suppressed(v.rule_id, v.line)
-            )
-            (result.suppressed if hidden else result.findings).append(v)
+        # Deterministic order across files.
+        for findings in (result.findings, result.suppressed):
+            findings.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
         return result
 
 
@@ -202,17 +161,17 @@ def _expand_selection(spec: str) -> Tuple[Optional[List[str]], List[str]]:
     Returns ``(rule_ids, unknown_tokens)``; family tokens (``DET``,
     ``OWN``, ``SIM``, ...) expand to every rule in that family.
     """
-    known_families = {meta.family for meta in RULE_METADATA.values()}
+    known_families = {rule_family(r) for r in ALL_RULES}
     rule_ids: List[str] = []
     unknown: List[str] = []
     for token in (t.strip() for t in spec.split(",")):
         if not token:
             continue
-        if token in RULE_METADATA:
+        if token in ALL_RULES:
             rule_ids.append(token)
         elif token in known_families:
             rule_ids.extend(
-                sorted(r for r in RULE_METADATA if rule_family(r) == token)
+                sorted(r for r in ALL_RULES if rule_family(r) == token)
             )
         else:
             unknown.append(token)
@@ -220,16 +179,18 @@ def _expand_selection(spec: str) -> Tuple[Optional[List[str]], List[str]]:
 
 
 def _list_rules() -> str:
-    """The rule catalogue grouped by family, stable order, with scope."""
+    """The rule catalogue grouped by family, stable order, with each
+    rule's docstring summary (its first paragraph, on one line)."""
     by_family: Dict[str, List[str]] = {}
-    for rule_id in RULE_METADATA:
+    for rule_id in ALL_RULES:
         by_family.setdefault(rule_family(rule_id), []).append(rule_id)
     lines: List[str] = []
     for family in sorted(by_family):
         lines.append(f"{family}:")
         for rule_id in sorted(by_family[family]):
-            meta = RULE_METADATA[rule_id]
-            lines.append(f"  {rule_id}  [{meta.scope}]  {meta.summary}")
+            doc = (ALL_RULES[rule_id].__doc__ or "").strip()
+            summary = " ".join(doc.split("\n\n")[0].split())
+            lines.append(f"  {rule_id}  {summary}")
         lines.append("")
     return "\n".join(lines)
 
@@ -239,7 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "Whole-program static analysis for the AdCache simulator "
+            "Static analysis for the AdCache simulator "
             "(see docs/static_analysis.md)."
         ),
     )
@@ -254,13 +215,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         dest="select",
         metavar="RULES",
         help="comma-separated rule ids and/or families to run "
-        "(e.g. DET001,OWN or SIM; default: all)",
+        "(e.g. DET003,OWN or SIM; default: all)",
     )
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print the rule catalogue grouped by family (with each "
-        "rule's analysis scope) and exit",
+        help="print the rule catalogue grouped by family and exit",
     )
     args = parser.parse_args(argv)
 

@@ -5,8 +5,8 @@ global budget arbiter) implements the same ``check_invariants()``
 protocol the caches do, and carries the same deterministic sampled
 sanitizer gate (:mod:`repro.sanitize`), so ``REPRO_SANITIZE`` covers
 the serving layer with the exact machinery that covers the storage
-stack.  Lint rule CACHE001 statically enforces the protocol on every
-``ServeComponent`` subclass, mirroring its ``CacheBase`` coverage.
+stack.  ``check_invariants`` is abstract here, as on ``CacheBase``, so
+a subclass without one fails at construction.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ ownership story: a single :class:`Tier2Coordinator` (a
 mutation flows through it from inside the serving event loop — shard
 engines execute synchronously in loop callbacks, so probes and
 demotions are totally ordered by the loop and two same-seed runs replay
-them identically.  Lint rule OWN004 enforces the boundary statically:
-the cache's ``tier2_*`` mutators may only be called from this module
-(and the cache's own), never from arbitrary call sites.
+them identically.  Lint rule OWN004 flags a call to the cache's
+``tier2_*`` mutators from any file but this one and the cache's own
+(both ``tier2.py``).
 
 Per shard, a :class:`Tier2Client` is spliced into the block read path
 beneath L1:
@@ -67,8 +67,6 @@ class Tier2Coordinator(ServeComponent):
         self.cache = Tier2Cache(
             budget_bytes, block_size, sketch_seed=sketch_seed
         )
-        self.resizes = 0
-        self.evictions_forced = 0
 
     # -- the only mutation surface (OWN004 owner) --------------------------
 
@@ -83,8 +81,6 @@ class Tier2Coordinator(ServeComponent):
     def set_budget(self, budget_bytes: int) -> int:
         """Arbiter entry point: move the shared budget; returns evictions."""
         evicted = self.cache.tier2_resize(budget_bytes)
-        self.resizes += 1
-        self.evictions_forced += evicted
         self._after_mutation()
         return evicted
 

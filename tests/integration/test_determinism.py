@@ -10,9 +10,13 @@ enabling the sanitizer does not perturb the simulation.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.bench.harness import seed_database
 from repro.bench.strategies import build_engine
 from repro.core.engine import KVEngine
@@ -260,6 +264,39 @@ def test_fleet_fingerprint_matrix_matches_recorded(cell):
         assert result.hedge_wins > 0 and result.scans_partial > 0
         assert result.shed_by_reason["deadline"] > 0
     assert result.fingerprint() == GOLDEN_FLEET_FINGERPRINTS[cell]
+
+
+def test_fleet_fingerprint_is_independent_of_string_hash_seed():
+    # ``set`` iteration order over strings follows PYTHONHASHSEED, so a
+    # fingerprint fed by one would differ between processes.  The test
+    # process has one fixed seed; two fresh processes with different
+    # seeds must both reproduce the pinned cell.
+    cell = (8, 1, 1, 1)
+    code = (
+        f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+        "from test_determinism import _matrix_config\n"
+        "from repro.serve import run_serve\n"
+        f"print(run_serve(_matrix_config(*{cell!r})).fingerprint())\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code],
+            env=dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            ),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for hash_seed in ("0", "4242")
+    ]
+    for proc in procs:
+        out, err = proc.communicate()
+        assert proc.returncode == 0, err
+        assert out.strip() == GOLDEN_FLEET_FINGERPRINTS[cell]
 
 
 def _run_write_flood():
