@@ -117,6 +117,52 @@ def test_learned_policies_are_deterministic_too(strategy):
     assert _fingerprint(engine_a) == _fingerprint(engine_b)
 
 
+# sha256 of a seeded run of each regret-weighted mixture, recorded before
+# LeCaR and Cacheus shared one implementation.  The 64 KB cache holds 64
+# entries, so ghost hits move the weights and Cacheus' learning rate
+# adapts every 64 operations; any change to expert choice, RNG draw order
+# or float operation order moves the digest.
+GOLDEN_LEARNED_POLICY_DIGESTS = {
+    "range-cacheus": (
+        "25a7d42181df24198ae6df47e0a6da0bff776749b4c545771389749f69cbcf05"
+    ),
+    "range-lecar": (
+        "0b72fb35d2151c470694e5c83b302d999edb1e6f0432271efa431c311b9f27c0"
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_LEARNED_POLICY_DIGESTS))
+def test_learned_policy_run_matches_recorded(strategy):
+    from repro.bench.harness import run_workload
+
+    tree = seed_database(
+        1_000, LSMOptions(memtable_entries=32, entries_per_sstable=64), seed=7
+    )
+    engine = build_engine(strategy, tree, 64 * 1024, seed=3)
+    run = run_workload(
+        engine, WorkloadGenerator(balanced_workload(1_000), seed=4), num_ops=3_000
+    )
+    cache = engine.range_cache
+    policy = cache._policy
+    # The run must exercise what it pins.
+    assert policy.weights != (0.5, 0.5)
+    if strategy == "range-cacheus":
+        assert policy.learning_rate != 0.45
+    payload = repr((
+        run.sst_reads,
+        run.hit_rate,
+        cache.stats.hits,
+        cache.stats.misses,
+        cache.stats.evictions,
+        cache.resident_keys(),
+        policy.weights,
+        policy._lr,
+    ))
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == GOLDEN_LEARNED_POLICY_DIGESTS[strategy]
+
+
 SERVE_KWARGS = dict(
     num_clients=8,
     num_shards=4,
@@ -343,11 +389,31 @@ GOLDEN_WRITE_FLOOD_FINGERPRINT = (
 GOLDEN_WRITE_FLOOD_OBS_EVENTS = 312
 
 
-def test_scripted_write_flood_fingerprint_matches_recorded():
-    result = _run_write_flood()
+@pytest.fixture(scope="module")
+def write_flood():
+    return _run_write_flood()
+
+
+def test_scripted_write_flood_fingerprint_matches_recorded(write_flood):
+    result = write_flood
     assert result.crashes == result.promotions == 1
     assert result.l2_probes > 0 and result.acked_writes_checked > 0
     assert result.fingerprint() == GOLDEN_WRITE_FLOOD_FINGERPRINT
     # The fingerprint does not cover what the run recorded for obs.
     events = sum(r.trace.next_seq for r in result.obs_recorders)
     assert events == GOLDEN_WRITE_FLOOD_OBS_EVENTS
+
+
+# sha256 of the fleet metrics.jsonl the write_flood run exports: every
+# obs histogram's buckets, total and max, plus the merged windows.
+# Recorded before the obs and serve histograms became one class.
+GOLDEN_WRITE_FLOOD_METRICS_SHA256 = (
+    "864d29b26c9ebd155b47d8fd30ff7cdfb8d7cca51480f4f6f4ebf2054febe1a1"
+)
+
+
+def test_write_flood_fleet_metrics_export_matches_recorded(write_flood, tmp_path):
+    paths = write_flood.export_obs(str(tmp_path))
+    with open(paths["fleet"], "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == GOLDEN_WRITE_FLOOD_METRICS_SHA256
