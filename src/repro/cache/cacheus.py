@@ -23,18 +23,15 @@ a restart value, which we omit.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
-from random import Random
-from typing import Dict, Generic, Hashable, Optional, Tuple, TypeVar
+from typing import Generic, Hashable, Optional, TypeVar
 
 from repro.cache.base import EvictionPolicy
-from repro.cache.lfu import check_freq_buckets
+from repro.cache.lecar import LeCaRPolicy
+from repro.cache.lfu import LFUPolicy
 from repro.errors import CacheError, InvariantError
 
 K = TypeVar("K", bound=Hashable)
-
-_SRLRU, _CRLFU = 0, 1
 
 
 class SRLRUPolicy(EvictionPolicy[K], Generic[K]):
@@ -101,38 +98,8 @@ class SRLRUPolicy(EvictionPolicy[K], Generic[K]):
         return key in self._r or key in self._s
 
 
-class CRLFUPolicy(EvictionPolicy[K], Generic[K]):
+class CRLFUPolicy(LFUPolicy[K]):
     """Churn-resistant LFU: min-frequency bucket, most-recent first out."""
-
-    def __init__(self) -> None:
-        self._freq: Dict[K, int] = {}
-        self._buckets: Dict[int, "OrderedDict[K, None]"] = {}
-        self._min_freq = 0
-
-    def _bucket(self, freq: int) -> "OrderedDict[K, None]":
-        bucket = self._buckets.get(freq)
-        if bucket is None:
-            bucket = OrderedDict()
-            self._buckets[freq] = bucket
-        return bucket
-
-    def record_insert(self, key: K) -> None:
-        self._freq[key] = 1
-        self._bucket(1)[key] = None
-        self._min_freq = 1
-
-    def record_access(self, key: K) -> None:
-        freq = self._freq.get(key)
-        if freq is None:
-            return
-        bucket = self._buckets[freq]
-        del bucket[key]
-        if not bucket:
-            del self._buckets[freq]
-            if self._min_freq == freq:
-                self._min_freq = freq + 1
-        self._freq[key] = freq + 1
-        self._bucket(freq + 1)[key] = None
 
     def select_victim(self) -> K:
         if not self._freq:
@@ -142,39 +109,8 @@ class CRLFUPolicy(EvictionPolicy[K], Generic[K]):
         # cold bucket so long-resident cold keys can ripen.
         return next(reversed(bucket))
 
-    def _drop(self, key: K) -> None:
-        freq = self._freq.pop(key, None)
-        if freq is None:
-            return
-        bucket = self._buckets.get(freq)
-        if bucket is not None:
-            bucket.pop(key, None)
-            if not bucket:
-                del self._buckets[freq]
-        if freq == self._min_freq and self._freq:
-            while self._min_freq not in self._buckets:
-                self._min_freq += 1
-        if not self._freq:
-            self._min_freq = 0
 
-    def record_evict(self, key: K) -> None:
-        self._drop(key)
-
-    def record_remove(self, key: K) -> None:
-        self._drop(key)
-
-    def check_invariants(self) -> None:
-        """Frequency-map/bucket cross-consistency (shared with LFU)."""
-        check_freq_buckets("CRLFUPolicy", self._freq, self._buckets, self._min_freq)
-
-    def __len__(self) -> int:
-        return len(self._freq)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._freq
-
-
-class CacheusPolicy(EvictionPolicy[K], Generic[K]):
+class CacheusPolicy(LeCaRPolicy[K]):
     """Adaptive mixture of SR-LRU and CR-LFU with hill-climbed rate.
 
     Parameters
@@ -196,99 +132,28 @@ class CacheusPolicy(EvictionPolicy[K], Generic[K]):
         discount_base: float = 0.005,
         seed: int = 0,
     ) -> None:
-        if history_size <= 0:
-            raise CacheError("history_size must be positive")
+        super().__init__(history_size, initial_learning_rate, discount_base, seed)
         self._srlru: SRLRUPolicy[K] = SRLRUPolicy()
-        self._crlfu: CRLFUPolicy[K] = CRLFUPolicy()
-        self._history_size = history_size
-        self._lr = initial_learning_rate
+        self._experts = (self._srlru, CRLFUPolicy())
         self._lr_direction = 1.0
-        self._discount = discount_base ** (1.0 / history_size)
-        self._rng = Random(seed)
-        self._weights = [0.5, 0.5]
-        self._time = 0
-        self._history: "OrderedDict[K, Tuple[int, int]]" = OrderedDict()
-        self._pending_expert: Optional[int] = None
         # learning-rate window accounting
         self._window_misses = 0
         self._prev_window_misses: Optional[int] = None
         self._ops_in_window = 0
 
-    @property
-    def weights(self) -> Tuple[float, float]:
-        """Current (w_srlru, w_crlfu)."""
-        return self._weights[0], self._weights[1]
-
-    @property
-    def learning_rate(self) -> float:
-        """Current adaptive learning rate."""
-        return self._lr
-
-    def record_insert(self, key: K) -> None:
-        self._time += 1
-        self._note_op(miss=True)
-        ghost = self._history.pop(key, None)
-        safe = ghost is not None
-        if ghost is not None:
-            expert, evicted_at = ghost
-            regret = self._discount ** (self._time - evicted_at)
-            self._weights[expert] *= math.exp(-self._lr * regret)
-            total = self._weights[0] + self._weights[1]
-            self._weights = [w / total for w in self._weights]
+    def _insert_experts(self, key: K, from_history: bool) -> None:
         # A key the cache has recently seen goes straight to the safe list.
-        self._srlru.record_insert(key, safe=safe)
-        self._crlfu.record_insert(key)
-
-    def record_access(self, key: K) -> None:
-        self._time += 1
-        self._note_op(miss=False)
-        self._srlru.record_access(key)
-        self._crlfu.record_access(key)
-
-    def select_victim(self) -> K:
-        expert = _SRLRU if self._rng.random() < self._weights[_SRLRU] else _CRLFU
-        self._pending_expert = expert
-        policy = self._srlru if expert == _SRLRU else self._crlfu
-        return policy.select_victim()
-
-    def record_evict(self, key: K) -> None:
-        expert = self._pending_expert if self._pending_expert is not None else _SRLRU
-        self._pending_expert = None
-        self._srlru.record_evict(key)
-        self._crlfu.record_evict(key)
-        self._history[key] = (expert, self._time)
-        while len(self._history) > self._history_size:
-            self._history.popitem(last=False)
-
-    def record_remove(self, key: K) -> None:
-        self._pending_expert = None
-        self._srlru.record_remove(key)
-        self._crlfu.record_remove(key)
+        self._srlru.record_insert(key, safe=from_history)
+        self._experts[1].record_insert(key)
 
     def check_invariants(self) -> None:
-        """Expert sync, normalized weights, bounded history and rate."""
-        if len(self._srlru) != len(self._crlfu):
-            raise InvariantError(
-                f"CacheusPolicy experts diverged: SR-LRU tracks "
-                f"{len(self._srlru)} keys, CR-LFU tracks {len(self._crlfu)}"
-            )
-        total = self._weights[0] + self._weights[1]
-        if not math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-9):
-            raise InvariantError(
-                f"CacheusPolicy weights not normalized: sum is {total!r}"
-            )
-        if len(self._history) > self._history_size:
-            raise InvariantError(
-                f"CacheusPolicy ghost history holds {len(self._history)} "
-                f"entries, capacity is {self._history_size}"
-            )
+        """LeCaR's checks plus the learning rate's hill-climbing clamp."""
         if not 0.001 <= self._lr <= 1.0:
             raise InvariantError(
                 f"CacheusPolicy learning rate {self._lr} left its "
                 f"hill-climbing clamp [0.001, 1.0]"
             )
-        self._srlru.check_invariants()
-        self._crlfu.check_invariants()
+        super().check_invariants()
 
     def _note_op(self, miss: bool) -> None:
         self._ops_in_window += 1
@@ -307,9 +172,3 @@ class CacheusPolicy(EvictionPolicy[K], Generic[K]):
         if self._window_misses > self._prev_window_misses:
             self._lr_direction = -self._lr_direction
         self._lr = min(1.0, max(0.001, self._lr * (1.0 + 0.1 * self._lr_direction)))
-
-    def __len__(self) -> int:
-        return len(self._srlru)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._srlru

@@ -12,6 +12,8 @@ evictions toward the expert that would not have made the mistake.
 Adapted to the container/policy interface: the regret update runs in
 :meth:`record_insert`, which the container invokes on every admitted
 miss (the baselines admit all misses, so this observes every miss).
+:class:`~repro.cache.cacheus.CacheusPolicy` is the same mixture with
+other experts and an adaptive learning rate, and subclasses this one.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from repro.cache.lru import LRUPolicy
 from repro.errors import CacheError, InvariantError
 
 K = TypeVar("K", bound=Hashable)
-
-_LRU, _LFU = 0, 1
 
 
 class LeCaRPolicy(EvictionPolicy[K], Generic[K]):
@@ -57,25 +57,40 @@ class LeCaRPolicy(EvictionPolicy[K], Generic[K]):
     ) -> None:
         if history_size <= 0:
             raise CacheError("history_size must be positive")
-        self._lru: LRUPolicy[K] = LRUPolicy()
-        self._lfu: LFUPolicy[K] = LFUPolicy()
+        self._experts: Tuple[EvictionPolicy[K], EvictionPolicy[K]] = (
+            LRUPolicy(),
+            LFUPolicy(),
+        )
         self._history_size = history_size
         self._lr = learning_rate
         self._discount = discount_base ** (1.0 / history_size)
         self._rng = Random(seed)
         self._weights = [0.5, 0.5]
         self._time = 0
-        # ghost: key -> (expert, eviction time)
+        # ghost: key -> (expert index, eviction time)
         self._history: "OrderedDict[K, Tuple[int, int]]" = OrderedDict()
         self._pending_expert: Optional[int] = None
 
     @property
     def weights(self) -> Tuple[float, float]:
-        """Current (w_lru, w_lfu)."""
+        """Current weights of the two experts, in expert order."""
         return self._weights[0], self._weights[1]
+
+    @property
+    def learning_rate(self) -> float:
+        """Current multiplicative penalty scale."""
+        return self._lr
+
+    def _note_op(self, miss: bool) -> None:
+        """Per-operation hook, run before any regret update (none here)."""
+
+    def _insert_experts(self, key: K, from_history: bool) -> None:
+        for expert in self._experts:
+            expert.record_insert(key)
 
     def record_insert(self, key: K) -> None:
         self._time += 1
+        self._note_op(miss=True)
         ghost = self._history.pop(key, None)
         if ghost is not None:
             expert, evicted_at = ghost
@@ -83,25 +98,24 @@ class LeCaRPolicy(EvictionPolicy[K], Generic[K]):
             self._weights[expert] *= math.exp(-self._lr * regret)
             total = self._weights[0] + self._weights[1]
             self._weights = [w / total for w in self._weights]
-        self._lru.record_insert(key)
-        self._lfu.record_insert(key)
+        self._insert_experts(key, ghost is not None)
 
     def record_access(self, key: K) -> None:
         self._time += 1
-        self._lru.record_access(key)
-        self._lfu.record_access(key)
+        self._note_op(miss=False)
+        for expert in self._experts:
+            expert.record_access(key)
 
     def select_victim(self) -> K:
-        expert = _LRU if self._rng.random() < self._weights[_LRU] else _LFU
+        expert = 0 if self._rng.random() < self._weights[0] else 1
         self._pending_expert = expert
-        policy = self._lru if expert == _LRU else self._lfu
-        return policy.select_victim()
+        return self._experts[expert].select_victim()
 
     def record_evict(self, key: K) -> None:
-        expert = self._pending_expert if self._pending_expert is not None else _LRU
+        expert = self._pending_expert if self._pending_expert is not None else 0
         self._pending_expert = None
-        self._lru.record_evict(key)
-        self._lfu.record_evict(key)
+        for policy in self._experts:
+            policy.record_evict(key)
         self._history[key] = (expert, self._time)
         while len(self._history) > self._history_size:
             self._history.popitem(last=False)
@@ -109,35 +123,33 @@ class LeCaRPolicy(EvictionPolicy[K], Generic[K]):
     def record_remove(self, key: K) -> None:
         # Invalidation is not an expert mistake: no ghost entry.
         self._pending_expert = None
-        self._lru.record_remove(key)
-        self._lfu.record_remove(key)
+        for expert in self._experts:
+            expert.record_remove(key)
 
     def check_invariants(self) -> None:
         """Expert sync, normalized weights, and bounded ghost history."""
-        if len(self._lru) != len(self._lfu):
+        name = type(self).__name__
+        first, second = self._experts
+        if len(first) != len(second):
             raise InvariantError(
-                f"LeCaRPolicy experts diverged: LRU tracks {len(self._lru)} "
-                f"keys, LFU tracks {len(self._lfu)}"
+                f"{name} experts diverged: {type(first).__name__} tracks "
+                f"{len(first)} keys, {type(second).__name__} tracks {len(second)}"
             )
         total = self._weights[0] + self._weights[1]
         if not math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-9):
-            raise InvariantError(
-                f"LeCaRPolicy weights not normalized: sum is {total!r}"
-            )
+            raise InvariantError(f"{name} weights not normalized: sum is {total!r}")
         if min(self._weights) < 0.0:
-            raise InvariantError(
-                f"LeCaRPolicy negative expert weight: {self._weights!r}"
-            )
+            raise InvariantError(f"{name} negative expert weight: {self._weights!r}")
         if len(self._history) > self._history_size:
             raise InvariantError(
-                f"LeCaRPolicy ghost history holds {len(self._history)} entries, "
+                f"{name} ghost history holds {len(self._history)} entries, "
                 f"capacity is {self._history_size}"
             )
-        self._lru.check_invariants()
-        self._lfu.check_invariants()
+        first.check_invariants()
+        second.check_invariants()
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._experts[0])
 
     def __contains__(self, key: K) -> bool:
-        return key in self._lru
+        return key in self._experts[0]

@@ -3,7 +3,7 @@
 Implemented with frequency buckets (the O(1) LFU construction): each
 frequency maps to an ordered dict of keys, and a running minimum tracks
 the lowest non-empty bucket.  Ties inside a bucket evict the least
-recently used key, which is also what Cacheus' CR-LFU variant refines.
+recently used key; Cacheus' CR-LFU subclass evicts the most recent one.
 """
 
 from __future__ import annotations
@@ -15,43 +15,6 @@ from repro.cache.base import EvictionPolicy
 from repro.errors import CacheError, InvariantError
 
 K = TypeVar("K", bound=Hashable)
-
-
-def check_freq_buckets(
-    name: str,
-    freq: Dict[K, int],
-    buckets: Dict[int, "OrderedDict[K, None]"],
-    min_freq: int,
-) -> None:
-    """Shared frequency/bucket cross-consistency check (LFU and CR-LFU).
-
-    Verifies that every tracked key sits in exactly the bucket its
-    frequency names, that no empty bucket lingers, and that ``min_freq``
-    points at the lowest non-empty bucket.
-    """
-    total = 0
-    for f, bucket in buckets.items():
-        if not bucket:
-            raise InvariantError(f"{name}: empty bucket {f} was not pruned")
-        total += len(bucket)
-        for key in bucket:
-            if freq.get(key) != f:
-                raise InvariantError(
-                    f"{name}: key {key!r} sits in bucket {f} but its "
-                    f"frequency is {freq.get(key)}"
-                )
-    if total != len(freq):
-        raise InvariantError(
-            f"{name}: buckets hold {total} keys but {len(freq)} are tracked"
-        )
-    if freq:
-        lowest = min(buckets)
-        if min_freq != lowest:
-            raise InvariantError(
-                f"{name}: min_freq {min_freq} != lowest non-empty bucket {lowest}"
-            )
-    elif min_freq != 0:
-        raise InvariantError(f"{name}: empty policy but min_freq is {min_freq}")
 
 
 class LFUPolicy(EvictionPolicy[K], Generic[K]):
@@ -119,8 +82,40 @@ class LFUPolicy(EvictionPolicy[K], Generic[K]):
         self._drop(key)
 
     def check_invariants(self) -> None:
-        """Frequency-map/bucket cross-consistency."""
-        check_freq_buckets("LFUPolicy", self._freq, self._buckets, self._min_freq)
+        """Frequency-map/bucket cross-consistency.
+
+        Every tracked key sits in exactly the bucket its frequency
+        names, no empty bucket lingers, and ``min_freq`` points at the
+        lowest non-empty bucket.
+        """
+        name = type(self).__name__
+        freq = self._freq
+        total = 0
+        for f, bucket in self._buckets.items():
+            if not bucket:
+                raise InvariantError(f"{name}: empty bucket {f} was not pruned")
+            total += len(bucket)
+            for key in bucket:
+                if freq.get(key) != f:
+                    raise InvariantError(
+                        f"{name}: key {key!r} sits in bucket {f} but its "
+                        f"frequency is {freq.get(key)}"
+                    )
+        if total != len(freq):
+            raise InvariantError(
+                f"{name}: buckets hold {total} keys but {len(freq)} are tracked"
+            )
+        if freq:
+            lowest = min(self._buckets)
+            if self._min_freq != lowest:
+                raise InvariantError(
+                    f"{name}: min_freq {self._min_freq} != lowest non-empty "
+                    f"bucket {lowest}"
+                )
+        elif self._min_freq != 0:
+            raise InvariantError(
+                f"{name}: empty policy but min_freq is {self._min_freq}"
+            )
 
     def __len__(self) -> int:
         return len(self._freq)

@@ -170,58 +170,6 @@ class CountMinSketch:
             new_min //= 2
         return new_min
 
-    def estimate_batch(self, keys: Sequence[str]) -> List[int]:  # hot-path
-        """Frequency estimates for a whole batch of keys.
-
-        Hashing is vectorized (:meth:`columns_batch`); the min-reduce
-        stays a plain-int loop because each key touches exactly
-        ``depth`` scalars.  Element i equals ``estimate(keys[i])``.
-        """
-        cols_list = self.columns_batch(keys)
-        rows_tab = self._rows_tab
-        out: List[int] = []
-        for cols in cols_list:
-            estimate = None
-            for row, col in zip(rows_tab, cols):
-                count = row[col]
-                if estimate is None or count < estimate:
-                    estimate = count
-            out.append(estimate or 0)
-        return out
-
-    def update_batch(self, keys: Sequence[str]) -> List[int]:  # hot-path
-        """Count one occurrence of every key; returns the new estimates.
-
-        Hashing is vectorized across the batch; the counter updates
-        replay strictly in arrival order because conservative update
-        and saturation halving are order-dependent when a batch
-        repeats a key (the second occurrence must see the first's
-        counters, and a mid-batch decay must halve everything before
-        later keys are counted).  The returned list — and every
-        counter, ``total``, and ``decays_total`` — is bit-identical to
-        ``[increment(k) for k in keys]``.
-        """
-        cols_list = self.columns_batch(keys)
-        rows_tab = self._rows_tab
-        saturation = self.saturation
-        out: List[int] = []
-        for cols in cols_list:
-            current = None
-            for row, col in zip(rows_tab, cols):
-                count = row[col]
-                if current is None or count < current:
-                    current = count
-            new_min = (current or 0) + 1
-            for row, col in zip(rows_tab, cols):
-                if row[col] < new_min:
-                    row[col] = new_min
-            self.total += 1
-            if new_min >= saturation:
-                self._decay()
-                new_min //= 2
-            out.append(new_min)
-        return out
-
     def normalized(self, key: str) -> float:
         """``estimate(key) / total`` in [0, 1]; 0 when nothing counted.
 

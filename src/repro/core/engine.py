@@ -748,11 +748,6 @@ class KVEngine:
             evicted += cache.resize(share)
         return evicted
 
-    @property
-    def last_window(self) -> Optional[WindowStats]:
-        """The most recently sealed control window, if any."""
-        return self.windows[-1] if self.windows else None
-
     # -- introspection ---------------------------------------------------------------
 
     @property

@@ -36,15 +36,6 @@ class CorruptionError(StorageError):
     """
 
 
-class TornWriteError(StorageError):
-    """A WAL record failed its checksum during recovery replay.
-
-    Replay treats the first torn record as the end of the durable log
-    (torn-tail semantics); this error surfaces only when a caller asks
-    for strict replay.
-    """
-
-
 class CacheError(ReproError):
     """A cache component was misused (bad budget, unknown key class...)."""
 

@@ -241,8 +241,8 @@ def check_hot_path_numpy_indexing(
 
 #: Scalar hot-path probes with vectorised batch counterparts (PERF002).
 _BATCHABLE_PROBES = {
-    "estimate": "estimate_batch",
-    "may_contain": "may_contain_batch",
+    "estimate": "CountMinSketch.columns_batch",
+    "may_contain": "fnv1a_batch_multi + may_contain_hashed",
     "fetch_block": "a per-batch fetch memo (see LSMTree.multi_get_from_sstables)",
 }
 
@@ -258,8 +258,9 @@ def check_hot_path_scalar_probe_loops(
     """No per-element probe loops where a batched variant exists.
 
     ``estimate``, ``may_contain`` and ``fetch_block`` all have batched
-    counterparts on the hot path (``estimate_batch``,
-    ``may_contain_batch``, and the batched executors' per-batch fetch
+    counterparts on the hot path (``CountMinSketch.columns_batch``,
+    bloom digests from one ``fnv1a_batch_multi`` pass tested with
+    ``may_contain_hashed``, and the batched executors' per-batch fetch
     memo) that hash, probe or fetch for a whole batch in one vectorised
     call.  Calling the scalar form from a loop inside a ``# hot-path``
     function re-pays the per-call digest/lookup cost once per element —

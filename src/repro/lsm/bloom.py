@@ -45,61 +45,6 @@ def fnv1a(data: bytes, salt: int = 0) -> int:
     return _fnv1a(data, salt)
 
 
-def fnv1a_batch(datas: Sequence[bytes], salt: int) -> "np.ndarray":
-    """Salted 64-bit FNV-1a of every byte string in ``datas`` at once.
-
-    The scalar hash folds one byte at a time; here the fold loop runs
-    over byte *positions* (bounded by the longest input) with numpy
-    doing the xor/multiply across the whole batch per position, so the
-    Python-level work is O(max_len) instead of O(total bytes).  uint64
-    arithmetic wraps modulo 2**64, which is exactly the scalar
-    ``& _MASK64`` — every element is bit-identical to :func:`fnv1a`.
-
-    Returns a uint64 ndarray; callers doing per-element work should
-    ``.tolist()`` it first (PERF001: numpy scalar indexing is slow).
-    """
-    n = len(datas)
-    basis = np.uint64((_FNV_OFFSET ^ salt) & _MASK64)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    lengths = [len(d) for d in datas]
-    max_len = max(lengths)
-    h = np.full(n, basis, dtype=np.uint64)
-    if max_len == 0:
-        return h
-    min_len = min(lengths)
-    if min_len == max_len:
-        # Uniform-length fast path (the common key shape): one buffer
-        # build, no per-position masking.
-        buf = (
-            np.frombuffer(b"".join(datas), dtype=np.uint8)
-            .reshape(n, max_len)
-            .astype(np.uint64)
-        )
-        mask = None
-        lens = None
-    else:
-        buf = np.zeros((n, max_len), dtype=np.uint64)
-        for i, data in enumerate(datas):
-            if data:
-                buf[i, : len(data)] = np.frombuffer(data, dtype=np.uint8)
-        lens = np.asarray(lengths, dtype=np.int64)
-        mask = True
-    prime = np.uint64(_FNV_PRIME)
-    for pos in range(max_len):
-        if mask is None or pos < min_len:
-            h = (h ^ buf[:, pos]) * prime
-        else:
-            assert lens is not None
-            h = np.where(lens > pos, (h ^ buf[:, pos]) * prime, h)
-    return h
-
-
-def fnv1a_batch_ints(datas: Sequence[bytes], salt: int) -> List[int]:
-    """:func:`fnv1a_batch` as plain Python ints (one per input)."""
-    return [int(v) for v in fnv1a_batch(datas, salt).tolist()]
-
-
 def fnv1a_batch_multi(
     datas: Sequence[bytes], salts: Sequence[int]
 ) -> "np.ndarray":  # hot-path
@@ -109,9 +54,8 @@ def fnv1a_batch_multi(
     ``out[j][i] == fnv1a(datas[i], salts[j])`` exactly.  Because the
     salt only perturbs the hash basis, one fold loop over byte
     positions serves every salt simultaneously — the numpy xor/multiply
-    broadcasts over the whole salts x inputs matrix, amortizing the
-    per-call overhead that made one :func:`fnv1a_batch` call per salt
-    (or per bloom filter) a poor trade at small batch sizes.
+    broadcasts over the whole salts x inputs matrix, amortizing numpy's
+    per-call overhead across every salt (or bloom filter) at once.
     """
     m, n = len(salts), len(datas)
     if m == 0 or n == 0:
@@ -225,15 +169,6 @@ class BloomFilter:
             bits[p >> 3] |= 1 << (p & 7)
         return bloom
 
-    def _positions(self, key: str) -> Iterable[int]:
-        """Probe positions for ``key`` (kept for tests/diagnostics; the
-        hot paths inline the identical double-hash loop)."""
-        data = key.encode("utf-8")
-        h1 = _fnv1a(data, self._seed)
-        h2 = _fnv1a(data, self._seed ^ 0x9E3779B97F4A7C15) | 1
-        for i in range(self._num_hashes):
-            yield ((h1 + i * h2) & _MASK64) % self._num_bits
-
     def add(self, key: str) -> None:  # hot-path
         """Insert ``key`` into the filter."""
         num_bits = self._num_bits
@@ -290,51 +225,10 @@ class BloomFilter:
             pos = h1 % num_bits
         return True
 
-    def may_contain_batch(self, keys: Sequence[str]) -> List[bool]:  # hot-path
-        """Per-key :meth:`may_contain` for a whole batch at once.
-
-        Both base digests are computed for the batch in one vectorized
-        pass each (:func:`fnv1a_batch`), and the k double-hash probe
-        positions come from k numpy ops over the batch instead of k
-        Python-loop steps per key.  The bit tests stay plain-Python
-        over the ``bytearray`` — per-element numpy access would cost
-        more than it saves (PERF001).  Element i equals
-        ``may_contain(keys[i])`` exactly.
-        """
-        num_bits = self._num_bits
-        n = len(keys)
-        if not num_bits:
-            return [True] * n
-        if n == 0:
-            return []
-        if n <= _SCALAR_BATCH_MAX:
-            # Below the numpy crossover the scalar probe loop wins.
-            may_contain = self.may_contain
-            return [may_contain(key) for key in keys]
-        datas = [key.encode("utf-8") for key in keys]
-        seed = self._seed
-        digests = fnv1a_batch_multi(datas, [seed, seed ^ GOLDEN_GAMMA])
-        h1 = digests[0]
-        h2 = digests[1] | np.uint64(1)
-        nb = np.uint64(num_bits)
-        num_hashes = self._num_hashes
-        pos = np.empty((num_hashes, n), dtype=np.uint64)
-        for i in range(num_hashes):
-            # A whole-row store per *hash* (k rounds), vectorised over the
-            # batch — not a per-element access.
-            pos[i] = h1 % nb  # lint: disable=PERF001
-            h1 = h1 + h2  # uint64 wrap == the scalar path's & _MASK64
-        per_key = pos.T.tolist()  # plain ints before the per-key loop
-        bits = self._bits
-        out = []
-        for positions in per_key:
-            hit = True
-            for p in positions:
-                if not bits[p >> 3] & (1 << (p & 7)):
-                    hit = False
-                    break
-            out.append(hit)
-        return out
+    def may_contain_batch(self, keys: Sequence[str]) -> List[bool]:
+        """Per-key :meth:`may_contain` (batched callers hash through
+        :func:`fnv1a_batch_multi` and :meth:`may_contain_hashed`)."""
+        return [self.may_contain(key) for key in keys]
 
     def __contains__(self, key: str) -> bool:
         return self.may_contain(key)

@@ -17,7 +17,7 @@ data-block access is metered.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import StorageError
 from repro.lsm.block import BlockHandle, DataBlock, Entry
@@ -90,10 +90,6 @@ class SSTable:
         """Number of data blocks."""
         return len(self._blocks)
 
-    def key_in_range(self, key: str) -> bool:  # hot-path
-        """Whether ``key`` falls within [first_key, last_key]."""
-        return self.first_key <= key <= self.last_key
-
     def overlaps(self, start: str, end: Optional[str]) -> bool:
         """Whether the file's key span intersects ``[start, end)``.
 
@@ -106,12 +102,6 @@ class SSTable:
     def may_contain(self, key: str) -> bool:
         """Bloom-filter probe; False means definitely absent."""
         return key in self.bloom
-
-    def may_contain_batch(self, keys: Sequence[str]) -> List[bool]:
-        """Vectorized bloom probe for a whole key batch; element i
-        equals ``may_contain(keys[i])`` exactly (see
-        :meth:`~repro.lsm.bloom.BloomFilter.may_contain_batch`)."""
-        return self.bloom.may_contain_batch(keys)
 
     def find_block_no(self, key: str) -> Optional[int]:  # hot-path
         """Index lookup: the block that may contain ``key``, or None.

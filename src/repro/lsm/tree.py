@@ -40,7 +40,6 @@ from repro.lsm.iterator import (
     MergeItem,
     level_source,
     memtable_source,
-    merge_scan,
     sstable_source,
 )
 from repro.lsm.memtable import MemTable
@@ -339,8 +338,8 @@ class LSMTree:
         Two amortizations over the scalar loop:
 
         * **table-major probing** — each table's bloom filter is
-          consulted for its whole still-unresolved sub-batch in one
-          vectorized pass (:meth:`SSTable.may_contain_batch`) instead
+          consulted for its whole still-unresolved sub-batch, from
+          digests hashed in one vectorized pass (see below) instead
           of one Python hash loop per key;
         * **duplicate-block coalescing** — a per-batch block memo means
           N keys served by one data block cost a single
@@ -544,22 +543,13 @@ class LSMTree:
                         break
         return out
 
-    def scan_iter(self, start: str) -> Iterable[Tuple[str, str]]:
-        """Lazily merge all sorted runs from ``start`` (tombstones resolved).
-
-        Initialising the merge performs the seek: one block read per
-        overlapping run, as in the paper's I/O model.
-        """
-        return merge_scan(self._scan_sources(start))
-
     def _scan_sources(
         self, start: str, fetch: Optional[BlockFetch] = None
     ) -> List[Iterator[MergeItem]]:  # hot-path
         """One merge source per sorted run overlapping ``start``.
 
-        Building the sources is free of I/O — every generator is
-        unstarted — so counting the scan here keeps ``scans_total``
-        identical for both :meth:`scan` and :meth:`scan_iter` callers.
+        Building the sources is free of I/O: every generator is
+        unstarted until the merge pulls from it.
         """
         self._check_open()
         self.scans_total += 1

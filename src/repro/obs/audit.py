@@ -26,7 +26,7 @@ log replays in milliseconds without a tree or workload.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ObsError
@@ -243,17 +243,3 @@ def verify_replay(
     if len(replayed) != len(records):  # pragma: no cover - lengths always match
         problems.append(f"replayed {len(replayed)} decisions, log has {len(records)}")
     return problems
-
-
-def audit_header_from_controller(
-    controller: "Any", agent_init: Optional[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Build the header dict for a live controller (engine attach hook)."""
-    return {
-        "type": "header",
-        "version": 1,
-        "config": asdict(controller.config),
-        "agent_init": agent_init,
-        "entries_per_block": controller.entries_per_block,
-        "level0_max_runs": controller.level0_max_runs,
-    }

@@ -25,12 +25,17 @@ from repro.obs import names as N
 
 
 class Histogram:
-    """Log-bucketed value accumulator (geometry: powers of ``growth``).
+    """Deterministic log-bucketed value accumulator (stdlib only).
 
-    Same shape as :class:`repro.bench.report.LatencyHistogram` but kept
-    value-agnostic (entries, stall microseconds, block counts...) and
-    with a coarser default growth, since obs histograms trade precision
-    for a compact JSONL export.
+    Samples fold into geometric buckets (``growth`` ratio between
+    consecutive upper bounds), so quantile queries cost O(buckets) and
+    memory is bounded regardless of sample count.  A reported quantile
+    is the *upper bound* of the bucket holding that rank: a
+    deterministic over-estimate within ``growth`` of the exact value,
+    the HdrHistogram-style trade-off.  Values are unit-agnostic (serve
+    latencies in microseconds, entries, stall time, block counts).  The
+    default growth of 2 keeps the obs JSONL export compact; the serving
+    simulator's latency histograms use a finer one.
     """
 
     __slots__ = ("_growth", "_min_value", "_log_growth", "_buckets", "count", "total", "max_value")
@@ -92,9 +97,39 @@ class Histogram:
         return self.upper_bound(max(self._buckets))  # pragma: no cover - defensive
 
     @property
+    def p50(self) -> float:
+        """Median bound."""
+        return self.quantile(0.50)
+
+    @property
+    def p95(self) -> float:
+        """95th-percentile bound."""
+        return self.quantile(0.95)
+
+    @property
+    def p99(self) -> float:
+        """99th-percentile bound."""
+        return self.quantile(0.99)
+
+    @property
     def mean(self) -> float:
         """Exact mean of recorded samples (0 if empty)."""
         return self.total / self.count if self.count else 0.0
+
+    def fingerprint(self) -> Tuple[Tuple[int, int], ...]:
+        """Canonical bucket contents, for byte-identity assertions."""
+        return tuple(sorted(self._buckets.items()))
+
+    def summary_row(self) -> List[str]:
+        """``[count, mean, p50, p95, p99, max]`` formatted for tables."""
+        return [
+            f"{self.count:,}",
+            f"{self.mean:,.1f}",
+            f"{self.p50:,.1f}",
+            f"{self.p95:,.1f}",
+            f"{self.p99:,.1f}",
+            f"{self.max_value:,.1f}",
+        ]
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form: geometry, totals, and sparse bucket counts."""
@@ -170,11 +205,6 @@ class MetricsRegistry:
         """Lifetime total of counter ``name`` (0 if never incremented)."""
         self._check_kind(name, N.COUNTER)
         return self._counters.get(name, 0)
-
-    def gauge_value(self, name: str) -> float:
-        """Current value of gauge ``name`` (0.0 if never set)."""
-        self._check_kind(name, N.GAUGE)
-        return self._gauges.get(name, 0.0)
 
     def histogram(self, name: str) -> Histogram:
         """The histogram for ``name`` (empty one if never observed)."""

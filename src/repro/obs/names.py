@@ -263,7 +263,6 @@ EV_WINDOW = "window"
 EV_FLUSH = "flush"
 EV_COMPACTION = "compaction"
 EV_WRITE_STALL = "write_stall"
-EV_CACHE_ADMIT = "cache_admit"
 EV_CACHE_REJECT = "cache_reject"
 EV_CACHE_EVICT = "cache_evict"
 EV_BOUNDARY_MOVE = "boundary_move"
@@ -278,7 +277,6 @@ EV_CRASH_RECOVER = "crash_recover"
 EV_DEGRADED_ENTER = "degraded_enter"
 EV_DEGRADED_EXIT = "degraded_exit"
 EV_DECISION = "decision"
-EV_REBALANCE = "rebalance"
 EV_SHARD_CRASH = "shard_crash"
 EV_SHARD_PROMOTE = "shard_promote"
 EV_BREAKER = "breaker"
@@ -293,7 +291,6 @@ EVENT_KINDS: Tuple[str, ...] = (
     EV_FLUSH,
     EV_COMPACTION,
     EV_WRITE_STALL,
-    EV_CACHE_ADMIT,
     EV_CACHE_REJECT,
     EV_CACHE_EVICT,
     EV_BOUNDARY_MOVE,
@@ -308,7 +305,6 @@ EVENT_KINDS: Tuple[str, ...] = (
     EV_DEGRADED_ENTER,
     EV_DEGRADED_EXIT,
     EV_DECISION,
-    EV_REBALANCE,
     EV_SHARD_CRASH,
     EV_SHARD_PROMOTE,
     EV_BREAKER,

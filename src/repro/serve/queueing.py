@@ -165,15 +165,6 @@ class RequestQueue(ServeComponent):
             self.peak_depth = len(self._items)
         self._after_mutation()
 
-    def pop(self) -> SubRequest:
-        """Dequeue the oldest waiting sub-request for service."""
-        if not self._items:
-            raise CacheError(f"shard {self.shard_id} queue underflow: pop when empty")
-        sub = self._items.popleft()
-        self.served += 1
-        self._after_mutation()
-        return sub
-
     def pop_live(
         self, now_us: float
     ) -> Tuple[Optional[SubRequest], List[SubRequest]]:

@@ -24,12 +24,16 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.bench.report import LatencyHistogram
 from repro.errors import ConfigError
-from repro.workloads.generator import Operation, WorkloadGenerator
+from repro.obs.metrics import Histogram
+from repro.workloads.generator import Operation
 
 #: Client behaviour modes.
 MODES = ("open", "closed")
+
+#: Bucket ratio of every serve latency histogram: finer than the obs
+#: default, so a reported percentile overstates the exact one by < 15 %.
+LATENCY_GROWTH = 1.15
 
 
 @dataclass
@@ -77,16 +81,16 @@ class ClientSession:
     )
 
     def __init__(
-        self, config: TenantConfig, generator: WorkloadGenerator, seed: int = 0
+        self, config: TenantConfig, ops: Iterator[Operation], seed: int = 0
     ) -> None:
         self.config = config
         self.name = config.name
-        self._ops: Iterator[Operation] = generator.ops(config.ops)
+        self._ops = ops
         self._rng = Random(seed)
         self.issued = 0
         self.completed = 0
         self.rejected = 0
-        self.latency = LatencyHistogram()
+        self.latency = Histogram(growth=LATENCY_GROWTH)
 
     @property
     def mode(self) -> str:
@@ -167,16 +171,8 @@ class ScriptedSession(ClientSession):
             raise ConfigError(
                 f"tenant {config.name!r}: scripted sessions are open-loop only"
             )
-        # Deliberately no super().__init__: the parent couples its op
-        # stream to one generator; a scripted session owns one per slot.
-        self.config = config
-        self.name = config.name
-        self._ops = iter(())  # parent protocol; poll() drives issuance
-        self._rng = Random(seed)
-        self.issued = 0
-        self.completed = 0
-        self.rejected = 0
-        self.latency = LatencyHistogram()
+        # No parent stream: poll() draws from one stream per slot.
+        super().__init__(config, iter(()), seed)
         self.slots: List[PhaseSlot] = list(slots)
         self._slot_idx = 0
         if not self.slots:

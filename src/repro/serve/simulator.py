@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import sanitize
-from repro.bench.report import LatencyHistogram, format_table, latency_table
+from repro.bench.report import format_table, latency_table
 from repro.bench.simclock import CostModel, SimClock
 from repro.bench.strategies import build_engine
 from repro.core.engine import KVEngine
@@ -49,6 +49,7 @@ from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.obs import names as N
 from repro.obs.metrics import (
+    Histogram,
     WindowSnapshot,
     export_fleet_metrics,
     merge_window_snapshots,
@@ -71,6 +72,7 @@ from repro.serve.resilience import (
 )
 from repro.serve.router import ShardRouter
 from repro.serve.session import (
+    LATENCY_GROWTH,
     ClientSession,
     PhaseSlot,
     ScriptedSession,
@@ -213,7 +215,7 @@ class TenantResult:
     issued: int
     completed: int
     rejected: int
-    latency: LatencyHistogram
+    latency: Histogram
 
 
 @dataclass
@@ -245,8 +247,8 @@ class ServeResult:
     completed: int
     rejected: int
     throughput_qps: float
-    latency: LatencyHistogram
-    queue_wait: LatencyHistogram
+    latency: Histogram
+    queue_wait: Histogram
     tenants: List[TenantResult]
     shards: List[ShardResult]
     fleet_window: WindowStats
@@ -542,41 +544,50 @@ class _Shard:
         self.wal_replayed = 0
 
 
-def _build_shards(config: ServeConfig, router: ShardRouter) -> List[_Shard]:
-    per_shard_ids = router.shard_ids()
-    # Shard L1s split the pool left after the shared tier's carve-out
-    # (the whole budget when tiering is off).
-    pool = config.l1_pool_bytes
-    base = pool // config.num_shards
-    res = config.resilience
-    # Key-space-growth schedules preload only a prefix of the keyspace;
-    # the rest comes into existence through the scenario's writes.  The
-    # router still owns the full range (keys_owned is unchanged).
+def _shard_engine(
+    config: ServeConfig, shard_id: int, ids: List[int], budget: int, seed: int
+) -> KVEngine:
+    """One shard engine over a freshly bulk-loaded tree.
+
+    Primary and replica share the durable base (the bulk-load seed
+    depends only on the shard) and differ only in the engine ``seed``.
+    Key-space-growth schedules preload only a prefix of the keyspace;
+    the rest comes into existence through the scenario's writes.
+    """
     preload = config.num_keys
     if config.schedule is not None:
         preload = config.schedule.preload_keys
+    tree = LSMTree(
+        LSMOptions(
+            memtable_entries=config.memtable_entries,
+            entries_per_sstable=config.entries_per_sstable,
+        )
+    )
+    tree.bulk_load(
+        ((key_of(i), value_of(i)) for i in ids if i < preload),
+        seed=7 + shard_id,
+    )
+    engine = build_engine(config.strategy, tree, budget, seed=seed)
+    engine.window_size = config.window_size
+    return engine
+
+
+def _build_shards(config: ServeConfig, router: ShardRouter) -> List[_Shard]:
+    per_shard_ids = router.shard_ids()
+    # Shard L1s split the pool left after the shared tier's carve-out
+    # (the whole budget when tiering is off).  The router owns the full
+    # key range even when the schedule preloads only a prefix.
+    pool = config.l1_pool_bytes
+    base = pool // config.num_shards
+    res = config.resilience
     shards: List[_Shard] = []
     for shard_id, ids in enumerate(per_shard_ids):
-        tree = LSMTree(
-            LSMOptions(
-                memtable_entries=config.memtable_entries,
-                entries_per_sstable=config.entries_per_sstable,
-            )
-        )
-        tree.bulk_load(
-            ((key_of(i), value_of(i)) for i in ids if i < preload),
-            seed=7 + shard_id,
-        )
         share = base
         if shard_id == 0:
             share = pool - base * (config.num_shards - 1)
-        engine = build_engine(
-            config.strategy,
-            tree,
-            share,
-            seed=config.seed + 101 * (shard_id + 1),
+        engine = _shard_engine(
+            config, shard_id, ids, share, config.seed + 101 * (shard_id + 1)
         )
-        engine.window_size = config.window_size
         queue = RequestQueue(shard_id, config.queue_depth)
         queue.sanitize_from_env(seed=config.seed + 31 + shard_id)
         shard = _Shard(
@@ -587,27 +598,12 @@ def _build_shards(config: ServeConfig, router: ShardRouter) -> List[_Shard]:
             len(ids),
         )
         if res is not None and res.replicas:
-            # Passive replica: same durable base (identical bulk-load
-            # seed), its own engine seed stream.  The primary ships
-            # every write into the replica's framed WAL; promotion
-            # replays it through the normal crash-recovery path.
-            replica_tree = LSMTree(
-                LSMOptions(
-                    memtable_entries=config.memtable_entries,
-                    entries_per_sstable=config.entries_per_sstable,
-                )
+            # Passive replica with its own engine seed stream.  The
+            # primary ships every write into the replica's framed WAL;
+            # promotion replays it through the normal crash-recovery path.
+            replica = _shard_engine(
+                config, shard_id, ids, share, config.seed + 7919 * (shard_id + 1)
             )
-            replica_tree.bulk_load(
-                ((key_of(i), value_of(i)) for i in ids if i < preload),
-                seed=7 + shard_id,
-            )
-            replica = build_engine(
-                config.strategy,
-                replica_tree,
-                share,
-                seed=config.seed + 7919 * (shard_id + 1),
-            )
-            replica.window_size = config.window_size
             shard.replica_engine = replica
             shard.replica_clock = SimClock(replica, config.cost_model)
         if res is not None:
@@ -634,7 +630,9 @@ def _build_sessions(config: ServeConfig) -> List[ClientSession]:
             config.spec, seed=config.seed + 1000 * (i + 1)
         )
         sessions.append(
-            ClientSession(tenant, generator, seed=config.seed + 500 + i)
+            ClientSession(
+                tenant, generator.ops(tenant.ops), seed=config.seed + 500 + i
+            )
         )
     return sessions
 
@@ -695,7 +693,6 @@ class _Simulation:
         self.config = config
         self.spec = config.spec
         self.res = config.resilience
-        self.active = config.resilience_active
         self.router = ShardRouter(
             config.num_shards, self.spec.num_keys, config.partition
         )
@@ -748,8 +745,8 @@ class _Simulation:
                 s.name for s in self.sessions[: self.res.owner_tenants]
             }
         self._queue_capacity_total = config.num_shards * config.queue_depth
-        self.latency = LatencyHistogram()
-        self.queue_wait = LatencyHistogram()
+        self.latency = Histogram(growth=LATENCY_GROWTH)
+        self.queue_wait = Histogram(growth=LATENCY_GROWTH)
         self.completed_total = 0
         self.rejected_total = 0
         self.crashes = 0
@@ -982,8 +979,7 @@ class _Simulation:
             if full:
                 for q in full:
                     q.note_rejected()
-                if self.active:
-                    self._shed("queue_full")
+                self._shed("queue_full")
                 self._reject(session, "shed", seq)
                 continue
             for shard_id, sub_op in plan:
@@ -1076,16 +1072,13 @@ class _Simulation:
             return
         subs: List[SubRequest] = []
         while len(subs) < self.config.batch_size and len(shard.queue):
-            if self.active:
-                sub, expired = shard.queue.pop_live(self.loop.now)
-                for dead in expired:
-                    self._record(shard_id, N.SERVE_SHED_DEADLINE)
-                    self.emit("expire", dead.request.seq, shard_id)
-                    self._sub_dropped(dead, "deadline")
-                if sub is None:
-                    break
-            else:
-                sub = shard.queue.pop()
+            sub, expired = shard.queue.pop_live(self.loop.now)
+            for dead in expired:
+                self._record(shard_id, N.SERVE_SHED_DEADLINE)
+                self.emit("expire", dead.request.seq, shard_id)
+                self._sub_dropped(dead, "deadline")
+            if sub is None:
+                break
             # complete() judges a whole slot by its first sub's epoch.
             assert sub.epoch == shard.epoch, "queued sub outlived its shard"
             subs.append(sub)
@@ -1094,7 +1087,7 @@ class _Simulation:
         shard.busy = True
         for sub in subs:
             sub.start_us = self.loop.now
-            self.queue_wait.record(sub.start_us - sub.enqueue_us)
+            self.queue_wait.observe(sub.start_us - sub.enqueue_us)
         if self.obs_recorders:
             # Serving-layer time is richer than engine-work time (it
             # includes queueing), so recordings carry event-loop stamps.
@@ -1191,8 +1184,8 @@ class _Simulation:
         """Common completion accounting (normal, partial, or hedge win)."""
         session = self._session_of(request.tenant)
         latency_us = self.loop.now - request.arrival_us
-        self.latency.record(latency_us)
-        session.latency.record(latency_us)
+        self.latency.observe(latency_us)
+        session.latency.observe(latency_us)
         session.completed += 1
         self.completed_total += 1
         self.emit("done", request.seq, request.tenant)

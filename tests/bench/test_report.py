@@ -6,16 +6,16 @@ from repro.bench.harness import RunResult
 import pytest
 
 from repro.bench.report import (
-    LatencyHistogram,
     format_series,
     format_table,
     latency_table,
-    merged_histogram,
     percentile,
     rank,
     ranking_table,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ObsError
+from repro.obs.metrics import Histogram
+from repro.serve.session import LATENCY_GROWTH
 
 
 def result(name, hit, qps):
@@ -94,9 +94,9 @@ class TestPercentile:
 
 class TestLatencyHistogram:
     def test_quantile_is_bucket_upper_bound(self):
-        h = LatencyHistogram(growth=2.0, min_us=1.0)
+        h = Histogram(growth=2.0, min_value=1.0)
         for us in (1.0, 3.0, 100.0):
-            h.record(us)
+            h.observe(us)
         # 3.0 falls in the bucket bounded above by 4.0; the reported
         # median is that bound — a deterministic over-estimate.
         assert h.quantile(0.5) == 4.0
@@ -104,70 +104,58 @@ class TestLatencyHistogram:
         assert h.quantile(0.0) == 1.0
         assert h.quantile(1.0) == 128.0
         assert h.count == 3
-        assert h.max_us == 100.0
-        assert h.mean_us == pytest.approx(104.0 / 3)
+        assert h.max_value == 100.0
+        assert h.mean == pytest.approx(104.0 / 3)
 
     def test_empty_histogram(self):
-        h = LatencyHistogram()
+        h = Histogram(growth=LATENCY_GROWTH)
         assert h.count == 0
         assert h.p50 == 0.0 and h.p99 == 0.0
-        assert h.mean_us == 0.0
+        assert h.mean == 0.0
         assert h.fingerprint() == ()
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            LatencyHistogram(growth=1.0)
-        with pytest.raises(ConfigError):
-            LatencyHistogram(min_us=0.0)
-        h = LatencyHistogram()
-        with pytest.raises(ConfigError):
-            h.record(-1.0)
-        with pytest.raises(ConfigError):
-            h.record(float("inf"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ObsError):
+            Histogram(growth=1.0)
+        with pytest.raises(ObsError):
+            Histogram(min_value=0.0)
+        h = Histogram(growth=LATENCY_GROWTH)
+        with pytest.raises(ObsError):
+            h.observe(-1.0)
+        with pytest.raises(ObsError):
+            h.observe(float("inf"))
+        with pytest.raises(ObsError):
             h.quantile(2.0)
 
     def test_merge_equals_single_stream(self):
-        a, b, both = (LatencyHistogram() for _ in range(3))
+        a, b, both = (Histogram(growth=LATENCY_GROWTH) for _ in range(3))
         for i, us in enumerate([5.0, 17.0, 250.0, 3.0, 99.0, 1200.0]):
-            (a if i % 2 == 0 else b).record(us)
-            both.record(us)
+            (a if i % 2 == 0 else b).observe(us)
+            both.observe(us)
         a.merge(b)
         assert a.fingerprint() == both.fingerprint()
         assert a.count == both.count
-        assert a.total_us == pytest.approx(both.total_us)
-        assert a.max_us == both.max_us
+        assert a.total == pytest.approx(both.total)
+        assert a.max_value == both.max_value
         assert a.p99 == both.p99
 
     def test_merge_geometry_mismatch_rejected(self):
-        a = LatencyHistogram(growth=1.15)
-        b = LatencyHistogram(growth=2.0)
-        with pytest.raises(ConfigError):
+        a = Histogram(growth=1.15)
+        b = Histogram(growth=2.0)
+        with pytest.raises(ObsError):
             a.merge(b)
 
     def test_fingerprint_reflects_contents(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record(10.0)
-        b.record(10.0)
+        a, b = Histogram(growth=LATENCY_GROWTH), Histogram(growth=LATENCY_GROWTH)
+        a.observe(10.0)
+        b.observe(10.0)
         assert a.fingerprint() == b.fingerprint()
-        b.record(5000.0)
+        b.observe(5000.0)
         assert a.fingerprint() != b.fingerprint()
 
-    def test_merged_histogram_helper(self):
-        parts = []
-        for base in (10.0, 100.0, 1000.0):
-            h = LatencyHistogram()
-            h.record(base)
-            parts.append(h)
-        merged = merged_histogram(parts)
-        assert merged.count == 3
-        assert merged.max_us == 1000.0
-        empty = merged_histogram([])
-        assert empty.count == 0
-
     def test_latency_table_renders(self):
-        h = LatencyHistogram()
+        h = Histogram(growth=LATENCY_GROWTH)
         for us in (10.0, 20.0, 30.0):
-            h.record(us)
+            h.observe(us)
         table = latency_table({"t0": h}, label="tenant")
         assert "tenant" in table and "p99 us" in table and "t0" in table

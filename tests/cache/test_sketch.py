@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.admission import FrequencyAdmission
 from repro.cache.sketch import CountMinSketch
 from repro.errors import CacheError
 
@@ -106,7 +107,7 @@ def test_property_never_underestimates(keys):
 
 
 class TestBatchParity:
-    """The batched sketch API must equal the scalar loop bit-for-bit."""
+    """The batched sketch path must equal the scalar loop bit-for-bit."""
 
     def _twins(self, **kw):
         kw.setdefault("width", 64)
@@ -120,36 +121,15 @@ class TestBatchParity:
         keys = [f"k{i % 9}" for i in range(24)]  # > the scalar crossover
         assert batched.columns_batch(keys) == [scalar.columns(k) for k in keys]
 
-    def test_estimate_batch_equals_scalar(self):
-        batched, scalar = self._twins(saturation=1000)
-        for sk in (batched, scalar):
-            for i in range(30):
-                sk.increment(f"k{i % 7}")
-        keys = [f"k{i % 11}" for i in range(20)]
-        assert batched.estimate_batch(keys) == [scalar.estimate(k) for k in keys]
-
-    def test_update_batch_with_duplicates_and_decay(self):
-        # Duplicates force order dependence (the second occurrence must
-        # see the first's counters) and saturation=4 forces mid-batch
-        # decay epochs; everything must still match the scalar replay.
-        batched, scalar = self._twins()
-        keys = [f"k{i % 3}" for i in range(25)]
-        assert batched.update_batch(keys) == [scalar.increment(k) for k in keys]
-        assert batched._rows_tab == scalar._rows_tab
-        assert batched.total == scalar.total
-        assert batched.decays_total == scalar.decays_total
-        assert batched.decays_total > 0  # the scenario actually decayed
-
     def test_small_batches_take_the_scalar_fallback(self):
         batched, scalar = self._twins()
         keys = ["a", "b", "a"]  # below the numpy crossover
-        assert batched.update_batch(keys) == [scalar.increment(k) for k in keys]
-        assert batched._rows_tab == scalar._rows_tab
+        assert batched.columns_batch(keys) == [scalar.columns(k) for k in keys]
+        assert list(batched._memo) == list(scalar._memo)
 
     def test_empty_batch(self):
         sk, _ = self._twins()
-        assert sk.estimate_batch([]) == []
-        assert sk.update_batch([]) == []
+        assert sk.columns_batch([]) == []
         assert sk.total == 0
 
 
@@ -158,14 +138,21 @@ class TestBatchParity:
     st.lists(st.sampled_from([f"k{i}" for i in range(6)]), max_size=40),
     st.integers(min_value=0, max_value=2**32),
 )
+# Duplicates plus saturation 3 force mid-batch decay epochs.
+@example(keys=[f"k{i % 3}" for i in range(25)], seed=3)
 def test_property_batch_equals_scalar_replay(keys, seed):
-    """update_batch/estimate_batch == the scalar loop exactly, for any
-    key sequence (duplicates included) across any decay epochs."""
+    """The admission batch path (``columns_batch``, then ``increment`` in
+    arrival order) == the scalar loop exactly, for any key sequence
+    (duplicates included) across any decay epochs."""
     batched = CountMinSketch(width=32, depth=3, saturation=3, seed=seed)
     scalar = CountMinSketch(width=32, depth=3, saturation=3, seed=seed)
-    assert batched.update_batch(keys) == [scalar.increment(k) for k in keys]
+    batch_admit = FrequencyAdmission(batched, threshold=0.2)
+    scalar_admit = FrequencyAdmission(scalar, threshold=0.2)
+    assert batch_admit.observe_and_decide_batch(keys) == [
+        scalar_admit.observe_and_decide(k) for k in keys
+    ]
     assert batched._rows_tab == scalar._rows_tab
     assert batched.total == scalar.total
     assert batched.decays_total == scalar.decays_total
     probe = [f"k{i}" for i in range(6)]
-    assert batched.estimate_batch(probe) == [scalar.estimate(k) for k in probe]
+    assert [batched.estimate(k) for k in probe] == [scalar.estimate(k) for k in probe]

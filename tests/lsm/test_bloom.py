@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,13 +107,6 @@ class TestBatchProbing:
             bloom.may_contain(k) for k in probes
         ]
 
-    def test_may_contain_batch_small_batch_fallback(self):
-        bloom = BloomFilter.build([f"k{i}" for i in range(20)], seed=2)
-        probes = ["k1", "missing", "k3"]
-        assert bloom.may_contain_batch(probes) == [
-            bloom.may_contain(k) for k in probes
-        ]
-
     def test_may_contain_hashed_equals_may_contain(self):
         bloom = BloomFilter.build([f"k{i}" for i in range(25)], seed=9)
         seed = bloom.seed
@@ -139,6 +131,11 @@ class TestBatchProbing:
     st.integers(min_value=0, max_value=2**32),
 )
 def test_property_batch_probe_equals_scalar(keys, seed):
-    """may_contain_batch matches the scalar probe for arbitrary keys."""
+    """The batched probe (one ``fnv1a_batch_multi`` digest pass, then
+    ``may_contain_hashed``) matches the scalar probe for arbitrary keys."""
     bloom = BloomFilter.build(keys[: len(keys) // 2], bits_per_key=8, seed=seed)
-    assert bloom.may_contain_batch(keys) == [bloom.may_contain(k) for k in keys]
+    datas = [k.encode("utf-8") for k in keys]
+    h1, h2 = fnv1a_batch_multi(datas, [bloom.seed, bloom.seed ^ GOLDEN_GAMMA]).tolist()
+    assert [bloom.may_contain_hashed(a, b) for a, b in zip(h1, h2)] == [
+        bloom.may_contain(k) for k in keys
+    ]

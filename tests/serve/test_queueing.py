@@ -25,7 +25,7 @@ class TestQueue:
         subs = [sub(seq=i) for i in range(3)]
         for s in subs:
             q.push(s)
-        assert [q.pop().request.seq for _ in range(3)] == [0, 1, 2]
+        assert [q.pop_live(0.0)[0].request.seq for _ in range(3)] == [0, 1, 2]
 
     def test_room_and_depth_tracking(self):
         q = RequestQueue(0, 2)
@@ -35,18 +35,18 @@ class TestQueue:
         assert not q.has_room()
         assert q.depth == len(q) == 2
         assert q.peak_depth == 2
-        q.pop()
+        q.pop_live(0.0)
         assert q.has_room()
         assert q.peak_depth == 2  # peak is sticky
 
-    def test_overflow_and_underflow_raise(self):
+    def test_overflow_raises_and_empty_pop_live_returns_none(self):
         q = RequestQueue(3, 1)
         q.push(sub(0))
         with pytest.raises(CacheError):
             q.push(sub(1))
-        q.pop()
-        with pytest.raises(CacheError):
-            q.pop()
+        q.pop_live(0.0)
+        assert q.pop_live(0.0) == (None, [])
+        assert q.served == 1
 
     def test_shedding_is_counted_not_silent(self):
         q = RequestQueue(0, 1)
@@ -61,7 +61,7 @@ class TestQueue:
         for i in range(5):
             q.push(sub(i))
         for _ in range(2):
-            q.pop()
+            q.pop_live(0.0)
         q.check_invariants()
         assert q.accepted - q.served == q.depth
 
@@ -84,7 +84,7 @@ class TestQueue:
         q.enable_sanitizer(period=1)
         assert q.sanitizing
         q.push(sub(0))
-        q.pop()
+        q.pop_live(0.0)
         assert q._sanitizer is not None and q._sanitizer.checks_run >= 2
 
 

@@ -12,7 +12,7 @@ from repro.workloads.generator import WorkloadGenerator, balanced_workload
 def _session(mode="open", ops=50, seed=1, **kw):
     config = TenantConfig(name="t0", ops=ops, mode=mode, **kw)
     generator = WorkloadGenerator(balanced_workload(500), seed=seed)
-    return ClientSession(config, generator, seed=seed)
+    return ClientSession(config, generator.ops(ops), seed=seed)
 
 
 class TestTenantConfig:
