@@ -13,7 +13,11 @@ guarantee.  Plain ints beat a numpy table here because every operation
 touches exactly ``depth`` (= 4) scalars: array fancy-indexing costs
 more per call than the whole plain-int update.  Row hashes are memoized
 per key in a bounded FIFO map, so the miss path (estimate + increment
-of the same key) hashes each key once.
+of the same key) hashes each key once.  A memo miss folds only the bytes
+after the running common prefix of every key hashed so far, resuming
+each row's FNV-1a from its state after that prefix
+(:func:`~repro.lsm.bloom.fnv1a_from`); the prefix only shrinks, so the
+states are recomputed at most once per byte of the first key.
 
 Invariant (relied on by :meth:`normalized`): conservative update raises
 each touched counter to at most ``old_min + 1``, so every row's column
@@ -26,12 +30,13 @@ always corrupted bookkeeping, never "decay skew", and is raised as
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import os
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CacheError
-from repro.lsm.bloom import fnv1a, fnv1a_batch_multi
+from repro.lsm.bloom import fnv1a, fnv1a_batch_multi, fnv1a_from
 
 #: Keys whose row columns are memoized before the FIFO starts evicting.
 _MEMO_LIMIT = 8192
@@ -74,6 +79,10 @@ class CountMinSketch:
         self._salts = [seed ^ (0xA5A5_0000 + i * 0x1234_5677) for i in range(depth)]
         self._rows_tab: List[List[int]] = [[0] * width for _ in range(depth)]
         self._memo: Dict[str, Tuple[int, ...]] = {}
+        # Running common prefix of every key hashed, and each row salt's
+        # FNV-1a state after it (see :meth:`columns`).
+        self._prefix: Optional[str] = None
+        self._states: List[int] = []
         self.total = 0  # global sum of observed increments (decayed with counters)
         self.decays_total = 0
 
@@ -87,9 +96,16 @@ class CountMinSketch:
         memo = self._memo
         cols = memo.get(key)
         if cols is None:
-            data = key.encode("utf-8")
+            prefix = self._prefix
+            if prefix is None or not key.startswith(prefix):
+                # The first key sets the prefix; later ones only shrink it.
+                prefix = key if prefix is None else os.path.commonprefix([prefix, key])
+                head = prefix.encode("utf-8")
+                self._prefix = prefix
+                self._states = [fnv1a(head, salt) for salt in self._salts]
+            data = key[len(prefix) :].encode("utf-8")
             width = self.width
-            cols = tuple(fnv1a(data, salt) % width for salt in self._salts)
+            cols = tuple(fnv1a_from(state, data) % width for state in self._states)
             if len(memo) >= _MEMO_LIMIT:
                 del memo[next(iter(memo))]
             memo[key] = cols

@@ -5,6 +5,15 @@ Hashing uses double hashing (Kirsch–Mitzenmacher) on top of two salted
 FNV-1a digests, which keeps construction fast and dependency-free while
 giving the usual ``(1 - e^{-kn/m})^k`` false-positive behaviour.
 
+FNV-1a is a left fold over bytes, so ``fnv1a(P + S, salt)`` is
+:func:`fnv1a_from` over ``S`` started from ``fnv1a(P, salt)``.  A built
+filter stores its keys' common prefix and both salts' states after it;
+every key of an SSTable, and every probe that passes the table's
+``first_key``/``last_key`` range check, starts with that prefix, so
+builds and probes fold only the suffix (about 4 of 24 bytes on the
+benchmark workloads).  A probe key without the prefix folds in full.
+The digests, and so every bit, are those of the full key.
+
 The paper enables 10 bits per key, which it treats as "FPR close to
 zero" in the reward model; :func:`theoretical_fpr` exposes the analytic
 rate so tests can validate the measured one against it.
@@ -13,9 +22,12 @@ rate so tests can validate the measured one against it.
 from __future__ import annotations
 
 import math
+import os
 from typing import Iterable, List, Sequence
 
 import numpy as np
+
+from repro.errors import InvariantError
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -25,14 +37,9 @@ _MASK64 = (1 << 64) - 1
 #: with batch callers that precompute digests (see ``fnv1a_batch_multi``).
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
-#: Batches at or below this size take the scalar hash loop — numpy's
-#: fixed per-call overhead beats its per-key savings under ~8 keys.
-_SCALAR_BATCH_MAX = 7
 
-
-def _fnv1a(data: bytes, salt: int) -> int:  # hot-path
-    """64-bit FNV-1a hash of ``data`` seeded with ``salt``."""
-    h = (_FNV_OFFSET ^ salt) & _MASK64
+def fnv1a_from(h: int, data: bytes) -> int:  # hot-path
+    """Continue a 64-bit FNV-1a fold from state ``h`` over ``data``."""
     prime = _FNV_PRIME
     mask = _MASK64
     for byte in data:
@@ -42,7 +49,7 @@ def _fnv1a(data: bytes, salt: int) -> int:  # hot-path
 
 def fnv1a(data: bytes, salt: int = 0) -> int:
     """Public 64-bit salted FNV-1a hash (shared by sketches and shards)."""
-    return _fnv1a(data, salt)
+    return fnv1a_from((_FNV_OFFSET ^ salt) & _MASK64, data)
 
 
 def fnv1a_batch_multi(
@@ -120,7 +127,10 @@ class BloomFilter:
         collision patterns.
     """
 
-    __slots__ = ("_bits", "_num_bits", "_num_hashes", "_seed", "bits_per_key")
+    __slots__ = (
+        "_bits", "_num_bits", "_num_hashes", "_seed", "bits_per_key",
+        "_prefix", "_state1", "_state2",
+    )
 
     def __init__(self, num_keys: int, bits_per_key: int = 10, seed: int = 0) -> None:
         self.bits_per_key = bits_per_key
@@ -129,6 +139,10 @@ class BloomFilter:
         num_bits = max(64, num_keys * bits_per_key) if bits_per_key > 0 else 0
         self._num_bits = num_bits
         self._bits = bytearray((num_bits + 7) // 8) if num_bits else bytearray()
+        # The keys' common prefix and the two salts' FNV-1a states after it.
+        self._prefix = ""
+        self._state1 = fnv1a(b"", seed)
+        self._state2 = fnv1a(b"", seed ^ GOLDEN_GAMMA)
 
     @classmethod
     def build(
@@ -136,71 +150,67 @@ class BloomFilter:
     ) -> "BloomFilter":
         """Build a filter sized for and populated with ``keys``.
 
-        Population is vectorized: both base digests for every key come
-        from one :func:`fnv1a_batch_multi` pass and the k probe
-        positions from k numpy ops over the batch, so flush and
-        compaction pay one fold loop per SSTable instead of two Python
-        hash loops per key.  Bits are a set-union, so ordering is
-        irrelevant — the filter is bit-identical to scalar :meth:`add`
-        calls.
+        Stores the keys' common prefix (``os.path.commonprefix`` compares
+        only the least and greatest key) and both states after it, then
+        folds every key's suffix from those states in one
+        :func:`fnv1a_batch_multi` pass, derives all k probe positions in
+        one broadcast and sets the bits with one ``np.packbits``.  Below
+        four keys a per-key scalar loop is up to 13 µs faster, but
+        under 2 % of builds are that small on any benchmark workload, so
+        there is one path (see ``docs/performance.md``).
         """
         key_list = list(keys)
-        bloom = cls(len(key_list), bits_per_key=bits_per_key, seed=seed)
         n = len(key_list)
+        bloom = cls(n, bits_per_key=bits_per_key, seed=seed)
         num_bits = bloom._num_bits
         if not num_bits or n == 0:
             return bloom
-        if n <= _SCALAR_BATCH_MAX:
-            for key in key_list:
-                bloom.add(key)
-            return bloom
-        datas = [key.encode("utf-8") for key in key_list]
-        digests = fnv1a_batch_multi(datas, [seed, seed ^ GOLDEN_GAMMA])
-        h1 = digests[0]
-        h2 = digests[1] | np.uint64(1)
-        nb = np.uint64(num_bits)
-        num_hashes = bloom._num_hashes
-        pos = np.empty((num_hashes, n), dtype=np.uint64)
-        for i in range(num_hashes):
-            pos[i] = h1 % nb
-            h1 = h1 + h2  # uint64 wrap == the scalar path's & _MASK64
-        bits = bloom._bits
-        for p in pos.reshape(-1).tolist():  # plain ints (PERF001)
-            bits[p >> 3] |= 1 << (p & 7)
+        prefix = os.path.commonprefix(key_list)
+        head = prefix.encode("utf-8")
+        bloom._prefix = prefix
+        bloom._state1 = state1 = fnv1a(head, seed)
+        bloom._state2 = state2 = fnv1a(head, seed ^ GOLDEN_GAMMA)
+        cut = len(prefix)
+        datas = [key[cut:].encode("utf-8") for key in key_list]
+        # The salt ``state ^ _FNV_OFFSET`` starts the fold at ``state``.
+        digests = fnv1a_batch_multi(datas, [state1 ^ _FNV_OFFSET, state2 ^ _FNV_OFFSET])
+        # Probe i sits at (h1 + i*h2) % m; uint64 wraps like the probe's
+        # & _MASK64, so this equals the probe's running sum.
+        steps = np.arange(bloom._num_hashes, dtype=np.uint64)[:, None]
+        hit = np.zeros(num_bits, dtype=bool)
+        hit[(digests[0] + steps * (digests[1] | np.uint64(1))) % np.uint64(num_bits)] = True
+        bloom._bits = bytearray(np.packbits(hit, bitorder="little"))
         return bloom
 
-    def add(self, key: str) -> None:  # hot-path
-        """Insert ``key`` into the filter."""
-        num_bits = self._num_bits
-        if not num_bits:
-            return
-        data = key.encode("utf-8")
-        seed = self._seed
-        h1 = _fnv1a(data, seed)
-        h2 = _fnv1a(data, seed ^ 0x9E3779B97F4A7C15) | 1
-        bits = self._bits
-        pos = h1 % num_bits
-        for _ in range(self._num_hashes):
-            bits[pos >> 3] |= 1 << (pos & 7)
-            h1 = (h1 + h2) & _MASK64
-            pos = h1 % num_bits
-
     def may_contain(self, key: str) -> bool:  # hot-path
-        """Return False only if ``key`` is definitely absent."""
+        """Return False only if ``key`` is definitely absent.
+
+        A key with the stored prefix folds only its suffix; ``h2`` is
+        folded only after the first bit test passes.
+        """
         num_bits = self._num_bits
         if not num_bits:
             return True
-        data = key.encode("utf-8")
-        seed = self._seed
-        h1 = _fnv1a(data, seed)
-        h2 = _fnv1a(data, seed ^ 0x9E3779B97F4A7C15) | 1
+        prefix = self._prefix
+        if key.startswith(prefix):
+            data = key[len(prefix) :].encode("utf-8")
+            state1 = self._state1
+            state2 = self._state2
+        else:  # fold the whole key from the salts' bases, as fnv1a does
+            data = key.encode("utf-8")
+            state1 = (_FNV_OFFSET ^ self._seed) & _MASK64
+            state2 = (_FNV_OFFSET ^ self._seed ^ GOLDEN_GAMMA) & _MASK64
+        h1 = fnv1a_from(state1, data)
         bits = self._bits
         pos = h1 % num_bits
-        for _ in range(self._num_hashes):
-            if not bits[pos >> 3] & (1 << (pos & 7)):
-                return False
+        if not bits[pos >> 3] & (1 << (pos & 7)):
+            return False
+        h2 = fnv1a_from(state2, data) | 1
+        for _ in range(self._num_hashes - 1):
             h1 = (h1 + h2) & _MASK64
             pos = h1 % num_bits
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
         return True
 
     def may_contain_hashed(self, h1: int, h2: int) -> bool:  # hot-path
@@ -232,6 +242,25 @@ class BloomFilter:
 
     def __contains__(self, key: str) -> bool:
         return self.may_contain(key)
+
+    def check_invariants(self, first_key: str, last_key: str) -> None:
+        """The prefix starts both bounding keys; the states are its digests."""
+        prefix = self._prefix
+        if not (first_key.startswith(prefix) and last_key.startswith(prefix)):
+            raise InvariantError(
+                f"BloomFilter: prefix {prefix!r} does not start key range "
+                f"[{first_key!r}..{last_key!r}]"
+            )
+        head = prefix.encode("utf-8")
+        for name, state, salt in (
+            ("state1", self._state1, self._seed),
+            ("state2", self._state2, self._seed ^ GOLDEN_GAMMA),
+        ):
+            if state != fnv1a(head, salt):
+                raise InvariantError(
+                    f"BloomFilter: {name} {state:#x} is not the FNV-1a state "
+                    f"after prefix {prefix!r} ({fnv1a(head, salt):#x})"
+                )
 
     @property
     def seed(self) -> int:

@@ -3,8 +3,8 @@
 A scan must merge one cursor per *sorted run*: the MemTable, each Level-0
 file, and one per non-empty deeper level.  Sources yield
 ``(key, priority, value)`` triples in key order, where a lower priority
-number means a newer run; :func:`merge_scan` then keeps the newest
-version of each key and drops tombstones.
+number means a newer run; :meth:`~repro.lsm.tree.LSMTree.scan` merges
+them, keeping the newest version of each key and dropping tombstones.
 
 Block reads happen lazily through a ``fetch`` callable, so a block cache
 can sit in front of the metered disk transparently.  The one eager cost
@@ -15,7 +15,6 @@ source, forcing one block read per overlapping run — exactly the
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -73,19 +72,3 @@ def level_source(
         for table in files
         if table.last_key >= start
     )
-
-
-def merge_scan(sources: List[Iterator[MergeItem]]) -> Iterator[Tuple[str, str]]:
-    """Merge run sources into live ``(key, value)`` pairs in key order.
-
-    For duplicate keys, the source with the lowest priority number (the
-    newest run) wins; tombstones suppress the key entirely.
-    """
-    merged = heapq.merge(*sources)
-    current_key: Optional[str] = None
-    for key, _priority, value in merged:
-        if key == current_key:
-            continue  # older version of a key we already resolved
-        current_key = key
-        if value is not None:
-            yield key, value

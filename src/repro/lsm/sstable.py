@@ -99,10 +99,6 @@ class SSTable:
             return False
         return self.last_key >= start
 
-    def may_contain(self, key: str) -> bool:
-        """Bloom-filter probe; False means definitely absent."""
-        return key in self.bloom
-
     def find_block_no(self, key: str) -> Optional[int]:  # hot-path
         """Index lookup: the block that may contain ``key``, or None.
 

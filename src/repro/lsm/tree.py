@@ -454,7 +454,7 @@ class LSMTree:
     ) -> Tuple[bool, Optional[str], Optional[BlockHandle]]:  # hot-path
         if key < table.first_key or key > table.last_key:
             return False, None, None
-        if not table.may_contain(key):
+        if not table.bloom.may_contain(key):
             self.bloom_negative_total += 1
             return False, None, None
         block_no = table.find_block_no(key)
@@ -474,12 +474,14 @@ class LSMTree:
     ) -> List[Tuple[str, str]]:  # hot-path
         """Return up to ``length`` live entries with key >= ``start``.
 
-        Runs the merge/dedup/limit loop inline rather than through
-        ``islice(merge_scan(...))``: identical consumption order (the
-        loop stops right after the ``length``-th live entry, exactly
-        where islice stopped pulling), so block-read counts are
-        unchanged, but each merged entry no longer trampolines through
-        two extra generator frames.
+        Runs the merge/dedup/limit loop inline.  It returns the first
+        ``length`` items of a ``heapq.merge`` over the sources that keeps
+        each key's newest version and drops tombstones, pulling the
+        sources in the same order and stopping right after the
+        ``length``-th live entry, so block-read counts match too; it
+        only saves two generator frames per merged entry.  That
+        generator, ``merge_scan`` in ``tests/lsm/test_iterator.py``, is
+        the oracle.
 
         ``fetch`` overrides the block-read callable; the batched scan
         executor passes a per-batch memoizing wrapper so scans in one

@@ -192,7 +192,9 @@ class LevelState:
     def check_invariants(self, is_live: Optional[Callable[[int], bool]] = None) -> None:
         """Manifest health: sorted non-overlapping runs, unique live ids.
 
-        * every file's ``first_key <= last_key``;
+        * every file's ``first_key <= last_key``; its bloom filter's
+          prefix starts both keys and its stored states are the
+          prefix's FNV-1a digests;
         * levels 1+ are sorted by first key with strictly disjoint key
           ranges (``prev.last_key < next.first_key``);
         * no SSTable id appears twice in the manifest;
@@ -208,6 +210,12 @@ class LevelState:
                         f"inverted key range [{table.first_key!r}.."
                         f"{table.last_key!r}]"
                     )
+                try:
+                    table.bloom.check_invariants(table.first_key, table.last_key)
+                except InvariantError as exc:
+                    raise InvariantError(
+                        f"LevelState: sst {table.sst_id} at level {level}: {exc}"
+                    ) from exc
                 if table.sst_id in seen_ids:
                     raise InvariantError(
                         f"LevelState: sst id {table.sst_id} appears at both "

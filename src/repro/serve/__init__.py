@@ -23,7 +23,7 @@ from repro.serve.resilience import (
     DegradationLadder,
     ResilienceConfig,
 )
-from repro.serve.router import ShardRouter, fnv1a_64
+from repro.serve.router import ShardRouter
 from repro.serve.session import (
     ClientSession,
     PhaseSlot,
@@ -58,6 +58,5 @@ __all__ = [
     "TenantConfig",
     "TenantResult",
     "Timer",
-    "fnv1a_64",
     "run_serve",
 ]

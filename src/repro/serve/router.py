@@ -31,24 +31,13 @@ from typing import AbstractSet, Dict, List, Sequence, Tuple
 
 from repro.core.engine import KVEngine
 from repro.errors import ConfigError
+from repro.lsm.bloom import fnv1a
 from repro.workloads.generator import Operation
 from repro.workloads.keys import index_of, key_of
 
 Entry = Tuple[str, str]
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_FNV_MASK = 0xFFFFFFFFFFFFFFFF
-
 PARTITION_MODES = ("hash", "range")
-
-
-def fnv1a_64(key: str) -> int:
-    """Platform-independent 64-bit FNV-1a (``hash()`` is salted per run)."""
-    h = _FNV_OFFSET
-    for byte in key.encode("utf-8"):
-        h = ((h ^ byte) * _FNV_PRIME) & _FNV_MASK
-    return h
 
 
 class ShardRouter:
@@ -79,13 +68,13 @@ class ShardRouter:
     def shard_of_id(self, key_id: int) -> int:
         """Owning shard of logical key id ``key_id``."""
         if self.partition == "hash":
-            return fnv1a_64(key_of(key_id)) % self.num_shards
+            return fnv1a(key_of(key_id).encode("utf-8")) % self.num_shards
         return self._owner_of_id(key_id)
 
     def shard_of_key(self, key: str) -> int:
         """Owning shard of workload key ``key``."""
         if self.partition == "hash":
-            return fnv1a_64(key) % self.num_shards
+            return fnv1a(key.encode("utf-8")) % self.num_shards
         return self._owner_of_id(index_of(key))
 
     def _owner_of_id(self, key_id: int) -> int:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.cache.admission import FrequencyAdmission
 from repro.cache.sketch import CountMinSketch
 from repro.errors import CacheError
+from repro.lsm.bloom import fnv1a
+from repro.workloads.keys import key_of
 
 
 class TestBasics:
@@ -156,3 +158,25 @@ def test_property_batch_equals_scalar_replay(keys, seed):
     assert batched.decays_total == scalar.decays_total
     probe = [f"k{i}" for i in range(6)]
     assert [batched.estimate(k) for k in probe] == [scalar.estimate(k) for k in probe]
+
+
+@st.composite
+def shrinking_sequences(draw):
+    """A long first key, keys cutting its prefix shorter and shorter, a
+    prefix-free key, the empty key, then anything."""
+    first = draw(st.text(alphabet="k0123456789é中", min_size=12, max_size=30))
+    cuts = sorted(draw(st.lists(st.integers(0, len(first)), max_size=8)), reverse=True)
+    seq = [first] + [first[:cut] + draw(st.text(max_size=5)) for cut in cuts]
+    seq += ["Z" + draw(st.text(max_size=5)), ""]
+    return seq + draw(st.lists(st.text(max_size=8), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shrinking_sequences(), st.integers(min_value=0, max_value=2**32), st.integers(1, 5000))
+@example(keys=[key_of(123456789), key_of(123450000), "Zx", "", key_of(5)], seed=0, width=4096)
+def test_property_columns_equal_full_key_digests(keys, seed, width):
+    """Columns resumed after the running prefix equal full-key digests."""
+    sk = CountMinSketch(width=width, depth=4, seed=seed)
+    for key in keys:
+        data = key.encode("utf-8")
+        assert sk.columns(key) == tuple(fnv1a(data, salt) % width for salt in sk._salts)

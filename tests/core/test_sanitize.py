@@ -303,6 +303,29 @@ def test_level_state_detects_dead_manifest_file():
         levels.check_invariants(is_live=lambda sst_id: False)
 
 
+def test_level_state_detects_tampered_bloom_state():
+    levels = LevelState(max_levels=4)
+    table = _table(3, ["key0017", "key0018", "key0042"])
+    levels.add_to_level(1, table)
+    levels.check_invariants()
+    table.bloom._state2 ^= 1 << 17
+    with pytest.raises(
+        InvariantError,
+        match=r"sst 3 at level 1: BloomFilter: state2 0x[0-9a-f]+ is not the "
+        r"FNV-1a state after prefix 'key00'",
+    ):
+        levels.check_invariants()
+
+
+def test_level_state_detects_bloom_prefix_outside_key_range():
+    levels = LevelState(max_levels=4)
+    table = _table(4, ["key0017", "key0018"])
+    levels.add_to_level(1, table)
+    table.bloom._prefix = "key002"
+    with pytest.raises(InvariantError, match="prefix 'key002' does not start key range"):
+        levels.check_invariants()
+
+
 def test_lsm_tree_invariants_pass_after_real_traffic():
     tree = LSMTree(LSMOptions(memtable_entries=16, entries_per_sstable=32))
     for i in range(400):

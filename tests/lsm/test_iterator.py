@@ -2,14 +2,36 @@
 
 from __future__ import annotations
 
+import heapq
+from itertools import islice
+from typing import Iterator, List, Optional, Tuple
+
 from repro.lsm.iterator import (
+    MergeItem,
     memtable_source,
-    merge_scan,
     sstable_source,
     level_source,
 )
 from repro.lsm.memtable import MemTable
+from repro.lsm.options import LSMOptions
 from repro.lsm.sstable import SSTable
+from repro.lsm.tree import LSMTree
+
+
+def merge_scan(sources: List[Iterator[MergeItem]]) -> Iterator[Tuple[str, str]]:
+    """Merge run sources into live ``(key, value)`` pairs in key order.
+
+    For duplicate keys, the source with the lowest priority number (the
+    newest run) wins; tombstones suppress the key entirely.  The oracle
+    for ``LSMTree.scan``'s inlined merge.
+    """
+    current_key: Optional[str] = None
+    for key, _priority, value in heapq.merge(*sources):
+        if key == current_key:
+            continue  # older version of a key we already resolved
+        current_key = key
+        if value is not None:
+            yield key, value
 
 
 def table_of(sst_id, entries):
@@ -86,3 +108,24 @@ class TestMerge:
 
     def test_empty_sources(self):
         assert list(merge_scan([iter([]), iter([])])) == []
+
+
+class TestTreeScanOracle:
+    def test_tree_scan_equals_islice_of_merge_scan(self):
+        """``LSMTree.scan`` returns and reads what the generator merge does."""
+        opts = LSMOptions(memtable_entries=16, entries_per_sstable=32)
+        tree, twin = LSMTree(opts), LSMTree(opts)
+        for t in (tree, twin):
+            for i in range(300):
+                t.put(f"k{(i * 37) % 211:04d}", f"v{i}")
+                if i % 7 == 0:
+                    t.delete(f"k{(i * 11) % 211:04d}")
+        assert tree.num_sorted_runs > 2 and len(tree.memtable) > 0
+        for start, n in [("k0000", 5), ("k0050", 40), ("k0100", 500), ("k0209", 3), ("z", 4)]:
+            reads = tree.disk.block_reads_total
+            got = tree.scan(start, n)
+            tree_reads = tree.disk.block_reads_total - reads
+            reads = twin.disk.block_reads_total
+            want = list(islice(merge_scan(twin._scan_sources(start)), n))
+            assert got == want
+            assert tree_reads == twin.disk.block_reads_total - reads

@@ -42,9 +42,9 @@ class TestLookup:
 
     def test_bloom_rejects_absent(self):
         table = build_table(n=64)
-        present = sum(table.may_contain(f"k{i:05d}") for i in range(64))
+        present = sum(table.bloom.may_contain(f"k{i:05d}") for i in range(64))
         assert present == 64
-        absent_hits = sum(table.may_contain(f"x{i:05d}") for i in range(500))
+        absent_hits = sum(table.bloom.may_contain(f"x{i:05d}") for i in range(500))
         assert absent_hits < 30  # ~1% FPR expected at 10 bits/key
 
     def test_block_at_bounds(self):

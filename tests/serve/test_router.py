@@ -9,7 +9,7 @@ from repro.core.engine import KVEngine
 from repro.errors import ConfigError
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
-from repro.serve.router import ShardRouter, fnv1a_64
+from repro.serve.router import ShardRouter
 from repro.workloads.generator import Operation, WorkloadGenerator, WorkloadSpec
 from repro.workloads.keys import key_of, value_of
 
@@ -31,11 +31,6 @@ def _build_sharded(router):
 
 
 class TestPartitioning:
-    def test_fnv1a_is_stable(self):
-        # Known-answer: FNV-1a 64 of the empty string is the offset basis.
-        assert fnv1a_64("") == 0xCBF29CE484222325
-        assert fnv1a_64("a") == 0xAF63DC4C8601EC8C
-
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
             ShardRouter(0, 100)
