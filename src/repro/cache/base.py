@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Generic, Hashable, Iterator, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro import sanitize
 from repro.errors import CacheError, InvariantError
@@ -125,9 +125,9 @@ class EvictionPolicy(ABC, Generic[K]):
     The container calls ``record_insert`` when a key becomes resident,
     ``record_access`` on every hit, ``select_victim`` when over budget,
     ``record_evict`` when the chosen victim leaves (capacity pressure,
-    so learning policies may ghost-list it), and ``record_remove`` for
-    non-capacity removals (invalidation), which must not count as a
-    policy mistake.
+    so learning policies may ghost-list it), ``evict`` when it needs
+    several victims at once, and ``record_remove`` for non-capacity
+    removals (invalidation), which must not count as a policy mistake.
     """
 
     @abstractmethod
@@ -149,6 +149,21 @@ class EvictionPolicy(ABC, Generic[K]):
     @abstractmethod
     def record_remove(self, key: K) -> None:
         """A key left for a non-capacity reason (e.g. invalidation)."""
+
+    def evict(self, count: int) -> List[K]:
+        """Choose ``count`` victims and evict them; returns them in order.
+
+        ``count`` rounds of :meth:`select_victim` then
+        :meth:`record_evict`, so a learning policy sees the same call
+        sequence (and RNG draws) as a per-victim loop.  Policies that
+        can drop a batch faster override this with the same result.
+        """
+        victims: List[K] = []
+        for _ in range(count):
+            victim = self.select_victim()
+            self.record_evict(victim)
+            victims.append(victim)
+        return victims
 
     @abstractmethod
     def __len__(self) -> int:

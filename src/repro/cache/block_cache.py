@@ -21,11 +21,10 @@ from typing import Callable, List, Optional
 from repro.cache.base import BudgetedCache, CacheBase, CacheStats, EvictionPolicy
 from repro.cache.lru import LRUPolicy
 from repro.errors import CacheError, InvariantError
-from repro.lsm.block import BlockHandle, DataBlock
+from repro.lsm.block import BlockFetch, BlockHandle, DataBlock
 from repro.obs import names as N
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
-BlockFetch = Callable[[BlockHandle], DataBlock]
 #: Admission hook: called with the missed handle; False rejects the fill.
 AdmissionHook = Callable[[BlockHandle], bool]
 PolicyFactory = Callable[[], EvictionPolicy[BlockHandle]]
@@ -95,30 +94,32 @@ class BlockCache(CacheBase):
         """Serve a block read: cache hit, or backing fetch + admission.
 
         This is what gets installed as the LSM tree's ``block_fetch``.
+        The shard lock is taken once, across the probe, the backing read
+        and the fill, so a miss costs one acquisition, not two.
         """
         idx = hash(handle) % self._num_shards
         shard = self._shards[idx]
-        lock = self._locks[idx]
-        with lock:
+        with self._locks[idx]:
             block = shard.get(handle)
-        if block is not None:
-            return block
-        block = self._backing_fetch(handle)
-        hook = self.admission_hook
-        if hook is None or hook(handle):
-            with lock:
+            if block is not None:
+                return block
+            block = self._backing_fetch(handle)
+            hook = self.admission_hook
+            admitted = hook is None or hook(handle)
+            if admitted:
                 shard.put(handle, block)
+            else:
+                shard.stats.rejections += 1
+        if admitted:
             if self._sanitizer is not None:
                 self._sanitizer.after_mutation(self)
-        else:
-            shard.stats.rejections += 1
-            if self.recorder.enabled:
-                self.recorder.event(
-                    N.EV_CACHE_REJECT,
-                    cache="block",
-                    sst=handle.sst_id,
-                    block=handle.block_no,
-                )
+        elif self.recorder.enabled:
+            self.recorder.event(
+                N.EV_CACHE_REJECT,
+                cache="block",
+                sst=handle.sst_id,
+                block=handle.block_no,
+            )
         return block
 
     def get(self, handle: BlockHandle) -> Optional[DataBlock]:

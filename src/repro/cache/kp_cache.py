@@ -22,9 +22,8 @@ from typing import Callable, Optional, Tuple
 from repro.cache.base import BudgetedCache, CacheBase, CacheStats, EvictionPolicy
 from repro.cache.lru import LRUPolicy
 from repro.errors import InvariantError
-from repro.lsm.block import BlockHandle, DataBlock
+from repro.lsm.block import BlockFetch, BlockHandle
 
-BlockFetch = Callable[[BlockHandle], DataBlock]
 IsLive = Callable[[int], bool]
 
 #: Logical charge per pointer entry: key (24 B) + handle (~16 B).

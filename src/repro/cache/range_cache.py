@@ -318,11 +318,11 @@ class RangeCache(CacheBase):
     def _evict_to_fit(self) -> int:  # hot-path
         """Evict until the budget holds; returns the number evicted.
 
-        Charges are uniform, so the victim count is known up front.
-        Victims are drawn one at a time — ``select_victim`` then
-        ``record_evict``, so learning policies see the same sequence as
-        a per-victim loop — and then leave the array, the value map and
-        the complete intervals together.
+        Charges are uniform, so the victim count is known up front and
+        the policy draws all victims in one :meth:`~EvictionPolicy.evict`
+        call (learning policies still see one ``select_victim`` /
+        ``record_evict`` pair per victim); they then leave the array,
+        the value map and the complete intervals together.
         """
         excess = self._used - self._budget
         if excess <= 0:
@@ -330,17 +330,10 @@ class RangeCache(CacheBase):
         keys = self._keys
         charge = self.entry_charge
         count = min(len(keys), -(-excess // charge))
-        policy = self._policy
-        select_victim = policy.select_victim
-        record_evict = policy.record_evict
+        victims = self._policy.evict(count)
         values = self._values
-        victims: List[str] = []
-        append = victims.append
-        for _ in range(count):
-            victim = select_victim()
-            record_evict(victim)
+        for victim in victims:
             del values[victim]
-            append(victim)
         victims.sort()
         # Remove the victims in ascending order.  Each one's index is then
         # where it sits among the keys that stay, and a victim adjacent to

@@ -30,8 +30,7 @@ from repro.cache.kp_cache import KPCache
 from repro.cache.kv_cache import KVCache
 from repro.cache.range_cache import RangeCache
 from repro.core.stats import StatsCollector, WindowStats
-from repro.lsm.block import BlockHandle, DataBlock
-from repro.lsm.iterator import BlockFetch
+from repro.lsm.block import BlockFetch, BlockHandle, DataBlock
 from repro.lsm.tree import LSMTree
 from repro.obs import names as N
 from repro.obs.recorder import NULL_RECORDER, Recorder

@@ -8,7 +8,7 @@ layer interacts with:
 * SSTables made of fixed-fanout data blocks plus index and bloom filter,
 * leveled ("1-leveling") compaction with a configurable size ratio and
   Level-0 slowdown / stop triggers,
-* merging iterators that open one cursor per overlapping sorted run, and
+* range scans that merge one block cursor per overlapping sorted run, and
 * a simulated disk that counts every data-block read (the paper's
   "SST reads" metric).
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 Entry = Tuple[str, Optional[str]]  # value None == tombstone
 
@@ -36,10 +36,13 @@ class DataBlock:
     """An immutable sorted sequence of entries within one SSTable.
 
     Entries are ``(key, value)`` pairs where ``value is None`` encodes a
-    tombstone.  Keys within a block are strictly increasing.
+    tombstone.  Keys within a block are strictly increasing.  The entries
+    live in two parallel lists, ``_keys`` and ``_values``, which
+    :meth:`~repro.lsm.tree.LSMTree.scan` reads in place: a block is never
+    mutated after construction.
     """
 
-    __slots__ = ("handle", "_keys", "_values", "_checksum", "_pairs", "first_key", "last_key")
+    __slots__ = ("handle", "_keys", "_values", "_checksum", "first_key", "last_key")
 
     def __init__(self, handle: BlockHandle, entries: Sequence[Entry]) -> None:
         self.handle = handle
@@ -58,7 +61,6 @@ class DataBlock:
             self._keys = []
             self._values = []
         self._checksum: Optional[int] = None
-        self._pairs: Optional[List[Entry]] = None
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -92,38 +94,16 @@ class DataBlock:
             return True, self._values[idx]
         return False, None
 
-    def _pairs_list(self) -> List[Entry]:  # hot-path
-        """``(key, value)`` tuples, zipped once and cached (immutable block)."""
-        pairs = self._pairs
-        if pairs is None:
-            pairs = self._pairs = list(zip(self._keys, self._values))
-        return pairs
-
-    def entries_from(self, key: str) -> List[Entry]:  # hot-path
-        """All entries with key >= ``key``, in order (fresh list)."""
-        idx = bisect.bisect_left(self._keys, key)
-        return self._pairs_list()[idx:]
-
     def entries(self) -> List[Entry]:
         """All entries in key order (fresh list)."""
-        return list(self._pairs_list())
-
-    def entries_view(self) -> List[Entry]:  # hot-path
-        """All entries in key order, **without** copying.
-
-        Returns the block's cached pairs list itself; callers must only
-        iterate it.  Scan sources walk every block past the first in
-        full, so skipping the defensive copy saves one list allocation
-        per block read on the merge path.
-        """
-        return self._pairs_list()
-
-    def keys(self) -> List[str]:
-        """All keys in order."""
-        return list(self._keys)
+        return list(zip(self._keys, self._values))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"DataBlock({self.handle.sst_id}:{self.handle.block_no}, "
             f"[{self.first_key}..{self.last_key}], n={len(self)})"
         )
+
+
+#: Serves one data-block read: the disk, a block cache, or a batch memo.
+BlockFetch = Callable[[BlockHandle], DataBlock]

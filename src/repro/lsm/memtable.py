@@ -13,7 +13,7 @@ bottom-level compaction.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lsm.block import Entry
 
@@ -24,6 +24,9 @@ class MemTable:
     def __init__(self) -> None:
         self._data: Dict[str, Optional[str]] = {}
         self._sorted_keys: List[str] = []
+        # Values aligned with _sorted_keys; None until a scan asks again
+        # after a write.
+        self._sorted_values: Optional[List[Optional[str]]] = None
         self._dirty = False
 
     def __len__(self) -> int:
@@ -37,12 +40,14 @@ class MemTable:
         if key not in self._data:
             self._dirty = True
         self._data[key] = value
+        self._sorted_values = None
 
     def delete(self, key: str) -> None:
         """Record a tombstone for ``key``."""
         if key not in self._data:
             self._dirty = True
         self._data[key] = None
+        self._sorted_values = None
 
     def get(self, key: str) -> Tuple[bool, Optional[str]]:
         """Look up ``key``; ``(found, value)`` with tombstones found=True."""
@@ -50,29 +55,28 @@ class MemTable:
             return True, self._data[key]
         return False, None
 
-    def _ensure_sorted(self) -> None:
+    def sorted_from(
+        self, key: str
+    ) -> Tuple[List[str], List[Optional[str]], int]:  # hot-path
+        """All keys in order, their values (None = tombstone) and the index
+        of the first key >= ``key``.
+
+        Both lists are cached until the next write and are read-only: a
+        scan walks them in place instead of copying the tail.
+        """
         if self._dirty:
             self._sorted_keys = sorted(self._data)
             self._dirty = False
-
-    def entries_from(self, key: str) -> Iterator[Entry]:  # hot-path
-        """Yield entries with key >= ``key`` in key order (tombstones included).
-
-        Iterates by index — slicing the sorted-key list would copy the
-        whole tail for every scan seek.
-        """
-        self._ensure_sorted()
         keys = self._sorted_keys
-        data = self._data
-        for idx in range(bisect.bisect_left(keys, key), len(keys)):
-            k = keys[idx]
-            yield k, data[k]
+        values = self._sorted_values
+        if values is None:
+            values = self._sorted_values = list(map(self._data.__getitem__, keys))
+        return keys, values, bisect.bisect_left(keys, key)
 
-    def entries(self) -> Iterator[Entry]:
-        """Yield all entries in key order (tombstones included)."""
-        self._ensure_sorted()
-        for k in self._sorted_keys:
-            yield k, self._data[k]
+    def entries(self) -> List[Entry]:
+        """All entries in key order, tombstones included (fresh list)."""
+        keys, values, _ = self.sorted_from("")
+        return list(zip(keys, values))
 
     def approximate_bytes(self, key_size: int, value_size: int) -> int:
         """Logical footprint used for flush decisions in byte-based setups."""

@@ -90,15 +90,6 @@ class SSTable:
         """Number of data blocks."""
         return len(self._blocks)
 
-    def overlaps(self, start: str, end: Optional[str]) -> bool:
-        """Whether the file's key span intersects ``[start, end)``.
-
-        ``end=None`` means an unbounded upper end.
-        """
-        if end is not None and self.first_key >= end:
-            return False
-        return self.last_key >= start
-
     def find_block_no(self, key: str) -> Optional[int]:  # hot-path
         """Index lookup: the block that may contain ``key``, or None.
 
@@ -118,10 +109,6 @@ class SSTable:
         idx = bisect.bisect_right(self._index, key) - 1
         return max(idx, 0)
 
-    def handles(self) -> List[BlockHandle]:
-        """Handles of all data blocks in order (fresh list)."""
-        return list(self.block_handles)
-
     # -- direct block access (used only by the metered disk) -----------------
 
     def block_at(self, block_no: int) -> DataBlock:
@@ -135,9 +122,15 @@ class SSTable:
 
     # -- checksums / corruption ----------------------------------------------
 
-    def verify_block(self, block_no: int) -> bool:
-        """Whether the block's payload still matches its stored checksum."""
-        return self._checksums[block_no] == self.block_at(block_no).checksum
+    def verify_block(self, block_no: int, block: Optional[DataBlock] = None) -> bool:
+        """Whether the block's payload still matches its stored checksum.
+
+        ``block`` is that block when the caller already holds it (the
+        metered read path), which saves looking it up again.
+        """
+        if block is None:
+            block = self.block_at(block_no)
+        return self._checksums[block_no] == block.checksum
 
     def is_block_corrupt(self, block_no: int) -> bool:
         """Inverse of :meth:`verify_block` (fault-injection bookkeeping)."""

@@ -108,7 +108,7 @@ class SimulatedDisk:
                 self.transient_errors_total += 1
                 raise
         block = table.block_at(handle.block_no)
-        if self.verify_checksums and not table.verify_block(handle.block_no):
+        if self.verify_checksums and not table.verify_block(handle.block_no, block):
             self.failed_reads_total += 1
             self.corruptions_detected_total += 1
             raise CorruptionError(f"checksum mismatch reading block {handle}")

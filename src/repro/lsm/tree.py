@@ -8,8 +8,10 @@ layer intercepts:
   file per deeper level, with bloom filters pruning files and every
   surviving block access routed through a pluggable ``block_fetch``
   callable (the block cache's hook);
-* **range scans** — a merged iterator over every overlapping sorted run,
-  also fetching blocks through the hook.
+* **range scans** — a heap merge of one block cursor per overlapping
+  sorted run (the MemTable, each L0 file, each deeper level), advancing
+  a run's whole block below the next run's head at a time and fetching
+  each next block through the hook only when the scan still needs it.
 
 SST-read counts come from the underlying
 :class:`~repro.lsm.storage.SimulatedDisk`; the tree itself never reads
@@ -19,7 +21,8 @@ a block except through ``block_fetch``.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,16 +35,9 @@ from repro.errors import (
     WriteStallError,
 )
 from repro.faults.retry import RetryPolicy
-from repro.lsm.block import BlockHandle, DataBlock, Entry
+from repro.lsm.block import BlockFetch, BlockHandle, DataBlock, Entry
 from repro.lsm.bloom import GOLDEN_GAMMA, fnv1a_batch_multi
 from repro.lsm.compaction import CompactionListener, Compactor
-from repro.lsm.iterator import (
-    BlockFetch,
-    MergeItem,
-    level_source,
-    memtable_source,
-    sstable_source,
-)
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import LSMOptions
 from repro.lsm.sstable import SSTable
@@ -253,7 +249,7 @@ class LSMTree:
         self._check_open()
         if not self.memtable:
             return None
-        entries: List[Entry] = list(self.memtable.entries())
+        entries: List[Entry] = self.memtable.entries()
         table = SSTable.from_entries(
             self.disk.allocate_sst_id(),
             entries,
@@ -474,14 +470,28 @@ class LSMTree:
     ) -> List[Tuple[str, str]]:  # hot-path
         """Return up to ``length`` live entries with key >= ``start``.
 
-        Runs the merge/dedup/limit loop inline.  It returns the first
-        ``length`` items of a ``heapq.merge`` over the sources that keeps
-        each key's newest version and drops tombstones, pulling the
-        sources in the same order and stopping right after the
-        ``length``-th live entry, so block-read counts match too; it
-        only saves two generator frames per merged entry.  That
-        generator, ``merge_scan`` in ``tests/lsm/test_iterator.py``, is
-        the oracle.
+        A merge over one cursor per sorted run — the MemTable, each
+        Level-0 file, each non-empty deeper level — that keeps each
+        key's newest version and drops tombstones.  A cursor sits on its
+        run's current block (the ``_keys``/``_values`` lists of a
+        :class:`DataBlock`, or the MemTable's :meth:`~MemTable.sorted_from`
+        lists), and the heap holds one cell per run, ordered by
+        ``(head key, priority)``; a lower priority is a newer run.  The
+        winning cell consumes, in one pass, every entry of its block
+        below the smaller head of ``heap[1]``/``heap[2]``, then takes
+        one ``heapreplace``.  It stops *below* the next head, not at it:
+        an equal key must go back through the heap so that the newest
+        version wins, and inside the run no entry can repeat a key.
+
+        **Fetch order.**  A run reads its next block right after its
+        current block's last entry is consumed and only while the scan
+        still needs entries; a Level-0 file or level is entered at the
+        block the first-key index picks for ``start`` (a block with no
+        key >= ``start`` is read and skipped).  That is exactly when the
+        per-entry generator merge, ``merge_scan`` over the sources in
+        ``tests/lsm/test_iterator.py``, reads, so the same handles are
+        fetched in the same order and block-cache state and read counts
+        match it; that merge is the oracle.
 
         ``fetch`` overrides the block-read callable; the batched scan
         executor passes a per-batch memoizing wrapper so scans in one
@@ -489,87 +499,118 @@ class LSMTree:
         cache probe, at most one metered read).  ``None`` — every
         scalar caller — reads through :meth:`fetch_block` unchanged.
         """
-        sources = self._scan_sources(start, fetch)
-        if length <= 0:
-            return []
-        out: List[Tuple[str, str]] = []
-        append = out.append
-        current_key: Optional[str] = None
-        # Inlined heapq.merge: same cell layout ([item, order, iterator]),
-        # same order-index tie-break (priorities are unique per source, so
-        # cell comparison never reaches the iterator), and each winning
-        # source advances only after its item is consumed — so an early
-        # stop leaves exactly the same generators suspended at exactly
-        # the same block as the heapq.merge generator did.
-        heap = []
-        heap_append = heap.append
-        for order, it in enumerate(sources):
-            try:
-                heap_append([next(it), order, it])
-            except StopIteration:
-                pass
-        heapq.heapify(heap)
-        heapreplace = heapq.heapreplace
-        heappop = heapq.heappop
-        while len(heap) > 1:
-            cell = heap[0]
-            key, _priority, value = cell[0]
-            if key != current_key:
-                current_key = key
-                if value is not None:
-                    append((key, value))
-                    if len(out) == length:
-                        return out
-            try:
-                cell[0] = next(cell[2])
-            except StopIteration:
-                heappop(heap)
-            else:
-                heapreplace(heap, cell)
-        if heap:
-            cell = heap[0]
-            key, _priority, value = cell[0]
-            if key != current_key:
-                current_key = key
-                if value is not None:
-                    append((key, value))
-                    if len(out) == length:
-                        return out
-            for key, _priority, value in cell[2]:
-                if key == current_key:
-                    continue  # older version of a key we already resolved
-                current_key = key
-                if value is not None:
-                    append((key, value))
-                    if len(out) == length:
-                        break
-        return out
-
-    def _scan_sources(
-        self, start: str, fetch: Optional[BlockFetch] = None
-    ) -> List[Iterator[MergeItem]]:  # hot-path
-        """One merge source per sorted run overlapping ``start``.
-
-        Building the sources is free of I/O: every generator is
-        unstarted until the merge pulls from it.
-        """
         self._check_open()
         self.scans_total += 1
+        if length <= 0:
+            return []
         if fetch is None:
             fetch = self.fetch_block
-        sources: List[Iterator[MergeItem]] = [
-            memtable_source(self.memtable, start, priority=0)
-        ]
-        priority = 1
-        for table in self.levels.level_files(0):  # newest first
-            sources.append(sstable_source(table, start, priority, fetch))
-            priority += 1
+        # Cell: [head key, priority, pos, keys, values, block_no,
+        # handles, files, file_idx, file_end]; the run continues into
+        # files[file_idx + 1 : file_end].  The MemTable is one block with
+        # no handles and no further file.  Runs open newest first, so the
+        # heap's length is the next run's priority.
+        heap: List[list] = []
+        keys, values, pos = self.memtable.sorted_from(start)
+        if pos < len(keys):
+            heap.append([keys[pos], 0, pos, keys, values, 0, (), None, 0, 0])
+        levels = self.levels
+        seek = self._seek
+        files = levels.iter_level(0)  # newest first
+        for file_idx in range(len(files)):
+            if files[file_idx].last_key >= start:
+                heap.append(seek(start, len(heap), files, file_idx, file_idx + 1, fetch))
         for level in range(1, self.options.max_levels):
-            files = self.levels.level_files(level)
+            files = levels.iter_level(level)
             if files:
-                sources.append(level_source(files, start, priority, fetch))
-                priority += 1
-        return sources
+                file_idx = levels.scan_start(level, start)
+                if file_idx < len(files):
+                    heap.append(seek(start, len(heap), files, file_idx, len(files), fetch))
+        heapq.heapify(heap)
+        heapreplace = heapq.heapreplace
+        out: List[Tuple[str, str]] = []
+        append = out.append
+        left = length
+        last_key: Optional[str] = None  # an equal head is an older version
+        while heap:
+            cell = heap[0]
+            pos = cell[2]
+            keys = cell[3]
+            end = len(keys)
+            n = len(heap)
+            if n > 2:
+                bound = heap[1][0]
+                other = heap[2][0]
+                stop = bisect_left(keys, other if other < bound else bound, pos + 1, end)
+            elif n == 2:
+                stop = bisect_left(keys, heap[1][0], pos + 1, end)
+            else:
+                stop = end
+            if keys[pos] == last_key:
+                pos += 1
+            values = cell[4]
+            for i in range(pos, stop):
+                value = values[i]
+                if value is not None:
+                    append((keys[i], value))
+                    left -= 1
+                    if not left:
+                        return out
+            last_key = keys[stop - 1]
+            if stop < end:
+                cell[0] = keys[stop]
+                cell[2] = stop
+                heapreplace(heap, cell)
+                continue
+            # The block is spent and the scan still needs entries: read
+            # the run's next block, entering its next file if need be.
+            block_no = cell[5] + 1
+            handles = cell[6]
+            if block_no >= len(handles):
+                file_idx = cell[8] + 1
+                if file_idx >= cell[9]:
+                    heapq.heappop(heap)
+                    continue
+                handles = cell[6] = cell[7][file_idx].block_handles
+                cell[8] = file_idx
+                block_no = 0
+            block = fetch(handles[block_no])
+            keys = block._keys
+            cell[0] = keys[0]
+            cell[2] = 0
+            cell[3] = keys
+            cell[4] = block._values
+            cell[5] = block_no
+            heapreplace(heap, cell)
+        return out
+
+    @staticmethod
+    def _seek(
+        start: str,
+        priority: int,
+        files: List[SSTable],
+        file_idx: int,
+        file_end: int,
+        fetch: BlockFetch,
+    ) -> list:  # hot-path
+        """A scan cell positioned at ``start`` in ``files[file_idx]``,
+        whose last key is >= ``start``: one block read, or two when the
+        first-key index picks a block whose keys all sort below
+        ``start`` (the next block of the same file then starts above it).
+        """
+        table = files[file_idx]
+        handles = table.block_handles
+        block_no = table.first_block_no_for(start)
+        block = fetch(handles[block_no])
+        keys = block._keys
+        pos = bisect_left(keys, start)
+        if pos == len(keys):
+            block_no += 1
+            block = fetch(handles[block_no])
+            keys = block._keys
+            pos = 0
+        return [keys[pos], priority, pos, keys, block._values, block_no, handles,
+                files, file_idx, file_end]
 
     # -- crash recovery -----------------------------------------------------------------
 

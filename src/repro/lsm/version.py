@@ -171,14 +171,14 @@ class LevelState:
         table = files[idx]
         return table if key <= table.last_key else None
 
-    def overlapping_files(
-        self, level: int, start: str, end: Optional[str]
-    ) -> List[SSTable]:
-        """Files at ``level`` intersecting ``[start, end)`` in key order.
-
-        For L0 this preserves newest-first order instead.
-        """
-        return [t for t in self._levels[level] if t.overlaps(start, end)]
+    def scan_start(self, level: int, key: str) -> int:  # hot-path
+        """In a sorted level, the index of the first file whose
+        ``last_key >= key`` (the file count when none is): where a scan
+        from ``key`` enters the level.  Bisects like :meth:`find_file`."""
+        idx = bisect.bisect_right(self._level_firsts(level), key) - 1
+        if idx < 0:
+            return 0
+        return idx if key <= self._levels[level][idx].last_key else idx + 1
 
     def all_files(self) -> List[SSTable]:
         """All live files, shallow copy."""

@@ -1,12 +1,16 @@
-"""Eviction policies: LRU, LFU, CLOCK, ARC behavioural contracts."""
+"""Eviction policies: LRU, LFU, CLOCK, ARC behavioural contracts, bulk eviction."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.arc import ARCPolicy
 from repro.cache.base import BudgetedCache
+from repro.cache.cacheus import CacheusPolicy
 from repro.cache.clock import ClockPolicy
+from repro.cache.lecar import LeCaRPolicy
 from repro.cache.lfu import LFUPolicy
 from repro.cache.lru import LRUPolicy
 from repro.errors import CacheError
@@ -147,3 +151,71 @@ def test_policy_contract_under_budgeted_cache(policy_factory):
     assert len(cache) <= 8
     assert cache.used_bytes == len(cache)
     assert cache.stats.evictions == cache.stats.insertions - len(cache)
+
+
+def _replay(policy, history):
+    """Drive ``policy`` the way a cache container does: a touch inserts
+    an absent key and accesses a resident one; only residents leave."""
+    for op, key in history:
+        if op == "touch":
+            if key in policy:
+                policy.record_access(key)
+            else:
+                policy.record_insert(key)
+        elif op == "remove":
+            if key in policy:
+                policy.record_remove(key)
+        elif len(policy):
+            policy.evict(min(key, len(policy)))
+
+
+def _one_by_one(policy, count):
+    victims = []
+    for _ in range(count):
+        victim = policy.select_victim()
+        policy.record_evict(victim)
+        victims.append(victim)
+    return victims
+
+
+HISTORY = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["touch", "touch", "remove"]), st.integers(0, 30)),
+        st.tuples(st.just("evict"), st.integers(1, 4)),
+    ),
+    max_size=80,
+)
+
+BULK_POLICIES = {
+    "lru": LRUPolicy,
+    "lfu": LFUPolicy,
+    "clock": ClockPolicy,
+    "arc": lambda: ARCPolicy(capacity_hint=8),
+    "lecar": lambda: LeCaRPolicy(history_size=6, seed=3),
+    "cacheus": lambda: CacheusPolicy(history_size=6, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_POLICIES))
+@settings(max_examples=60, deadline=None)
+@given(history=HISTORY, data=st.data())
+def test_evict_equals_rounds_of_select_and_record(name, history, data):
+    """``evict(n)`` is n rounds of ``select_victim`` + ``record_evict``:
+    same victims in the same order, and the same state afterwards."""
+    bulk, single = BULK_POLICIES[name](), BULK_POLICIES[name]()
+    _replay(bulk, history)
+    _replay(single, history)
+    count = data.draw(st.integers(0, len(bulk)))
+    assert bulk.evict(count) == _one_by_one(single, count)
+    assert len(bulk) == len(single)
+    bulk.check_invariants()
+    assert _one_by_one(bulk, len(bulk)) == _one_by_one(single, len(single))
+
+
+def test_lru_evict_past_resident_count_raises_and_keeps_keys():
+    p = LRUPolicy()
+    for k in "abc":
+        p.record_insert(k)
+    with pytest.raises(CacheError):
+        p.evict(4)
+    assert p.evict(3) == ["a", "b", "c"] and len(p) == 0

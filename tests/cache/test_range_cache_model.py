@@ -27,9 +27,10 @@ class _EvictionLog(LRUPolicy):
         super().__init__()
         self.evicted: List[str] = []
 
-    def record_evict(self, key: str) -> None:
-        self.evicted.append(key)
-        super().record_evict(key)
+    def evict(self, count: int) -> List[str]:
+        victims = super().evict(count)
+        self.evicted.extend(victims)
+        return victims
 
 
 def cache_of(budget_entries: int = 16) -> RangeCache:

@@ -1,4 +1,4 @@
-"""Data blocks: lookup, range extraction, handle identity."""
+"""Data blocks: lookup, bounds, handle identity."""
 
 from __future__ import annotations
 
@@ -40,21 +40,6 @@ class TestDataBlock:
         assert block.first_key == "b"
         assert block.last_key == "f"
 
-    def test_entries_from_midpoint(self):
-        block = make_block(["a", "c", "e"])
-        assert [k for k, _ in block.entries_from("b")] == ["c", "e"]
-
-    def test_entries_from_before_start(self):
-        block = make_block(["a", "c"])
-        assert [k for k, _ in block.entries_from("")] == ["a", "c"]
-
-    def test_entries_from_past_end(self):
-        block = make_block(["a", "c"])
-        assert block.entries_from("z") == []
-
     def test_len(self):
         assert len(make_block(["a", "b", "c"])) == 3
 
-    def test_keys_sorted(self):
-        block = make_block(["a", "b", "c"])
-        assert block.keys() == ["a", "b", "c"]

@@ -50,11 +50,16 @@ class TestIteration:
             m.put(k, k.upper())
         assert [k for k, _ in m.entries()] == ["a", "b", "c"]
 
-    def test_entries_from(self):
+    def test_sorted_from(self):
         m = MemTable()
-        for k in ["a", "c", "e"]:
+        for k in ["e", "a", "c"]:
             m.put(k, k)
-        assert [k for k, _ in m.entries_from("b")] == ["c", "e"]
+        m.delete("d")
+        keys, values, pos = m.sorted_from("b")
+        assert (keys[pos:], values[pos:]) == (["c", "d", "e"], ["c", None, "e"])
+        m.put("c", "C")  # an overwrite refreshes the cached values
+        keys, values, pos = m.sorted_from("c")
+        assert values[pos:] == ["C", None, "e"]
 
     def test_entries_include_tombstones(self):
         m = MemTable()

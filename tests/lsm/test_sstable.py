@@ -1,4 +1,4 @@
-"""SSTables: packing, index search, bloom pruning, overlap queries."""
+"""SSTables: packing, index search, bloom pruning, scan metadata."""
 
 from __future__ import annotations
 
@@ -55,13 +55,6 @@ class TestLookup:
 
 
 class TestRangeMetadata:
-    def test_overlaps(self):
-        table = build_table(n=8)  # k00000..k00007
-        assert table.overlaps("k00003", "k00005")
-        assert table.overlaps("k00007", None)
-        assert not table.overlaps("k00008", None)
-        assert not table.overlaps("a", "k00000")  # end-exclusive
-
     def test_first_block_no_for_scan(self):
         table = build_table(n=12, entries_per_block=4)
         assert table.first_block_no_for("k00006") == 1
@@ -74,6 +67,6 @@ class TestRangeMetadata:
 
     def test_handles_enumerate_blocks(self):
         table = build_table(n=10, entries_per_block=4, sst_id=9)
-        handles = table.handles()
+        handles = table.block_handles
         assert [h.block_no for h in handles] == [0, 1, 2]
         assert all(h.sst_id == 9 for h in handles)

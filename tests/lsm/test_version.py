@@ -1,4 +1,4 @@
-"""Level structure: run counting, overlap queries, file bookkeeping."""
+"""Level structure: run counting, scan entry, file bookkeeping."""
 
 from __future__ import annotations
 
@@ -61,13 +61,17 @@ class TestSortedLevels:
         with pytest.raises(StorageError):
             LevelState(4).find_file(0, "k")
 
-    def test_overlapping_files(self):
+    def test_scan_start(self):
         levels = LevelState(4)
-        levels.add_to_level(1, table(1, 0))
-        levels.add_to_level(1, table(2, 100))
-        hits = levels.overlapping_files(1, "k00002", "k00101")
-        assert [t.sst_id for t in hits] == [1, 2]
-        assert levels.overlapping_files(1, "k00200", None) == []
+        assert levels.scan_start(1, "k") == 0  # empty level
+        levels.add_to_level(1, table(1, 0))     # k00000..k00003
+        levels.add_to_level(1, table(2, 100))   # k00100..k00103
+        assert levels.scan_start(1, "a") == 0
+        assert levels.scan_start(1, "k00002") == 0
+        assert levels.scan_start(1, "k00003") == 0
+        assert levels.scan_start(1, "k00050") == 1  # between the files
+        assert levels.scan_start(1, "k00103") == 1
+        assert levels.scan_start(1, "k00104") == 2  # past the level
 
     def test_remove(self):
         levels = LevelState(4)
