@@ -417,3 +417,41 @@ def test_write_flood_fleet_metrics_export_matches_recorded(write_flood, tmp_path
     with open(paths["fleet"], "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert digest == GOLDEN_WRITE_FLOOD_METRICS_SHA256
+
+
+# The fingerprint covers neither obs event payloads nor report text.
+# These pins cover both; they were recorded before the simulator was
+# split into a kernel plus the failure-model, shared-L2 and obs objects.
+GOLDEN_WRITE_FLOOD_EVENTS_SHA256 = (
+    "21a8f040e95d295d17fe386f9a3cbe5aefb2d70ac61222ee0744c2f081d56714"
+)
+
+
+def test_write_flood_fleet_events_export_matches_recorded(write_flood, tmp_path):
+    paths = write_flood.export_obs(str(tmp_path))
+    with open(paths["fleet_events"], "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == GOLDEN_WRITE_FLOOD_EVENTS_SHA256
+
+
+GOLDEN_REPORT_SHA256 = {
+    (1, 0, 0, 0): "612cc74b1d006cae3c4b583d1435408203937bd161683401be818002fbb3f01e",
+    (8, 1, 1, 1): "9b476e72fd573604c49c3787f6c920660ecd9a48a40b9372d1cca7d0000a6459",
+    "write_flood": "5c41ea4a6f7905b6d8d42817bf115a309d4e4419bc51ce1ff597b744d0c52747",
+}
+
+
+@pytest.mark.parametrize(
+    "cell", [(1, 0, 0, 0), (8, 1, 1, 1)], ids=lambda c: "b%d-c%d-r%d-l%d" % c
+)
+def test_fleet_report_matches_recorded(cell):
+    from repro.serve import run_serve
+
+    report = run_serve(_matrix_config(*cell)).format_report()
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256[cell]
+
+
+def test_write_flood_report_matches_recorded(write_flood):
+    digest = hashlib.sha256(write_flood.format_report().encode()).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256["write_flood"]
