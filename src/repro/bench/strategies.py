@@ -80,30 +80,6 @@ def _kv_engine(tree: LSMTree, cache_bytes: int, seed: int, num_shards: int) -> K
     return KVEngine(tree, kv_cache=cache)
 
 
-def _ackey_engine(tree: LSMTree, cache_bytes: int, seed: int, num_shards: int) -> KVEngine:
-    """AC-Key-flavoured hierarchy: KV + KP + block caches.
-
-    AC-Key adapts the three budgets with ARC; this simplified baseline
-    uses a fixed 25% KV / 5% KP / 70% block split (its reported steady
-    state under mixed workloads) — enough to compare the *architecture*
-    against the paper's two-cache design.
-    """
-    from repro.cache.kp_cache import KPCache
-
-    kv_budget = cache_bytes // 4
-    kp_budget = cache_bytes // 20
-    block_budget = cache_bytes - kv_budget - kp_budget
-    block = BlockCache(
-        block_budget,
-        block_size=tree.options.block_size,
-        backing_fetch=tree.disk.read_block,
-        num_shards=num_shards,
-    )
-    kv = KVCache(kv_budget, entry_charge=_entry_charge(tree))
-    kp = KPCache(kp_budget, is_live=tree.disk.has)
-    return KVEngine(tree, block_cache=block, kv_cache=kv, kp_cache=kp)
-
-
 def _range_engine_with(policy_factory) -> Callable[..., KVEngine]:
     def build(tree: LSMTree, cache_bytes: int, seed: int, num_shards: int) -> KVEngine:
         charge = _entry_charge(tree)
@@ -166,7 +142,6 @@ STRATEGIES: Dict[str, Callable[..., KVEngine]] = {
         tree, cache_bytes, seed, num_shards, prefetch=True
     ),
     "kv": _kv_engine,
-    "ackey": _ackey_engine,
     "range": _range_engine_with(lambda _cap, _seed: None),
     "range-lecar": _range_engine_with(
         lambda cap, seed: LeCaRPolicy(history_size=cap, seed=seed)
@@ -193,7 +168,6 @@ DISPLAY_NAMES: Dict[str, str] = {
     "block-arc": "Block Cache (ARC)",
     "block-prefetch": "Block Cache + Leaper-style prefetch",
     "kv": "KV Cache",
-    "ackey": "AC-Key-style (KV + KP + block)",
     "range": "Range Cache",
     "range-lecar": "Range Cache + LeCaR",
     "range-cacheus": "Range Cache + Cacheus",

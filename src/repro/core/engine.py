@@ -26,7 +26,6 @@ from repro import sanitize
 from repro.cache.admission import FrequencyAdmission, PartialScanAdmission
 from repro.cache.base import CacheStats
 from repro.cache.block_cache import BlockCache
-from repro.cache.kp_cache import KPCache
 from repro.cache.kv_cache import KVCache
 from repro.cache.range_cache import RangeCache
 from repro.core.stats import StatsCollector, WindowStats
@@ -74,7 +73,6 @@ class KVEngine:
         block_cache: Optional[BlockCache] = None,
         range_cache: Optional[RangeCache] = None,
         kv_cache: Optional[KVCache] = None,
-        kp_cache: Optional[KPCache] = None,
         freq_admission: Optional[FrequencyAdmission] = None,
         scan_admission: Optional[PartialScanAdmission] = None,
         block_scan_admission: Optional[PartialScanAdmission] = None,
@@ -85,7 +83,6 @@ class KVEngine:
         self.block_cache = block_cache
         self.range_cache = range_cache
         self.kv_cache = kv_cache
-        self.kp_cache = kp_cache
         self.freq_admission = freq_admission
         self.scan_admission = scan_admission
         self.block_scan_admission = block_scan_admission
@@ -228,10 +225,10 @@ class KVEngine:
     def _probe(self, key: str) -> object:  # hot-path
         """The cache half of the query handling path, one key at a time.
 
-        Probes range cache -> KV cache -> MemTable -> KP cache, in that
-        order, and notes the lookup where it is answered.  Returns the
-        answer (``None`` for a MemTable tombstone or a KP-resolved
-        miss), or :data:`_TO_SSTABLES` when only the SSTables can tell.
+        Probes range cache -> KV cache -> MemTable, in that order, and
+        notes the lookup where it is answered.  Returns the answer
+        (``None`` for a MemTable tombstone), or :data:`_TO_SSTABLES`
+        when only the SSTables can tell.
         """
         range_cache = self.range_cache
         if range_cache is not None:
@@ -245,17 +242,9 @@ class KVEngine:
             if value is not None:
                 self._note_point(False, True)
                 return value
-        tree = self.tree
-        found, value = tree.get_from_memtable(key)
+        found, value = self.tree.get_from_memtable(key)
         if not found:
-            kp_cache = self.kp_cache
-            if kp_cache is None:
-                return _TO_SSTABLES
-            # tree.fetch_block keeps KP-cache reads on the same
-            # transient-retry / corruption-repair path as the tree's.
-            found, value = kp_cache.lookup(key, tree.fetch_block)
-            if not found:
-                return _TO_SSTABLES
+            return _TO_SSTABLES
         self._note_point(False)
         return value
 
@@ -271,11 +260,9 @@ class KVEngine:
         value = self._probe(key)
         if value is not _TO_SSTABLES:
             return value  # type: ignore[return-value]
-        value, origin = self.tree.get_from_sstables_with_origin(key)
+        value, _ = self.tree.get_from_sstables_with_origin(key)
         if value is not None:
             self._fill_point(key, value)
-            if self.kp_cache is not None and origin is not None:
-                self.kp_cache.remember(key, origin)
         self._note_point(False)
         return value
 
@@ -328,7 +315,6 @@ class KVEngine:
             return [self.get(keys[0])]
         range_cache = self.range_cache
         kv_cache = self.kv_cache
-        kp_cache = self.kp_cache
         out: List[Optional[str]] = [None] * n
         pending_idx: List[int] = []
         pending_keys: List[str] = []
@@ -351,15 +337,13 @@ class KVEngine:
             else:
                 out[i] = value  # type: ignore[assignment]
         if pending_idx:
-            values, origins = self.tree.multi_get_from_sstables(pending_keys)
+            values = self.tree.multi_get_from_sstables(pending_keys)
             found_keys: List[str] = []
             found_values: List[str] = []
-            found_origins: List[Optional[BlockHandle]] = []
             for j, value in enumerate(values):
                 if value is not None:
                     found_keys.append(pending_keys[j])
                     found_values.append(value)
-                    found_origins.append(origins[j])
             if found_keys:
                 if kv_cache is not None:
                     for key, value in zip(found_keys, found_values):
@@ -383,10 +367,6 @@ class KVEngine:
                         range_cache.stats.rejections += rejected
                     if admitted:
                         range_cache.insert_points(admitted)
-                if kp_cache is not None:
-                    for key, origin in zip(found_keys, found_origins):
-                        if origin is not None:
-                            kp_cache.remember(key, origin)
             for j, i in enumerate(pending_idx):
                 out[i] = values[j]
                 self._note_point(False)
@@ -402,7 +382,6 @@ class KVEngine:
         tree = self.tree
         range_cache = self.range_cache
         kv_cache = self.kv_cache
-        kp_cache = self.kp_cache
         collector = self.collector
         window_size = self.window_size
         lock = self._write_lock
@@ -413,8 +392,6 @@ class KVEngine:
                 range_cache.on_write(key, value)
             if kv_cache is not None:
                 kv_cache.on_write(key, value)
-            if kp_cache is not None:
-                kp_cache.on_write(key)
             collector.note_write()
             if collector.current.ops >= window_size:
                 self._maybe_end_window()
@@ -581,8 +558,6 @@ class KVEngine:
             self.range_cache.on_write(key, value)
         if self.kv_cache is not None:
             self.kv_cache.on_write(key, value)
-        if self.kp_cache is not None:
-            self.kp_cache.on_write(key)
         collector = self.collector
         collector.note_write()
         if collector.current.ops >= self.window_size:
@@ -596,8 +571,6 @@ class KVEngine:
             self.range_cache.on_delete(key)
         if self.kv_cache is not None:
             self.kv_cache.on_delete(key)
-        if self.kp_cache is not None:
-            self.kp_cache.on_delete(key)
         collector = self.collector
         collector.note_delete()
         if collector.current.ops >= self.window_size:
@@ -617,12 +590,7 @@ class KVEngine:
         """
         with self._write_lock:
             replayed = self.tree.simulate_crash_and_recover()
-            for cache in (
-                self.block_cache,
-                self.range_cache,
-                self.kv_cache,
-                self.kp_cache,
-            ):
+            for cache in self._caches():
                 if cache is not None:
                     cache.clear()
             if self.block_cache is not None:
@@ -696,7 +664,7 @@ class KVEngine:
     # -- sanitizer protocol -----------------------------------------------------
 
     def _caches(self):
-        return (self.block_cache, self.range_cache, self.kv_cache, self.kp_cache)
+        return (self.block_cache, self.range_cache, self.kv_cache)
 
     def _sanitize_sweep_due(self) -> bool:
         """Full sweeps run at window boundaries when sanitizing is on —

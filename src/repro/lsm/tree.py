@@ -298,7 +298,7 @@ class LSMTree:
         self, key: str
     ) -> Tuple[Optional[str], Optional[BlockHandle]]:  # hot-path
         """Like :meth:`get_from_sstables`, also reporting which block
-        served the key (for key-pointer caches a la AC-Key).
+        served the key.
 
         Each level's cached key-range fence is consulted before any
         per-file probing: a key outside the fence cannot be at that
@@ -328,8 +328,8 @@ class LSMTree:
 
     def multi_get_from_sstables(
         self, keys: Sequence[str]
-    ) -> Tuple[List[Optional[str]], List[Optional[BlockHandle]]]:  # hot-path
-        """Batched :meth:`get_from_sstables_with_origin` over ``keys``.
+    ) -> List[Optional[str]]:  # hot-path
+        """Batched :meth:`get_from_sstables` over ``keys``.
 
         Two amortizations over the scalar loop:
 
@@ -345,9 +345,8 @@ class LSMTree:
         The set of (key, table) bloom probes — and therefore every
         bloom/counter *total* — is identical to the scalar loop's;
         only the interleaving across keys differs.  A batch of one
-        takes the scalar path's exact execution order.  Element i of
-        each returned list equals the scalar call's ``(value, handle)``
-        for ``keys[i]``.
+        takes the scalar path's exact execution order.  Element i of the
+        returned list equals the scalar call's value for ``keys[i]``.
 
         Every base bloom digest the whole walk could need — level-0
         tables for every fenced key, plus each key's one candidate file
@@ -364,15 +363,9 @@ class LSMTree:
             # batch): numpy's per-call overhead loses to the scalar
             # probe loop, and duplicate blocks are too rare to matter.
             # Per-key probe sets — and counters — match scalar exactly.
-            out_v: List[Optional[str]] = []
-            out_h: List[Optional[BlockHandle]] = []
-            for key in keys:
-                value, handle = self.get_from_sstables_with_origin(key)
-                out_v.append(value)
-                out_h.append(handle)
-            return out_v, out_h
+            return [self.get_from_sstables_with_origin(key)[0] for key in keys]
         values: List[Optional[str]] = [None] * n
-        handles: List[Optional[BlockHandle]] = [None] * n
+        resolved = [False] * n
         block_memo: Dict[BlockHandle, DataBlock] = {}
         levels = self.levels
         find_file = levels.find_file
@@ -407,7 +400,7 @@ class LSMTree:
                 if candidate is not None:
                     plan.append((i, candidate))
         if not plan:
-            return values, handles
+            return values
         # ---- one vectorized digest pass for the whole walk ----
         uniq = list(dict.fromkeys(table.bloom.seed for _, table in plan))
         uniq += [seed ^ GOLDEN_GAMMA for seed in uniq]
@@ -417,7 +410,7 @@ class LSMTree:
         # ---- walk: a key stops at the first table that holds it ----
         current: Optional[SSTable] = None
         for i, table in plan:
-            if handles[i] is not None:
+            if resolved[i]:
                 continue
             if table is not current:
                 # Level-0 runs probe one table for many keys in a row.
@@ -440,10 +433,10 @@ class LSMTree:
             found, value = block.get(key)
             if found:
                 values[i] = value
-                handles[i] = handle
+                resolved[i] = True
             else:
                 self.bloom_false_positive_total += 1
-        return values, handles
+        return values
 
     def _get_from_table(
         self, table: SSTable, key: str

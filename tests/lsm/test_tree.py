@@ -42,6 +42,21 @@ class TestReadWrite:
         assert tree.get_from_memtable("mem") == (False, None)
         assert tree.get_from_sstables("mem") == "1"
 
+    def test_get_from_sstables_with_origin_names_the_serving_block(
+        self, seeded_tree
+    ):
+        value, origin = seeded_tree.get_from_sstables_with_origin(key_of(5))
+        assert value == value_of(5) and origin is not None
+        assert seeded_tree.disk.has(origin.sst_id)
+        reads = seeded_tree.disk.block_reads_total
+        block = seeded_tree.disk.read_block(origin)
+        assert seeded_tree.disk.block_reads_total == reads + 1
+        assert block.get(key_of(5)) == (True, value_of(5))
+        assert seeded_tree.get_from_sstables_with_origin("zz-absent") == (
+            None,
+            None,
+        )
+
 
 class TestScans:
     def test_scan_merges_levels_and_memtable(self, seeded_tree):
