@@ -438,7 +438,7 @@ def check_unordered_float_accumulation(
 
 
 #: Attribute names that hand a callback to a timer/scheduler (OWN003).
-_HANDOFF_ATTRS = ("after", "after_cancellable", "call_later", "call_at", "defer")
+_HANDOFF_ATTRS = ("after", "at", "call_later", "call_at", "defer")
 _HANDOFF_ATTR_RE = re.compile(r"(schedule|timer|hedge)", re.IGNORECASE)
 
 #: Method calls that mutate their receiver in place (OWN003).
@@ -539,7 +539,7 @@ def check_callback_capture_after_handoff(
     """Callbacks handed to timers/hedges must not capture state the
     caller keeps mutating.
 
-    A lambda or closure passed to ``after()``/``after_cancellable()``/
+    A lambda or closure passed to ``after()``/``at()``/
     ``schedule*``/``*timer*``/``*hedge*`` runs later, on the event
     loop's schedule — but it closes over the caller's variables by
     *reference*.  If the caller rebinds or mutates a captured variable
@@ -618,7 +618,7 @@ def check_tier2_mutation_ownership(
     call outside a ``tier2.py`` module is flagged; test modules
     (``test_*``/``conftest``) are exempt.  Fix by routing the mutation
     through the coordinator's surface (``probe`` / ``offer`` /
-    ``set_budget`` / ``drop_shard``).
+    ``set_budget`` / ``replace_shard``).
     """
     name = os.path.basename(path)
     if name in (_TIER2_OWNER_FILE, "conftest.py") or name.startswith("test_"):

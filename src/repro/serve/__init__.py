@@ -16,13 +16,14 @@ reads, per-op deadlines, and a graceful-degradation ladder.
 
 from repro.serve.arbiter import BudgetArbiter
 from repro.serve.base import ServeComponent
-from repro.serve.events import EventLoop, Timer
+from repro.serve.events import EventLoop
 from repro.serve.queueing import Request, RequestQueue, SubRequest
 from repro.serve.resilience import (
     CircuitBreaker,
     DegradationLadder,
     ResilienceConfig,
 )
+from repro.serve.result import ServeResult, ShardResult, TenantResult
 from repro.serve.router import ShardRouter
 from repro.serve.session import (
     ClientSession,
@@ -30,13 +31,7 @@ from repro.serve.session import (
     ScriptedSession,
     TenantConfig,
 )
-from repro.serve.simulator import (
-    ServeConfig,
-    ServeResult,
-    ShardResult,
-    TenantResult,
-    run_serve,
-)
+from repro.serve.simulator import ServeConfig, run_serve
 
 __all__ = [
     "BudgetArbiter",
@@ -57,6 +52,5 @@ __all__ = [
     "SubRequest",
     "TenantConfig",
     "TenantResult",
-    "Timer",
     "run_serve",
 ]

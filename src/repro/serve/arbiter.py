@@ -115,20 +115,11 @@ class BudgetArbiter(ServeComponent):
         self.history: List[Tuple[float, Tuple[float, ...]]] = []
         self._apply_shares()
 
-    @property
-    def num_shards(self) -> int:
-        """Engines under arbitration."""
-        return len(self._engines)
-
-    @property
-    def l1_pool_bytes(self) -> int:
-        """Bytes left for the shard L1s after the shared tier's carve-out."""
-        tier2 = self._tier2
-        return self.total_budget_bytes - (tier2.budget_bytes if tier2 else 0)
-
     def budgets(self) -> List[int]:
-        """Integer per-shard budgets for the current shares (L1 pool)."""
-        pool = self.l1_pool_bytes
+        """Integer per-shard budgets for the current shares, splitting the
+        L1 pool left after the shared tier's carve-out."""
+        tier2 = self._tier2
+        pool = self.total_budget_bytes - (tier2.budget_bytes if tier2 else 0)
         budgets = [int(pool * s) for s in self.shares]
         budgets[0] += pool - sum(budgets)
         return budgets

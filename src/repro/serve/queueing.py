@@ -135,12 +135,8 @@ class RequestQueue(ServeComponent):
         self.drained = 0
         self.peak_depth = 0
 
-    @property
-    def depth(self) -> int:
-        """Sub-requests currently waiting (excludes the one in service)."""
-        return len(self._items)
-
     def __len__(self) -> int:
+        """Sub-requests currently waiting (excludes the one in service)."""
         return len(self._items)
 
     def has_room(self) -> bool:
@@ -214,19 +210,6 @@ class RequestQueue(ServeComponent):
                 f"accepted {self.accepted} - served {self.served} - "
                 f"expired {self.expired} - drained {self.drained} != "
                 f"depth {depth}"
-            )
-        if (
-            min(
-                self.accepted,
-                self.served,
-                self.rejected,
-                self.expired,
-                self.drained,
-            )
-            < 0
-        ):
-            raise InvariantError(
-                f"RequestQueue shard {self.shard_id}: negative counter"
             )
         if self.peak_depth < depth or self.peak_depth > self.capacity:
             raise InvariantError(

@@ -35,6 +35,10 @@ MODES = ("open", "closed")
 #: default, so a reported percentile overstates the exact one by < 15 %.
 LATENCY_GROWTH = 1.15
 
+#: :meth:`ClientSession.arrivals`: the ops arriving now, and the
+#: absolute sim time of the session's next arrival (None: none).
+Arrival = Tuple[List[Operation], Optional[float]]
+
 
 @dataclass
 class TenantConfig:
@@ -92,11 +96,6 @@ class ClientSession:
         self.rejected = 0
         self.latency = Histogram(growth=LATENCY_GROWTH)
 
-    @property
-    def mode(self) -> str:
-        """``"open"`` or ``"closed"``."""
-        return self.config.mode
-
     def next_operation(self) -> Optional[Operation]:
         """The next workload operation, or None when the stream is done."""
         op = next(self._ops, None)
@@ -117,6 +116,34 @@ class ClientSession:
         if self.config.think_time_us <= 0:
             return 0.0
         return self._rng.expovariate(1.0 / self.config.think_time_us)
+
+    def arrivals(self, now_us: float, batch_size: int) -> Arrival:
+        """The operations arriving at ``now_us`` and the next arrival time.
+
+        Open-loop sessions emit up to ``batch_size`` ops per arrival and
+        schedule the next one regardless of this batch's fate.  A burst
+        consumes one inter-arrival delay per op it carries, so the
+        offered op rate is the same at every batch size (and
+        bit-identical to scalar at batch 1).  Closed sessions stay one
+        op per think time, with no next arrival: bursting them would
+        multiply the in-flight window, and their next issue follows
+        this request's outcome.
+        """
+        op = self.next_operation()
+        if op is None:
+            return [], None
+        if self.config.mode == "closed":
+            return [op], None
+        burst = [op]
+        while len(burst) < batch_size:
+            extra = self.next_operation()
+            if extra is None:
+                break
+            burst.append(extra)
+        delay = 0.0
+        for _ in burst:
+            delay += self.next_delay_us()
+        return burst, now_us + delay
 
 
 @dataclass
@@ -148,18 +175,10 @@ class PhaseSlot:
         return self.stream is None or self.ops_left <= 0 or self.rate_scale <= 0
 
 
-#: ``poll`` outcomes: issue an op now / sleep until a time / stream done.
-PollResult = Tuple[str, float, Optional[Operation]]
-
-
 class ScriptedSession(ClientSession):
     """A tenant driven by a scenario schedule instead of one stream.
 
     Always open-loop: the offered load is the script, scaled per phase.
-    The simulator drives it through :meth:`poll` — which either hands
-    over the next operation, asks to sleep until a phase boundary, or
-    reports the script exhausted — and spaces issues with
-    :meth:`arrival_delay_us` (exponential at the phase-scaled rate).
     """
 
     __slots__ = ("slots", "_slot_idx")
@@ -171,27 +190,19 @@ class ScriptedSession(ClientSession):
             raise ConfigError(
                 f"tenant {config.name!r}: scripted sessions are open-loop only"
             )
-        # No parent stream: poll() draws from one stream per slot.
+        # No parent stream: arrivals() draws from one stream per slot.
         super().__init__(config, iter(()), seed)
         self.slots: List[PhaseSlot] = list(slots)
         self._slot_idx = 0
         if not self.slots:
             raise ConfigError(f"tenant {config.name!r}: empty phase script")
 
-    @property
-    def current_slot(self) -> Optional[PhaseSlot]:
-        """The slot the session is in (None once the script is done)."""
-        if self._slot_idx >= len(self.slots):
-            return None
-        return self.slots[self._slot_idx]
-
-    def poll(self, now_us: float) -> PollResult:
+    def arrivals(self, now_us: float, batch_size: int) -> Arrival:
         """Advance the script to ``now_us`` and decide what happens next.
 
-        Returns ``("issue", 0, op)`` when an operation should enter the
-        system now, ``("sleep", wake_us, None)`` when the session is
-        dormant until ``wake_us`` (always > ``now_us``), and
-        ``("done", 0, None)`` once every slot is exhausted.
+        One op arrives now and the next follows at the phase-scaled rate;
+        or the session is dormant until a phase boundary (always after
+        ``now_us``); or the script is done.  ``batch_size`` is ignored.
         """
         while self._slot_idx < len(self.slots):
             slot = self.slots[self._slot_idx]
@@ -199,24 +210,24 @@ class ScriptedSession(ClientSession):
                 self._slot_idx += 1
                 continue
             if now_us < slot.start_us:
-                return ("sleep", slot.start_us, None)
+                return [], slot.start_us
             if slot.dormant:
-                return ("sleep", slot.end_us, None)
+                return [], slot.end_us
             assert slot.stream is not None
             op = next(slot.stream, None)
             if op is None:
                 slot.ops_left = 0
-                return ("sleep", slot.end_us, None)
+                return [], slot.end_us
             slot.ops_left -= 1
             self.issued += 1
-            return ("issue", 0.0, op)
-        return ("done", 0.0, None)
+            return [op], now_us + self.next_delay_us()
+        return [], None
 
-    def arrival_delay_us(self) -> float:
+    def next_delay_us(self) -> float:
         """Exponential inter-arrival delay at the phase-scaled rate."""
         scale = 1.0
-        slot = self.current_slot
-        if slot is not None and slot.rate_scale > 0:
-            scale = slot.rate_scale
+        slots, i = self.slots, self._slot_idx
+        if i < len(slots) and slots[i].rate_scale > 0:
+            scale = slots[i].rate_scale
         rate_per_us = self.config.arrival_rate_ops_s * scale / 1e6
         return self._rng.expovariate(rate_per_us)

@@ -29,19 +29,33 @@ The client also carries the per-shard probe/hit counters the sim clock
 charges (an L2 hit costs more than an L1 hit, far less than a disk
 read) and the per-shard flow counters the engine folds into its obs
 windows.
+
+In a serving run the coordinator also keeps the tier's fleet-level
+books: the ``l2split``/``l2drop`` trace records, the ghost-hit and
+eviction deltas it folds onto shard 0's obs recorder, and the ``l2_*``
+fields, fingerprint fragment and report lines of the run's result.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
+from repro import sanitize
 from repro.cache.tier2 import Tier2Cache
 from repro.errors import ConfigError
 from repro.lsm.block import BlockHandle, DataBlock
+from repro.obs import names as N
 from repro.serve.base import ServeComponent
 
 if TYPE_CHECKING:  # engine imports nothing from here; avoid cycles anyway
     from repro.core.engine import KVEngine
+    from repro.obs.recorder import ObsRecorder
+    from repro.serve.arbiter import BudgetArbiter
+    from repro.serve.result import ServeResult
+    from repro.serve.simulator import ServeConfig, _Shard
+
+#: The simulation's trace writer: ``emit(kind, *fields)``.
+Emit = Callable[..., None]
 
 
 class Tier2Coordinator(ServeComponent):
@@ -56,10 +70,17 @@ class Tier2Coordinator(ServeComponent):
         Charge per cached block; must match the shard trees'.
     sketch_seed:
         Salt for the admission sketch (derived from the run seed).
+    fleet_bytes:
+        The fleet's whole cache budget (L1s plus this tier), the
+        denominator of the reported L2 share.
     """
 
     def __init__(
-        self, budget_bytes: int, block_size: int, sketch_seed: int = 0
+        self,
+        budget_bytes: int,
+        block_size: int,
+        sketch_seed: int = 0,
+        fleet_bytes: int = 0,
     ) -> None:
         super().__init__()
         if budget_bytes <= 0:
@@ -67,6 +88,30 @@ class Tier2Coordinator(ServeComponent):
         self.cache = Tier2Cache(
             budget_bytes, block_size, sketch_seed=sketch_seed
         )
+        self.fleet_bytes = fleet_bytes
+        #: Ghost hits (recency, frequency) and evictions already folded
+        #: onto the obs recorder.
+        self._obs_mark: Tuple[int, int, int] = (0, 0, 0)
+
+    @classmethod
+    def for_fleet(
+        cls, config: "ServeConfig", shards: Sequence["_Shard"]
+    ) -> "Tier2Coordinator":
+        """One shared tier under every shard, its budget the carve-out
+        the shards' L1 pool already excludes."""
+        tier2 = cls(
+            config.l2_budget_bytes,
+            shards[0].engine.tree.options.block_size,
+            sketch_seed=config.seed + 43,
+            fleet_bytes=config.cache_bytes,
+        )
+        tier2.sanitize_from_env(seed=config.seed + 43)
+        for shard in shards:
+            tier2.attach(shard.shard_id, shard.engine)
+            # The attach rewired the read path; rebase the clock so no
+            # pre-run capture skew leaks into the first charge.
+            shard.clock.rebase()
+        return tier2
 
     # -- the only mutation surface (OWN004 owner) --------------------------
 
@@ -84,9 +129,16 @@ class Tier2Coordinator(ServeComponent):
         self._after_mutation()
         return evicted
 
-    def drop_shard(self, shard_id: int) -> int:
-        """Purge a replaced shard's namespace (replica promotion)."""
-        return self.cache.tier2_drop_shard(shard_id)
+    def replace_shard(self, shard_id: int, engine: "KVEngine", emit: Emit) -> None:
+        """Replica promotion: swap ``engine`` in under the tier.
+
+        The dead primary's SSTable ids would alias the promoted engine's
+        freshly allocated ones inside the shared namespace, so the
+        shard's slice is purged before the newcomer is spliced in.
+        """
+        dropped = self.cache.tier2_drop_shard(shard_id)
+        self.attach(shard_id, engine)
+        emit("l2drop", shard_id, dropped)
 
     # -- read-only surface --------------------------------------------------
 
@@ -126,6 +178,109 @@ class Tier2Coordinator(ServeComponent):
             engine.tree.set_block_fetch(client.fetch_through)
         engine.tier2_client = client
         return client
+
+    # -- fleet bookkeeping ----------------------------------------------------
+
+    @property
+    def share(self) -> float:
+        """This tier's fraction of the fleet's cache budget."""
+        return self.budget_bytes / self.fleet_bytes if self.fleet_bytes else 0.0
+
+    def note_rebalance(
+        self,
+        l2_share: float,
+        evicted: int,
+        emit: Emit,
+        recorder: Optional["ObsRecorder"],
+    ) -> None:
+        """Trace (and record) the L1/L2 boundary after one arbitration."""
+        emit("l2split", f"{l2_share:.4f}", self.budget_bytes, self.used_bytes)
+        if recorder is not None:
+            self._flush_obs(recorder)
+            recorder.event(
+                N.EV_L2_SPLIT,
+                share=round(l2_share, 6),
+                budget=self.budget_bytes,
+                evicted=evicted,
+            )
+
+    def _flush_obs(self, recorder: "ObsRecorder") -> None:
+        """Fold fleet-level deltas (ghost hits, evictions) onto ``recorder``.
+
+        The coordinator is their single writer; the shard engines own
+        the per-shard flow counters.
+        """
+        cache = self.cache
+        mark = (
+            cache.ghost_hits_recency,
+            cache.ghost_hits_frequency,
+            cache.evictions,
+        )
+        ghr0, ghf0, ev0 = self._obs_mark
+        self._obs_mark = mark
+        recorder.inc(N.L2_GHOST_HITS_RECENCY, mark[0] - ghr0)
+        recorder.inc(N.L2_GHOST_HITS_FREQUENCY, mark[1] - ghf0)
+        recorder.inc(N.L2_EVICTIONS, mark[2] - ev0)
+        recorder.set_gauge(N.G_L2_BUDGET_SHARE, self.share)
+        recorder.set_gauge(N.G_L2_OCCUPANCY, cache.occupancy)
+
+    def finish(
+        self,
+        result: "ServeResult",
+        engines: Sequence["KVEngine"],
+        arbiter: Optional["BudgetArbiter"],
+        recorder: Optional["ObsRecorder"],
+    ) -> None:
+        """Fill the ``l2_*`` result fields from the shard clients' counters."""
+        if sanitize.env_enabled():
+            self.check_invariants()
+        if recorder is not None:
+            self._flush_obs(recorder)  # the tail beyond the last rebalance
+        clients = [e.tier2_client for e in engines if e.tier2_client is not None]
+        result.l2_probes = sum(c.probes for c in clients)
+        result.l2_hits = sum(c.hits for c in clients)
+        result.l2_demotions = sum(c.demotions for c in clients)
+        result.l2_admits = sum(c.admits for c in clients)
+        result.l2_rejects = result.l2_demotions - result.l2_admits
+        result.l2_ghost_hits = self.cache.ghost_hits
+        result.l2_evictions = self.cache.evictions
+        result.l2_budget_bytes = self.budget_bytes
+        result.l2_used_bytes = self.used_bytes
+        result.l2_share_final = self.share
+        if arbiter is not None:
+            result.l2_log = [
+                f"{time_us:.3f} share={share:.4f}"
+                for time_us, share in arbiter.l2_history
+            ]
+
+    @staticmethod
+    def fingerprint_fragment(result: "ServeResult") -> List[str]:
+        """The tier's share of the fleet fingerprint (empty when flat)."""
+        if not result.config.tier2_active:
+            return []
+        return [
+            f"{result.l2_probes}:{result.l2_hits}:{result.l2_demotions}:"
+            f"{result.l2_admits}:{result.l2_rejects}:{result.l2_ghost_hits}:"
+            f"{result.l2_evictions}:{result.l2_budget_bytes}:"
+            f"{result.l2_used_bytes}:{result.l2_share_final:.6f}"
+        ] + result.l2_log
+
+    @staticmethod
+    def report_lines(result: "ServeResult") -> List[str]:
+        """The tier's report section (empty when flat)."""
+        if not result.config.tier2_active:
+            return []
+        probed = result.l2_probes
+        hit_rate = result.l2_hits / probed if probed else 0.0
+        return [
+            f"tier2: budget={result.l2_budget_bytes // 1024} KB "
+            f"(share {result.l2_share_final:.3f}) "
+            f"hits={result.l2_hits}/{result.l2_probes} "
+            f"(rate {hit_rate:.3f}) "
+            f"admitted={result.l2_admits}/{result.l2_demotions} "
+            f"ghost_hits={result.l2_ghost_hits} "
+            f"evictions={result.l2_evictions}"
+        ] + [f"l2split: {line}" for line in result.l2_log]
 
     # -- sanitizer protocol -------------------------------------------------
 

@@ -29,7 +29,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.bench.strategies import STRATEGIES
 from repro.errors import ConfigError
 from repro.obs import names as N
-from repro.serve.simulator import ServeConfig, ServeResult, run_serve
+from repro.serve.result import ServeResult
+from repro.serve.simulator import ServeConfig, run_serve
 from repro.workloads.scenarios import (
     ScenarioParams,
     ScenarioSchedule,

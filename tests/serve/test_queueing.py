@@ -33,7 +33,7 @@ class TestQueue:
         q.push(sub(0))
         q.push(sub(1))
         assert not q.has_room()
-        assert q.depth == len(q) == 2
+        assert len(q) == 2
         assert q.peak_depth == 2
         q.pop_live(0.0)
         assert q.has_room()
@@ -63,7 +63,7 @@ class TestQueue:
         for _ in range(2):
             q.pop_live(0.0)
         q.check_invariants()
-        assert q.accepted - q.served == q.depth
+        assert q.accepted - q.served == len(q)
 
     def test_corrupted_counters_detected(self):
         q = RequestQueue(0, 2)

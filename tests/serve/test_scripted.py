@@ -137,28 +137,27 @@ class TestScriptedSession:
         session = self._session(
             [self._slot(0.0, 100.0, 2), self._slot(100.0, 200.0, 0)]
         )
-        kind, _, op = session.poll(0.0)
-        assert kind == "issue" and op is not None
-        kind, _, _ = session.poll(50.0)
-        assert kind == "issue"
+        ops, _ = session.arrivals(0.0, 1)
+        assert len(ops) == 1
+        ops, _ = session.arrivals(50.0, 1)
+        assert len(ops) == 1
         # Budget drained: sleep to the phase end, then the dormant
         # phase sleeps to its own end, then the script is done.
-        assert session.poll(60.0) == ("sleep", 100.0, None)
-        assert session.poll(150.0) == ("sleep", 200.0, None)
-        assert session.poll(200.0) == ("done", 0.0, None)
+        assert session.arrivals(60.0, 1) == ([], 100.0)
+        assert session.arrivals(150.0, 1) == ([], 200.0)
+        assert session.arrivals(200.0, 1) == ([], None)
         assert session.issued == 2
 
     def test_sleep_targets_are_in_the_future(self):
         session = self._session([self._slot(100.0, 200.0, 1)])
-        kind, wake, _ = session.poll(0.0)
-        assert kind == "sleep" and wake == 100.0
+        assert session.arrivals(0.0, 1) == ([], 100.0)
 
     def test_rate_scale_shortens_delays(self):
         fast = self._session([self._slot(0.0, 1e9, 1000, scale=8.0)])
         slow = self._session([self._slot(0.0, 1e9, 1000, scale=1.0)])
         n = 500
-        mean_fast = sum(fast.arrival_delay_us() for _ in range(n)) / n
-        mean_slow = sum(slow.arrival_delay_us() for _ in range(n)) / n
+        mean_fast = sum(fast.next_delay_us() for _ in range(n)) / n
+        mean_slow = sum(slow.next_delay_us() for _ in range(n)) / n
         assert mean_fast < mean_slow / 4
 
     def test_closed_mode_rejected(self):
