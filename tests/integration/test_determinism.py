@@ -345,9 +345,10 @@ def test_fleet_fingerprint_is_independent_of_string_hash_seed():
         assert out.strip() == GOLDEN_FLEET_FINGERPRINTS[cell]
 
 
-def _run_write_flood():
+def _write_flood_config(phase_ops=150):
+    """The write_flood fleet: shared L2, one crash and promotion, obs on."""
     from repro.faults.fleet import FleetFaultConfig
-    from repro.serve import ServeConfig, run_serve
+    from repro.serve import ServeConfig
     from repro.serve.resilience import ResilienceConfig
     from repro.workloads.scenarios import ScenarioParams, build_scenario
 
@@ -356,30 +357,28 @@ def _run_write_flood():
         ScenarioParams(
             num_keys=3_000,
             tenants=4,
-            phase_ops=150,
+            phase_ops=phase_ops,
             arrival_rate_ops_s=500.0,
             seed=5,
         ),
     )
     duration = schedule.total_duration_us
-    return run_serve(
-        ServeConfig(
-            num_shards=4,
-            seed=5,
-            cache_bytes=256 * 1024,
-            l2_budget_bytes=64 * 1024,
-            batch_size=8,
-            resilience=ResilienceConfig(
-                fleet_faults=FleetFaultConfig(
-                    crashes=1,
-                    earliest_us=duration / 30.0,
-                    latest_us=duration / 4.0,
-                    seed=5,
-                )
-            ),
-            obs=True,
-            schedule=schedule,
-        )
+    return ServeConfig(
+        num_shards=4,
+        seed=5,
+        cache_bytes=256 * 1024,
+        l2_budget_bytes=64 * 1024,
+        batch_size=8,
+        resilience=ResilienceConfig(
+            fleet_faults=FleetFaultConfig(
+                crashes=1,
+                earliest_us=duration / 30.0,
+                latest_us=duration / 4.0,
+                seed=5,
+            )
+        ),
+        obs=True,
+        schedule=schedule,
     )
 
 
@@ -391,7 +390,9 @@ GOLDEN_WRITE_FLOOD_OBS_EVENTS = 312
 
 @pytest.fixture(scope="module")
 def write_flood():
-    return _run_write_flood()
+    from repro.serve import run_serve
+
+    return run_serve(_write_flood_config())
 
 
 def test_scripted_write_flood_fingerprint_matches_recorded(write_flood):
