@@ -18,6 +18,7 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.clock import ClockPolicy
 from repro.cache.lru import LRUPolicy
 from repro.core.engine import KVEngine
+from repro.lsm.options import BLOCK_SIZE
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
 CACHE = 512 * 1024
@@ -42,7 +43,7 @@ def run_experiment():
         opts = fresh_options()
         tree = seed_database(NUM_KEYS, opts, seed=7)
         cache = BlockCache(
-            CACHE, opts.block_size, tree.disk.read_block, policy_factory=factory
+            CACHE, BLOCK_SIZE, tree.disk.read_block, policy_factory=factory
         )
         engine = KVEngine(tree, block_cache=cache)
         generator = WorkloadGenerator(spec, seed=105)

@@ -21,6 +21,7 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.prefetcher import CompactionPrefetcher
 from repro.cache.range_cache import RangeCache
 from repro.core.engine import KVEngine
+from repro.lsm.options import BLOCK_SIZE
 from repro.workloads.keys import key_of, value_of
 
 NUM_KEYS = 2000
@@ -36,7 +37,7 @@ CHURN = scaled(800)
 def build_block_engine(mode: str):
     opts = fresh_options()
     tree = seed_database(NUM_KEYS, opts, seed=7)
-    cache = BlockCache(CACHE, opts.block_size, tree.disk.read_block)
+    cache = BlockCache(CACHE, BLOCK_SIZE, tree.disk.read_block)
     engine = KVEngine(tree, block_cache=cache)
     if mode == "prefetch":
         CompactionPrefetcher.attach(tree, cache)

@@ -31,16 +31,23 @@ from repro.workloads.generator import (
 CACHE = 512 * 1024
 PHASE1_OPS = scaled(8000)   # warm on point lookups
 PHASE2_OPS = scaled(12000)  # shift to short scans
+#: Each phase spans at least this many of the run's own windows, so a
+#: reduced-scale run still has a post-shift dip (5 windows) to measure.
+MIN_PHASE_WINDOWS = 6
 
 
-def run_shift(engine) -> AdCacheEngine:
+def run_shift(engine):
+    """Play the shift; returns ``(engine, windows before the shift)``."""
+    window = engine.config.window_size
+    floor = MIN_PHASE_WINDOWS * window
+    phase1_ops = max(PHASE1_OPS, floor)
     gen1 = WorkloadGenerator(point_lookup_workload(NUM_KEYS), seed=21)
-    for op in gen1.ops(PHASE1_OPS):
+    for op in gen1.ops(phase1_ops):
         apply_operation(engine, op)
     gen2 = WorkloadGenerator(short_scan_workload(NUM_KEYS), seed=22)
-    for op in gen2.ops(PHASE2_OPS):
+    for op in gen2.ops(max(PHASE2_OPS, floor)):
         apply_operation(engine, op)
-    return engine
+    return engine, phase1_ops // window
 
 
 def engine_with(window_size=None, alpha=None, seed=5):
@@ -61,10 +68,8 @@ def pretrained_engine():
 def post_shift_curve(engine, phase1_windows):
     """Mean hit rate right after the shift and at the end."""
     h = [r.h_estimate for r in engine.controller.history]
-    shift = phase1_windows
-    dip = float(np.mean(h[shift : shift + 5])) if len(h) > shift + 5 else 0.0
-    end = float(np.mean(h[-8:]))
-    return dip, end
+    post = h[phase1_windows:]
+    return float(np.mean(post[:5])), float(np.mean(post[-8:]))
 
 
 def run_experiment():
@@ -72,15 +77,12 @@ def run_experiment():
 
     # Panel 1: window sizes (plus the frozen pretrained model).
     for window in (100, 250, 1000):
-        engine = run_shift(engine_with(window_size=window))
-        out[f"window={window}"] = (engine, PHASE1_OPS // window)
-    pre = run_shift(pretrained_engine())
-    out["pretrained"] = (pre, PHASE1_OPS // pre.config.window_size)
+        out[f"window={window}"] = run_shift(engine_with(window_size=window))
+    out["pretrained"] = run_shift(pretrained_engine())
 
     # Panel 2: alpha sweep at the default window.
     for alpha in (0.0, 0.5, 0.9):
-        engine = run_shift(engine_with(alpha=alpha))
-        out[f"alpha={alpha}"] = (engine, PHASE1_OPS // engine.config.window_size)
+        out[f"alpha={alpha}"] = run_shift(engine_with(alpha=alpha))
     return out
 
 

@@ -20,40 +20,41 @@ Figure 10:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.cache.block_cache import BlockCache
 from repro.cache.cacheus import CacheusPolicy
 from repro.cache.kv_cache import KVCache
 from repro.cache.lecar import LeCaRPolicy
 from repro.cache.range_cache import RangeCache
-from repro.core.adcache import ACTION_DIM, AdCacheEngine
+from repro.core.adcache import (
+    ACTION_DIM,
+    ACTOR_LR,
+    CRITIC_LR,
+    AdCacheEngine,
+    default_entry_charge,
+)
 from repro.core.config import AdCacheConfig
 from repro.core.engine import KVEngine
 from repro.errors import ConfigError
+from repro.lsm.options import BLOCK_SIZE
 from repro.lsm.tree import LSMTree
 from repro.rl.actor_critic import ActorCriticAgent
 from repro.rl.features import STATE_DIM
 from repro.rl.pretrain import generate_supervised_dataset, pretrain_actor_supervised
 
 
-def _entry_charge(tree: LSMTree) -> int:
-    return tree.options.key_size + tree.options.value_size
-
-
 def _block_engine(
     tree: LSMTree,
     cache_bytes: int,
     seed: int,
-    num_shards: int,
     policy_factory=None,
     prefetch: bool = False,
 ) -> KVEngine:
     cache = BlockCache(
         cache_bytes,
-        block_size=tree.options.block_size,
+        block_size=BLOCK_SIZE,
         backing_fetch=tree.disk.read_block,
-        num_shards=num_shards,
         policy_factory=policy_factory,
     )
     if prefetch:
@@ -69,20 +70,20 @@ def _clock_factory():
     return ClockPolicy()
 
 
-def _arc_factory(cache_bytes: int, tree: LSMTree):
+def _arc_factory(cache_bytes: int):
     from repro.cache.arc import ARCPolicy
 
-    return ARCPolicy(capacity_hint=max(8, cache_bytes // tree.options.block_size))
+    return ARCPolicy(capacity_hint=max(8, cache_bytes // BLOCK_SIZE))
 
 
-def _kv_engine(tree: LSMTree, cache_bytes: int, seed: int, num_shards: int) -> KVEngine:
-    cache = KVCache(cache_bytes, entry_charge=_entry_charge(tree))
+def _kv_engine(tree: LSMTree, cache_bytes: int, seed: int) -> KVEngine:
+    cache = KVCache(cache_bytes, entry_charge=default_entry_charge())
     return KVEngine(tree, kv_cache=cache)
 
 
 def _range_engine_with(policy_factory) -> Callable[..., KVEngine]:
-    def build(tree: LSMTree, cache_bytes: int, seed: int, num_shards: int) -> KVEngine:
-        charge = _entry_charge(tree)
+    def build(tree: LSMTree, cache_bytes: int, seed: int) -> KVEngine:
+        charge = default_entry_charge()
         capacity_entries = max(16, cache_bytes // charge)
         policy = policy_factory(capacity_entries, seed)
         cache = RangeCache(cache_bytes, entry_charge=charge, policy=policy, seed=seed)
@@ -95,30 +96,26 @@ def _adcache_engine(
     tree: LSMTree,
     cache_bytes: int,
     seed: int,
-    num_shards: int,
     *,
     enable_partitioning: bool = True,
     enable_admission: bool = True,
     pretrained_frozen: bool = False,
-    config: Optional[AdCacheConfig] = None,
 ) -> AdCacheEngine:
-    if config is None:
-        config = AdCacheConfig(
-            total_cache_bytes=cache_bytes,
-            enable_partitioning=enable_partitioning,
-            enable_admission=enable_admission,
-            online_learning=not pretrained_frozen,
-            num_shards=num_shards,
-            seed=seed,
-        )
+    config = AdCacheConfig(
+        total_cache_bytes=cache_bytes,
+        enable_partitioning=enable_partitioning,
+        enable_admission=enable_admission,
+        online_learning=not pretrained_frozen,
+        seed=seed,
+    )
     agent = None
     if pretrained_frozen:
         agent = ActorCriticAgent(
             STATE_DIM,
             ACTION_DIM,
             hidden_dim=config.hidden_dim,
-            actor_lr=config.actor_lr,
-            critic_lr=config.critic_lr,
+            actor_lr=ACTOR_LR,
+            critic_lr=CRITIC_LR,
             seed=seed,
         )
         dataset = generate_supervised_dataset(256, seed=seed)
@@ -128,18 +125,14 @@ def _adcache_engine(
 
 STRATEGIES: Dict[str, Callable[..., KVEngine]] = {
     "block": _block_engine,
-    "block-clock": lambda tree, cache_bytes, seed, num_shards: _block_engine(
-        tree, cache_bytes, seed, num_shards, policy_factory=_clock_factory
+    "block-clock": lambda tree, cache_bytes, seed: _block_engine(
+        tree, cache_bytes, seed, policy_factory=_clock_factory
     ),
-    "block-arc": lambda tree, cache_bytes, seed, num_shards: _block_engine(
-        tree,
-        cache_bytes,
-        seed,
-        num_shards,
-        policy_factory=lambda: _arc_factory(cache_bytes, tree),
+    "block-arc": lambda tree, cache_bytes, seed: _block_engine(
+        tree, cache_bytes, seed, policy_factory=lambda: _arc_factory(cache_bytes)
     ),
-    "block-prefetch": lambda tree, cache_bytes, seed, num_shards: _block_engine(
-        tree, cache_bytes, seed, num_shards, prefetch=True
+    "block-prefetch": lambda tree, cache_bytes, seed: _block_engine(
+        tree, cache_bytes, seed, prefetch=True
     ),
     "kv": _kv_engine,
     "range": _range_engine_with(lambda _cap, _seed: None),
@@ -150,14 +143,14 @@ STRATEGIES: Dict[str, Callable[..., KVEngine]] = {
         lambda cap, seed: CacheusPolicy(history_size=cap, seed=seed)
     ),
     "adcache": _adcache_engine,
-    "adcache-admission": lambda tree, cache_bytes, seed, num_shards: _adcache_engine(
-        tree, cache_bytes, seed, num_shards, enable_partitioning=False
+    "adcache-admission": lambda tree, cache_bytes, seed: _adcache_engine(
+        tree, cache_bytes, seed, enable_partitioning=False
     ),
-    "adcache-partition": lambda tree, cache_bytes, seed, num_shards: _adcache_engine(
-        tree, cache_bytes, seed, num_shards, enable_admission=False
+    "adcache-partition": lambda tree, cache_bytes, seed: _adcache_engine(
+        tree, cache_bytes, seed, enable_admission=False
     ),
-    "adcache-pretrained": lambda tree, cache_bytes, seed, num_shards: _adcache_engine(
-        tree, cache_bytes, seed, num_shards, pretrained_frozen=True
+    "adcache-pretrained": lambda tree, cache_bytes, seed: _adcache_engine(
+        tree, cache_bytes, seed, pretrained_frozen=True
     ),
 }
 
@@ -183,7 +176,6 @@ def build_engine(
     tree: LSMTree,
     cache_bytes: int,
     seed: int = 0,
-    num_shards: int = 1,
 ) -> KVEngine:
     """Instantiate one of the evaluated strategies over ``tree``."""
     try:
@@ -192,4 +184,4 @@ def build_engine(
         raise ConfigError(
             f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
         ) from None
-    return factory(tree, cache_bytes, seed, num_shards)
+    return factory(tree, cache_bytes, seed)

@@ -69,7 +69,7 @@ class CacheStats:
 class CacheBase(ABC):
     """Uniform surface every cache container exposes.
 
-    Concrete caches (block, range, kv, kp, sharded-range, and the
+    Concrete caches (block, range, kv, sharded-range, tier-2, and the
     generic :class:`BudgetedCache`) all present the same capacity pair —
     :attr:`budget_bytes` / :attr:`used_bytes` — so the sanitizer, the
     controller, and metrics read one interface regardless of which

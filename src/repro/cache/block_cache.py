@@ -8,9 +8,8 @@ age out, reproducing the invalidation behaviour that motivates the
 paper.
 
 The cache is sharded by handle hash with a lock per shard, like
-RocksDB's ``LRUCache``; an optional admission hook lets AdCache limit
-how many blocks of one scan are admitted (the paper notes its partial
-admission "can also be applied to the block cache").
+RocksDB's ``LRUCache``; every block read from the backing store is
+admitted.
 """
 
 from __future__ import annotations
@@ -22,11 +21,7 @@ from repro.cache.base import BudgetedCache, CacheBase, CacheStats, EvictionPolic
 from repro.cache.lru import LRUPolicy
 from repro.errors import CacheError, InvariantError
 from repro.lsm.block import BlockFetch, BlockHandle, DataBlock
-from repro.obs import names as N
-from repro.obs.recorder import NULL_RECORDER, Recorder
 
-#: Admission hook: called with the missed handle; False rejects the fill.
-AdmissionHook = Callable[[BlockHandle], bool]
 PolicyFactory = Callable[[], EvictionPolicy[BlockHandle]]
 
 
@@ -71,8 +66,6 @@ class BlockCache(CacheBase):
             budget_bytes - (budget_bytes // num_shards) * (num_shards - 1)
         )
         self._locks = [threading.Lock() for _ in range(num_shards)]
-        self.admission_hook: Optional[AdmissionHook] = None
-        self.recorder: Recorder = NULL_RECORDER
 
     def _shard_of(self, handle: BlockHandle) -> int:
         return hash(handle) % self._num_shards
@@ -91,7 +84,7 @@ class BlockCache(CacheBase):
     # -- the read path hook ------------------------------------------------------
 
     def fetch_through(self, handle: BlockHandle) -> DataBlock:  # hot-path
-        """Serve a block read: cache hit, or backing fetch + admission.
+        """Serve a block read: cache hit, or backing fetch + fill.
 
         This is what gets installed as the LSM tree's ``block_fetch``.
         The shard lock is taken once, across the probe, the backing read
@@ -104,22 +97,9 @@ class BlockCache(CacheBase):
             if block is not None:
                 return block
             block = self._backing_fetch(handle)
-            hook = self.admission_hook
-            admitted = hook is None or hook(handle)
-            if admitted:
-                shard.put(handle, block)
-            else:
-                shard.stats.rejections += 1
-        if admitted:
-            if self._sanitizer is not None:
-                self._sanitizer.after_mutation(self)
-        elif self.recorder.enabled:
-            self.recorder.event(
-                N.EV_CACHE_REJECT,
-                cache="block",
-                sst=handle.sst_id,
-                block=handle.block_no,
-            )
+            shard.put(handle, block)
+        if self._sanitizer is not None:
+            self._sanitizer.after_mutation(self)
         return block
 
     def get(self, handle: BlockHandle) -> Optional[DataBlock]:

@@ -26,9 +26,9 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.range_cache import RangeCache
 from repro.cache.sketch import CountMinSketch
 from repro.core.config import AdCacheConfig
-from repro.core.controller import PolicyDecisionController
+from repro.core.controller import A_MAX, INITIAL_A, INITIAL_B, PolicyDecisionController
 from repro.core.engine import KVEngine
-from repro.lsm.options import KEY_SIZE, VALUE_SIZE
+from repro.lsm.options import BLOCK_SIZE, KEY_SIZE, VALUE_SIZE
 from repro.lsm.tree import LSMTree
 from repro.obs.recorder import Recorder
 from repro.rl.actor_critic import ActorCriticAgent
@@ -36,6 +36,22 @@ from repro.rl.features import STATE_DIM
 
 #: Actions: range ratio, point threshold, scan ``a``, scan ``b``.
 ACTION_DIM = 4
+
+#: Initial Adam learning rates (paper: 1e-3 / 1e-3 at 50k-window scale;
+#: 1e-2 suits simulator-length runs).
+ACTOR_LR = 1e-2
+CRITIC_LR = 1e-2
+#: TD discount.  0 scores each window's action against the critic's
+#: state baseline directly; positive values recover multi-window credit
+#: as in classic actor-critic.
+GAMMA = 0.0
+#: Initial Gaussian exploration (log scale).
+EXPLORATION_LOG_STD = -1.2
+#: Count-Min sketch geometry for frequency admission (saturation 8 per
+#: the paper's decay example).
+SKETCH_WIDTH = 4096
+SKETCH_DEPTH = 4
+SKETCH_SATURATION = 8
 
 
 class AdCacheEngine(KVEngine):
@@ -62,13 +78,13 @@ class AdCacheEngine(KVEngine):
         config = config or AdCacheConfig()
         self.config = config
         opts = tree.options
-        entry_charge = opts.key_size + opts.value_size
+        entry_charge = KEY_SIZE + VALUE_SIZE
 
         range_budget = int(config.total_cache_bytes * config.initial_range_ratio)
         block_budget = config.total_cache_bytes - range_budget
         block_cache = BlockCache(
             block_budget,
-            block_size=opts.block_size,
+            block_size=BLOCK_SIZE,
             backing_fetch=tree.disk.read_block,
             num_shards=config.num_shards,
         )
@@ -85,14 +101,11 @@ class AdCacheEngine(KVEngine):
             range_cache = RangeCache(
                 range_budget, entry_charge=entry_charge, seed=config.seed
             )
-        if config.sanitize:
-            block_cache.enable_sanitizer(seed=config.seed)
-            range_cache.enable_sanitizer(seed=config.seed + 1)
 
         sketch = CountMinSketch(
-            width=config.sketch_width,
-            depth=config.sketch_depth,
-            saturation=config.sketch_saturation,
+            width=SKETCH_WIDTH,
+            depth=SKETCH_DEPTH,
+            saturation=SKETCH_SATURATION,
             seed=config.seed,
         )
         freq_admission = (
@@ -101,23 +114,18 @@ class AdCacheEngine(KVEngine):
             else None
         )
         scan_admission = (
-            PartialScanAdmission(a=config.initial_a, b=config.initial_b)
+            PartialScanAdmission(a=INITIAL_A, b=INITIAL_B)
             if config.enable_admission
             else None
         )
-        block_scan_admission = None
-        if config.enable_admission and config.enable_block_scan_admission:
-            block_scan_admission = PartialScanAdmission(
-                a=config.initial_a / opts.entries_per_block, b=config.initial_b
-            )
 
         self._agent_init: Optional[Dict[str, Any]] = None
         if agent is None:
             initial_policy = [
                 config.initial_range_ratio,
                 0.0,  # point-admission bar: admit everything
-                config.initial_a / config.a_max,
-                config.initial_b,
+                INITIAL_A / A_MAX,
+                INITIAL_B,
             ]
             # The agent's full construction record: with it, an audit
             # log replays the decision stream bit-for-bit offline (see
@@ -127,10 +135,10 @@ class AdCacheEngine(KVEngine):
                 "state_dim": STATE_DIM,
                 "action_dim": ACTION_DIM,
                 "hidden_dim": config.hidden_dim,
-                "actor_lr": config.actor_lr,
-                "critic_lr": config.critic_lr,
-                "gamma": config.gamma,
-                "initial_log_std": config.exploration_log_std,
+                "actor_lr": ACTOR_LR,
+                "critic_lr": CRITIC_LR,
+                "gamma": GAMMA,
+                "initial_log_std": EXPLORATION_LOG_STD,
                 "seed": config.seed,
                 "initial_policy": initial_policy,
             }
@@ -138,10 +146,10 @@ class AdCacheEngine(KVEngine):
                 state_dim=STATE_DIM,
                 action_dim=ACTION_DIM,
                 hidden_dim=config.hidden_dim,
-                actor_lr=config.actor_lr,
-                critic_lr=config.critic_lr,
-                gamma=config.gamma,
-                initial_log_std=config.exploration_log_std,
+                actor_lr=ACTOR_LR,
+                critic_lr=CRITIC_LR,
+                gamma=GAMMA,
+                initial_log_std=EXPLORATION_LOG_STD,
                 seed=config.seed,
             )
             # Start from the paper's initial configuration — the
@@ -156,7 +164,6 @@ class AdCacheEngine(KVEngine):
             range_cache=range_cache,
             freq_admission=freq_admission,
             scan_admission=scan_admission,
-            block_scan_admission=block_scan_admission,
             entries_per_block=opts.entries_per_block,
             level0_max_runs=opts.level0_stop_writes_trigger,
         )
@@ -168,7 +175,6 @@ class AdCacheEngine(KVEngine):
             kv_cache=None,
             freq_admission=freq_admission,
             scan_admission=scan_admission,
-            block_scan_admission=block_scan_admission,
             window_size=config.window_size,
             on_window=self.controller.on_window,
         )
@@ -186,7 +192,7 @@ class AdCacheEngine(KVEngine):
     @property
     def entry_charge(self) -> int:
         """Logical bytes charged per cached key-value entry."""
-        return self.tree.options.key_size + self.tree.options.value_size
+        return KEY_SIZE + VALUE_SIZE
 
     def set_cache_budget(self, total_bytes: int) -> int:
         """Adopt a new total budget, split at the learned boundary.

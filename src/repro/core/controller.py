@@ -36,6 +36,35 @@ from repro.rl.actor_critic import ActorCriticAgent
 from repro.rl.features import state_vector
 from repro.rl.reward import RewardCalculator, adapt_learning_rate
 
+#: The point-admission action is scaled into [0, this]; normalized key
+#: frequencies live in that range for realistic skews.
+POINT_THRESHOLD_MAX = 0.05
+#: The scan parameter ``a`` action is scaled into [0, this].
+A_MAX = 128.0
+#: Starting partial-admission parameters; the paper initialises ``a``
+#: near the workload's short-scan length.
+INITIAL_A = 16.0
+INITIAL_B = 0.5
+#: Rate limit on how far the applied block/range boundary may move per
+#: window.  A full-budget jump evicts a window's worth of entries at
+#: once — the transition hit-rate drop the paper observes at the C->D
+#: phase switch — so the boundary walks toward the agent's target
+#: instead of teleporting.
+MAX_RATIO_STEP = 0.05
+#: The background trainer keeps recent window transitions and replays a
+#: few per window on top of the fresh one.  The paper trains over tens
+#: of millions of operations; replay recovers comparable sample
+#: efficiency at simulator-scale run lengths while keeping all
+#: computation off the serving path.
+REPLAY_CAPACITY = 256
+UPDATES_PER_WINDOW = 8
+#: Windows of critic-only training before policy updates start, so the
+#: value baseline exists before any action gets credit.
+ACTOR_WARMUP_WINDOWS = 10
+#: Consecutive healthy windows required before a degraded controller
+#: resumes RL control.
+DEGRADED_RECOVERY_WINDOWS = 2
+
 
 @dataclass
 class ControlRecord:
@@ -69,6 +98,12 @@ class PolicyDecisionController:
         Admission mechanisms retuned each window.
     entries_per_block / level0_max_runs:
         LSM constants for the I/O-estimate reward.
+
+    Every window's statistics are validated before they reach the RL
+    update.  On degenerate stats (non-finite values, negative counters
+    — a stats blackout) the controller pins the applied parameters to
+    the safe static defaults (the paper's static split, admission wide
+    open) and skips training until the window stream recovers.
     """
 
     def __init__(
@@ -81,7 +116,6 @@ class PolicyDecisionController:
         scan_admission: Optional[PartialScanAdmission],
         entries_per_block: int,
         level0_max_runs: int,
-        block_scan_admission: Optional[PartialScanAdmission] = None,
     ) -> None:
         self.config = config
         self.agent = agent
@@ -89,7 +123,6 @@ class PolicyDecisionController:
         self.range_cache = range_cache
         self.freq_admission = freq_admission
         self.scan_admission = scan_admission
-        self.block_scan_admission = block_scan_admission
         self.entries_per_block = entries_per_block
         self.level0_max_runs = level0_max_runs
         self.reward_calc = RewardCalculator(
@@ -101,14 +134,14 @@ class PolicyDecisionController:
         self._prev_state: Optional[np.ndarray] = None
         self._prev_action: Optional[np.ndarray] = None
         self._replay: Deque[Tuple[np.ndarray, np.ndarray, float, np.ndarray]] = deque(
-            maxlen=max(1, config.replay_capacity)
+            maxlen=REPLAY_CAPACITY
         )
         self._replay_rng = Random(config.seed + 17)
         # Currently applied parameters (actions are normalized to [0,1]).
         self._range_ratio = config.initial_range_ratio
         self._point_threshold = 0.0
-        self._a = config.initial_a
-        self._b = config.initial_b
+        self._a = INITIAL_A
+        self._b = INITIAL_B
         # Degraded-mode guard state (see on_window).
         self._degraded = False
         self._healthy_streak = 0
@@ -195,11 +228,9 @@ class PolicyDecisionController:
         stats blackout) never reach the RL machinery: the controller
         enters degraded mode, pins the applied parameters to the safe
         static defaults, and only resumes learning after
-        ``config.degraded_recovery_windows`` consecutive healthy
-        windows.
+        ``DEGRADED_RECOVERY_WINDOWS`` consecutive healthy windows.
         """
-        guard = self.config.enable_degraded_guard
-        if guard and not window.is_healthy():
+        if not window.is_healthy():
             return self._degrade(window)
         reward_out = self.reward_calc.compute(
             points=window.points,
@@ -210,7 +241,7 @@ class PolicyDecisionController:
             level0_max_runs=self.level0_max_runs,
         )
         state = self._featurize(window, reward_out.h_smoothed)
-        if guard and not (
+        if not (
             math.isfinite(reward_out.reward)
             and math.isfinite(reward_out.trend)
             and bool(np.all(np.isfinite(state)))
@@ -221,7 +252,7 @@ class PolicyDecisionController:
             return self._degrade(window)
         if self._degraded:
             self._healthy_streak += 1
-            if self._healthy_streak < self.config.degraded_recovery_windows:
+            if self._healthy_streak < DEGRADED_RECOVERY_WINDOWS:
                 self.degraded_windows_total += 1
                 return self._record_pinned(window, reward_out)
             self._degraded = False
@@ -240,14 +271,14 @@ class PolicyDecisionController:
         ):
             transition = (self._prev_state, self._prev_action, reward_out.reward, state)
             self._replay.append(transition)
-            train_actor = window.window_index >= self.config.actor_warmup_windows
+            train_actor = window.window_index >= ACTOR_WARMUP_WINDOWS
             self.agent.update(*transition, update_actor=train_actor)
             # Replay a few recent transitions: the paper's asynchronous
             # trainer runs these extra passes off the serving path; the
             # simulator runs them inline, on the host clock of the op
             # that sealed the window (~0.6 ms per update, ~5 ms per
             # default window; see docs/performance.md, "Controller window").
-            for _ in range(max(0, self.config.updates_per_window - 1)):
+            for _ in range(UPDATES_PER_WINDOW - 1):
                 s, a, r, s2 = self._replay_rng.choice(self._replay)
                 self.agent.update(s, a, r, s2, update_actor=train_actor)
             # A non-finite trend must not poison the multiplicative lr
@@ -323,12 +354,12 @@ class PolicyDecisionController:
     def _apply_safe_defaults(self) -> None:
         """Walk the applied parameters to the paper's static defaults.
 
-        The boundary moves at most ``max_ratio_step`` per window (same
+        The boundary moves at most ``MAX_RATIO_STEP`` per window (same
         rate limit as RL actions, so degrading cannot flush a cache);
         admission opens fully so no result is rejected while blind.
         """
         if self.config.enable_partitioning:
-            step = self.config.max_ratio_step
+            step = MAX_RATIO_STEP
             target = self.config.initial_range_ratio
             ratio = min(
                 self._range_ratio + step, max(self._range_ratio - step, target)
@@ -342,16 +373,12 @@ class PolicyDecisionController:
                 self.block_cache.resize(total - range_budget)
         if self.config.enable_admission:
             self._point_threshold = 0.0
-            self._a = self.config.initial_a
-            self._b = self.config.initial_b
+            self._a = INITIAL_A
+            self._b = INITIAL_B
             if self.freq_admission is not None:
                 self.freq_admission.set_threshold(self._point_threshold)
             if self.scan_admission is not None:
                 self.scan_admission.set_params(self._a, self._b)
-            if self.block_scan_admission is not None:
-                self.block_scan_admission.set_params(
-                    self._a / self.entries_per_block, self._b
-                )
 
     # -- internals ------------------------------------------------
 
@@ -368,10 +395,8 @@ class PolicyDecisionController:
             block_occupancy=window.block_occupancy,
             compactions=window.compactions,
             current_range_ratio=self._range_ratio,
-            current_point_threshold_norm=(
-                self._point_threshold / self.config.point_threshold_max
-            ),
-            current_a_norm=self._a / self.config.a_max,
+            current_point_threshold_norm=self._point_threshold / POINT_THRESHOLD_MAX,
+            current_a_norm=self._a / A_MAX,
             current_b=self._b,
         )
 
@@ -381,7 +406,7 @@ class PolicyDecisionController:
         if self.config.enable_partitioning:
             # Walk the boundary toward the target at a bounded rate so a
             # single exploratory action cannot flush either cache.
-            step = self.config.max_ratio_step
+            step = MAX_RATIO_STEP
             old_ratio = self._range_ratio
             ratio = min(self._range_ratio + step, max(self._range_ratio - step, ratio))
             self._range_ratio = ratio
@@ -396,23 +421,18 @@ class PolicyDecisionController:
             if self.block_cache is not None:
                 self.block_cache.resize(total - range_budget)
         if self.config.enable_admission:
-            self._point_threshold = thr_norm * self.config.point_threshold_max
-            self._a = a_norm * self.config.a_max
+            self._point_threshold = thr_norm * POINT_THRESHOLD_MAX
+            self._a = a_norm * A_MAX
             self._b = b
             if self.freq_admission is not None:
                 self.freq_admission.set_threshold(self._point_threshold)
             if self.scan_admission is not None:
                 self.scan_admission.set_params(self._a, self._b)
-            if self.block_scan_admission is not None:
-                # Same policy, block-count units.
-                self.block_scan_admission.set_params(
-                    self._a / self.entries_per_block, self._b
-                )
         return np.array(
             [
                 self._range_ratio,
-                self._point_threshold / self.config.point_threshold_max,
-                self._a / self.config.a_max,
+                self._point_threshold / POINT_THRESHOLD_MAX,
+                self._a / A_MAX,
                 self._b,
             ],
             dtype=np.float32,

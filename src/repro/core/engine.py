@@ -29,7 +29,7 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.kv_cache import KVCache
 from repro.cache.range_cache import RangeCache
 from repro.core.stats import StatsCollector, WindowStats
-from repro.lsm.block import BlockFetch, BlockHandle, DataBlock
+from repro.lsm.block import BlockHandle, DataBlock
 from repro.lsm.tree import LSMTree
 from repro.obs import names as N
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -75,7 +75,6 @@ class KVEngine:
         kv_cache: Optional[KVCache] = None,
         freq_admission: Optional[FrequencyAdmission] = None,
         scan_admission: Optional[PartialScanAdmission] = None,
-        block_scan_admission: Optional[PartialScanAdmission] = None,
         window_size: int = 1000,
         on_window: Optional[WindowCallback] = None,
     ) -> None:
@@ -85,7 +84,6 @@ class KVEngine:
         self.kv_cache = kv_cache
         self.freq_admission = freq_admission
         self.scan_admission = scan_admission
-        self.block_scan_admission = block_scan_admission
         self.window_size = window_size
         self.on_window = on_window
         self.collector = StatsCollector()
@@ -135,8 +133,6 @@ class KVEngine:
         """
         self.recorder = recorder
         self.tree.attach_recorder(recorder)
-        if self.block_cache is not None:
-            self.block_cache.recorder = recorder
         if self.range_cache is not None:
             self.range_cache.recorder = recorder
         if self.freq_admission is not None:
@@ -289,7 +285,7 @@ class KVEngine:
                 if collector.current.ops >= self.window_size:
                     self._maybe_end_window()
                 return cached
-        result = self._scan_tree(start, length)
+        result = self.tree.scan(start, length)
         if range_cache is not None and result:
             self._fill_scan(start, result)
         collector.note_scan(length, False)
@@ -473,7 +469,7 @@ class KVEngine:
                     if collector.current.ops >= window_size:
                         self._maybe_end_window()
                     continue
-            result = self._scan_tree(start, length, fetch=fetch)
+            result = self.tree.scan(start, length, fetch)
             if range_cache is not None and result:
                 self._fill_scan(start, result)
             collector.note_scan(length, False)
@@ -484,44 +480,6 @@ class KVEngine:
             memo_entries = result
             memo_keys = [key for key, _ in result]
         return out
-
-    def _scan_tree(
-        self,
-        start: str,
-        length: int,
-        fetch: Optional[BlockFetch] = None,
-    ) -> List[Entry]:
-        """Scan the LSM-tree, optionally capping block-cache fills.
-
-        The paper notes its partial-admission policy "can also be
-        applied to the block cache, where the number of blocks instead
-        of the number of keys is controlled": a scan may fill at most
-        ``admit_count(blocks_touched)`` blocks.  (Single-writer hook;
-        under multi-client load leave ``block_scan_admission`` unset.)
-
-        ``fetch`` is the batched dispatcher's per-batch memoizing block
-        reader (:meth:`multi_scan`); ``None`` reads every block through
-        the tree's own fetch path.
-        """
-        tree_scan = self.tree.scan
-        if self.block_scan_admission is None or self.block_cache is None:
-            return tree_scan(start, length, fetch)
-        expected_blocks = max(1, length // self.tree.options.entries_per_block)
-        budget = self.block_scan_admission.admit_count(expected_blocks)
-        remaining = [budget]
-
-        def hook(_handle) -> bool:
-            if remaining[0] <= 0:
-                return False
-            remaining[0] -= 1
-            return True
-
-        previous = self.block_cache.admission_hook
-        self.block_cache.admission_hook = hook
-        try:
-            return tree_scan(start, length, fetch)
-        finally:
-            self.block_cache.admission_hook = previous
 
     # -- cache fill path ---------------------------------------------------------------
 

@@ -4,7 +4,7 @@
   hooks into the simulated disk's read path and the WAL's append path to
   produce transient read errors, permanent block corruption, and torn
   log tails, plus controller stats blackouts.
-* :mod:`repro.faults.retry` — the seeded, bounded :class:`RetryPolicy`
+* :mod:`repro.faults.retry` — the bounded :class:`RetryPolicy`
   every retry loop must use.
 * :mod:`repro.faults.fleet` — seeded fleet-level fault plans that crash
   whole shards mid-run for the serving simulator's failover path.

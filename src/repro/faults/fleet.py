@@ -10,9 +10,8 @@ the same fleet obituary byte for byte.
 
 The plan is *pure data* — the serving simulator schedules each
 :class:`ShardCrash` on its discrete-event loop and drives failover
-(replica promotion via WAL replay) itself.  Recovery cost knobs live
-here so the chaos CLI and tests share one vocabulary for how expensive
-a failover is in simulated microseconds.
+(replica promotion via WAL replay) itself, at the recovery costs
+:mod:`repro.serve.resilience` fixes.
 """
 
 from __future__ import annotations
@@ -47,21 +46,12 @@ class FleetFaultConfig:
     seed:
         Seed for the victim/time draws; independent of every other
         generator in the run.
-    failover_detect_us:
-        Simulated time between a crash and the router *noticing* it
-        (health-check interval stand-in); charged before replay starts.
-    replay_per_record_us:
-        Simulated cost of replaying one shipped WAL record during
-        replica promotion — failover time scales with the replication
-        backlog, like a real log-structured store.
     """
 
     crashes: int = 1
     earliest_us: float = 10_000.0
     latest_us: float = 200_000.0
     seed: int = 0
-    failover_detect_us: float = 2_000.0
-    replay_per_record_us: float = 25.0
 
     def __post_init__(self) -> None:
         if self.crashes < 0:
@@ -70,10 +60,6 @@ class FleetFaultConfig:
             raise ConfigError("earliest_us must be >= 0")
         if self.latest_us < self.earliest_us:
             raise ConfigError("latest_us must be >= earliest_us")
-        if self.failover_detect_us < 0:
-            raise ConfigError("failover_detect_us must be >= 0")
-        if self.replay_per_record_us < 0:
-            raise ConfigError("replay_per_record_us must be >= 0")
 
 
 class FleetFaultPlan:

@@ -1,4 +1,4 @@
-"""Seeded, bounded retry policy for fault-absorbing read paths.
+"""Bounded retry policy for fault-absorbing read paths.
 
 Every retry loop in the simulator must satisfy two disciplines (the
 fault tests in ``tests/faults`` fail the read path on either):
@@ -11,25 +11,22 @@ fault tests in ``tests/faults`` fail the read path on either):
   so faulted runs cost latency the bench/serve clocks can see while the
   host never stalls.
 
-Backoff is exponential with optional *seeded* jitter: a private
-``random.Random`` makes the stall sequence a pure function of
-``(seed, attempt sequence)``, so two same-seed runs reproduce identical
-retry latency byte for byte.  ``jitter_frac=0`` (the default) reproduces
-the historical deterministic ``backoff * 2**attempt`` schedule exactly.
+Backoff is the deterministic exponential ``backoff * multiplier**attempt``
+schedule, so two same-seed runs reproduce identical retry latency byte
+for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from random import Random
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
 
 @dataclass
 class RetryPolicy:
-    """Bounded exponential backoff with seeded jitter.
+    """Bounded exponential backoff.
 
     Parameters
     ----------
@@ -39,22 +36,11 @@ class RetryPolicy:
         Simulated stall charged for the first retry.
     multiplier:
         Growth factor between consecutive stalls (2.0 = doubling).
-    jitter_frac:
-        Fraction of each stall drawn as symmetric seeded jitter; a
-        stall becomes ``base * (1 + U(-jitter_frac, +jitter_frac))``.
-        0 keeps the schedule fully deterministic per attempt index.
-    seed:
-        Seed for the jitter stream (unused when ``jitter_frac`` is 0,
-        but always seeded so enabling jitter never reshuffles other
-        RNG consumers).
     """
 
     max_attempts: int = 4
     backoff_us: float = 50.0
     multiplier: float = 2.0
-    jitter_frac: float = 0.0
-    seed: int = 0
-    _rng: Random = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 0:
@@ -63,9 +49,6 @@ class RetryPolicy:
             raise ConfigError("backoff_us must be finite and >= 0")
         if self.multiplier < 1.0:
             raise ConfigError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter_frac < 1.0:
-            raise ConfigError("jitter_frac must lie in [0, 1)")
-        self._rng = Random(self.seed ^ 0x5E77)
 
     def should_retry(self, attempts_so_far: int) -> bool:
         """Whether another retry fits the budget after ``attempts_so_far``."""
@@ -77,7 +60,4 @@ class RetryPolicy:
         The caller charges this to its sim-clock accounting; the policy
         never sleeps.
         """
-        base = self.backoff_us * self.multiplier**attempt
-        if self.jitter_frac:
-            base *= 1.0 + self.jitter_frac * (2.0 * self._rng.random() - 1.0)
-        return base
+        return self.backoff_us * self.multiplier**attempt

@@ -7,7 +7,7 @@ caching experiments care about:
   trigger: every L0 run plus all overlapping L1 files merge into fresh
   L1 files.
 * **Ln -> Ln+1** (n >= 1) when a level exceeds its target capacity
-  (base capacity times ``size_ratio`` per level): one victim file plus
+  (base capacity times ``SIZE_RATIO`` per level): one victim file plus
   the overlapping files below merge downward.
 
 Compaction rewrites data into SSTables with *new ids*, which is what
@@ -156,9 +156,7 @@ class Compactor:
                 self._disk.allocate_sst_id(),
                 chunk,
                 self._options.entries_per_block,
-                bloom_bits_per_key=self._options.bloom_bits_per_key,
                 bloom_seed=self._options.seed,
-                block_size=self._options.block_size,
             )
             self._disk.install(table)
             self._levels.add_to_level(level_to, table)

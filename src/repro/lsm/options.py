@@ -13,12 +13,20 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 
+# Key, value and block sizes are logical byte sizes used for cache
+# accounting and the reward model; they do not change how much host
+# memory the simulator uses.
+
 #: Logical key size in bytes (paper Section 5.1).
 KEY_SIZE = 24
 #: Logical value size in bytes (paper Section 5.1).
 VALUE_SIZE = 1000
 #: Logical data-block size in bytes (paper Section 5.1).
 BLOCK_SIZE = 4096
+#: Capacity ratio between adjacent levels (paper: 10).
+SIZE_RATIO = 10
+#: Bloom filter budget (paper: 10 bits/key, FPR ~1%).
+BLOOM_BITS_PER_KEY = 10
 
 
 @dataclass
@@ -38,8 +46,6 @@ class LSMOptions:
         level.
     memtable_entries:
         Flush threshold for the MemTable.
-    size_ratio:
-        Capacity ratio between adjacent levels (paper: 10).
     level0_file_num_compaction_trigger:
         Number of L0 files that triggers an L0->L1 compaction.
     level0_slowdown_writes_trigger:
@@ -48,12 +54,6 @@ class LSMOptions:
         L0 file count at which writes stop (paper: 8).
     max_levels:
         Upper bound on the number of levels.
-    bloom_bits_per_key:
-        Bloom filter budget (paper: 10 bits/key, FPR ~1%).
-    key_size / value_size / block_size:
-        Logical byte sizes used for cache accounting and the reward
-        model; they do not change how much host memory the simulator
-        uses.
     auto_compact:
         When True (default) compactions run synchronously as soon as a
         trigger fires.  Tests can disable this to exercise stall errors.
@@ -64,11 +64,6 @@ class LSMOptions:
         Simulated latency charged for the first retry; each further
         retry doubles it (exponential backoff).  Charged to the bench
         clock, not host time.
-    retry_jitter_frac:
-        Fraction of each retry stall drawn as symmetric *seeded* jitter
-        (see :class:`~repro.faults.retry.RetryPolicy`).  0 (default)
-        keeps the historical deterministic doubling schedule byte for
-        byte.
     max_corruption_repairs:
         How many corrupted-block repairs one logical read may attempt
         before escalating (guards against a fault storm re-corrupting
@@ -80,19 +75,13 @@ class LSMOptions:
     entries_per_block: int = 4
     entries_per_sstable: int = 256
     memtable_entries: int = 256
-    size_ratio: int = 10
     level0_file_num_compaction_trigger: int = 4
     level0_slowdown_writes_trigger: int = 4
     level0_stop_writes_trigger: int = 8
     max_levels: int = 7
-    bloom_bits_per_key: int = 10
-    key_size: int = KEY_SIZE
-    value_size: int = VALUE_SIZE
-    block_size: int = BLOCK_SIZE
     auto_compact: bool = True
     max_read_retries: int = 4
     retry_backoff_us: float = 50.0
-    retry_jitter_frac: float = 0.0
     max_corruption_repairs: int = 3
     seed: int = field(default=0x5EED)
 
@@ -101,27 +90,19 @@ class LSMOptions:
             "entries_per_block",
             "entries_per_sstable",
             "memtable_entries",
-            "size_ratio",
             "level0_file_num_compaction_trigger",
             "level0_slowdown_writes_trigger",
             "level0_stop_writes_trigger",
             "max_levels",
-            "key_size",
-            "value_size",
-            "block_size",
         )
         for name in positive_fields:
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if self.bloom_bits_per_key < 0:
-            raise ConfigError("bloom_bits_per_key must be >= 0")
         if self.max_read_retries < 0:
             raise ConfigError("max_read_retries must be >= 0")
         if self.retry_backoff_us < 0:
             raise ConfigError("retry_backoff_us must be >= 0")
-        if not 0.0 <= self.retry_jitter_frac < 1.0:
-            raise ConfigError("retry_jitter_frac must lie in [0, 1)")
         if self.max_corruption_repairs < 0:
             raise ConfigError("max_corruption_repairs must be >= 0")
         if self.entries_per_sstable % self.entries_per_block:
@@ -132,8 +113,6 @@ class LSMOptions:
             raise ConfigError(
                 "level0_stop_writes_trigger must be >= level0_slowdown_writes_trigger"
             )
-        if self.size_ratio < 2:
-            raise ConfigError("size_ratio must be >= 2")
 
     @property
     def blocks_per_sstable(self) -> int:
@@ -142,9 +121,9 @@ class LSMOptions:
 
     def level_capacity_entries(self, level: int) -> int:
         """Target capacity of ``level`` in entries (L1 = one SSTable's worth
-        times the compaction trigger, growing by ``size_ratio`` per level)."""
+        times the compaction trigger, growing by ``SIZE_RATIO`` per level)."""
         if level <= 0:
             # L0 is bounded by file count, not entry count.
             return self.level0_file_num_compaction_trigger * self.entries_per_sstable
         base = self.entries_per_sstable * self.level0_file_num_compaction_trigger
-        return base * (self.size_ratio ** (level - 1))
+        return base * (SIZE_RATIO ** (level - 1))

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 from repro.errors import StorageError
 from repro.lsm.block import BlockHandle, DataBlock, Entry
 from repro.lsm.bloom import BloomFilter
+from repro.lsm.options import BLOCK_SIZE, BLOOM_BITS_PER_KEY
 
 
 class SSTable:
@@ -36,7 +37,6 @@ class SSTable:
         sst_id: int,
         blocks: Sequence[DataBlock],
         bloom: BloomFilter,
-        block_size: int,
     ) -> None:
         if not blocks:
             raise StorageError("SSTable must contain at least one block")
@@ -48,7 +48,7 @@ class SSTable:
         # the stored copy to model on-disk bit rot.
         self._checksums: List[int] = [b.checksum for b in self._blocks]
         self.bloom = bloom
-        self.block_size = block_size
+        self.block_size = BLOCK_SIZE
         self.num_entries = sum(len(b) for b in self._blocks)
         # Eager key-range bounds: the file is immutable and every point
         # lookup reads them, so plain attributes beat per-call properties.
@@ -65,9 +65,7 @@ class SSTable:
         sst_id: int,
         entries: Sequence[Entry],
         entries_per_block: int,
-        bloom_bits_per_key: int = 10,
         bloom_seed: int = 0,
-        block_size: int = 4096,
     ) -> "SSTable":
         """Pack sorted ``entries`` into blocks and build the filter/index."""
         if not entries:
@@ -78,10 +76,10 @@ class SSTable:
             blocks.append(DataBlock(BlockHandle(sst_id, block_no), chunk))
         bloom = BloomFilter.build(
             (key for key, _ in entries),
-            bits_per_key=bloom_bits_per_key,
+            bits_per_key=BLOOM_BITS_PER_KEY,
             seed=bloom_seed ^ sst_id,
         )
-        return cls(sst_id, blocks, bloom, block_size)
+        return cls(sst_id, blocks, bloom)
 
     # -- metadata (no I/O) ---------------------------------------------------
 

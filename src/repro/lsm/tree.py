@@ -97,12 +97,10 @@ class LSMTree:
         self.wal_records_lost_total = 0
         self.fault_injector = None
         self.recorder: Recorder = NULL_RECORDER
-        # Seeded, bounded backoff schedule for transient read faults.
+        # Bounded backoff schedule for transient read faults.
         self.retry_policy = RetryPolicy(
             max_attempts=self.options.max_read_retries,
             backoff_us=self.options.retry_backoff_us,
-            jitter_frac=self.options.retry_jitter_frac,
-            seed=self.options.seed,
         )
 
     # -- wiring -----------------------------------------------------------------
@@ -135,10 +133,10 @@ class LSMTree:
         """Fetch one data block through the configured ``block_fetch``,
         absorbing storage faults.
 
-        * :class:`TransientIOError` — retried under the seeded, bounded
+        * :class:`TransientIOError` — retried under the bounded
           :class:`~repro.faults.retry.RetryPolicy` (budget
-          ``options.max_read_retries``, exponential backoff, optional
-          seeded jitter); each stall is charged to
+          ``options.max_read_retries``, exponential backoff); each
+          stall is charged to
           :attr:`retry_latency_us_total` so the bench clock sees the
           stall without the host sleeping.
         * :class:`CorruptionError` — the block failed checksum
@@ -254,9 +252,7 @@ class LSMTree:
             self.disk.allocate_sst_id(),
             entries,
             self.options.entries_per_block,
-            bloom_bits_per_key=self.options.bloom_bits_per_key,
             bloom_seed=self.options.seed,
-            block_size=self.options.block_size,
         )
         self.disk.install(table)
         self.levels.add_level0(table)
@@ -666,9 +662,7 @@ class LSMTree:
                     self.disk.allocate_sst_id(),
                     part,
                     self.options.entries_per_block,
-                    bloom_bits_per_key=self.options.bloom_bits_per_key,
                     bloom_seed=self.options.seed,
-                    block_size=self.options.block_size,
                 )
                 self.disk.install(table)
                 self.levels.add_to_level(level, table)

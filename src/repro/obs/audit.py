@@ -213,25 +213,17 @@ def verify_replay(
     determinism regression.
     """
     replayed = replay_decision_log(header, records)
-
-    def differs(want: float, have: float) -> bool:
-        # NaN is a legitimate recorded value when the degraded guard is
-        # disabled; NaN-vs-NaN is a faithful replay, not a mismatch.
-        if want != want and have != have:
-            return False
-        return want != have
-
     problems: List[str] = []
     for i, (rec, got) in enumerate(zip(records, replayed)):
         for name in REWARD_FIELDS + ("actor_lr",):
             want = rec[name]
             have = getattr(got, name)
-            if differs(want, have):
+            if want != have:
                 problems.append(f"decision {i}: {name} recorded {want!r} != replayed {have!r}")
         for name in APPLIED_FIELDS:
             want = rec["applied"][name]
             have = getattr(got, name)
-            if differs(want, have):
+            if want != have:
                 problems.append(
                     f"decision {i}: applied.{name} recorded {want!r} != replayed {have!r}"
                 )

@@ -86,7 +86,7 @@ BLOCK_HITS = register("cache.block.hits", COUNTER, "block-cache hits")
 BLOCK_MISSES = register("cache.block.misses", COUNTER, "block-cache misses")
 BLOCK_EVICTIONS = register("cache.block.evictions", COUNTER, "block-cache evictions")
 BLOCK_REJECTIONS = register(
-    "cache.block.rejections", COUNTER, "block-cache scan-admission rejections"
+    "cache.block.rejections", COUNTER, "block fills refused for exceeding a shard budget"
 )
 
 # -- shared second-tier (L2) cache counters -----------------------------------

@@ -14,8 +14,8 @@ spirit of a sanitizer-instrumented debug build:
   full sweep at every engine window boundary);
 * ``REPRO_SANITIZE=<n>`` sets the sampling period to ``n`` (``1`` checks
   after every mutation);
-* :attr:`~repro.core.config.AdCacheConfig.sanitize` enables the same
-  behaviour for one engine without touching the environment.
+* :meth:`~repro.cache.base.CacheBase.enable_sanitizer` switches sampled
+  checking on for one cache without touching the environment.
 
 Sampling is probabilistic but *deterministic*: each :class:`Sanitizer`
 draws check gaps from its own seeded :class:`random.Random`, so two runs

@@ -68,32 +68,50 @@ LEVEL_OWNERS_ONLY = 3
 _MAX_LEVEL = LEVEL_OWNERS_ONLY
 
 
+#: Rolling outcome-window length per shard breaker.
+BREAKER_WINDOW = 16
+#: Failure fraction over the window that trips a breaker.
+BREAKER_FAILURE_THRESHOLD = 0.5
+#: Outcomes required before the threshold is consulted.
+BREAKER_MIN_SAMPLES = 8
+#: Cooldown before an open breaker half-opens.
+BREAKER_OPEN_US = 20_000.0
+#: Consecutive successes required to close from half-open.
+BREAKER_HALF_OPEN_PROBES = 4
+
+#: Fleet queue-pressure hysteresis band for stepping the ladder up /
+#: down (fractions of total queue capacity).
+DEGRADE_ENTER_FRAC = 0.75
+DEGRADE_EXIT_FRAC = 0.40
+#: Minimum simulated time between ladder moves (anti-flap).
+DEGRADE_DWELL_US = 5_000.0
+#: The first N sessions are *owners* — the traffic L3 protects.
+OWNER_TENANTS = 1
+
+#: Simulated time between a crash and the router *noticing* it
+#: (health-check interval stand-in); charged before replay starts.
+FAILOVER_DETECT_US = 2_000.0
+#: Simulated cost of replaying one shipped WAL record during replica
+#: promotion — failover time scales with the replication backlog, like
+#: a real log-structured store.
+REPLAY_PER_RECORD_US = 25.0
+
+
 @dataclass
 class ResilienceConfig:
     """Knobs for the serving fleet's failure handling.
 
     Attaching one of these to :class:`~repro.serve.simulator.ServeConfig`
-    switches the resilience layer on; ``None`` (the default) keeps the
-    legacy byte-identical behaviour.
+    switches the resilience layer on: a passive WAL-shipping replica
+    per shard (for crash failover and hedged reads), a circuit breaker
+    per shard and the degradation ladder.  ``None`` (the default) keeps
+    the legacy byte-identical behaviour.
 
     Attributes
     ----------
-    replicas:
-        Maintain a passive WAL-shipping replica per shard; required for
-        crash failover and hedged reads.
     fleet_faults:
         Seeded shard-crash schedule (None = no crashes; breakers,
         hedging, and the ladder still run).
-    breaker_window:
-        Rolling outcome-window length per shard breaker.
-    breaker_failure_threshold:
-        Failure fraction over the window that trips the breaker.
-    breaker_min_samples:
-        Outcomes required before the threshold is consulted.
-    breaker_open_us:
-        Cooldown before an open breaker half-opens.
-    breaker_half_open_probes:
-        Consecutive successes required to close from half-open.
     op_timeout_us:
         Service time above which a sub-request counts as a breaker
         failure (0 disables; crashes still count).
@@ -104,42 +122,15 @@ class ResilienceConfig:
         Lower bound on the hedge delay, guarding cold histograms.
     hedge_min_samples:
         Completed ops a tenant needs before its quantile is trusted.
-    degrade_enter_frac / degrade_exit_frac:
-        Fleet queue-pressure hysteresis band for stepping the ladder up
-        / down (fractions of total queue capacity).
-    degrade_dwell_us:
-        Minimum simulated time between ladder moves (anti-flap).
-    owner_tenants:
-        The first N sessions are *owners* — the traffic L3 protects.
     """
 
-    replicas: bool = True
     fleet_faults: Optional[FleetFaultConfig] = None
-    breaker_window: int = 16
-    breaker_failure_threshold: float = 0.5
-    breaker_min_samples: int = 8
-    breaker_open_us: float = 20_000.0
-    breaker_half_open_probes: int = 4
     op_timeout_us: float = 0.0
     hedge_quantile: float = 0.0
     hedge_floor_us: float = 500.0
     hedge_min_samples: int = 32
-    degrade_enter_frac: float = 0.75
-    degrade_exit_frac: float = 0.40
-    degrade_dwell_us: float = 5_000.0
-    owner_tenants: int = 1
 
     def __post_init__(self) -> None:
-        if self.breaker_window <= 0:
-            raise ConfigError("breaker_window must be positive")
-        if not 0.0 < self.breaker_failure_threshold <= 1.0:
-            raise ConfigError("breaker_failure_threshold must lie in (0, 1]")
-        if self.breaker_min_samples <= 0:
-            raise ConfigError("breaker_min_samples must be positive")
-        if self.breaker_open_us < 0:
-            raise ConfigError("breaker_open_us must be >= 0")
-        if self.breaker_half_open_probes <= 0:
-            raise ConfigError("breaker_half_open_probes must be positive")
         if self.op_timeout_us < 0:
             raise ConfigError("op_timeout_us must be >= 0")
         if not 0.0 <= self.hedge_quantile < 1.0:
@@ -148,16 +139,6 @@ class ResilienceConfig:
             raise ConfigError("hedge_floor_us must be >= 0")
         if self.hedge_min_samples <= 0:
             raise ConfigError("hedge_min_samples must be positive")
-        if not 0.0 < self.degrade_enter_frac <= 1.0:
-            raise ConfigError("degrade_enter_frac must lie in (0, 1]")
-        if not 0.0 <= self.degrade_exit_frac < self.degrade_enter_frac:
-            raise ConfigError(
-                "degrade_exit_frac must lie in [0, degrade_enter_frac)"
-            )
-        if self.degrade_dwell_us < 0:
-            raise ConfigError("degrade_dwell_us must be >= 0")
-        if self.owner_tenants < 0:
-            raise ConfigError("owner_tenants must be >= 0")
 
 
 class CircuitBreaker(ServeComponent):
@@ -172,7 +153,6 @@ class CircuitBreaker(ServeComponent):
     __slots__ = (
         "_sanitizer",
         "shard_id",
-        "config",
         "on_transition",
         "state",
         "_window",
@@ -185,12 +165,10 @@ class CircuitBreaker(ServeComponent):
     def __init__(
         self,
         shard_id: int,
-        config: ResilienceConfig,
         on_transition: Optional[Callable[[str, str, str], None]] = None,
     ) -> None:
         super().__init__()
         self.shard_id = shard_id
-        self.config = config
         #: Called with ``(from, to, reason)`` after each transition.
         self.on_transition = on_transition
         self.state = CLOSED
@@ -208,10 +186,10 @@ class CircuitBreaker(ServeComponent):
         src, self.state = self.state, to
         self.transitions.append((now_us, src, to, reason))
         if to == OPEN:
-            self._reopen_at_us = now_us + self.config.breaker_open_us
+            self._reopen_at_us = now_us + BREAKER_OPEN_US
             self._window.clear()
         elif to == HALF_OPEN:
-            self._probes_left = self.config.breaker_half_open_probes
+            self._probes_left = BREAKER_HALF_OPEN_PROBES
         elif to == CLOSED:
             self._window.clear()
         self._after_mutation()
@@ -228,7 +206,7 @@ class CircuitBreaker(ServeComponent):
         if self.state != OPEN:
             self._transition(now_us, OPEN, reason)
         else:
-            self._reopen_at_us = now_us + self.config.breaker_open_us
+            self._reopen_at_us = now_us + BREAKER_OPEN_US
 
     def half_open(self, now_us: float, reason: str) -> None:
         """Move straight to half-open (replica promoted; probe it)."""
@@ -256,15 +234,14 @@ class CircuitBreaker(ServeComponent):
         self._push(True, now_us)
 
     def _push(self, failed: bool, now_us: float) -> None:
-        cfg = self.config
         window = self._window
         window.append(failed)
-        if len(window) > cfg.breaker_window:
+        if len(window) > BREAKER_WINDOW:
             del window[0]
         if (
             self.state == CLOSED
-            and len(window) >= cfg.breaker_min_samples
-            and sum(window) / len(window) >= cfg.breaker_failure_threshold
+            and len(window) >= BREAKER_MIN_SAMPLES
+            and sum(window) / len(window) >= BREAKER_FAILURE_THRESHOLD
         ):
             self._transition(now_us, OPEN, "failure_rate")
         else:
@@ -289,7 +266,7 @@ class CircuitBreaker(ServeComponent):
                 f"CircuitBreaker shard {self.shard_id}: unknown state "
                 f"{self.state!r}"
             )
-        if len(self._window) > self.config.breaker_window:
+        if len(self._window) > BREAKER_WINDOW:
             raise InvariantError(
                 f"CircuitBreaker shard {self.shard_id}: window overflow"
             )
@@ -320,7 +297,6 @@ class DegradationLadder(ServeComponent):
 
     __slots__ = (
         "_sanitizer",
-        "config",
         "on_transition",
         "level",
         "_last_move_us",
@@ -328,12 +304,9 @@ class DegradationLadder(ServeComponent):
     )
 
     def __init__(
-        self,
-        config: ResilienceConfig,
-        on_transition: Optional[Callable[[int, int, float], None]] = None,
+        self, on_transition: Optional[Callable[[int, int, float], None]] = None
     ) -> None:
         super().__init__()
-        self.config = config
         #: Called with ``(from, to, pressure)`` after each move.
         self.on_transition = on_transition
         self.level = LEVEL_NORMAL
@@ -346,13 +319,12 @@ class DegradationLadder(ServeComponent):
 
         ``pressure`` is waiting sub-requests over total queue capacity.
         """
-        cfg = self.config
         floor = LEVEL_SHED_SCANS if any_down else LEVEL_NORMAL
         target = self.level
-        if now_us - self._last_move_us >= cfg.degrade_dwell_us:
-            if pressure >= cfg.degrade_enter_frac and self.level < _MAX_LEVEL:
+        if now_us - self._last_move_us >= DEGRADE_DWELL_US:
+            if pressure >= DEGRADE_ENTER_FRAC and self.level < _MAX_LEVEL:
                 target = self.level + 1
-            elif pressure <= cfg.degrade_exit_frac and self.level > floor:
+            elif pressure <= DEGRADE_EXIT_FRAC and self.level > floor:
                 target = self.level - 1
         target = max(target, floor)
         if target != self.level:
@@ -508,11 +480,9 @@ class FailureModel:
         self.sim: "_Simulation" = weakref.proxy(sim)
         self.config = config
         seed = sim.config.seed
-        self.ladder = DegradationLadder(config, partial(_ladder_moved, self.sim))
+        self.ladder = DegradationLadder(partial(_ladder_moved, self.sim))
         self.ladder.sanitize_from_env(seed=seed + 71)
-        self._owners: Set[str] = {
-            s.name for s in sim.sessions[: config.owner_tenants]
-        }
+        self._owners: Set[str] = {s.name for s in sim.sessions[:OWNER_TENANTS]}
         self._queue_capacity = sim.config.num_shards * sim.config.queue_depth
         self.acked: Dict[str, Tuple[int, Optional[str]]] = {}
         self.hedges = 0
@@ -520,14 +490,11 @@ class FailureModel:
         self.failovers: List[Failover] = []
         for shard in sim.shards:
             breaker = CircuitBreaker(
-                shard.shard_id, config, partial(_breaker_moved, self.sim, shard.shard_id)
+                shard.shard_id, partial(_breaker_moved, self.sim, shard.shard_id)
             )
             breaker.sanitize_from_env(seed=seed + 53 + shard.shard_id)
-            replica: Optional[KVEngine] = None
-            clock: Optional[SimClock] = None
-            if config.replicas:
-                replica = spawn_replica(shard.shard_id)
-                clock = SimClock(replica, sim.config.cost_model)
+            replica = spawn_replica(shard.shard_id)
+            clock = SimClock(replica, sim.config.cost_model)
             failover = Failover(
                 breaker, replica, clock, self.acked, config.op_timeout_us
             )
@@ -645,8 +612,6 @@ class FailureModel:
         sim = self.sim
         shard = sim.shards[shard_id]
         failover = self.failovers[shard_id]
-        faults = self.config.fleet_faults
-        assert faults is not None
         if shard.down or failover.replica is None:
             return
         shard.down = True
@@ -665,9 +630,7 @@ class FailureModel:
         # Failover: detection delay plus WAL replay proportional to the
         # replication backlog, all charged to simulated time.
         backlog = len(failover.replica.tree.wal)
-        failover.failover_us = (
-            faults.failover_detect_us + faults.replay_per_record_us * backlog
-        )
+        failover.failover_us = FAILOVER_DETECT_US + REPLAY_PER_RECORD_US * backlog
         sim.loop.after(failover.failover_us, lambda: self.promote(shard_id))
 
     def promote(self, shard_id: int) -> None:

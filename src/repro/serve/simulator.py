@@ -117,7 +117,6 @@ class ServeConfig:
     #: Attach an ObsRecorder to every shard engine.  Off by default so
     #: the golden fingerprints and the perf gate see an untouched run.
     obs: bool = False
-    obs_trace_capacity: int = 4096
     #: Scenario-atlas mode: play a multi-phase schedule instead of one
     #: stationary workload.  Adopts the schedule's tenant set, keyspace,
     #: and op budget; ``workload``/``closed_clients`` must stay default.
@@ -163,12 +162,6 @@ class ServeConfig:
             raise ConfigError(
                 f"l2_budget_bytes must lie in [0, cache_bytes), got "
                 f"{self.l2_budget_bytes} of {self.cache_bytes}"
-            )
-        res = self.resilience
-        if res is not None and res.fleet_faults is not None and not res.replicas:
-            raise ConfigError(
-                "fleet faults require replicas: a crashed shard with no "
-                "replica to promote loses its keyspace for the whole run"
             )
 
     @property
@@ -349,7 +342,7 @@ class _Simulation:
         self.obs_recorders: List[ObsRecorder] = []
         if config.obs:
             for shard in self.shards:
-                recorder = ObsRecorder(trace_capacity=config.obs_trace_capacity)
+                recorder = ObsRecorder()
                 shard.engine.attach_recorder(recorder)
                 self.obs_recorders.append(recorder)
         if config.schedule is not None:

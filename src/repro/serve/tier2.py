@@ -44,6 +44,7 @@ from repro import sanitize
 from repro.cache.tier2 import Tier2Cache
 from repro.errors import ConfigError
 from repro.lsm.block import BlockHandle, DataBlock
+from repro.lsm.options import BLOCK_SIZE
 from repro.obs import names as N
 from repro.serve.base import ServeComponent
 
@@ -66,8 +67,6 @@ class Tier2Coordinator(ServeComponent):
     budget_bytes:
         The shared tier's starting byte budget (the arbiter may move
         it later).
-    block_size:
-        Charge per cached block; must match the shard trees'.
     sketch_seed:
         Salt for the admission sketch (derived from the run seed).
     fleet_bytes:
@@ -78,16 +77,13 @@ class Tier2Coordinator(ServeComponent):
     def __init__(
         self,
         budget_bytes: int,
-        block_size: int,
         sketch_seed: int = 0,
         fleet_bytes: int = 0,
     ) -> None:
         super().__init__()
         if budget_bytes <= 0:
             raise ConfigError("tier2 budget_bytes must be positive")
-        self.cache = Tier2Cache(
-            budget_bytes, block_size, sketch_seed=sketch_seed
-        )
+        self.cache = Tier2Cache(budget_bytes, BLOCK_SIZE, sketch_seed=sketch_seed)
         self.fleet_bytes = fleet_bytes
         #: Ghost hits (recency, frequency) and evictions already folded
         #: onto the obs recorder.
@@ -101,7 +97,6 @@ class Tier2Coordinator(ServeComponent):
         the shards' L1 pool already excludes."""
         tier2 = cls(
             config.l2_budget_bytes,
-            shards[0].engine.tree.options.block_size,
             sketch_seed=config.seed + 43,
             fleet_bytes=config.cache_bytes,
         )

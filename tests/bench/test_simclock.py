@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench.simclock import ClockReading, CostModel, elapsed_us
 from repro.bench.strategies import build_engine
-from repro.lsm.options import LSMOptions
+from repro.lsm.options import BLOCK_SIZE, LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.workloads.keys import key_of, value_of
 
@@ -15,7 +15,7 @@ def seeded_engine(strategy="block", num_keys=500):
     opts = LSMOptions(memtable_entries=32, entries_per_sstable=64)
     tree = LSMTree(opts)
     tree.bulk_load((key_of(i), value_of(i)) for i in range(num_keys))
-    return build_engine(strategy, tree, cache_bytes=32 * opts.block_size, seed=1)
+    return build_engine(strategy, tree, cache_bytes=32 * BLOCK_SIZE, seed=1)
 
 
 class TestClockReading:

@@ -7,7 +7,7 @@ import pytest
 from repro.cache.block_cache import BlockCache
 from repro.errors import CacheError
 from repro.lsm.block import BlockHandle
-from repro.lsm.options import LSMOptions
+from repro.lsm.options import BLOCK_SIZE, LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.workloads.keys import key_of, value_of
 
@@ -17,8 +17,8 @@ def tree_with_cache(budget_blocks=8, num_shards=1, num_keys=500):
     tree = LSMTree(opts)
     tree.bulk_load((key_of(i), value_of(i)) for i in range(num_keys))
     cache = BlockCache(
-        budget_blocks * opts.block_size,
-        block_size=opts.block_size,
+        budget_blocks * BLOCK_SIZE,
+        block_size=BLOCK_SIZE,
         backing_fetch=tree.disk.read_block,
         num_shards=num_shards,
     )
@@ -41,15 +41,6 @@ class TestFetchThrough:
             tree.get(key_of(i))
         assert cache.used_bytes <= cache.budget_bytes
         assert len(cache) <= 4
-
-    def test_admission_hook_can_reject(self):
-        tree, cache = tree_with_cache()
-        cache.admission_hook = lambda handle: False
-        tree.get(key_of(1))
-        assert len(cache) == 0
-        assert cache.stats.rejections > 0
-        # Rejected fills must still serve the data.
-        assert tree.get(key_of(1)) == value_of(1)
 
     def test_direct_put_and_get(self):
         tree, cache = tree_with_cache()
@@ -88,7 +79,7 @@ class TestCompactionDecay:
 class TestSharding:
     def test_shard_budgets_sum_to_total(self):
         tree, cache = tree_with_cache(budget_blocks=7, num_shards=3)
-        assert cache.budget_bytes == 7 * tree.options.block_size
+        assert cache.budget_bytes == 7 * BLOCK_SIZE
 
     def test_sharded_operation(self):
         tree, cache = tree_with_cache(budget_blocks=16, num_shards=4)
@@ -101,8 +92,8 @@ class TestSharding:
         tree, cache = tree_with_cache(budget_blocks=16, num_shards=4)
         for i in range(0, 500, 7):
             tree.get(key_of(i))
-        cache.resize(4 * tree.options.block_size)
-        assert cache.budget_bytes == 4 * tree.options.block_size
+        cache.resize(4 * BLOCK_SIZE)
+        assert cache.budget_bytes == 4 * BLOCK_SIZE
         assert cache.used_bytes <= cache.budget_bytes
 
     def test_invalid_shard_count(self):

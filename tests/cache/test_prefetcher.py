@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.cache.block_cache import BlockCache
 from repro.cache.prefetcher import CompactionPrefetcher
-from repro.lsm.options import LSMOptions
+from repro.lsm.options import BLOCK_SIZE, LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.workloads.keys import key_of, value_of
 
@@ -13,9 +13,7 @@ def warmed_setup(prefetch: bool, cache_blocks=64):
     opts = LSMOptions(memtable_entries=32, entries_per_sstable=64)
     tree = LSMTree(opts)
     tree.bulk_load((key_of(i), value_of(i)) for i in range(2000))
-    cache = BlockCache(
-        cache_blocks * opts.block_size, opts.block_size, tree.disk.read_block
-    )
+    cache = BlockCache(cache_blocks * BLOCK_SIZE, BLOCK_SIZE, tree.disk.read_block)
     tree.set_block_fetch(cache.fetch_through)
     prefetcher = CompactionPrefetcher.attach(tree, cache) if prefetch else None
     hot = [key_of(i) for i in range(0, 200, 2)]
@@ -67,7 +65,7 @@ class TestPrefetcher:
     def test_no_hot_blocks_means_no_prefetch(self):
         opts = LSMOptions(memtable_entries=32, entries_per_sstable=64)
         tree = LSMTree(opts)
-        cache = BlockCache(32 * opts.block_size, opts.block_size, tree.disk.read_block)
+        cache = BlockCache(32 * BLOCK_SIZE, BLOCK_SIZE, tree.disk.read_block)
         tree.set_block_fetch(cache.fetch_through)
         prefetcher = CompactionPrefetcher.attach(tree, cache)
         for i in range(500):  # cold writes only: cache is empty

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.core.adcache import ACTOR_LR, CRITIC_LR, GAMMA, SKETCH_SATURATION
 from repro.core.config import AdCacheConfig
 from repro.core.stats import StatsCollector, WindowStats, merge_windows
 from repro.errors import ConfigError
@@ -17,12 +18,12 @@ class TestConfig:
         # Paper-faithful structural defaults.
         assert cfg.window_size == 1000
         assert cfg.hidden_dim == 256
-        assert cfg.sketch_saturation == 8
+        assert SKETCH_SATURATION == 8
         # Simulator-scale learning defaults (see config docstring).
         assert cfg.alpha == 0.3
-        assert cfg.actor_lr == cfg.critic_lr == 1e-2
+        assert ACTOR_LR == CRITIC_LR == 1e-2
         assert cfg.reward_mode == "level"
-        assert cfg.gamma == 0.0
+        assert GAMMA == 0.0
 
     @pytest.mark.parametrize(
         "field,value",
@@ -31,10 +32,6 @@ class TestConfig:
             ("initial_range_ratio", 1.5),
             ("window_size", 0),
             ("alpha", -0.1),
-            ("actor_lr", 0.0),
-            ("gamma", -0.1),
-            ("a_max", 0),
-            ("point_threshold_max", 0.0),
             ("num_shards", 0),
         ],
     )

@@ -10,7 +10,12 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.range_cache import RangeCache
 from repro.cache.sketch import CountMinSketch
 from repro.core.config import AdCacheConfig
-from repro.core.controller import PolicyDecisionController
+from repro.core.controller import (
+    A_MAX,
+    POINT_THRESHOLD_MAX,
+    UPDATES_PER_WINDOW,
+    PolicyDecisionController,
+)
 from repro.core.stats import WindowStats
 from repro.lsm.storage import SimulatedDisk
 from repro.rl.actor_critic import ActorCriticAgent
@@ -79,7 +84,7 @@ class TestControlLoop:
         # One fresh transition plus replayed passes.
         assert (
             controller.agent.updates_total
-            == controller.config.updates_per_window
+            == UPDATES_PER_WINDOW
         )
 
     def test_learning_rate_adapts_with_reward(self):
@@ -97,8 +102,8 @@ class TestControlLoop:
         for i in range(8):
             record = controller.on_window(window(index=i))
             assert 0.0 <= record.range_ratio <= 1.0
-            assert 0.0 <= record.point_threshold <= controller.config.point_threshold_max
-            assert 0.0 <= record.scan_a <= controller.config.a_max
+            assert 0.0 <= record.point_threshold <= POINT_THRESHOLD_MAX
+            assert 0.0 <= record.scan_a <= A_MAX
             assert 0.0 <= record.scan_b <= 1.0
 
 

@@ -10,15 +10,21 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.range_cache import RangeCache
 from repro.cache.sketch import CountMinSketch
 from repro.core.config import AdCacheConfig
-from repro.core.controller import PolicyDecisionController
+from repro.core.controller import (
+    ACTOR_WARMUP_WINDOWS,
+    MAX_RATIO_STEP,
+    REPLAY_CAPACITY,
+    UPDATES_PER_WINDOW,
+    PolicyDecisionController,
+)
 from repro.core.stats import WindowStats
 from repro.lsm.storage import SimulatedDisk
 from repro.rl.actor_critic import ActorCriticAgent
 from repro.rl.features import STATE_DIM
 
 
-def controller_with(**cfg_kw):
-    config = AdCacheConfig(total_cache_bytes=1 << 20, hidden_dim=16, **cfg_kw)
+def controller_with():
+    config = AdCacheConfig(total_cache_bytes=1 << 20, hidden_dim=16)
     agent = ActorCriticAgent(STATE_DIM, 4, hidden_dim=16, seed=1)
     disk = SimulatedDisk()
     block = BlockCache(config.total_cache_bytes // 2, 4096, disk.read_block)
@@ -44,47 +50,40 @@ def window(index, io_miss=1000):
 
 class TestReplayBuffer:
     def test_buffer_bounded_by_capacity(self):
-        controller = controller_with(replay_capacity=5)
-        for i in range(20):
+        controller = controller_with()
+        for i in range(REPLAY_CAPACITY + 5):
             controller.on_window(window(i))
-        assert len(controller._replay) == 5
+        assert len(controller._replay) == REPLAY_CAPACITY
 
     def test_updates_per_window_honored(self):
-        controller = controller_with(updates_per_window=3)
+        controller = controller_with()
         controller.on_window(window(0))
         controller.on_window(window(1))
-        assert controller.agent.updates_total == 3
+        assert controller.agent.updates_total == UPDATES_PER_WINDOW
         controller.on_window(window(2))
-        assert controller.agent.updates_total == 6
-
-    def test_single_update_mode(self):
-        controller = controller_with(updates_per_window=1)
-        controller.on_window(window(0))
-        controller.on_window(window(1))
-        assert controller.agent.updates_total == 1
+        assert controller.agent.updates_total == 2 * UPDATES_PER_WINDOW
 
 
 class TestActorWarmup:
     def test_actor_frozen_during_warmup(self):
-        controller = controller_with(
-            actor_warmup_windows=5, updates_per_window=1, exploration_log_std=-4.0
-        )
+        controller = controller_with()
         agent = controller.agent
         state_probe = controller._featurize(window(0), 0.5)
         mean_before = agent.action_mean(state_probe).copy()
-        for i in range(4):  # windows 0..3: all inside warmup
+        for i in range(ACTOR_WARMUP_WINDOWS):  # every window inside warmup
             controller.on_window(window(i))
+        assert agent.updates_total > 0  # the critic trained meanwhile
         mean_after = agent.action_mean(state_probe)
         import numpy as np
 
         assert np.allclose(mean_before, mean_after, atol=1e-5)
 
     def test_actor_moves_after_warmup(self):
-        controller = controller_with(actor_warmup_windows=2, updates_per_window=4)
+        controller = controller_with()
         agent = controller.agent
         state_probe = controller._featurize(window(0), 0.5)
         mean_before = agent.action_mean(state_probe).copy()
-        for i in range(12):
+        for i in range(ACTOR_WARMUP_WINDOWS + 4):
             controller.on_window(window(i, io_miss=500 + 100 * (i % 4)))
         import numpy as np
 
@@ -161,15 +160,15 @@ class TestAuditReplay:
 
 class TestRateLimitedBoundary:
     def test_ratio_moves_at_most_step_per_window(self):
-        controller = controller_with(max_ratio_step=0.05)
+        controller = controller_with()
         prev = controller.range_ratio
         for i in range(10):
             controller.on_window(window(i))
-            assert abs(controller.range_ratio - prev) <= 0.05 + 1e-9
+            assert abs(controller.range_ratio - prev) <= MAX_RATIO_STEP + 1e-9
             prev = controller.range_ratio
 
     def test_learned_action_is_the_applied_one(self):
-        controller = controller_with(max_ratio_step=0.01)
+        controller = controller_with()
         controller.on_window(window(0))
         controller.on_window(window(1))
         # The stored previous action's ratio equals the applied ratio.

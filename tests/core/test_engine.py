@@ -10,7 +10,7 @@ from repro.cache.kv_cache import KVCache
 from repro.cache.range_cache import RangeCache
 from repro.cache.sketch import CountMinSketch
 from repro.core.engine import KVEngine
-from repro.lsm.options import LSMOptions
+from repro.lsm.options import BLOCK_SIZE, LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.workloads.keys import key_of, value_of
 
@@ -23,11 +23,8 @@ def seeded(num_keys=1000):
 
 
 def engine_with(tree, block_blocks=0, range_entries=0, kv_entries=0, **kw):
-    opts = tree.options
     block = (
-        BlockCache(
-            block_blocks * opts.block_size, opts.block_size, tree.disk.read_block
-        )
+        BlockCache(block_blocks * BLOCK_SIZE, BLOCK_SIZE, tree.disk.read_block)
         if block_blocks
         else None
     )
@@ -199,8 +196,7 @@ class TestWindows:
 
     def test_current_range_ratio(self):
         tree = seeded()
-        opts = tree.options
-        block = BlockCache(3 * opts.block_size, opts.block_size, tree.disk.read_block)
-        range_ = RangeCache(1 * opts.block_size, entry_charge=1024)
+        block = BlockCache(3 * BLOCK_SIZE, BLOCK_SIZE, tree.disk.read_block)
+        range_ = RangeCache(1 * BLOCK_SIZE, entry_charge=1024)
         engine = KVEngine(tree, block_cache=block, range_cache=range_)
         assert engine.current_range_ratio == pytest.approx(0.25)

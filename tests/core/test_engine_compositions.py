@@ -9,7 +9,7 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.kv_cache import KVCache
 from repro.cache.range_cache import RangeCache
 from repro.core.engine import KVEngine
-from repro.lsm.options import LSMOptions
+from repro.lsm.options import BLOCK_SIZE, LSMOptions
 from repro.workloads.keys import key_of, value_of
 
 OPTS = LSMOptions(memtable_entries=32, entries_per_sstable=64)
@@ -45,7 +45,7 @@ class TestKVPlusBlock:
 
     def engine(self):
         tree = seed_database(1000, OPTS)
-        block = BlockCache(64 * OPTS.block_size, OPTS.block_size, tree.disk.read_block)
+        block = BlockCache(64 * BLOCK_SIZE, BLOCK_SIZE, tree.disk.read_block)
         kv = KVCache(64 * 1024, entry_charge=1024)
         return KVEngine(tree, block_cache=block, kv_cache=kv)
 
@@ -76,7 +76,7 @@ class TestRangePlusBlock:
 
     def engine(self):
         tree = seed_database(1000, OPTS)
-        block = BlockCache(32 * OPTS.block_size, OPTS.block_size, tree.disk.read_block)
+        block = BlockCache(32 * BLOCK_SIZE, BLOCK_SIZE, tree.disk.read_block)
         range_ = RangeCache(128 * 1024, entry_charge=1024)
         return KVEngine(tree, block_cache=block, range_cache=range_)
 

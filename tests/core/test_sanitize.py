@@ -16,8 +16,6 @@ from repro.cache.kv_cache import KVCache
 from repro.cache.lru import LRUPolicy
 from repro.cache.range_cache import RangeCache
 from repro.cache.sharded_range import ShardedRangeCache
-from repro.core.adcache import AdCacheEngine
-from repro.core.config import AdCacheConfig
 from repro.errors import InvariantError
 from repro.lsm.block import BlockHandle
 from repro.lsm.options import LSMOptions
@@ -321,25 +319,3 @@ def test_lsm_tree_invariants_pass_after_real_traffic():
         tree.put(f"k{i:05d}", f"v{i}")
     tree.check_invariants()
     tree.levels.check_invariants(is_live=tree.disk.has)
-
-
-# -- config wiring -----------------------------------------------------------
-
-
-def test_config_sanitize_flag_enables_cache_sanitizers(monkeypatch):
-    # The config flag must work (and the default must stay off) no
-    # matter what the ambient REPRO_SANITIZE is set to.
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    tree = LSMTree(LSMOptions(memtable_entries=16, entries_per_sstable=32))
-    engine = AdCacheEngine(
-        tree, AdCacheConfig(total_cache_bytes=64 * 1024, sanitize=True)
-    )
-    assert engine.block_cache.sanitizing
-    assert engine.range_cache.sanitizing
-    assert engine._sanitize_sweep_due()
-    plain = AdCacheEngine(
-        LSMTree(LSMOptions(memtable_entries=16, entries_per_sstable=32)),
-        AdCacheConfig(total_cache_bytes=64 * 1024),
-    )
-    assert not plain.block_cache.sanitizing
-    assert not plain._sanitize_sweep_due()

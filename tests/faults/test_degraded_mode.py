@@ -11,7 +11,13 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.range_cache import RangeCache
 from repro.cache.sketch import CountMinSketch
 from repro.core.config import AdCacheConfig
-from repro.core.controller import PolicyDecisionController
+from repro.core.controller import (
+    DEGRADED_RECOVERY_WINDOWS,
+    INITIAL_A,
+    INITIAL_B,
+    MAX_RATIO_STEP,
+    PolicyDecisionController,
+)
 from repro.core.stats import WindowStats
 from repro.lsm.storage import SimulatedDisk
 from repro.rl.actor_critic import ActorCriticAgent
@@ -19,8 +25,8 @@ from repro.rl.features import STATE_DIM
 from repro.rl.reward import adapt_learning_rate
 
 
-def make_controller(**config_kw):
-    config = AdCacheConfig(total_cache_bytes=1 << 20, hidden_dim=32, **config_kw)
+def make_controller():
+    config = AdCacheConfig(total_cache_bytes=1 << 20, hidden_dim=32)
     agent = ActorCriticAgent(STATE_DIM, 4, hidden_dim=32, seed=1)
     disk = SimulatedDisk()
     block = BlockCache(config.total_cache_bytes // 2, 4096, disk.read_block)
@@ -76,9 +82,7 @@ class TestActivation:
         assert controller.range_ratio == pytest.approx(config.initial_range_ratio)
         assert controller.point_threshold == 0.0  # admission wide open
         assert freq.threshold == 0.0
-        assert controller.scan_params == pytest.approx(
-            (config.initial_a, config.initial_b)
-        )
+        assert controller.scan_params == pytest.approx((INITIAL_A, INITIAL_B))
         total = config.total_cache_bytes
         assert block.budget_bytes + range_.budget_bytes == total
 
@@ -89,29 +93,30 @@ class TestActivation:
         before = controller.range_ratio
         controller.on_window(poisoned(6))
         after = controller.range_ratio
-        assert abs(after - before) <= controller.config.max_ratio_step + 1e-9
+        assert abs(after - before) <= MAX_RATIO_STEP + 1e-9
 
-    def test_guard_can_be_disabled(self):
-        controller, *_ = make_controller(enable_degraded_guard=False)
-        record = controller.on_window(poisoned(0))
-        assert not record.degraded
-        assert controller.degraded_activations_total == 0
+
+def recover(controller, first):
+    """Feed the healthy windows that end a blackout; returns the next index."""
+    for i in range(first, first + DEGRADED_RECOVERY_WINDOWS):
+        controller.on_window(healthy(i))
+    return first + DEGRADED_RECOVERY_WINDOWS
 
 
 class TestRecovery:
     def test_recovers_after_configured_healthy_streak(self):
-        controller, *_ = make_controller(degraded_recovery_windows=2)
+        controller, *_ = make_controller()
         controller.on_window(poisoned(0))
         assert controller.degraded
-        r1 = controller.on_window(healthy(1))
-        assert r1.degraded  # streak 1 < 2: still pinned
-        r2 = controller.on_window(healthy(2))
-        assert not r2.degraded
+        for i in range(1, DEGRADED_RECOVERY_WINDOWS):
+            assert controller.on_window(healthy(i)).degraded  # still pinned
+        last = controller.on_window(healthy(DEGRADED_RECOVERY_WINDOWS))
+        assert not last.degraded
         assert not controller.degraded
         assert controller.degraded_recoveries_total == 1
 
     def test_relapse_resets_the_streak(self):
-        controller, *_ = make_controller(degraded_recovery_windows=2)
+        controller, *_ = make_controller()
         controller.on_window(poisoned(0))
         controller.on_window(healthy(1))
         controller.on_window(poisoned(2))  # relapse
@@ -120,26 +125,29 @@ class TestRecovery:
         assert controller.degraded_activations_total == 1  # one episode
 
     def test_learning_resumes_after_recovery(self):
-        controller, *_ = make_controller(degraded_recovery_windows=1)
+        controller, *_ = make_controller()
         controller.on_window(healthy(0))
         controller.on_window(poisoned(1))
         updates_during = controller.agent.updates_total
-        controller.on_window(healthy(2))  # recovery window (acts, no update)
-        controller.on_window(healthy(3))  # first post-recovery transition
+        # The last healthy window of the streak recovers and acts, with
+        # nothing to train on yet; the one after it is the first
+        # post-recovery transition.
+        nxt = recover(controller, 2)
+        controller.on_window(healthy(nxt))
         assert controller.agent.updates_total > updates_during
 
     def test_no_training_across_the_blackout(self):
         """The (state, action) pending from before the blackout must be
         discarded, not paired with a post-blackout reward."""
-        controller, *_ = make_controller(degraded_recovery_windows=1)
+        controller, *_ = make_controller()
         controller.on_window(healthy(0))
         controller.on_window(poisoned(1))
-        controller.on_window(healthy(2))
-        # Window 2 recovered and acted, but had no prev transition to train on.
+        recover(controller, 2)
+        # The recovery window acted, but had no prev transition to train on.
         assert controller.agent.updates_total == 0
 
     def test_lr_stays_finite_through_blackout(self):
-        controller, *_ = make_controller(degraded_recovery_windows=1)
+        controller, *_ = make_controller()
         for i in range(3):
             controller.on_window(healthy(i))
         for i in range(3, 6):

@@ -18,8 +18,6 @@ class TestConfigValidation:
             {"crashes": -1},
             {"earliest_us": -1.0},
             {"latest_us": 5.0, "earliest_us": 10.0},
-            {"failover_detect_us": -1.0},
-            {"replay_per_record_us": -1.0},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

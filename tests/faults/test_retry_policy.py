@@ -1,4 +1,4 @@
-"""RetryPolicy: bounds, schedule, seeded jitter, tree integration."""
+"""RetryPolicy: bounds, schedule, tree integration."""
 
 from __future__ import annotations
 
@@ -19,10 +19,6 @@ class TestValidation:
             RetryPolicy(backoff_us=-1.0)
         with pytest.raises(ConfigError):
             RetryPolicy(multiplier=0.5)
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter_frac=1.0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter_frac=-0.1)
 
 
 class TestSchedule:
@@ -42,21 +38,9 @@ class TestSchedule:
             400.0,
         ]
 
-    def test_jitter_is_seeded_and_bounded(self):
-        a = RetryPolicy(backoff_us=100.0, jitter_frac=0.5, seed=9)
-        b = RetryPolicy(backoff_us=100.0, jitter_frac=0.5, seed=9)
-        stalls_a = [a.stall_us(i) for i in range(6)]
-        stalls_b = [b.stall_us(i) for i in range(6)]
-        assert stalls_a == stalls_b  # same seed, same bytes
-        for i, stall in enumerate(stalls_a):
-            base = 100.0 * 2.0**i
-            assert 0.5 * base <= stall <= 1.5 * base
-        c = RetryPolicy(backoff_us=100.0, jitter_frac=0.5, seed=10)
-        assert [c.stall_us(i) for i in range(6)] != stalls_a
 
-
-def _faulted_tree(**options) -> LSMTree:
-    tree = LSMTree(LSMOptions(memtable_entries=16, **options))
+def _faulted_tree() -> LSMTree:
+    tree = LSMTree(LSMOptions(memtable_entries=16))
     for i in range(200):
         tree.put(key_of(i), value_of(i))
     tree.attach_fault_injector(
@@ -76,17 +60,6 @@ class TestTreeIntegration:
         assert tree.retry_latency_us_total == pytest.approx(
             sum(tree.retry_stalls_us)
         )
-
-    def test_jitter_option_flows_through_and_reproduces(self):
-        def stalls(seed: int):
-            tree = _faulted_tree(retry_jitter_frac=0.25, seed=seed)
-            for i in range(200):
-                tree.get(key_of(i))
-            return list(tree.retry_stalls_us)
-
-        first, second = stalls(0x5EED), stalls(0x5EED)
-        assert first and first == second
-        assert any(s not in (50.0, 100.0, 200.0, 400.0) for s in first)
 
     def test_exhausted_budget_escalates(self):
         tree = LSMTree(LSMOptions(memtable_entries=16, max_read_retries=0))

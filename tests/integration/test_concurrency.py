@@ -6,7 +6,11 @@ import threading
 
 from repro.bench.harness import seed_database
 from repro.bench.strategies import build_engine
-from repro.lsm.options import LSMOptions
+from repro.cache.block_cache import BlockCache
+from repro.core.adcache import AdCacheEngine
+from repro.core.config import AdCacheConfig
+from repro.core.engine import KVEngine
+from repro.lsm.options import BLOCK_SIZE, LSMOptions
 from repro.workloads.keys import key_of, value_of
 from repro.workloads.zipfian import ZipfianGenerator
 
@@ -46,9 +50,8 @@ def run_clients(engine, num_clients, ops_per_client):
 class TestShardedConcurrency:
     def test_sharded_block_cache_concurrent_reads(self):
         tree = seed_database(NUM_KEYS, OPTS)
-        engine = build_engine(
-            "block", tree, cache_bytes=256 * 1024, seed=1, num_shards=4
-        )
+        cache = BlockCache(256 * 1024, BLOCK_SIZE, tree.disk.read_block, num_shards=4)
+        engine = KVEngine(tree, block_cache=cache)
         errors = run_clients(engine, num_clients=4, ops_per_client=300)
         assert errors == []
         assert engine.block_cache.used_bytes <= engine.block_cache.budget_bytes
@@ -56,8 +59,8 @@ class TestShardedConcurrency:
     def test_adcache_concurrent_reads_with_training(self):
         """Background control must not corrupt results under 4 clients."""
         tree = seed_database(NUM_KEYS, OPTS)
-        engine = build_engine(
-            "adcache", tree, cache_bytes=256 * 1024, seed=1, num_shards=4
+        engine = AdCacheEngine(
+            tree, AdCacheConfig(total_cache_bytes=256 * 1024, num_shards=4, seed=1)
         )
         engine.window_size = 200  # force frequent controller activity
         errors = run_clients(engine, num_clients=4, ops_per_client=300)

@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.lsm.options import BLOCK_SIZE, KEY_SIZE, VALUE_SIZE, LSMOptions
+from repro.lsm.options import (
+    BLOCK_SIZE,
+    BLOOM_BITS_PER_KEY,
+    KEY_SIZE,
+    SIZE_RATIO,
+    VALUE_SIZE,
+    LSMOptions,
+)
 
 
 class TestDefaults:
@@ -17,10 +24,10 @@ class TestDefaults:
     def test_default_geometry_matches_paper(self):
         opts = LSMOptions()
         assert opts.entries_per_block == 4  # 4 KB / (24 + 1000) B
-        assert opts.size_ratio == 10
+        assert SIZE_RATIO == 10
         assert opts.level0_slowdown_writes_trigger == 4
         assert opts.level0_stop_writes_trigger == 8
-        assert opts.bloom_bits_per_key == 10
+        assert BLOOM_BITS_PER_KEY == 10
 
     def test_blocks_per_sstable(self):
         opts = LSMOptions(entries_per_sstable=64, entries_per_block=4)
@@ -34,10 +41,7 @@ class TestValidation:
             ("entries_per_block", 0),
             ("entries_per_sstable", -1),
             ("memtable_entries", 0),
-            ("size_ratio", 1),
             ("max_levels", 0),
-            ("key_size", 0),
-            ("bloom_bits_per_key", -1),
         ],
     )
     def test_bad_values_rejected(self, field, value):

@@ -60,15 +60,6 @@ def default_chaos():
 
 
 class TestValidation:
-    def test_fleet_faults_require_replicas(self):
-        with pytest.raises(ConfigError):
-            ServeConfig(
-                resilience=ResilienceConfig(
-                    replicas=False,
-                    fleet_faults=FleetFaultConfig(crashes=1),
-                )
-            )
-
     def test_negative_deadline_rejected(self):
         with pytest.raises(ConfigError):
             ServeConfig(op_deadline_us=-1.0)
