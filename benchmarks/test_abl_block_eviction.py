@@ -13,21 +13,13 @@ from __future__ import annotations
 from common import NUM_KEYS, fresh_options, print_banner, scaled
 from repro.bench.harness import run_workload, seed_database
 from repro.bench.report import format_table
-from repro.cache.arc import ARCPolicy
-from repro.cache.block_cache import BlockCache
-from repro.cache.clock import ClockPolicy
-from repro.cache.lru import LRUPolicy
-from repro.core.engine import KVEngine
-from repro.lsm.options import BLOCK_SIZE
+from repro.bench.strategies import build_engine
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
 CACHE = 512 * 1024
 
-POLICIES = {
-    "LRU": LRUPolicy,
-    "CLOCK": ClockPolicy,
-    "ARC": lambda: ARCPolicy(capacity_hint=CACHE // 4096),
-}
+#: Table row -> block-cache strategy with that eviction policy.
+POLICIES = {"LRU": "block", "CLOCK": "block-clock", "ARC": "block-arc"}
 
 
 def run_experiment():
@@ -39,13 +31,9 @@ def run_experiment():
         name="mixed_scan_pollution",
     )
     results = {}
-    for name, factory in POLICIES.items():
-        opts = fresh_options()
-        tree = seed_database(NUM_KEYS, opts, seed=7)
-        cache = BlockCache(
-            CACHE, BLOCK_SIZE, tree.disk.read_block, policy_factory=factory
-        )
-        engine = KVEngine(tree, block_cache=cache)
+    for name, strategy in POLICIES.items():
+        tree = seed_database(NUM_KEYS, fresh_options(), seed=7)
+        engine = build_engine(strategy, tree, CACHE)
         generator = WorkloadGenerator(spec, seed=105)
         results[name] = run_workload(
             engine, generator, num_ops=scaled(4000), warmup_ops=scaled(4000),

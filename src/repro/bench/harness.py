@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
-from repro.bench.simclock import ClockReading, CostModel, elapsed_us
+from repro.bench.simclock import ClockReading, elapsed_us
 from repro.core.engine import KVEngine
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
@@ -147,7 +147,6 @@ def run_workload(
     workload: Iterable[Operation],
     num_ops: Optional[int] = None,
     name: str = "run",
-    cost_model: Optional[CostModel] = None,
     warmup_ops: int = 0,
     batch_size: int = 1,
 ) -> RunResult:
@@ -196,7 +195,7 @@ def run_workload(
     after = ClockReading.capture(engine)
     totals_after = engine.collector.totals()
     hit_rate, io_estimate, io_miss = estimated_hit_rate(engine, baseline=before)
-    elapsed = elapsed_us(before, after, cost_model)
+    elapsed = elapsed_us(before, after)
     qps = measured / (elapsed / 1e6) if elapsed > 0 else 0.0
     block_lookups = after.block_lookups - before.block_lookups
     block_hits = block_lookups - (after.disk_reads - before.disk_reads)
@@ -225,7 +224,6 @@ def run_phases(
     phases: List[Tuple[str, WorkloadSpec]],
     ops_per_phase: int,
     seed: int = 0,
-    cost_model: Optional[CostModel] = None,
 ) -> List[RunResult]:
     """Run a phase sequence (dynamic workload), one result per phase.
 
@@ -236,12 +234,6 @@ def run_phases(
     for i, (name, spec) in enumerate(phases):
         generator = WorkloadGenerator(spec, seed=seed + i * 1000 + 1)
         results.append(
-            run_workload(
-                engine,
-                generator,
-                num_ops=ops_per_phase,
-                name=name,
-                cost_model=cost_model,
-            )
+            run_workload(engine, generator, num_ops=ops_per_phase, name=name)
         )
     return results

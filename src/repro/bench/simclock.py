@@ -148,9 +148,9 @@ class SimClock:
 
     __slots__ = ("_engine", "_costs", "_last", "charged_us_total")
 
-    def __init__(self, engine: KVEngine, costs: Optional[CostModel] = None) -> None:
+    def __init__(self, engine: KVEngine) -> None:
         self._engine = engine
-        self._costs = costs or CostModel()
+        self._costs = CostModel()
         self._last = ClockReading.capture(engine)
         self.charged_us_total = 0.0
 

@@ -170,12 +170,3 @@ class PartialScanAdmission:
         if scan_length <= self._a:
             return scan_length
         return min(scan_length, int(round(self._b * (scan_length - self._a))))
-
-    def effective_threshold(self, scan_length: int) -> float:
-        """Diagnostic: per-access admitted length for a given scan length.
-
-        This is the "scan threshold" series plotted in the paper's
-        Figure 10 (third panel), which stabilizes near the workload's
-        scan length when the policy converges to full admission.
-        """
-        return float(self.admit_count(scan_length))

@@ -88,19 +88,9 @@ class AdCacheEngine(KVEngine):
             backing_fetch=tree.disk.read_block,
             num_shards=config.num_shards,
         )
-        if config.range_shard_boundaries:
-            from repro.cache.sharded_range import ShardedRangeCache
-
-            range_cache = ShardedRangeCache(
-                range_budget,
-                config.range_shard_boundaries,
-                entry_charge=entry_charge,
-                seed=config.seed,
-            )
-        else:
-            range_cache = RangeCache(
-                range_budget, entry_charge=entry_charge, seed=config.seed
-            )
+        range_cache = RangeCache(
+            range_budget, entry_charge=entry_charge, seed=config.seed
+        )
 
         sketch = CountMinSketch(
             width=SKETCH_WIDTH,

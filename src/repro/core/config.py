@@ -12,7 +12,6 @@ actor warm-up and degraded-mode recovery).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -52,11 +51,6 @@ class AdCacheConfig:
         simulator-scale run lengths.
     num_shards:
         Shards for the block cache (multi-client support).
-    range_shard_boundaries:
-        When set, the range cache becomes a key-range-partitioned
-        :class:`~repro.cache.sharded_range.ShardedRangeCache` with these
-        split keys (Section 4.4's sharded architecture).  None keeps a
-        single lock-guarded range cache.
     seed:
         Master seed for the agent, sketch, and range-cache sanitizers.
     """
@@ -71,7 +65,6 @@ class AdCacheConfig:
     online_learning: bool = True
     reward_mode: str = "level"
     num_shards: int = 1
-    range_shard_boundaries: Optional[Tuple[str, ...]] = None
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -11,9 +11,8 @@ fault tests in ``tests/faults`` fail the read path on either):
   so faulted runs cost latency the bench/serve clocks can see while the
   host never stalls.
 
-Backoff is the deterministic exponential ``backoff * multiplier**attempt``
-schedule, so two same-seed runs reproduce identical retry latency byte
-for byte.
+Backoff is the deterministic doubling ``backoff * 2**attempt`` schedule,
+so two same-seed runs reproduce identical retry latency byte for byte.
 """
 
 from __future__ import annotations
@@ -33,22 +32,18 @@ class RetryPolicy:
     max_attempts:
         Retries allowed after the first try (0 disables retrying).
     backoff_us:
-        Simulated stall charged for the first retry.
-    multiplier:
-        Growth factor between consecutive stalls (2.0 = doubling).
+        Simulated stall charged for the first retry; each later stall
+        doubles the one before.
     """
 
     max_attempts: int = 4
     backoff_us: float = 50.0
-    multiplier: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 0:
             raise ConfigError("max_attempts must be >= 0")
         if self.backoff_us < 0 or not math.isfinite(self.backoff_us):
             raise ConfigError("backoff_us must be finite and >= 0")
-        if self.multiplier < 1.0:
-            raise ConfigError("multiplier must be >= 1")
 
     def should_retry(self, attempts_so_far: int) -> bool:
         """Whether another retry fits the budget after ``attempts_so_far``."""
@@ -60,4 +55,4 @@ class RetryPolicy:
         The caller charges this to its sim-clock accounting; the policy
         never sleeps.
         """
-        return self.backoff_us * self.multiplier**attempt
+        return self.backoff_us * 2**attempt

@@ -148,12 +148,7 @@ def build_replay_controller(header: Dict[str, Any]) -> "Any":
             "audit header has no agent_init (externally supplied agent); "
             "replay needs the original agent construction parameters"
         )
-    config_dict = dict(header["config"])
-    boundaries = config_dict.get("range_shard_boundaries")
-    if boundaries is not None:
-        # JSON round-trips tuples as lists; the config expects a tuple.
-        config_dict["range_shard_boundaries"] = tuple(boundaries)
-    config = AdCacheConfig(**config_dict)
+    config = AdCacheConfig(**header["config"])
 
     initial_policy = agent_init.get("initial_policy")
     agent = ActorCriticAgent(

@@ -8,8 +8,10 @@ Two modes, as described:
   paper's own findings (block cache for stable read/scan phases, range
   cache under update pressure, partial admission for long scans).
 * **Unsupervised** — the ordinary online actor-critic loop run against
-  recorded or synthetic workloads before deployment; see
-  ``examples/pretraining.py`` for the end-to-end flow.
+  recorded or synthetic workloads before deployment: build an
+  :class:`~repro.core.adcache.AdCacheEngine` around the agent and drive
+  it with the operations (for example a replayed trace).  It needs no
+  helper here.
 
 A pretrained agent can be saved with ``agent.save(path)`` and shipped to
 other machines, reproducing the paper's portability argument.
@@ -98,31 +100,6 @@ def generate_supervised_dataset(
         )
         samples.append((state, target))
     return samples
-
-
-def pretrain_unsupervised(
-    agent: ActorCriticAgent,
-    engine_factory,
-    workloads,
-    ops_per_workload: int,
-) -> ActorCriticAgent:
-    """Unsupervised pretraining: run the online RL loop offline.
-
-    ``engine_factory(agent)`` must build a fresh AdCache engine wired to
-    ``agent``; each entry of ``workloads`` is an iterable of operations
-    (e.g. ``WorkloadGenerator(spec, seed).ops(n)`` or a replayed trace).
-    The same agent accumulates learning across all workloads and is
-    returned ready to ship (``agent.save``).
-    """
-    import itertools
-
-    from repro.bench.harness import apply_operation
-
-    for workload in workloads:
-        engine = engine_factory(agent)
-        for op in itertools.islice(iter(workload), ops_per_workload):
-            apply_operation(engine, op)
-    return agent
 
 
 def pretrain_actor_supervised(

@@ -494,7 +494,7 @@ class FailureModel:
             )
             breaker.sanitize_from_env(seed=seed + 53 + shard.shard_id)
             replica = spawn_replica(shard.shard_id)
-            clock = SimClock(replica, sim.config.cost_model)
+            clock = SimClock(replica)
             failover = Failover(
                 breaker, replica, clock, self.acked, config.op_timeout_us
             )

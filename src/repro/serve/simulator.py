@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro import sanitize
-from repro.bench.simclock import CostModel, SimClock
+from repro.bench.simclock import SimClock
 from repro.bench.strategies import build_engine
 from repro.core.engine import KVEngine
 from repro.core.stats import merge_windows
@@ -108,7 +108,6 @@ class ServeConfig:
     memtable_entries: int = 32
     entries_per_sstable: int = 64
     keep_trace: bool = True
-    cost_model: Optional[CostModel] = None
     #: Per-op completion deadline charged against queue wait; expired
     #: sub-requests are shed at dequeue (0 disables).
     op_deadline_us: float = 0.0
@@ -248,7 +247,7 @@ def _build_shards(config: ServeConfig, slices: List[List[int]]) -> List[_Shard]:
         )
         queue = RequestQueue(shard_id, config.queue_depth)
         queue.sanitize_from_env(seed=config.seed + 31 + shard_id)
-        clock = SimClock(engine, config.cost_model)
+        clock = SimClock(engine)
         shards.append(_Shard(shard_id, engine, queue, clock, len(ids)))
     return shards
 

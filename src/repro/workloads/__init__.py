@@ -35,7 +35,6 @@ from repro.workloads.scenarios import (
     ScenarioSchedule,
     TenantPhase,
     build_scenario,
-    compose_schedules,
     describe_scenarios,
     interpolate_specs,
     scenario_names,
@@ -54,7 +53,6 @@ __all__ = [
     "WorkloadSpec",
     "ZipfianGenerator",
     "build_scenario",
-    "compose_schedules",
     "describe_scenarios",
     "interpolate_specs",
     "point_lookup_workload",

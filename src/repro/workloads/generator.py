@@ -256,44 +256,3 @@ def long_scan_workload(num_keys: int, skew: float = 0.9, **kw) -> WorkloadSpec:
         num_keys=num_keys, long_scan_ratio=1.0, scan_skew=skew, name="long_scan", **kw
     )
 
-
-# -- YCSB core workloads (standard mixes, for cross-paper comparison) --------
-
-
-def ycsb_a(num_keys: int, skew: float = 0.9, **kw) -> WorkloadSpec:
-    """YCSB-A: update heavy (50% reads, 50% updates)."""
-    return WorkloadSpec(
-        num_keys=num_keys, get_ratio=0.5, write_ratio=0.5, point_skew=skew,
-        name="ycsb_a", **kw,
-    )
-
-
-def ycsb_b(num_keys: int, skew: float = 0.9, **kw) -> WorkloadSpec:
-    """YCSB-B: read mostly (95% reads, 5% updates)."""
-    return WorkloadSpec(
-        num_keys=num_keys, get_ratio=0.95, write_ratio=0.05, point_skew=skew,
-        name="ycsb_b", **kw,
-    )
-
-
-def ycsb_c(num_keys: int, skew: float = 0.9, **kw) -> WorkloadSpec:
-    """YCSB-C: read only."""
-    return WorkloadSpec(
-        num_keys=num_keys, get_ratio=1.0, point_skew=skew, name="ycsb_c", **kw
-    )
-
-
-def ycsb_e(num_keys: int, skew: float = 0.9, **kw) -> WorkloadSpec:
-    """YCSB-E: short scans (95%) with inserts modelled as updates (5%)."""
-    return WorkloadSpec(
-        num_keys=num_keys, short_scan_ratio=0.95, write_ratio=0.05,
-        scan_skew=skew, point_skew=skew, name="ycsb_e", **kw,
-    )
-
-
-def ycsb_f(num_keys: int, skew: float = 0.9, **kw) -> WorkloadSpec:
-    """YCSB-F: read-modify-write (50% reads, 50% updates of read keys)."""
-    return WorkloadSpec(
-        num_keys=num_keys, get_ratio=0.5, write_ratio=0.5, point_skew=skew,
-        name="ycsb_f", **kw,
-    )

@@ -3,7 +3,7 @@
 Every related dynamic-workload paper (RusKey, ArceKV) evaluates on
 *time-varying* traffic; the paper's own Table 3 phases are the only
 dynamic sequence the repo had.  This module is the missing catalogue: a
-registry of seeded, composable **scenarios**, each a phase schedule of
+registry of seeded **scenarios**, each a phase schedule of
 per-tenant :class:`~repro.workloads.generator.WorkloadSpec`s that the
 serving simulator (:mod:`repro.serve`) plays back over simulated time.
 
@@ -22,16 +22,15 @@ A scenario compiles to a :class:`ScenarioSchedule`:
   — two builds are equal dataclasses, and two serve runs over the same
   schedule produce identical fleet fingerprints.
 
-Scenarios compose: :func:`compose_schedules` concatenates schedules
-into one long multi-phase run.  The matrix runner over this registry
-lives in :mod:`repro.workloads.atlas`.
+The matrix runner over this registry lives in
+:mod:`repro.workloads.atlas`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.errors import ConfigError
 from repro.workloads.generator import WorkloadSpec
@@ -44,7 +43,6 @@ __all__ = [
     "ScenarioSchedule",
     "TenantPhase",
     "build_scenario",
-    "compose_schedules",
     "describe_scenarios",
     "interpolate_specs",
     "scenario_names",
@@ -245,39 +243,6 @@ def interpolate_specs(
             )
         )
     return out
-
-
-def compose_schedules(
-    name: str, schedules: Sequence[ScenarioSchedule]
-) -> ScenarioSchedule:
-    """Concatenate schedules into one long multi-phase run.
-
-    The keyspace is the max over parts; the preload is the first
-    part's (later parts' extra keys arrive through writes, exactly as
-    within a growth scenario).  Phase names are prefixed with their
-    source scenario.
-    """
-    if not schedules:
-        raise ConfigError("compose_schedules needs >= 1 schedule")
-    phases: List[ScenarioPhase] = []
-    for schedule in schedules:
-        for phase in schedule.phases:
-            phases.append(
-                ScenarioPhase(
-                    name=f"{schedule.name}:{phase.name}",
-                    duration_us=phase.duration_us,
-                    tenants=dict(phase.tenants),
-                )
-            )
-    return ScenarioSchedule(
-        name=name,
-        seed=schedules[0].seed,
-        phases=tuple(phases),
-        num_keys=max(s.num_keys for s in schedules),
-        preload_keys=schedules[0].preload_keys,
-        arrival_rate_ops_s=schedules[0].arrival_rate_ops_s,
-        description="; ".join(s.description for s in schedules if s.description),
-    )
 
 
 # -- the registry -------------------------------------------------------------

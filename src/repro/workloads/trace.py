@@ -14,57 +14,53 @@ Format: one operation per line —
     p <key> <value>      put
     d <key>              delete
 
-Multi-tenant streams (the serving layer, the scenario atlas) prefix a
-line with a tenant tag: ``@<tenant> g <key>``.  Untagged readers skip
-the tag; :func:`replay_tagged_trace` preserves it, yielding
-``(tenant, op)`` pairs with ``tenant=None`` on untagged lines.
+Keys must be non-empty and free of whitespace; put values may hold
+spaces but no line breaks.  The writer rejects anything else, so every
+trace it writes replays to the operations it was given.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Union
 
 from repro.errors import ConfigError
 from repro.workloads.generator import Operation
 
 PathLike = Union[str, Path]
 
-#: One ``(tenant, op)`` pair of a tenant-tagged trace.
-TaggedOperation = Tuple[str, Operation]
-
 _KIND_TO_CODE = {"get": "g", "scan": "s", "put": "p", "delete": "d"}
 _CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()}
 
 
-def _encode(op: Operation) -> str:
+def _encode(op: Operation, lineno: int) -> str:
     code = _KIND_TO_CODE.get(op.kind)
     if code is None:
         raise ConfigError(f"unknown operation kind {op.kind!r}")
+    key = op.key
+    if key.split() != [key]:
+        raise ConfigError(
+            f"trace keys must be non-empty and whitespace-free, "
+            f"got {key!r} for trace line {lineno}"
+        )
     if op.kind == "scan":
-        return f"s {op.key} {op.length}"
+        return f"s {key} {op.length}"
     if op.kind == "put":
         value = op.value or ""
-        if "\n" in value:
-            raise ConfigError("trace values must not contain newlines")
-        return f"p {op.key} {value}"
-    return f"{code} {op.key}"
-
-
-def _encode_tagged(tenant: str, op: Operation) -> str:
-    if not tenant or " " in tenant or "\n" in tenant or "\t" in tenant:
-        raise ConfigError(
-            f"trace tenant tags must be non-empty and whitespace-free, "
-            f"got {tenant!r}"
-        )
-    return f"@{tenant} {_encode(op)}"
+        if "\n" in value or "\r" in value:
+            raise ConfigError(
+                f"trace values must not contain line breaks "
+                f"(trace line {lineno})"
+            )
+        return f"p {key} {value}"
+    return f"{code} {key}"
 
 
 def _decode(line: str, lineno: int) -> Operation:
     parts = line.rstrip("\n").split(" ", 2)
     code = parts[0]
     kind = _CODE_TO_KIND.get(code)
-    if kind is None or len(parts) < 2:
+    if kind is None or len(parts) < 2 or not parts[1]:
         raise ConfigError(f"bad trace line {lineno}: {line!r}")
     key = parts[1]
     if kind == "scan":
@@ -80,104 +76,29 @@ def _decode(line: str, lineno: int) -> Operation:
     if kind == "put":
         value = parts[2] if len(parts) == 3 else ""
         return Operation("put", key, value=value)
+    if len(parts) == 3:
+        raise ConfigError(f"extra field on trace line {lineno}: {line!r}")
     return Operation(kind, key)
 
 
-def _decode_tagged(line: str, lineno: int) -> Tuple[Optional[str], Operation]:
-    body = line.rstrip("\n")
-    tenant: Optional[str] = None
-    if body.startswith("@"):
-        tag, _, rest = body.partition(" ")
-        tenant = tag[1:]
-        if not tenant or not rest:
-            raise ConfigError(f"bad tenant tag on trace line {lineno}: {line!r}")
-        body = rest
-    return tenant, _decode(body, lineno)
-
-
-def record_trace(
-    ops: Iterable[Union[Operation, TaggedOperation]], path: PathLike
-) -> int:
-    """Write an operation stream to ``path``; returns operations written.
-
-    Items may be bare :class:`Operation` values or ``(tenant, op)``
-    pairs; pairs land as tenant-tagged lines.
-    """
+def record_trace(ops: Iterable[Operation], path: PathLike) -> int:
+    """Write an operation stream to ``path``; returns operations written."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for item in ops:
-            if isinstance(item, Operation):
-                fh.write(_encode(item))
-            else:
-                tenant, op = item
-                fh.write(_encode_tagged(tenant, op))
+        for count, op in enumerate(ops, start=1):
+            fh.write(_encode(op, count))
             fh.write("\n")
-            count += 1
     return count
 
 
 def replay_trace(path: PathLike) -> Iterator[Operation]:
-    """Lazily yield the operations recorded at ``path`` (tags dropped)."""
+    """Lazily yield the operations recorded at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                yield _decode_tagged(line, lineno)[1]
-
-
-def replay_tagged_trace(
-    path: PathLike,
-) -> Iterator[Tuple[Optional[str], Operation]]:
-    """Lazily yield ``(tenant, op)`` pairs; ``tenant`` is None untagged."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield _decode_tagged(line, lineno)
+                yield _decode(line, lineno)
 
 
 def load_trace(path: PathLike) -> List[Operation]:
     """Eagerly load a recorded trace."""
     return list(replay_trace(path))
-
-
-def load_tagged_trace(path: PathLike) -> List[Tuple[Optional[str], Operation]]:
-    """Eagerly load a recorded trace with its tenant tags."""
-    return list(replay_tagged_trace(path))
-
-
-class TracingSink:
-    """Wrap an engine so every executed operation is also recorded.
-
-    Usage::
-
-        sink = TracingSink(engine)
-        sink.get(key); sink.scan(key, 16); sink.put(key, value)
-        sink.save("workload.trace")
-    """
-
-    def __init__(self, engine) -> None:
-        self._engine = engine
-        self.operations: List[Operation] = []
-
-    def get(self, key: str):
-        """Point lookup, recorded."""
-        self.operations.append(Operation("get", key))
-        return self._engine.get(key)
-
-    def scan(self, start: str, length: int):
-        """Range scan, recorded."""
-        self.operations.append(Operation("scan", start, length=length))
-        return self._engine.scan(start, length)
-
-    def put(self, key: str, value: str) -> None:
-        """Put, recorded."""
-        self.operations.append(Operation("put", key, value=value))
-        self._engine.put(key, value)
-
-    def delete(self, key: str) -> None:
-        """Delete, recorded."""
-        self.operations.append(Operation("delete", key))
-        self._engine.delete(key)
-
-    def save(self, path: PathLike) -> int:
-        """Persist everything recorded so far."""
-        return record_trace(self.operations, path)

@@ -87,8 +87,3 @@ class TestPartialScanAdmission:
     def test_nan_rejected(self):
         with pytest.raises(CacheError):
             PartialScanAdmission(a=float("nan"), b=0.5)
-
-    def test_effective_threshold_tracks_admission(self):
-        psa = PartialScanAdmission(a=16, b=0.5)
-        assert psa.effective_threshold(16) == 16.0
-        assert psa.effective_threshold(64) == 24.0

@@ -69,10 +69,6 @@ SURFACE: Dict[type, Dict[str, Setter]] = {
             "choosing one needs a benchmark that measures both"
         ),
         "num_shards": Caller("benchmarks/test_fig11a_overhead.py"),
-        "range_shard_boundaries": Kept(
-            "paper section 4.4: the sharded range cache; choosing its "
-            "boundaries needs a benchmark that measures it"
-        ),
         "seed": STRATEGIES,
     },
     ResilienceConfig: {
@@ -99,10 +95,6 @@ SURFACE: Dict[type, Dict[str, Setter]] = {
     RetryPolicy: {
         "max_attempts": Caller("src/repro/lsm/tree.py"),
         "backoff_us": Caller("src/repro/lsm/tree.py"),
-        "multiplier": Kept(
-            "the retry schedule's growth, out of scope with the LSMOptions "
-            "retry budgets the tree passes in"
-        ),
     },
     FleetFaultConfig: {
         "crashes": CLI,
@@ -131,10 +123,6 @@ SURFACE: Dict[type, Dict[str, Setter]] = {
         "memtable_entries": CLI,
         "entries_per_sstable": CLI,
         "keep_trace": CLI,
-        "cost_model": Kept(
-            "prices every serve run in simulated us; the benchmark's "
-            "CostModel is out of scope, though no caller sets this field"
-        ),
         "op_deadline_us": CLI,
         "resilience": CLI,
         "obs": CLI,

@@ -17,8 +17,6 @@ class TestValidation:
             RetryPolicy(max_attempts=-1)
         with pytest.raises(ConfigError):
             RetryPolicy(backoff_us=-1.0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(multiplier=0.5)
 
 
 class TestSchedule:

@@ -13,11 +13,6 @@ from repro.workloads.generator import (
     long_scan_workload,
     point_lookup_workload,
     short_scan_workload,
-    ycsb_a,
-    ycsb_b,
-    ycsb_c,
-    ycsb_e,
-    ycsb_f,
 )
 from repro.workloads.keys import index_of, key_of, value_of
 
@@ -67,13 +62,6 @@ class TestSpecValidation:
         balanced = balanced_workload(n)
         assert balanced.get_ratio == pytest.approx(1 / 3)
         assert balanced.write_ratio == pytest.approx(1 / 3)
-
-    def test_ycsb_constructors(self):
-        assert ycsb_a(100).write_ratio == 0.5
-        assert ycsb_b(100).get_ratio == 0.95
-        assert ycsb_c(100).get_ratio == 1.0
-        assert ycsb_e(100).short_scan_ratio == 0.95
-        assert ycsb_f(100).write_ratio == 0.5
 
 
 class TestGenerator:

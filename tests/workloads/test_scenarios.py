@@ -13,7 +13,6 @@ from repro.workloads.scenarios import (
     ScenarioSchedule,
     TenantPhase,
     build_scenario,
-    compose_schedules,
     describe_scenarios,
     interpolate_specs,
     scenario_names,
@@ -169,20 +168,3 @@ class TestInterpolation:
         spec = WorkloadSpec(num_keys=10, get_ratio=1.0)
         with pytest.raises(ConfigError, match=">= 2 steps"):
             interpolate_specs(spec, spec, 1)
-
-
-class TestCompose:
-    def test_concatenates_phases(self):
-        a = build_scenario("scan_storm", TINY)
-        b = build_scenario("write_flood", TINY)
-        combo = compose_schedules("combo", [a, b])
-        assert len(combo.phases) == len(a.phases) + len(b.phases)
-        assert combo.total_ops == a.total_ops + b.total_ops
-        assert combo.phases[0].name.startswith("scan_storm:")
-        assert combo.phases[-1].name.startswith("write_flood:")
-        assert combo.num_keys == max(a.num_keys, b.num_keys)
-        assert combo.arrival_rate_ops_s == a.arrival_rate_ops_s
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError, match=">= 1 schedule"):
-            compose_schedules("x", [])

@@ -10,12 +10,7 @@ from repro.errors import ConfigError
 from repro.lsm.options import LSMOptions
 from repro.workloads.generator import Operation, WorkloadGenerator, balanced_workload
 from repro.workloads.keys import key_of
-from repro.workloads.trace import (
-    TracingSink,
-    load_trace,
-    record_trace,
-    replay_trace,
-)
+from repro.workloads.trace import load_trace, record_trace, replay_trace
 
 
 class TestRoundTrip:
@@ -65,19 +60,6 @@ class TestRoundTrip:
 
 
 class TestTracingSink:
-    def test_sink_records_and_serves(self, tmp_path):
-        tree = seed_database(200, LSMOptions(memtable_entries=32, entries_per_sstable=64))
-        engine = build_engine("block", tree, cache_bytes=64 * 1024)
-        sink = TracingSink(engine)
-        assert sink.get(key_of(5)) is not None
-        sink.scan(key_of(10), 4)
-        sink.put(key_of(5), "new")
-        sink.delete(key_of(6))
-        assert [op.kind for op in sink.operations] == ["get", "scan", "put", "delete"]
-        path = tmp_path / "sink.trace"
-        assert sink.save(path) == 4
-        assert load_trace(path) == sink.operations
-
     def test_replayed_trace_reproduces_engine_state(self, tmp_path):
         """Replaying a recorded trace on a fresh engine yields the same
         final answers — the pretraining-data guarantee."""
@@ -103,60 +85,37 @@ class TestTracingSink:
             assert engine_a.get(key_of(i)) == engine_b.get(key_of(i))
 
 
-class TestTaggedTraces:
-    """Satellite: tenant-tagged round trips and malformed-line paths."""
+class TestUnreplayableOperations:
+    """The writer refuses what the reader would load as another op."""
 
-    def test_tagged_roundtrip(self, tmp_path):
-        from repro.workloads.trace import load_tagged_trace
+    @pytest.mark.parametrize(
+        "op",
+        [
+            Operation("get", "a b"),
+            Operation("put", "p q", value="v"),
+            Operation("scan", "s t", length=4),
+            Operation("delete", "tab\tkey"),
+            Operation("get", ""),
+        ],
+        ids=["get-space", "put-space", "scan-space", "delete-tab", "empty"],
+    )
+    def test_bad_key_rejected_with_lineno(self, tmp_path, op):
+        path = tmp_path / "bad.trace"
+        with pytest.raises(ConfigError, match="whitespace-free.*trace line 2"):
+            record_trace([Operation("get", "k0"), op], path)
 
-        pairs = [
-            ("client00", Operation("get", "k1")),
-            ("client01", Operation("scan", "k2", length=8)),
-            ("client00", Operation("put", "k3", value="v with spaces")),
-            ("client01", Operation("delete", "k4")),
-        ]
-        path = tmp_path / "tagged.trace"
-        assert record_trace(pairs, path) == 4
-        assert load_tagged_trace(path) == pairs
-
-    def test_mixed_tagged_and_bare_lines(self, tmp_path):
-        from repro.workloads.trace import load_tagged_trace
-
-        path = tmp_path / "mixed.trace"
-        record_trace(
-            [Operation("get", "a"), ("t1", Operation("get", "b"))], path
-        )
-        assert load_tagged_trace(path) == [
-            (None, Operation("get", "a")),
-            ("t1", Operation("get", "b")),
-        ]
-        # The untagged reader sees the same ops with tags dropped.
-        assert load_trace(path) == [
-            Operation("get", "a"), Operation("get", "b")
-        ]
-
-    def test_bad_tenant_tag_reports_lineno(self, tmp_path):
-        from repro.workloads.trace import load_tagged_trace
-
-        path = tmp_path / "badtag.trace"
-        path.write_text("g k1\n@ g k2\n")
-        with pytest.raises(
-            ConfigError, match="bad tenant tag on trace line 2"
-        ):
-            load_tagged_trace(path)
-        path.write_text("g k1\n@lonely\n")
-        with pytest.raises(
-            ConfigError, match="bad tenant tag on trace line 2"
-        ):
-            load_tagged_trace(path)
-
-    def test_whitespace_tenant_rejected_at_record(self, tmp_path):
-        with pytest.raises(ConfigError, match="whitespace-free"):
+    def test_line_break_in_value_rejected_with_lineno(self, tmp_path):
+        with pytest.raises(ConfigError, match="trace line 1"):
             record_trace(
-                [("bad tenant", Operation("get", "k"))], tmp_path / "x.trace"
+                [Operation("put", "k", value="a\rb")], tmp_path / "cr.trace"
             )
-        with pytest.raises(ConfigError, match="whitespace-free"):
-            record_trace([("", Operation("get", "k"))], tmp_path / "y.trace")
+
+    @pytest.mark.parametrize("code", ["g", "d"])
+    def test_extra_field_rejected_with_lineno(self, tmp_path, code):
+        path = tmp_path / "extra.trace"
+        path.write_text(f"g k0\n{code} k1 junk\n")
+        with pytest.raises(ConfigError, match="extra field on trace line 2"):
+            load_trace(path)
 
 
 class TestMalformedLines:
