@@ -12,11 +12,12 @@ The measurements mirror the paper's metrics:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.bench.simclock import ClockReading, elapsed_us
-from repro.core.engine import KVEngine
+from repro.core.engine import Entry, KVEngine
+from repro.errors import ConfigError
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.rl.reward import estimate_no_cache_io
@@ -40,7 +41,6 @@ class RunResult:
     range_scan_hits: int = 0
     block_hit_rate: float = 0.0
     compactions: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __str__(self) -> str:  # pragma: no cover - formatting aid
         return (
@@ -64,18 +64,27 @@ def seed_database(
     return tree
 
 
-def apply_operation(engine: KVEngine, op: Operation) -> None:
-    """Execute one workload operation against an engine."""
+#: What one operation reads: a get's value, a scan's entries, or None.
+OpResult = Union[Optional[str], List[Entry]]
+
+
+def apply_operation(engine: KVEngine, op: Operation) -> OpResult:
+    """Execute one workload operation against an engine.
+
+    Returns what the operation reads: the value (None when absent) for
+    a get, the entries for a scan, and None for a put or delete.
+    """
     if op.kind == "get":
-        engine.get(op.key)
-    elif op.kind == "scan":
-        engine.scan(op.key, op.length)
-    elif op.kind == "put":
+        return engine.get(op.key)
+    if op.kind == "scan":
+        return engine.scan(op.key, op.length)
+    if op.kind == "put":
         engine.put(op.key, op.value or "")
     elif op.kind == "delete":
         engine.delete(op.key)
-    else:  # pragma: no cover - generator never emits others
-        raise ValueError(f"unknown operation kind {op.kind!r}")
+    else:
+        raise ConfigError(f"unknown operation kind {op.kind!r}")
+    return None
 
 
 def apply_batch(engine: KVEngine, ops: List[Operation]) -> None:  # hot-path
@@ -148,18 +157,13 @@ def run_workload(
     num_ops: Optional[int] = None,
     name: str = "run",
     warmup_ops: int = 0,
-    batch_size: int = 1,
 ) -> RunResult:
     """Drive ``workload`` through ``engine`` and collect metrics.
 
     ``workload`` may be a :class:`WorkloadGenerator` (give ``num_ops``)
     or any iterable of operations.  ``warmup_ops`` are executed first
-    and excluded from every metric.  ``batch_size`` > 1 feeds the
-    measured operations through :func:`apply_batch` in chunks of that
-    size (warmup stays scalar); 1 is the byte-identical scalar loop.
+    and excluded from every metric.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     if isinstance(workload, (WorkloadGenerator,)):
         if num_ops is None:
             raise ValueError("num_ops is required with a WorkloadGenerator")
@@ -173,24 +177,11 @@ def run_workload(
     totals_before = engine.collector.totals()
 
     measured = 0
-    if batch_size == 1:
-        for op in ops_iter:
-            apply_operation(engine, op)
-            measured += 1
-            if num_ops is not None and measured >= num_ops:
-                break
-    else:
-        while num_ops is None or measured < num_ops:
-            limit = (
-                batch_size
-                if num_ops is None
-                else min(batch_size, num_ops - measured)
-            )
-            batch = list(itertools.islice(ops_iter, limit))
-            if not batch:
-                break
-            apply_batch(engine, batch)
-            measured += len(batch)
+    for op in ops_iter:
+        apply_operation(engine, op)
+        measured += 1
+        if num_ops is not None and measured >= num_ops:
+            break
 
     after = ClockReading.capture(engine)
     totals_after = engine.collector.totals()

@@ -65,11 +65,9 @@ def format_series(
     return f"== {title} ==\n" + format_table(headers, rows)
 
 
-def rank(values: Dict[str, float], higher_is_better: bool = True) -> Dict[str, int]:
-    """1-based ranks (1 = best), ties broken by name for determinism."""
-    ordered = sorted(
-        values.items(), key=lambda kv: (-kv[1] if higher_is_better else kv[1], kv[0])
-    )
+def rank(values: Dict[str, float]) -> Dict[str, int]:
+    """1-based ranks (1 = highest value), ties broken by name for determinism."""
+    ordered = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
     return {name: i + 1 for i, (name, _) in enumerate(ordered)}
 
 

@@ -29,28 +29,27 @@ from typing import Optional
 from repro.core.engine import KVEngine
 
 
-@dataclass
 class CostModel:
-    """Simulated cost, in microseconds, of each metered event."""
+    """Simulated cost, in microseconds, of each metered event (fixed)."""
 
-    disk_block_read_us: float = 100.0
-    memtable_probe_us: float = 0.8
-    block_cache_probe_us: float = 0.4
-    range_cache_probe_us: float = 1.0
-    range_cache_insert_us: float = 2.5  # the paper's skip-list insert
-    block_cache_insert_us: float = 0.6
-    range_cache_scan_entry_us: float = 0.3  # per entry returned from cache
-    write_op_us: float = 2.0  # WAL append + MemTable insert
-    compaction_entry_us: float = 0.4  # background merge work per entry
-    write_slowdown_penalty_us: float = 50.0
-    seek_per_run_us: float = 1.5  # iterator setup per sorted run
-    failed_read_us: float = 100.0  # a faulted read attempt still costs the device
-    corruption_repair_us: float = 500.0  # replica fetch + checksum rebuild
+    disk_block_read_us = 100.0
+    memtable_probe_us = 0.8
+    block_cache_probe_us = 0.4
+    range_cache_probe_us = 1.0
+    range_cache_insert_us = 2.5  # the paper's skip-list insert
+    block_cache_insert_us = 0.6
+    range_cache_scan_entry_us = 0.3  # per entry returned from cache
+    write_op_us = 2.0  # WAL append + MemTable insert
+    compaction_entry_us = 0.4  # background merge work per entry
+    write_slowdown_penalty_us = 50.0
+    seek_per_run_us = 1.5  # iterator setup per sorted run
+    failed_read_us = 100.0  # a faulted read attempt still costs the device
+    corruption_repair_us = 500.0  # replica fetch + checksum rebuild
     # Shared second tier (serving fleets only): a probe is a shared-map
     # lookup with cross-shard coordination; a hit additionally pays the
     # transfer — slower than any L1 hit, ~4x cheaper than the disk.
-    l2_probe_us: float = 2.0
-    l2_hit_us: float = 25.0
+    l2_probe_us = 2.0
+    l2_hit_us = 25.0
 
 
 @dataclass

@@ -66,21 +66,17 @@ class CacheStats:
         )
 
 
-class CacheBase(ABC):
+class CacheBase(sanitize.Sanitized):
     """Uniform surface every cache container exposes.
 
-    Concrete caches (block, range, kv, sharded-range, tier-2, and the
-    generic :class:`BudgetedCache`) all present the same capacity pair —
+    Concrete caches (block, range, kv, tier-2, and the generic
+    :class:`BudgetedCache`) all present the same capacity pair —
     :attr:`budget_bytes` / :attr:`used_bytes` — so the sanitizer, the
     controller, and metrics read one interface regardless of which
-    composition is running.  Every subclass must also implement the
-    ``check_invariants()`` protocol: it is abstract here, so a class
-    without one cannot be instantiated, and :mod:`repro.sanitize`
-    invokes it at runtime.
+    composition is running.  The ``check_invariants()`` protocol and the
+    sampled gate come from :class:`~repro.sanitize.Sanitized`; every
+    cache reads ``REPRO_SANITIZE`` when it is built.
     """
-
-    #: Sampled invariant-check gate; None when sanitizing is disabled.
-    _sanitizer: Optional[sanitize.Sanitizer] = None
 
     @property
     @abstractmethod
@@ -92,31 +88,11 @@ class CacheBase(ABC):
     def used_bytes(self) -> int:
         """Bytes currently charged against the budget."""
 
-    @abstractmethod
-    def check_invariants(self) -> None:
-        """Raise :class:`~repro.errors.InvariantError` on corrupt state."""
-
     @property
     def occupancy(self) -> float:
         """used/budget in [0, 1]; 0 when the budget is zero."""
         budget = self.budget_bytes
         return self.used_bytes / budget if budget else 0.0
-
-    def enable_sanitizer(
-        self, period: int = sanitize.DEFAULT_PERIOD, seed: int = 0
-    ) -> None:
-        """Turn on sampled invariant checking for this cache instance."""
-        self._sanitizer = sanitize.Sanitizer(period, seed)
-
-    @property
-    def sanitizing(self) -> bool:
-        """Whether sampled invariant checking is enabled on this cache."""
-        return self._sanitizer is not None
-
-    def _after_mutation(self) -> None:
-        """Hot-path hook: run a sampled invariant check when enabled."""
-        if self._sanitizer is not None:
-            self._sanitizer.after_mutation(self)
 
 
 class EvictionPolicy(ABC, Generic[K]):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional
 
+from repro import sanitize
 from repro.cache.base import BudgetedCache, CacheBase, CacheStats, EvictionPolicy
 from repro.cache.lru import LRUPolicy
 from repro.errors import CacheError, InvariantError
@@ -66,6 +67,7 @@ class BlockCache(CacheBase):
             budget_bytes - (budget_bytes // num_shards) * (num_shards - 1)
         )
         self._locks = [threading.Lock() for _ in range(num_shards)]
+        self._sanitizer = sanitize.from_env()
 
     def _shard_of(self, handle: BlockHandle) -> int:
         return hash(handle) % self._num_shards

@@ -117,10 +117,6 @@ class CacheusPolicy(LeCaRPolicy[K]):
     ----------
     history_size:
         Ghost capacity per expert and the learning-rate window length.
-    initial_learning_rate:
-        Starting multiplicative penalty scale.
-    discount_base:
-        Regret discount (as in LeCaR).
     seed:
         RNG seed for expert sampling.
     """
@@ -128,11 +124,9 @@ class CacheusPolicy(LeCaRPolicy[K]):
     def __init__(
         self,
         history_size: int = 512,
-        initial_learning_rate: float = 0.45,
-        discount_base: float = 0.005,
         seed: int = 0,
     ) -> None:
-        super().__init__(history_size, initial_learning_rate, discount_base, seed)
+        super().__init__(history_size, seed)
         self._srlru: SRLRUPolicy[K] = SRLRUPolicy()
         self._experts = (self._srlru, CRLFUPolicy())
         self._lr_direction = 1.0

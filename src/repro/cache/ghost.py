@@ -60,14 +60,6 @@ class GhostList(Generic[K]):
             return True
         return False
 
-    def set_capacity(self, capacity: int) -> None:
-        """Rebound the list, trimming the oldest entries to fit."""
-        if capacity <= 0:
-            raise CacheError("GhostList capacity must be positive")
-        self._capacity = capacity
-        while len(self._keys) > self._capacity:
-            self._keys.popitem(last=False)
-
     def keys(self) -> "KeysView[K]":
         """Remembered keys, oldest first (a live view)."""
         return self._keys.keys()

@@ -7,15 +7,13 @@ that a pure point-result cache is blind to range traffic.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.cache.base import BudgetedCache, CacheBase, CacheStats, EvictionPolicy
+from repro.cache.base import BudgetedCache
 from repro.cache.lru import LRUPolicy
 from repro.errors import InvariantError
 
 
-class KVCache(CacheBase):
-    """Byte-budgeted key-value result cache.
+class KVCache(BudgetedCache[str, str]):
+    """Byte-budgeted LRU key-value result cache.
 
     Parameters
     ----------
@@ -23,74 +21,29 @@ class KVCache(CacheBase):
         Capacity.
     entry_charge:
         Logical bytes per entry (key + value size).
-    policy:
-        Eviction policy (default LRU).
     """
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        entry_charge: int = 1024,
-        policy: Optional[EvictionPolicy[str]] = None,
-    ) -> None:
+    def __init__(self, budget_bytes: int, entry_charge: int = 1024) -> None:
+        super().__init__(budget_bytes, LRUPolicy(), lambda _key, _value: entry_charge)
         self.entry_charge = entry_charge
-        self._cache: BudgetedCache[str, str] = BudgetedCache(
-            budget_bytes,
-            policy if policy is not None else LRUPolicy(),
-            lambda _key, _value: entry_charge,
-        )
-
-    def get(self, key: str) -> Optional[str]:
-        """Serve a point lookup; None on miss."""
-        return self._cache.get(key)
-
-    def put(self, key: str, value: str) -> bool:
-        """Admit a point-lookup result."""
-        return self._cache.put(key, value)
 
     def on_write(self, key: str, value: str) -> None:
         """Refresh a resident entry after an upstream put (stale otherwise)."""
-        if key in self._cache:
-            self._cache.put(key, value)
+        if key in self._data:
+            self.put(key, value)
 
     def on_delete(self, key: str) -> None:
         """Invalidate after an upstream delete."""
-        self._cache.remove(key)
+        self.remove(key)
 
     def contains(self, key: str) -> bool:
         """Residency probe without stats side effects."""
-        return key in self._cache
-
-    def clear(self) -> None:
-        """Invalidate everything (e.g. after a crash/restart)."""
-        self._cache.clear()
-
-    def resize(self, budget_bytes: int) -> int:
-        """Change capacity; returns evictions made."""
-        return self._cache.resize(budget_bytes)
-
-    @property
-    def budget_bytes(self) -> int:
-        """Current capacity."""
-        return self._cache.budget_bytes
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes charged."""
-        return self._cache.used_bytes
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss counters."""
-        return self._cache.stats
-
-    def __len__(self) -> int:
-        return len(self._cache)
+        return key in self._data
 
     def check_invariants(self) -> None:
-        """Inner cache health plus the uniform per-entry charge."""
-        self._cache.check_invariants()
-        for key, charge in self._cache.entry_charges():
+        """Budgeted-cache health plus the uniform per-entry charge."""
+        super().check_invariants()
+        for key, charge in self.entry_charges():
             if charge != self.entry_charge:
                 raise InvariantError(
                     f"KVCache entry {key!r} charged {charge} bytes, expected "

@@ -30,6 +30,13 @@ from repro.errors import CacheError, InvariantError
 
 K = TypeVar("K", bound=Hashable)
 
+#: Multiplicative penalty scale (paper default 0.45); Cacheus starts its
+#: hill-climbed rate here.
+LEARNING_RATE = 0.45
+#: Regret discount: ``d = DISCOUNT_BASE ** (1 / history_size)`` per time
+#: step (paper default 0.005).
+DISCOUNT_BASE = 0.005
+
 
 class LeCaRPolicy(EvictionPolicy[K], Generic[K]):
     """Regret-weighted mixture of LRU and LFU experts.
@@ -39,11 +46,6 @@ class LeCaRPolicy(EvictionPolicy[K], Generic[K]):
     history_size:
         Ghost-list capacity per expert; the original sizes it to the
         cache's entry capacity.  Also sets the regret discount horizon.
-    learning_rate:
-        Multiplicative penalty scale (paper default 0.45).
-    discount_base:
-        ``d = discount_base ** (1 / history_size)`` per time step
-        (paper default 0.005).
     seed:
         RNG seed for expert sampling.
     """
@@ -51,8 +53,6 @@ class LeCaRPolicy(EvictionPolicy[K], Generic[K]):
     def __init__(
         self,
         history_size: int = 512,
-        learning_rate: float = 0.45,
-        discount_base: float = 0.005,
         seed: int = 0,
     ) -> None:
         if history_size <= 0:
@@ -62,8 +62,8 @@ class LeCaRPolicy(EvictionPolicy[K], Generic[K]):
             LFUPolicy(),
         )
         self._history_size = history_size
-        self._lr = learning_rate
-        self._discount = discount_base ** (1.0 / history_size)
+        self._lr = LEARNING_RATE
+        self._discount = DISCOUNT_BASE ** (1.0 / history_size)
         self._rng = Random(seed)
         self._weights = [0.5, 0.5]
         self._time = 0

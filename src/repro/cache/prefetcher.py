@@ -27,6 +27,10 @@ from repro.lsm.tree import LSMTree
 
 KeyRange = Tuple[str, str]
 
+#: Safety cap so one huge compaction cannot flush the cache with
+#: prefetched blocks.
+MAX_BLOCKS_PER_COMPACTION = 64
+
 
 class CompactionPrefetcher:
     """Re-warms the block cache after each compaction.
@@ -37,32 +41,18 @@ class CompactionPrefetcher:
         The cache to re-warm.
     disk:
         Where the compaction's output tables live.
-    max_blocks_per_compaction:
-        Safety cap so one huge compaction cannot flush the cache with
-        prefetched blocks.
     """
 
-    def __init__(
-        self,
-        block_cache: BlockCache,
-        disk: SimulatedDisk,
-        max_blocks_per_compaction: int = 64,
-    ) -> None:
+    def __init__(self, block_cache: BlockCache, disk: SimulatedDisk) -> None:
         self._cache = block_cache
         self._disk = disk
-        self._max_blocks = max_blocks_per_compaction
         self.prefetched_total = 0
         self.compactions_seen = 0
 
     @classmethod
-    def attach(
-        cls,
-        tree: LSMTree,
-        block_cache: BlockCache,
-        max_blocks_per_compaction: int = 64,
-    ) -> "CompactionPrefetcher":
+    def attach(cls, tree: LSMTree, block_cache: BlockCache) -> "CompactionPrefetcher":
         """Create a prefetcher and register it on ``tree``'s compactor."""
-        prefetcher = cls(block_cache, tree.disk, max_blocks_per_compaction)
+        prefetcher = cls(block_cache, tree.disk)
         tree.add_compaction_listener(prefetcher.on_compaction)
         return prefetcher
 
@@ -90,7 +80,7 @@ class CompactionPrefetcher:
             if table is None:
                 continue
             for block_no in range(table.num_blocks):
-                if prefetched >= self._max_blocks:
+                if prefetched >= MAX_BLOCKS_PER_COMPACTION:
                     break
                 block = table.block_at(block_no)
                 if any(

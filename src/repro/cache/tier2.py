@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro import sanitize
 from repro.cache.arc import ARCPolicy
 from repro.cache.base import CacheBase
 from repro.cache.sketch import CountMinSketch
@@ -91,6 +92,7 @@ class Tier2Cache(CacheBase):
         self.rejects = 0
         self.evictions = 0
         self.invalidations = 0
+        self._sanitizer = sanitize.from_env(sketch_seed)
 
     # -- capacity ---------------------------------------------------------
 
@@ -228,10 +230,6 @@ class Tier2Cache(CacheBase):
         return self._forget(
             [key for key in self._arc.tracked_keys() if key[0] == shard_id]
         )
-
-    def tier2_clear(self) -> None:
-        """Drop every resident block and all ghost history."""
-        self._forget(list(self._arc.tracked_keys()))
 
     # -- introspection -----------------------------------------------------
 

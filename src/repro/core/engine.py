@@ -615,7 +615,7 @@ class KVEngine:
             range_ratio=self.current_range_ratio,
         )
         self.windows.append(window)
-        if self._sanitize_sweep_due():
+        if sanitize.env_enabled():
             self.check_invariants()
         recorder = self.recorder
         if recorder.enabled:
@@ -635,13 +635,6 @@ class KVEngine:
 
     def _caches(self):
         return (self.block_cache, self.range_cache, self.kv_cache)
-
-    def _sanitize_sweep_due(self) -> bool:
-        """Full sweeps run at window boundaries when sanitizing is on —
-        via ``REPRO_SANITIZE`` or any cache's enabled sanitizer."""
-        if sanitize.env_enabled():
-            return True
-        return any(c is not None and c.sanitizing for c in self._caches())
 
     def check_invariants(self) -> None:
         """Sweep every attached cache and the LSM manifest."""

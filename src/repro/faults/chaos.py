@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.bench.harness import estimated_hit_rate, seed_database
+from repro.bench.harness import apply_operation, estimated_hit_rate, seed_database
 from repro.bench.report import percentile
 from repro.bench.strategies import build_engine
-from repro.core.engine import KVEngine
 from repro.faults.injector import FaultConfig, FaultInjector, FaultStats
 from repro.lsm.options import LSMOptions
 from repro.workloads.generator import Operation, WorkloadGenerator, WorkloadSpec
@@ -56,21 +55,6 @@ class ChaosReport:
         return self.clean_hit_rate - self.faulty_hit_rate
 
 
-def _apply_compared(engine: KVEngine, op: Operation):
-    """Run one op; return its observable result (None for writes)."""
-    if op.kind == "get":
-        return engine.get(op.key)
-    if op.kind == "scan":
-        return tuple(engine.scan(op.key, op.length))
-    if op.kind == "put":
-        engine.put(op.key, op.value or "")
-        return None
-    if op.kind == "delete":
-        engine.delete(op.key)
-        return None
-    raise ValueError(f"unknown operation kind {op.kind!r}")
-
-
 def run_chaos(
     ops: int = 20_000,
     num_keys: int = 4_000,
@@ -83,7 +67,6 @@ def run_chaos(
     torn_wal_rate: float = 0.0,
     crash_every: int = 0,
     blackout_window: Optional[int] = None,
-    blackout_len: int = 3,
     window_size: Optional[int] = None,
     seed: int = 0,
 ) -> ChaosReport:
@@ -92,7 +75,7 @@ def run_chaos(
     ``crash_every > 0`` crashes and recovers the faulted engine every
     that many operations (the clean engine never crashes, so recovery
     correctness is checked against uninterrupted execution).
-    ``blackout_window`` poisons ``blackout_len`` controller windows
+    ``blackout_window`` poisons ``BLACKOUT_LEN`` controller windows
     starting at that index, exercising degraded mode.
     """
     options = options or LSMOptions(memtable_entries=32, entries_per_sstable=64)
@@ -116,7 +99,6 @@ def run_chaos(
             corruption_rate=corruption_rate,
             torn_wal_rate=torn_wal_rate,
             blackout_start=blackout_window,
-            blackout_len=blackout_len,
             seed=seed,
         )
     )
@@ -130,9 +112,7 @@ def run_chaos(
     op_list: List[Operation] = list(WorkloadGenerator(spec, seed=seed + 1).ops(ops))
     report = ChaosReport(ops=len(op_list))
     for i, op in enumerate(op_list, start=1):
-        clean_result = _apply_compared(clean_engine, op)
-        faulty_result = _apply_compared(faulty_engine, op)
-        if clean_result != faulty_result:
+        if apply_operation(clean_engine, op) != apply_operation(faulty_engine, op):
             report.wrong_reads += 1
         if crash_every and i % crash_every == 0:
             report.wal_records_replayed += faulty_engine.crash_and_recover()

@@ -27,7 +27,7 @@ Fault types:
 from __future__ import annotations
 
 from random import Random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ConfigError, TransientIOError
@@ -40,20 +40,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lsm.sstable import SSTable
 
 
+#: Controller windows one scheduled stats blackout poisons.
+BLACKOUT_LEN = 3
+
+
 @dataclass
 class FaultConfig:
     """Fault rates and schedule for one :class:`FaultInjector`.
 
     Rates are per-attempt probabilities in [0, 1].  ``blackout_start``
-    (a window index) and ``blackout_len`` schedule a controller stats
-    blackout; None disables it.
+    (a window index) schedules a controller stats blackout of
+    :data:`BLACKOUT_LEN` windows; None disables it.
     """
 
     transient_read_rate: float = 0.0
     corruption_rate: float = 0.0
     torn_wal_rate: float = 0.0
     blackout_start: Optional[int] = None
-    blackout_len: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -61,8 +64,6 @@ class FaultConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {rate!r}")
-        if self.blackout_len < 0:
-            raise ConfigError("blackout_len must be >= 0")
 
 
 @dataclass
@@ -152,7 +153,7 @@ class FaultInjector:
         must detect rather than feed into the RL update.
         """
         start = self.config.blackout_start
-        if start is not None and start <= window.window_index < start + self.config.blackout_len:
+        if start is not None and start <= window.window_index < start + BLACKOUT_LEN:
             window.io_miss = float("nan")
             window.scan_length_sum = float("nan")
             window.range_occupancy = float("inf")

@@ -4,15 +4,12 @@ The paper measures "SST reads" — the number of data-block reads that
 reach the storage device.  :class:`SimulatedDisk` is the single funnel
 for those reads: every block fetched by the read path that is not served
 by a cache goes through :meth:`read_block` and increments the counters.
-
-The disk also carries an optional per-read listener so the benchmark
-harness can charge simulated latency to a clock without the LSM code
-knowing about timing at all.
+Every read verifies the block's checksum.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import CorruptionError, StorageError, TransientIOError
 from repro.lsm.block import BlockHandle, DataBlock
@@ -21,16 +18,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
     from repro.lsm.sstable import SSTable
 
-ReadListener = Callable[[BlockHandle], None]
-
 
 class SimulatedDisk:
     """Stores SSTables and meters every data-block read."""
 
-    def __init__(self, verify_checksums: bool = True) -> None:
+    def __init__(self) -> None:
         self._tables: Dict[int, "SSTable"] = {}
         self._next_sst_id = 1
-        self.verify_checksums = verify_checksums
         self.block_reads_total = 0
         self.bytes_read_total = 0
         self.sstables_written_total = 0
@@ -41,7 +35,6 @@ class SimulatedDisk:
         self.transient_errors_total = 0
         self.corruptions_detected_total = 0
         self.corruption_repairs_total = 0
-        self._read_listeners: List[ReadListener] = []
         self._fault_injector: Optional["FaultInjector"] = None
 
     def set_fault_injector(self, injector: Optional["FaultInjector"]) -> None:
@@ -108,14 +101,12 @@ class SimulatedDisk:
                 self.transient_errors_total += 1
                 raise
         block = table.block_at(handle.block_no)
-        if self.verify_checksums and not table.verify_block(handle.block_no, block):
+        if not table.verify_block(handle.block_no, block):
             self.failed_reads_total += 1
             self.corruptions_detected_total += 1
             raise CorruptionError(f"checksum mismatch reading block {handle}")
         self.block_reads_total += 1
         self.bytes_read_total += table.block_size
-        for listener in self._read_listeners:
-            listener(handle)
         return block
 
     def repair_block(self, handle: BlockHandle) -> None:
@@ -133,14 +124,6 @@ class SimulatedDisk:
             )
         table.repair_block(handle.block_no)
         self.corruption_repairs_total += 1
-
-    def add_read_listener(self, listener: ReadListener) -> None:
-        """Register a callback invoked on every metered block read."""
-        self._read_listeners.append(listener)
-
-    def remove_read_listener(self, listener: ReadListener) -> None:
-        """Unregister a previously added read listener."""
-        self._read_listeners.remove(listener)
 
     # -- introspection -----------------------------------------------------
 

@@ -60,24 +60,20 @@ class LSMTree:
     ----------
     options:
         Tunables; defaults reproduce the paper's configuration.
-    block_fetch:
-        Optional hook that serves data-block reads.  Defaults to reading
-        straight from the metered disk; the engine replaces it with the
-        block cache's fetch-through method.
+
+    Data-block reads go straight to the metered disk until
+    :meth:`set_block_fetch` routes them elsewhere (the engine installs
+    the block cache's fetch-through method).
     """
 
-    def __init__(
-        self,
-        options: Optional[LSMOptions] = None,
-        block_fetch: Optional[BlockFetch] = None,
-    ) -> None:
+    def __init__(self, options: Optional[LSMOptions] = None) -> None:
         self.options = options or LSMOptions()
         self.disk = SimulatedDisk()
         self.levels = LevelState(self.options.max_levels)
         self.memtable = MemTable()
         self.wal = WriteAheadLog()
         self.compactor = Compactor(self.options, self.disk, self.levels)
-        self._block_fetch: BlockFetch = block_fetch or self.disk.read_block
+        self._block_fetch: BlockFetch = self.disk.read_block
         self._closed = False
         self._sanitizer = sanitize.from_env(self.options.seed)
         # read-path counters

@@ -68,6 +68,10 @@ class NullRecorder:
 NULL_RECORDER = NullRecorder()
 
 
+#: Events the recorder's ring buffer keeps before it drops the oldest.
+TRACE_CAPACITY = 4096
+
+
 class ObsRecorder:
     """Live recorder: registry + trace + audit on one sim-clock timeline."""
 
@@ -75,9 +79,9 @@ class ObsRecorder:
 
     enabled = True
 
-    def __init__(self, trace_capacity: int = 4096) -> None:
+    def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.trace = EventTrace(capacity=trace_capacity)
+        self.trace = EventTrace(TRACE_CAPACITY)
         self.audit = DecisionAudit()
         self.now_us = 0.0
 

@@ -104,7 +104,11 @@ def totals_table(totals: Dict[str, Any]) -> str:
     return "\n\n".join(lines)
 
 
-def events_table(objs: List[Dict[str, Any]], top: int = 12) -> str:
+#: Event kinds :func:`events_table` lists, most frequent first.
+TOP_EVENTS = 12
+
+
+def events_table(objs: List[Dict[str, Any]]) -> str:
     """Top event kinds (count + last timestamp) from events.jsonl."""
     meta = objs[0] if objs else {}
     counts: Dict[str, int] = {}
@@ -113,7 +117,7 @@ def events_table(objs: List[Dict[str, Any]], top: int = 12) -> str:
         kind = obj.get("kind", "?")
         counts[kind] = counts.get(kind, 0) + 1
         last_ts[kind] = obj.get("ts_us", 0.0)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_EVENTS]
     rows = [
         [kind, f"{count:,}", f"{last_ts[kind]:,.0f}"] for kind, count in ranked
     ]

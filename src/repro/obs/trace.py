@@ -49,7 +49,7 @@ class EventTrace:
 
     __slots__ = ("_ring", "capacity", "next_seq", "dropped_total")
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ObsError("event trace capacity must be positive")
         self.capacity = capacity

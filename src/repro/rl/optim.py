@@ -16,6 +16,12 @@ from repro.errors import ConfigError
 
 Array = np.ndarray
 
+#: Decay rates of the first and second moment estimates (Kingma & Ba).
+BETA1 = 0.9
+BETA2 = 0.999
+#: Added to the second-moment root so the update never divides by zero.
+EPS = 1e-8
+
 
 class Adam:
     """Adam with bias correction; updates parameters in place.
@@ -46,18 +52,12 @@ class Adam:
         self,
         params: Sequence[Array],
         lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         workspace: Optional[Array] = None,
     ) -> None:
         if lr <= 0:
             raise ConfigError("lr must be positive")
         self._params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         total = sum(p.size for p in self._params)
         if workspace is None:
             workspace = np.empty((2, total), dtype=np.float32)
@@ -98,23 +98,23 @@ class Adam:
                 )
             view[...] = grad.reshape(view.shape)
         self._t += 1
-        bc1 = 1.0 - self.beta1**self._t
-        bc2 = 1.0 - self.beta2**self._t
+        bc1 = 1.0 - BETA1**self._t
+        bc2 = 1.0 - BETA2**self._t
         m, v, g, s = self._m, self._v, self._g, self._scratch
         # m = m*b1 + (1-b1)*g ; v = v*b2 + (1-b2)*(g*g), one pass each.
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(g, 1.0 - self.beta1, out=s)
+        np.multiply(m, BETA1, out=m)
+        np.multiply(g, 1.0 - BETA1, out=s)
         np.add(m, s, out=m)
-        np.multiply(v, self.beta2, out=v)
+        np.multiply(v, BETA2, out=v)
         np.multiply(g, g, out=s)
-        np.multiply(s, 1.0 - self.beta2, out=s)
+        np.multiply(s, 1.0 - BETA2, out=s)
         np.add(v, s, out=v)
         # The gradient is spent: its arena now carries the update,
         # lr*(m/bc1) / (sqrt(v/bc2) + eps).
         np.divide(m, bc1, out=g)
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
-        np.add(s, self.eps, out=s)
+        np.add(s, EPS, out=s)
         np.multiply(g, self.lr, out=g)
         np.divide(g, s, out=g)
         for p, update in zip(self._params, views):

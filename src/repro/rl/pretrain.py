@@ -32,6 +32,9 @@ from repro.rl.optim import Adam
 Array = np.ndarray
 Sample = Tuple[Array, Array]  # (state, target action in [0,1]^d)
 
+#: Samples per supervised pretraining step.
+BATCH_SIZE = 32
+
 
 def heuristic_target(
     point_ratio: float,
@@ -106,7 +109,6 @@ def pretrain_actor_supervised(
     agent: ActorCriticAgent,
     dataset: List[Sample],
     epochs: int = 50,
-    batch_size: int = 32,
     lr: float = 1e-3,
     seed: int = 0,
 ) -> List[float]:
@@ -128,8 +130,8 @@ def pretrain_actor_supervised(
     for _ in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             x, y = states[idx], targets[idx]
             pre = agent.actor.forward(x, remember=True)
             mu = sigmoid(pre)

@@ -22,6 +22,13 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
+#: Assumed bloom false-positive rate, the paper's ``FPR`` (~0 at 10
+#: bits/key).
+BLOOM_FPR = 0.0
+#: Clamp of the adaptive actor learning rate.
+LR_MIN = 1e-5
+LR_MAX = 1e-2
+
 
 @dataclass
 class RewardOutput:
@@ -47,7 +54,6 @@ def estimate_no_cache_io(
     entries_per_block: int,
     num_levels: int,
     level0_max_runs: int,
-    bloom_fpr: float = 0.0,
 ) -> float:
     """``IO_estimate`` for one window (see module docstring).
 
@@ -56,7 +62,7 @@ def estimate_no_cache_io(
     """
     if entries_per_block <= 0:
         raise ConfigError("entries_per_block must be positive")
-    point_io = points * (1.0 + bloom_fpr)
+    point_io = points * (1.0 + BLOOM_FPR)
     scan_data_io = scans * (avg_scan_length / entries_per_block)
     scan_seek_io = scans * (num_levels + level0_max_runs / 2.0 - 1.0)
     return point_io + scan_data_io + scan_seek_io
@@ -72,15 +78,12 @@ class RewardCalculator:
         weights history heavily, damping transient hit-rate noise.
     entries_per_block:
         ``B`` from the LSM configuration.
-    bloom_fpr:
-        Assumed bloom false-positive rate (paper: ~0 at 10 bits/key).
     """
 
     def __init__(
         self,
         alpha: float = 0.9,
         entries_per_block: int = 4,
-        bloom_fpr: float = 0.0,
         mode: str = "level",
     ) -> None:
         if not 0.0 <= alpha <= 1.0:
@@ -89,7 +92,6 @@ class RewardCalculator:
             raise ConfigError("mode must be 'delta' or 'level'")
         self.alpha = alpha
         self.entries_per_block = entries_per_block
-        self.bloom_fpr = bloom_fpr
         self.mode = mode
         self._h_smoothed: float = 0.0
         self._initialized = False
@@ -116,7 +118,6 @@ class RewardCalculator:
             self.entries_per_block,
             num_levels,
             level0_max_runs,
-            self.bloom_fpr,
         )
         if io_estimate <= 0.0:
             # Pure-write window: no read traffic to score; hold state.
@@ -156,9 +157,7 @@ class RewardCalculator:
         self._initialized = False
 
 
-def adapt_learning_rate(
-    lr: float, reward: float, lr_min: float = 1e-5, lr_max: float = 1e-2
-) -> float:
+def adapt_learning_rate(lr: float, reward: float) -> float:
     """The paper's adaptive actor rate: ``lr * (1 - reward)``, clamped.
 
     Negative rewards (hit-rate drops, i.e. workload shifts) raise the
@@ -168,5 +167,5 @@ def adapt_learning_rate(
     multiplicative update and stick forever.
     """
     if not math.isfinite(reward):
-        return float(min(lr_max, max(lr_min, lr)))
-    return float(min(lr_max, max(lr_min, lr * (1.0 - reward))))
+        return float(min(LR_MAX, max(LR_MIN, lr)))
+    return float(min(LR_MAX, max(LR_MIN, lr * (1.0 - reward))))

@@ -12,10 +12,14 @@ spirit of a sanitizer-instrumented debug build:
 * ``REPRO_SANITIZE=1`` enables sampled checking everywhere (a check
   roughly every :data:`DEFAULT_PERIOD` mutations per structure, plus a
   full sweep at every engine window boundary);
-* ``REPRO_SANITIZE=<n>`` sets the sampling period to ``n`` (``1`` checks
-  after every mutation);
-* :meth:`~repro.cache.base.CacheBase.enable_sanitizer` switches sampled
-  checking on for one cache without touching the environment.
+* ``REPRO_SANITIZE=<n>`` for ``n >= 2`` sets the sampling period to
+  ``n``; a value that is not an integer also means
+  :data:`DEFAULT_PERIOD`, and ``0`` or a negative value disables.
+
+Structures inherit the gate from :class:`Sanitized` and adopt the
+environment's schedule when they are built.  A test that wants a check
+after every mutation installs ``Sanitizer(1, seed)`` as the structure's
+``_sanitizer`` directly.
 
 Sampling is probabilistic but *deterministic*: each :class:`Sanitizer`
 draws check gaps from its own seeded :class:`random.Random`, so two runs
@@ -26,6 +30,7 @@ the property the determinism harness asserts.
 from __future__ import annotations
 
 import os
+from abc import ABC, abstractmethod
 from random import Random
 from typing import Optional, Protocol
 
@@ -104,3 +109,30 @@ def from_env(seed: int = 0) -> Optional["Sanitizer"]:
     """A :class:`Sanitizer` per ``REPRO_SANITIZE``, or None when disabled."""
     period = env_period()
     return Sanitizer(period, seed) if period else None
+
+
+class Sanitized(ABC):
+    """A structure whose invariants the sampled gate checks.
+
+    Subclasses implement ``check_invariants()`` (abstract, so a class
+    without one cannot be instantiated) and call :meth:`_after_mutation`
+    after each mutation.  ``_sanitizer`` defaults to None at class
+    level, so checking starts disabled for every subclass, slotted or
+    not, until the structure adopts the ``REPRO_SANITIZE`` schedule.
+    """
+
+    #: Sampled invariant-check gate; None when sanitizing is disabled.
+    _sanitizer: Optional[Sanitizer] = None
+
+    @abstractmethod
+    def check_invariants(self) -> None:
+        """Raise :class:`~repro.errors.InvariantError` on corrupt state."""
+
+    def sanitize_from_env(self, seed: int = 0) -> None:
+        """Adopt the ``REPRO_SANITIZE`` schedule (no-op when disabled)."""
+        self._sanitizer = from_env(seed)
+
+    def _after_mutation(self) -> None:
+        """Hot-path hook: run a sampled invariant check when enabled."""
+        if self._sanitizer is not None:
+            self._sanitizer.after_mutation(self)

@@ -33,16 +33,22 @@ from repro.errors import ConfigError, InvariantError
 from repro.serve.base import ServeComponent
 from repro.serve.tier2 import Tier2Coordinator
 
+#: Floor every shard keeps of the L1 pool; the fleet needs
+#: ``MIN_SHARE * num_shards <= 1``.
+MIN_SHARE = 0.05
+#: Largest share a shard (or the shared tier) may move per rebalance.
+MAX_STEP = 0.25
+#: Clamp of the shared tier's fraction of the fleet budget.
+MIN_L2_SHARE = 0.05
+MAX_L2_SHARE = 0.5
+
 
 class BudgetArbiter(ServeComponent):
     """Re-splits one total cache budget across shard engines."""
 
     __slots__ = (
-        "_sanitizer",
         "_engines",
         "total_budget_bytes",
-        "min_share",
-        "max_step",
         "shares",
         "_miss_marks",
         "rebalances",
@@ -50,8 +56,6 @@ class BudgetArbiter(ServeComponent):
         "history",
         "_tier2",
         "l2_share",
-        "min_l2_share",
-        "max_l2_share",
         "_l2_reuse_mark",
         "l2_history",
     )
@@ -60,36 +64,20 @@ class BudgetArbiter(ServeComponent):
         self,
         engines: Sequence[KVEngine],
         total_budget_bytes: int,
-        min_share: float = 0.05,
-        max_step: float = 0.25,
         tier2: Optional[Tier2Coordinator] = None,
-        min_l2_share: float = 0.05,
-        max_l2_share: float = 0.5,
     ) -> None:
-        super().__init__()
         n = len(engines)
         if n == 0:
             raise ConfigError("arbiter needs at least one engine")
         if total_budget_bytes < 0:
             raise ConfigError("total budget must be >= 0")
-        if not 0.0 <= min_share <= 1.0 / n:
+        if MIN_SHARE > 1.0 / n:
             raise ConfigError(
-                f"min_share must lie in [0, 1/num_shards], got {min_share}"
-            )
-        if not 0.0 < max_step <= 1.0:
-            raise ConfigError(f"max_step must lie in (0, 1], got {max_step}")
-        if not 0.0 <= min_l2_share <= max_l2_share < 1.0:
-            raise ConfigError(
-                f"need 0 <= min_l2_share <= max_l2_share < 1, got "
-                f"[{min_l2_share}, {max_l2_share}]"
+                f"{n} shards cannot each keep the {MIN_SHARE} min share"
             )
         self._engines = list(engines)
         self.total_budget_bytes = total_budget_bytes
-        self.min_share = min_share
-        self.max_step = max_step
         self._tier2 = tier2
-        self.min_l2_share = min_l2_share
-        self.max_l2_share = max_l2_share
         if tier2 is not None:
             if tier2.budget_bytes >= total_budget_bytes:
                 raise ConfigError(
@@ -159,20 +147,20 @@ class BudgetArbiter(ServeComponent):
         total_weight = sum(weights)
         targets = [w / total_weight for w in weights]
         stepped = [
-            share + max(-self.max_step, min(self.max_step, target - share))
+            share + max(-MAX_STEP, min(MAX_STEP, target - share))
             for share, target in zip(self.shares, targets)
         ]
-        # Guarantee the floor exactly: every shard keeps min_share, and
+        # Guarantee the floor exactly: every shard keeps MIN_SHARE, and
         # only the mass above the floors is redistributed proportionally.
         n = len(stepped)
-        free = 1.0 - self.min_share * n
-        excess = [max(0.0, s - self.min_share) for s in stepped]
+        free = 1.0 - MIN_SHARE * n
+        excess = [max(0.0, s - MIN_SHARE) for s in stepped]
         total_excess = sum(excess)
         if free <= 0.0 or total_excess <= 0.0:
             self.shares = [1.0 / n] * n
         else:
             self.shares = [
-                self.min_share + e / total_excess * free for e in excess
+                MIN_SHARE + e / total_excess * free for e in excess
             ]
         evicted = evicted_l2 + self._apply_shares()
         self.rebalances += 1
@@ -196,8 +184,8 @@ class BudgetArbiter(ServeComponent):
         w_l2 = float(reuse_delta) + 1.0
         w_l1 = float(fleet_miss_delta) + 1.0
         target = w_l2 / (w_l2 + w_l1)
-        target = max(self.min_l2_share, min(self.max_l2_share, target))
-        step = max(-self.max_step, min(self.max_step, target - self.l2_share))
+        target = max(MIN_L2_SHARE, min(MAX_L2_SHARE, target))
+        step = max(-MAX_STEP, min(MAX_STEP, target - self.l2_share))
         self.l2_share = self.l2_share + step
         evicted = tier2.set_budget(
             max(1, int(self.total_budget_bytes * self.l2_share))

@@ -107,7 +107,6 @@ class RequestQueue(ServeComponent):
     """
 
     __slots__ = (
-        "_sanitizer",
         "shard_id",
         "capacity",
         "_items",
@@ -120,7 +119,6 @@ class RequestQueue(ServeComponent):
     )
 
     def __init__(self, shard_id: int, capacity: int) -> None:
-        super().__init__()
         if capacity <= 0:
             raise ConfigError(f"queue capacity must be positive, got {capacity}")
         self.shard_id = shard_id

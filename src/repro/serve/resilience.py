@@ -151,7 +151,6 @@ class CircuitBreaker(ServeComponent):
     """
 
     __slots__ = (
-        "_sanitizer",
         "shard_id",
         "on_transition",
         "state",
@@ -167,7 +166,6 @@ class CircuitBreaker(ServeComponent):
         shard_id: int,
         on_transition: Optional[Callable[[str, str, str], None]] = None,
     ) -> None:
-        super().__init__()
         self.shard_id = shard_id
         #: Called with ``(from, to, reason)`` after each transition.
         self.on_transition = on_transition
@@ -296,7 +294,6 @@ class DegradationLadder(ServeComponent):
     """
 
     __slots__ = (
-        "_sanitizer",
         "on_transition",
         "level",
         "_last_move_us",
@@ -306,7 +303,6 @@ class DegradationLadder(ServeComponent):
     def __init__(
         self, on_transition: Optional[Callable[[int, int, float], None]] = None
     ) -> None:
-        super().__init__()
         #: Called with ``(from, to, pressure)`` after each move.
         self.on_transition = on_transition
         self.level = LEVEL_NORMAL

@@ -29,6 +29,7 @@ import heapq
 from itertools import islice
 from typing import AbstractSet, Dict, List, Sequence, Tuple
 
+from repro.bench.harness import OpResult, apply_operation
 from repro.core.engine import KVEngine
 from repro.errors import ConfigError
 from repro.lsm.bloom import fnv1a
@@ -168,19 +169,10 @@ class ShardRouter:
     # -- execution ------------------------------------------------------------
 
     @staticmethod
-    def execute(engine: KVEngine, op: Operation) -> List[Entry]:
-        """Run one sub-operation on a shard engine; scans return entries."""
-        if op.kind == "get":
-            engine.get(op.key)
-        elif op.kind == "scan":
-            return engine.scan(op.key, op.length)
-        elif op.kind == "put":
-            engine.put(op.key, op.value or "")
-        elif op.kind == "delete":
-            engine.delete(op.key)
-        else:
-            raise ConfigError(f"unknown operation kind {op.kind!r}")
-        return []
+    def execute(engine: KVEngine, op: Operation) -> OpResult:
+        """Run one sub-operation on a shard engine; returns what it reads
+        (a scan's entries, a get's value, None for a write)."""
+        return apply_operation(engine, op)
 
     @staticmethod
     def execute_batch(

@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro import sanitize
+from repro.bench.harness import OpResult
 from repro.bench.simclock import SimClock
 from repro.bench.strategies import build_engine
 from repro.core.engine import KVEngine
@@ -534,6 +535,7 @@ class _Simulation:
         # Execute now and charge the metered delta as this slot's service
         # time; event callbacks are synchronous, so no other shard's work
         # can leak into this clock window.
+        results: Sequence[OpResult]
         if len(subs) == 1:
             results = [self.router.execute(shard.engine, subs[0].op)]
         else:
@@ -541,9 +543,10 @@ class _Simulation:
                 shard.engine, [sub.op for sub in subs]
             )
         failover = shard.failover
-        for sub, entries in zip(subs, results):
+        for sub, result in zip(subs, results):
             if sub.request.parts is not None:
-                sub.request.parts.append(entries)
+                assert isinstance(result, list), "a scan sub yields entries"
+                sub.request.parts.append(result)
             if failover is not None:
                 failover.served(sub)
         service_us = max(0.0, shard.clock.charge())

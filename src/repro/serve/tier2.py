@@ -80,7 +80,6 @@ class Tier2Coordinator(ServeComponent):
         sketch_seed: int = 0,
         fleet_bytes: int = 0,
     ) -> None:
-        super().__init__()
         if budget_bytes <= 0:
             raise ConfigError("tier2 budget_bytes must be positive")
         self.cache = Tier2Cache(budget_bytes, BLOCK_SIZE, sketch_seed=sketch_seed)

@@ -55,6 +55,10 @@ def split_strategy(name: str) -> Tuple[str, bool]:
     return name, False
 
 
+#: Per-shard request queue bound of every atlas cell.
+QUEUE_DEPTH = 64
+
+
 @dataclass
 class AtlasConfig:
     """One atlas sweep: which cells to run, and at what scale."""
@@ -71,7 +75,6 @@ class AtlasConfig:
     #: Budget fraction ``+l2`` cells carve into the shared tier; the
     #: total stays ``cache_kb`` so tiered-vs-flat is at equal budget.
     l2_fraction: float = 0.25
-    queue_depth: int = 64
     window_size: int = 250
     rebalance_every: int = 1000
     #: Re-run every cell and require identical fleet fingerprints.
@@ -123,7 +126,7 @@ class AtlasConfig:
             seed=self.seed,
             cache_bytes=cache_bytes,
             l2_budget_bytes=int(cache_bytes * self.l2_fraction) if tiered else 0,
-            queue_depth=self.queue_depth,
+            queue_depth=QUEUE_DEPTH,
             window_size=self.window_size,
             rebalance_every=self.rebalance_every,
             keep_trace=False,

@@ -31,7 +31,6 @@ def dynamic_phase_specs(
     num_keys: int,
     skew: float = 0.9,
     phases: str = "ABCDEF",
-    scrambled: bool = True,
 ) -> List[Tuple[str, WorkloadSpec]]:
     """Build ``(phase-name, spec)`` pairs for a phase string like "ABCDEF"."""
     out: List[Tuple[str, WorkloadSpec]] = []
@@ -48,7 +47,6 @@ def dynamic_phase_specs(
                     write_ratio=write / 100.0,
                     point_skew=skew,
                     scan_skew=skew,
-                    scrambled=scrambled,
                     name=f"phase_{name}",
                 ),
             )

@@ -124,6 +124,10 @@ class WorkloadSpec:
         ) / total
 
 
+#: Operations drawn per vectorized RNG call; the stream depends on it.
+DRAW_BATCH = 4096
+
+
 class WorkloadGenerator:
     """Deterministic stream of operations for one spec.
 
@@ -133,7 +137,7 @@ class WorkloadGenerator:
 
     _KINDS = ("get", "short_scan", "long_scan", "put", "delete")
 
-    def __init__(self, spec: WorkloadSpec, seed: int = 0, batch: int = 4096) -> None:
+    def __init__(self, spec: WorkloadSpec, seed: int = 0) -> None:
         self.spec = spec
         self._rng = np.random.default_rng(seed)
         self._point_keys = ZipfianGenerator(
@@ -154,7 +158,6 @@ class WorkloadGenerator:
             ]
         )
         self._probs = self._probs / self._probs.sum()
-        self._batch = batch
         self._version = 1
 
     def ops(self, count: int) -> Iterator[Operation]:
@@ -162,7 +165,7 @@ class WorkloadGenerator:
         spec = self.spec
         remaining = count
         while remaining > 0:
-            size = min(self._batch, remaining)
+            size = min(DRAW_BATCH, remaining)
             kinds = self._rng.choice(len(self._KINDS), size=size, p=self._probs)
             point_ids = self._point_keys.sample(size)
             scan_ids = self._scan_keys.sample(size)

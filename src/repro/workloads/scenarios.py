@@ -350,7 +350,6 @@ def _mix(
     write: float = 0.0,
     skew: float = 0.9,
     name: str = "mix",
-    hot_offset: int = 0,
     scrambled: bool = True,
 ) -> WorkloadSpec:
     total = get + short + long_ + write
@@ -362,18 +361,17 @@ def _mix(
         write_ratio=write / total,
         point_skew=skew,
         scan_skew=skew,
-        hot_offset=hot_offset,
         scrambled=scrambled,
         name=name,
     )
 
 
 def _uniform_phase(
-    params: ScenarioParams, spec: WorkloadSpec, scale: float = 1.0
+    params: ScenarioParams, spec: WorkloadSpec
 ) -> Dict[str, TenantPhase]:
-    ops = max(1, round(params.phase_ops * scale))
+    ops = max(1, round(params.phase_ops))
     return {
-        params.tenant_name(i): TenantPhase(spec, ops, scale)
+        params.tenant_name(i): TenantPhase(spec, ops)
         for i in range(params.tenants)
     }
 

@@ -50,10 +50,6 @@ class TestRanking:
         ranks = rank({"a": 0.9, "b": 0.5, "c": 0.7})
         assert ranks == {"a": 1, "c": 2, "b": 3}
 
-    def test_rank_lower_better(self):
-        ranks = rank({"a": 10.0, "b": 5.0}, higher_is_better=False)
-        assert ranks == {"b": 1, "a": 2}
-
     def test_rank_ties_deterministic(self):
         assert rank({"b": 1.0, "a": 1.0}) == {"a": 1, "b": 2}
 

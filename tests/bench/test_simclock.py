@@ -58,8 +58,15 @@ class TestClockReading:
         before = ClockReading.capture(engine)
         engine.get(key_of(3))
         after = ClockReading.capture(engine)
-        cheap = elapsed_us(before, after, CostModel(disk_block_read_us=1.0))
-        expensive = elapsed_us(before, after, CostModel(disk_block_read_us=1000.0))
+
+        class Cheap(CostModel):
+            disk_block_read_us = 1.0
+
+        class Expensive(CostModel):
+            disk_block_read_us = 1000.0
+
+        cheap = elapsed_us(before, after, Cheap())
+        expensive = elapsed_us(before, after, Expensive())
         assert expensive > cheap
 
     def test_range_insert_cost_charged(self):

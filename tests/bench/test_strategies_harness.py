@@ -6,11 +6,14 @@ import pytest
 
 from repro.bench.harness import (
     RunResult,
+    apply_batch,
+    apply_operation,
     estimated_hit_rate,
     run_phases,
     run_workload,
     seed_database,
 )
+from repro.bench.simclock import ClockReading
 from repro.bench.strategies import DISPLAY_NAMES, STRATEGIES, build_engine
 from repro.core.adcache import AdCacheEngine
 from repro.errors import ConfigError
@@ -124,6 +127,20 @@ class TestHarness:
         result = run_workload(engine, ops, name="list")
         assert result.ops == 10
 
+    def test_apply_operation_returns_what_the_op_reads(self):
+        from repro.workloads.generator import Operation
+
+        tree = seed_database(100, OPTS)
+        engine = build_engine("block", tree, cache_bytes=32 * 1024)
+        assert apply_operation(engine, Operation("get", key_of(3))) == value_of(3)
+        entries = apply_operation(engine, Operation("scan", key_of(5), length=2))
+        assert entries == [(key_of(5), value_of(5)), (key_of(6), value_of(6))]
+        assert apply_operation(engine, Operation("put", key_of(3), value="x")) is None
+        assert apply_operation(engine, Operation("delete", key_of(3))) is None
+        assert apply_operation(engine, Operation("get", key_of(3))) is None
+        with pytest.raises(ConfigError, match="unknown operation kind"):
+            apply_operation(engine, Operation("merge", key_of(3)))
+
     def test_generator_requires_num_ops(self):
         tree = seed_database(100, OPTS)
         engine = build_engine("block", tree, cache_bytes=32 * 1024)
@@ -135,21 +152,26 @@ class TestHarness:
         def run(batch_size):
             tree = seed_database(500, OPTS)
             engine = build_engine("adcache", tree, cache_bytes=32 * 1024, seed=1)
-            gen = WorkloadGenerator(batched_mixed_workload(500), seed=2)
-            return run_workload(
-                engine, gen, num_ops=300, warmup_ops=50, batch_size=batch_size
+            ops = list(WorkloadGenerator(batched_mixed_workload(500), seed=2).ops(350))
+            for op in ops[:50]:
+                apply_operation(engine, op)
+            before = ClockReading.capture(engine)
+            for i in range(50, len(ops), batch_size):
+                if batch_size == 1:
+                    apply_operation(engine, ops[i])
+                else:
+                    apply_batch(engine, ops[i : i + batch_size])
+            after = ClockReading.capture(engine)
+            executed = sum(
+                getattr(after, f) - getattr(before, f)
+                for f in ("points", "scans", "writes", "deletes")
             )
+            return executed, after.disk_reads - before.disk_reads
 
-        scalar, batched = run(1), run(8)
-        assert scalar.ops == batched.ops == 300
+        (scalar_ops, scalar_reads), (batched_ops, batched_reads) = run(1), run(8)
+        assert scalar_ops == batched_ops == 300
         # Coalescing inside a batch may only remove metered reads.
-        assert batched.sst_reads <= scalar.sst_reads
-
-    def test_non_positive_batch_size_rejected(self):
-        tree = seed_database(100, OPTS)
-        engine = build_engine("block", tree, cache_bytes=32 * 1024)
-        with pytest.raises(ValueError, match="batch_size must be positive"):
-            run_workload(engine, [], batch_size=0)
+        assert batched_reads <= scalar_reads
 
     def test_estimated_hit_rate_no_cache_is_zero_ish(self):
         """With no cache at all, measured I/O should match the estimate

@@ -55,7 +55,7 @@ class TestLeCaR:
         the regret hit on LRU's ghost list shifts weight to LFU, whose
         arm sacrifices the never-returning colds instead.
         """
-        p = LeCaRPolicy(history_size=64, learning_rate=0.45, seed=3)
+        p = LeCaRPolicy(history_size=64, seed=3)
         cache = BudgetedCache(4, p, lambda k, v: 1)
         cold = 0
         for _ in range(100):

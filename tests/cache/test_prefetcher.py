@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.cache import prefetcher as prefetcher_module
 from repro.cache.block_cache import BlockCache
 from repro.cache.prefetcher import CompactionPrefetcher
 from repro.lsm.options import BLOCK_SIZE, LSMOptions
@@ -44,12 +45,13 @@ class TestPrefetcher:
             results[prefetch] = tree.sst_reads_total - reads_before
         assert results[True] < results[False]
 
-    def test_prefetch_respects_budget_and_cap(self):
+    def test_prefetch_respects_budget_and_cap(self, monkeypatch):
         tree, cache, prefetcher, _ = warmed_setup(prefetch=True, cache_blocks=16)
-        prefetcher._max_blocks = 4
+        monkeypatch.setattr(prefetcher_module, "MAX_BLOCKS_PER_COMPACTION", 4)
         for i in range(600):
             tree.put(key_of(i % 300), value_of(i % 300, 1))
         assert cache.used_bytes <= cache.budget_bytes
+        assert prefetcher.prefetched_total <= 4 * prefetcher.compactions_seen
 
     def test_prefetch_costs_no_metered_reads(self):
         """Prefetched blocks come from the compaction buffer."""

@@ -15,6 +15,7 @@ from repro.cache.intervals import IntervalSet
 from repro.cache.kv_cache import KVCache
 from repro.cache.lru import LRUPolicy
 from repro.cache.range_cache import RangeCache
+from repro.cache.tier2 import Tier2Cache
 from repro.errors import InvariantError
 from repro.lsm.block import BlockHandle
 from repro.lsm.options import LSMOptions
@@ -139,7 +140,7 @@ def test_budgeted_cache_detects_untracked_resident_key():
 
 def test_enabled_sanitizer_trips_on_next_mutation():
     cache = _budgeted()
-    cache.enable_sanitizer(period=1, seed=0)
+    cache._sanitizer = sanitize.Sanitizer(1, 0)
     cache.put("a", "v")  # clean mutation passes
     cache._used += 7
     with pytest.raises(InvariantError, match="byte accounting drift"):
@@ -227,9 +228,35 @@ def test_range_cache_detects_byte_drift():
 def test_kv_cache_detects_inner_corruption():
     cache = KVCache(budget_bytes=4096, entry_charge=64)
     cache.put("a", "v")
-    cache._cache._used += 1
+    cache._used += 1
     with pytest.raises(InvariantError, match="byte accounting drift"):
         cache.check_invariants()
+
+
+def test_env_sanitizer_catches_misrouted_block_cache_entry(monkeypatch):
+    """``REPRO_SANITIZE`` reaches the block cache's own routing check,
+    which no shard's check can make: period 2 checks 1 to 3 fills apart."""
+    monkeypatch.setenv("REPRO_SANITIZE", "2")
+    cache = BlockCache(16 * 4096, 4096, lambda handle: object(), num_shards=4)
+    handle = BlockHandle(1, 0)
+    cache._shards[(cache._shard_of(handle) + 1) % 4].put(handle, object())
+    with pytest.raises(InvariantError, match="misrouted entry"):
+        for block_no in range(3):
+            cache.fetch_through(BlockHandle(2, block_no))
+
+
+def test_env_sanitizer_catches_tier2_admission_drift(monkeypatch):
+    """``REPRO_SANITIZE`` reaches the shared tier's accounting check:
+    an offer counted as neither admit nor reject trips within 3 admits."""
+    monkeypatch.setenv("REPRO_SANITIZE", "2")
+    cache = Tier2Cache(16 * 4096, 4096)
+    cache.demotions += 1
+    with pytest.raises(InvariantError, match="admission accounting drift"):
+        for block_no in range(3):
+            key = (0, BlockHandle(1, block_no))
+            cache.tier2_probe(key)
+            cache.tier2_probe(key)  # two misses: sketch proof of reuse
+            assert cache.tier2_offer(key, object())
 
 
 def test_block_cache_detects_misrouted_entry():

@@ -85,14 +85,6 @@ class TestDiskVerification:
         assert disk.corruption_repairs_total == 1
         assert disk.block_reads_total == 1
 
-    def test_verification_can_be_disabled(self):
-        disk = SimulatedDisk(verify_checksums=False)
-        table = _table()
-        disk.install(table)
-        table.corrupt_block(0)
-        # Unverified disks serve the (clean) payload without checking.
-        assert disk.read_block(BlockHandle(1, 0)).get("k0000") == (True, "v0")
-
     def test_repair_of_unknown_sst_raises(self):
         disk = SimulatedDisk()
         with pytest.raises(StorageError):

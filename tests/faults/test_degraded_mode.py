@@ -167,7 +167,7 @@ class TestAdaptLearningRateGuard:
         assert adapt_learning_rate(1e-3, float("-inf")) == pytest.approx(1e-3)
 
     def test_non_finite_input_lr_still_clamped(self):
-        out = adapt_learning_rate(5.0, float("nan"), lr_min=1e-5, lr_max=1e-2)
+        out = adapt_learning_rate(5.0, float("nan"))
         assert out == pytest.approx(1e-2)
 
     def test_finite_rewards_unaffected_by_guard(self):

@@ -386,7 +386,10 @@ def test_multi_scan_memo_path_matches_generator_merge(requests):
     oracle.scan = lambda start, length, fetch=None: oracle_scan(oracle, start, length, fetch)
     logs: List[List[BlockHandle]] = [[], []]
     for engine, log in zip(engines, logs):
-        engine.tree.disk.add_read_listener(log.append)
+        read = engine.tree.disk.read_block
+        engine.block_cache.set_backing_fetch(
+            lambda handle, read=read, log=log: log.append(handle) or read(handle)
+        )
     assert engines[0].multi_scan(requests) == engines[1].multi_scan(requests)
     assert logs[0] == logs[1]
     assert engines[0].block_cache.stats == engines[1].block_cache.stats

@@ -96,18 +96,6 @@ class TestMeteredReads:
         with pytest.raises(StorageError):
             disk.read_block(BlockHandle(table.sst_id, 0))
 
-    def test_read_listener_fires(self):
-        disk = SimulatedDisk()
-        table = installed_table(disk)
-        seen = []
-        disk.add_read_listener(seen.append)
-        handle = BlockHandle(table.sst_id, 0)
-        disk.read_block(handle)
-        assert seen == [handle]
-        disk.remove_read_listener(seen.append)
-        disk.read_block(handle)
-        assert len(seen) == 1
-
     def test_total_entries(self):
         disk = SimulatedDisk()
         installed_table(disk, n=8)

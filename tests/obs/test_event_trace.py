@@ -14,7 +14,7 @@ from repro.obs.trace import EventTrace, export_fleet_events
 
 class TestEventTrace:
     def test_unknown_kind_rejected(self):
-        trace = EventTrace()
+        trace = EventTrace(4096)
         with pytest.raises(ObsError, match="unknown event kind"):
             trace.record(0.0, "made_up_kind")
 
@@ -29,7 +29,7 @@ class TestEventTrace:
         assert [e.fields["sst"] for e in trace.events()] == [2, 3, 4]
 
     def test_kind_counts(self):
-        trace = EventTrace()
+        trace = EventTrace(4096)
         trace.record(0.0, N.EV_FLUSH)
         trace.record(1.0, N.EV_FLUSH)
         trace.record(2.0, N.EV_COMPACTION)
@@ -48,7 +48,7 @@ class TestEventTrace:
 
 class TestFleetEvents:
     def test_merged_file_is_shard_tagged_and_monotone(self, tmp_path):
-        a, b = EventTrace(), EventTrace()
+        a, b = EventTrace(4096), EventTrace(4096)
         a.record(5.0, N.EV_FLUSH, {"sst": 1})
         a.record(20.0, N.EV_COMPACTION)
         b.record(5.0, N.EV_FLUSH, {"sst": 9})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
+from repro.rl import reward as reward_module
 from repro.rl.reward import (
     RewardCalculator,
     adapt_learning_rate,
@@ -25,8 +26,9 @@ class TestIOEstimate:
         )
         assert io == 100 + 50 * 4 + 50 * (4 + 4 - 1)
 
-    def test_fpr_term(self):
-        io = estimate_no_cache_io(100, 0, 0, 4, 1, 0, bloom_fpr=0.01)
+    def test_fpr_term(self, monkeypatch):
+        monkeypatch.setattr(reward_module, "BLOOM_FPR", 0.01)
+        io = estimate_no_cache_io(100, 0, 0, 4, 1, 0)
         assert io == pytest.approx(101.0)
 
     def test_pure_write_window_is_zero(self):

@@ -8,6 +8,8 @@ from repro.bench.harness import seed_database
 from repro.bench.strategies import build_engine
 from repro.errors import ConfigError, InvariantError
 from repro.lsm.options import LSMOptions
+from repro.sanitize import Sanitizer
+from repro.serve import arbiter as arbiter_module
 from repro.serve.arbiter import BudgetArbiter
 from repro.workloads.generator import WorkloadGenerator, point_lookup_workload
 from repro.workloads.keys import key_of
@@ -38,10 +40,8 @@ class TestConstruction:
             BudgetArbiter([], BUDGET)
         with pytest.raises(ConfigError):
             BudgetArbiter(engines, -1)
-        with pytest.raises(ConfigError):
-            BudgetArbiter(engines, BUDGET, min_share=0.9)
-        with pytest.raises(ConfigError):
-            BudgetArbiter(engines, BUDGET, max_step=0.0)
+        with pytest.raises(ConfigError, match="min share"):
+            BudgetArbiter(engines * 11, BUDGET)
 
     def test_initial_split_is_even_and_exact(self):
         engines = [_engine(i) for i in range(3)]
@@ -64,20 +64,21 @@ class TestRebalancing:
         assert evicted >= 0
         arbiter.check_invariants()
 
-    def test_max_step_rate_limits_movement(self):
+    def test_max_step_rate_limits_movement(self, monkeypatch):
+        monkeypatch.setattr(arbiter_module, "MAX_STEP", 0.1)
         busy, idle = _engine(0), _engine(1)
-        arbiter = BudgetArbiter([busy, idle], BUDGET, max_step=0.1)
+        arbiter = BudgetArbiter([busy, idle], BUDGET)
         _drive(busy, 2_000)
         arbiter.rebalance()
         # One round can move a share by at most max_step before the floor
         # renormalisation.
         assert arbiter.shares[0] <= 0.5 + 0.1 + 1e-9
 
-    def test_min_share_floor_protects_idle_shards(self):
+    def test_min_share_floor_protects_idle_shards(self, monkeypatch):
+        monkeypatch.setattr(arbiter_module, "MIN_SHARE", 0.2)
+        monkeypatch.setattr(arbiter_module, "MAX_STEP", 1.0)
         busy, idle = _engine(0), _engine(1)
-        arbiter = BudgetArbiter(
-            [busy, idle], BUDGET, min_share=0.2, max_step=1.0
-        )
+        arbiter = BudgetArbiter([busy, idle], BUDGET)
         for _ in range(6):
             _drive(busy, 600, seed=busy.tree.gets_total + 11)
             arbiter.rebalance()
@@ -114,8 +115,7 @@ class TestInvariants:
     def test_sampled_sanitizer_hook(self):
         engines = [_engine(0), _engine(1)]
         arbiter = BudgetArbiter(engines, BUDGET)
-        arbiter.enable_sanitizer(period=1)
+        arbiter._sanitizer = Sanitizer(1, 0)
         _drive(engines[0], 400)
         arbiter.rebalance()
-        assert arbiter._sanitizer is not None
         assert arbiter._sanitizer.checks_run >= 1

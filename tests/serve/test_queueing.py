@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CacheError, ConfigError, InvariantError
+from repro.sanitize import Sanitizer
 from repro.serve.queueing import Request, RequestQueue, SubRequest
 from repro.workloads.generator import Operation
 
@@ -81,11 +82,11 @@ class TestQueue:
 
     def test_sampled_sanitizer_hook(self):
         q = RequestQueue(0, 4)
-        q.enable_sanitizer(period=1)
-        assert q.sanitizing
+        assert q._sanitizer is None  # slotted, yet starts disabled
+        q._sanitizer = Sanitizer(1, 0)
         q.push(sub(0))
         q.pop_live(0.0)
-        assert q._sanitizer is not None and q._sanitizer.checks_run >= 2
+        assert q._sanitizer.checks_run >= 2
 
 
 class TestRequest:
