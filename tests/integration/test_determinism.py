@@ -459,3 +459,101 @@ def test_fleet_report_matches_recorded(cell):
 def test_write_flood_report_matches_recorded(write_flood):
     digest = hashlib.sha256(write_flood.format_report().encode()).hexdigest()
     assert digest == GOLDEN_REPORT_SHA256["write_flood"]
+
+
+# -- on-disk layout pin ----------------------------------------------------------
+#
+# The counters above do not see block boundaries, checksums or bloom
+# bits, so a reordered compaction merge could keep them.  This digest
+# covers every live SSTable's level, id, per-block first/last key and
+# checksum, and bloom bytes, after a seeded write-heavy run on a small
+# geometry (overlapping L0 runs, tombstones, bottom-level tombstone
+# drops) and after a bulk load.  Recorded before the write path moved
+# from (key, value) tuples to key/value columns.
+GOLDEN_LAYOUT_SHA256 = (
+    "8d91bd710ee372339a4cba158d4cb67a81538b90a243671135e3ae5c61e19f7f"
+)
+LAYOUT_OPTIONS = dict(
+    entries_per_block=4, entries_per_sstable=16, memtable_entries=16, max_levels=4
+)
+
+
+def _layout(tree):
+    out = []
+    for level in range(tree.options.max_levels):
+        for table in tree.levels.level_files(level):
+            blocks = [table.block_at(no) for no in range(table.num_blocks)]
+            out.append((
+                level,
+                table.sst_id,
+                [(b.first_key, b.last_key, b.checksum) for b in blocks],
+                bytes(table.bloom._bits).hex(),
+            ))
+    return out
+
+
+def _tombstones(tables, keys):
+    """How many of ``keys`` the tables hold as tombstones."""
+    count = 0
+    for table in tables:
+        for key in keys:
+            block_no = table.find_block_no(key)
+            if block_no is not None and table.block_at(block_no).get(key) == (True, None):
+                count += 1
+    return count
+
+
+def _layout_write_run():
+    from random import Random
+
+    from repro.lsm.tree import LSMTree
+
+    tree = LSMTree(LSMOptions(**LAYOUT_OPTIONS))
+    built = {}
+    install = tree.disk.install
+
+    def record(table):
+        built[table.sst_id] = table
+        install(table)
+
+    tree.disk.install = record
+    deleted = set()
+    drops = []
+
+    def on_compaction(event):
+        keys = sorted(deleted)
+        t_in = _tombstones([built[i] for i in event.input_sst_ids], keys)
+        t_out = _tombstones([built[i] for i in event.output_sst_ids], keys)
+        if t_in > 0 and t_out == 0:
+            drops.append(event)
+
+    tree.add_compaction_listener(on_compaction)
+    rng = Random(29)
+    for op in range(3_000):
+        key = "key%05d" % rng.randrange(400)
+        if rng.random() < 0.25:
+            tree.delete(key)
+            deleted.add(key)
+        else:
+            tree.put(key, "v%d" % op)
+    return tree, deleted, drops
+
+
+def test_sstable_layout_matches_recorded():
+    from repro.lsm.tree import LSMTree
+
+    tree, deleted, drops = _layout_write_run()
+    # The run must exercise what it pins.
+    l0 = tree.levels.level_files(0)
+    assert any(
+        a.first_key <= b.last_key and b.first_key <= a.last_key
+        for i, a in enumerate(l0)
+        for b in l0[i + 1 :]
+    )
+    assert _tombstones(tree.levels.all_files(), sorted(deleted)) > 0
+    assert drops
+    loaded = LSMTree(LSMOptions(**LAYOUT_OPTIONS))
+    loaded.bulk_load(("key%05d" % i, "b%d" % i) for i in range(1_000))
+    assert loaded.num_levels == 4
+    payload = repr((_layout(tree), _layout(loaded)))
+    assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN_LAYOUT_SHA256
