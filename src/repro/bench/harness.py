@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.bench.simclock import ClockReading, elapsed_us
-from repro.core.engine import Entry, KVEngine
+from repro.core.engine import KVEngine
 from repro.errors import ConfigError
+from repro.lsm.block import Entry
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.rl.reward import estimate_no_cache_io

@@ -35,10 +35,10 @@ from repro.cache.base import CacheBase, CacheStats, EvictionPolicy
 from repro.cache.intervals import IntervalSet
 from repro.cache.lru import LRUPolicy
 from repro.errors import CacheError, InvariantError
+from repro.lsm.block import Entry
 from repro.obs import names as N
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
-Entry = Tuple[str, str]
 
 #: Stable batch sort key: by key only, so duplicate keys keep arrival
 #: order and the last write wins as in a scalar insert loop.

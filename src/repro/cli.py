@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.bench.harness import run_phases, run_workload, seed_database
 from repro.bench.report import format_table
@@ -60,6 +60,9 @@ from repro.workloads.generator import (
     point_lookup_workload,
     short_scan_workload,
 )
+
+if TYPE_CHECKING:  # the serving fleet is imported only by the commands that run it
+    from repro.serve import ServeResult
 
 WORKLOADS = {
     "point": point_lookup_workload,
@@ -195,6 +198,35 @@ def _serve_resilience_config(args: argparse.Namespace):
     )
 
 
+def _fleet_failures(result: "ServeResult") -> List[str]:
+    """What a fleet run broke: acknowledged writes lost, requests
+    neither completed nor rejected, a crash without a promotion."""
+    failures = []
+    if result.lost_acked_writes:
+        failures.append(
+            f"{result.lost_acked_writes}/{result.acked_writes_checked} "
+            f"acknowledged writes unreadable after failover"
+        )
+    if result.issued != result.completed + result.rejected:
+        failures.append(
+            f"request conservation broken: {result.issued} issued != "
+            f"{result.completed} completed + {result.rejected} rejected"
+        )
+    if result.crashes != result.promotions:
+        failures.append(
+            f"replica promotion missing: {result.crashes} crashes but "
+            f"{result.promotions} promotions"
+        )
+    return failures
+
+
+def _print_failures(failures: List[str]) -> int:
+    """Print each failure as a ``FAIL:`` line; the exit code (1 if any)."""
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
+
+
 def _chaos_serve(args: argparse.Namespace) -> int:
     """Fleet chaos: same seeded crash scenario twice, bytes must match."""
     from repro.faults.fleet import FleetFaultPlan
@@ -238,24 +270,7 @@ def _chaos_serve(args: argparse.Namespace) -> int:
         failures.append(
             f"planned crashes not all executed: {first.crashes} of {planned}"
         )
-    if first.promotions != first.crashes:
-        failures.append(
-            f"replica promotion missing: {first.crashes} crashes but "
-            f"{first.promotions} promotions"
-        )
-    if first.lost_acked_writes:
-        failures.append(
-            f"{first.lost_acked_writes}/{first.acked_writes_checked} "
-            f"acknowledged writes unreadable after failover"
-        )
-    if first.issued != first.completed + first.rejected:
-        failures.append(
-            f"request conservation broken: {first.issued} issued != "
-            f"{first.completed} completed + {first.rejected} rejected"
-        )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
+    if _print_failures(failures + _fleet_failures(first)):
         return 1
     print(
         f"OK: two same-seed fleet-chaos runs matched byte-for-byte "
@@ -334,27 +349,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.obs_dir:
         result.export_obs(args.obs_dir)
         print(f"wrote per-shard + fleet obs artifacts to {args.obs_dir}")
-    failures = []
-    if result.lost_acked_writes:
-        failures.append(
-            f"{result.lost_acked_writes}/{result.acked_writes_checked} "
-            f"acknowledged writes unreadable after failover"
-        )
-    if result.issued != result.completed + result.rejected:
-        failures.append(
-            f"request conservation broken: {result.issued} issued != "
-            f"{result.completed} completed + {result.rejected} rejected"
-        )
-    if result.crashes != result.promotions:
-        failures.append(
-            f"replica promotion missing: {result.crashes} crashes but "
-            f"{result.promotions} promotions"
-        )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    return 0
+    return _print_failures(_fleet_failures(result))
 
 
 def cmd_atlas(args: argparse.Namespace) -> int:

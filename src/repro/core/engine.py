@@ -29,7 +29,7 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.kv_cache import KVCache
 from repro.cache.range_cache import RangeCache
 from repro.core.stats import StatsCollector, WindowStats
-from repro.lsm.block import BlockHandle, DataBlock
+from repro.lsm.block import BlockHandle, DataBlock, Entry
 from repro.lsm.tree import LSMTree
 from repro.obs import names as N
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # bench.simclock imports this module; runtime import is local
     from repro.bench.simclock import ClockReading
     from repro.serve.tier2 import Tier2Client
 
-Entry = Tuple[str, str]
 #: :meth:`KVEngine._probe`'s "no cache could answer" (``None`` is an answer).
 _TO_SSTABLES = object()
 #: Controller callback: receives the sealed window's statistics.
@@ -383,26 +382,11 @@ class KVEngine:
         return out
 
     def multi_put(self, pairs: Sequence[Entry]) -> None:  # hot-path
-        """Batched inserts; the per-pair effect sequence is exactly
-        :meth:`put`'s (WAL and MemTable work cannot coalesce without
-        changing flush timing), with the attribute lookups hoisted out
-        of the loop."""
-        tree = self.tree
-        range_cache = self.range_cache
-        kv_cache = self.kv_cache
-        collector = self.collector
-        window_size = self.window_size
-        lock = self._write_lock
+        """Batched inserts: :meth:`put` per pair, in order (WAL and
+        MemTable work cannot coalesce without changing flush timing)."""
+        put = self.put
         for key, value in pairs:
-            with lock:
-                tree.put(key, value)
-            if range_cache is not None:
-                range_cache.on_write(key, value)
-            if kv_cache is not None:
-                kv_cache.on_write(key, value)
-            collector.note_write()
-            if collector.current.ops >= window_size:
-                self._maybe_end_window()
+            put(key, value)
 
     def multi_scan(
         self, requests: Sequence[Tuple[str, int]]

@@ -1,21 +1,25 @@
 """Data blocks: the unit of disk I/O and of block-cache residency.
 
-A :class:`DataBlock` is an immutable, sorted run of key-value entries.
-Blocks are identified globally by :class:`BlockHandle` —
-``(sst_id, block_no)`` — which is exactly how RocksDB's block cache
-keys entries (file number + offset).  Compaction writes new SSTables
-with fresh ids, so handles of compacted-away files silently stop
-matching: the cached blocks become dead weight until evicted, the
-invalidation behaviour the paper's motivation hinges on.
+A :class:`DataBlock` is an immutable, sorted run of key-value entries
+held as two parallel columns, ``keys`` and ``values``: the one
+sorted-run format of the write path, from the MemTable's sorted lists
+through compaction's merge to each block.  Blocks are identified
+globally by :class:`BlockHandle` — ``(sst_id, block_no)`` — which is
+exactly how RocksDB's block cache keys entries (file number + offset).
+Compaction writes new SSTables with fresh ids, so handles of
+compacted-away files silently stop matching: the cached blocks become
+dead weight until evicted, the invalidation behaviour the paper's
+motivation hinges on.
 """
 
 from __future__ import annotations
 
 import bisect
 import zlib
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-Entry = Tuple[str, Optional[str]]  # value None == tombstone
+#: A live key-value pair, as :meth:`~repro.lsm.tree.LSMTree.scan` returns it.
+Entry = Tuple[str, str]
 
 
 class BlockHandle(NamedTuple):
@@ -35,35 +39,29 @@ class BlockHandle(NamedTuple):
 class DataBlock:
     """An immutable sorted sequence of entries within one SSTable.
 
-    Entries are ``(key, value)`` pairs where ``value is None`` encodes a
-    tombstone.  Keys within a block are strictly increasing.  The entries
-    live in two parallel lists, ``_keys`` and ``_values``, which
-    :meth:`~repro.lsm.tree.LSMTree.scan` reads in place: a block is never
-    mutated after construction.
+    ``keys[i]`` maps to ``values[i]``; a ``None`` value encodes a
+    tombstone.  Keys are strictly increasing, and a block holds at least
+    one entry.  Both lists are read-only: :meth:`~repro.lsm.tree.LSMTree.scan` and
+    compaction read them in place, and a block is never mutated after
+    construction.
     """
 
-    __slots__ = ("handle", "_keys", "_values", "_checksum", "first_key", "last_key")
+    __slots__ = ("handle", "keys", "values", "_checksum", "first_key", "last_key")
 
-    def __init__(self, handle: BlockHandle, entries: Sequence[Entry]) -> None:
+    def __init__(
+        self, handle: BlockHandle, keys: List[str], values: List[Optional[str]]
+    ) -> None:
         self.handle = handle
-        if entries:
-            # One C-level transpose instead of two per-entry list comps;
-            # blocks are built in bulk during every flush and compaction.
-            keys_t, values_t = zip(*entries)
-            keys: List[str] = list(keys_t)
-            self._keys = keys
-            self._values: List[Optional[str]] = list(values_t)
-            # Eager bounds: the point-lookup path reads these on every
-            # probe, so they are plain attributes rather than properties.
-            self.first_key: str = keys[0]
-            self.last_key: str = keys[-1]
-        else:
-            self._keys = []
-            self._values = []
+        self.keys = keys
+        self.values = values
+        # Eager bounds: the point-lookup path reads these on every
+        # probe, so they are plain attributes rather than properties.
+        self.first_key: str = keys[0]
+        self.last_key: str = keys[-1]
         self._checksum: Optional[int] = None
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self.keys)
 
     @property
     def checksum(self) -> int:
@@ -77,7 +75,7 @@ class DataBlock:
             # The \x00/\x01 tag keeps tombstones distinct from empty values.
             payload = "\x1f".join(
                 key + "\x1e" + ("\x00" if value is None else "\x01" + value)
-                for key, value in zip(self._keys, self._values)
+                for key, value in zip(self.keys, self.values)
             )
             self._checksum = zlib.crc32(payload.encode("utf-8"))
         return self._checksum
@@ -88,15 +86,11 @@ class DataBlock:
         ``found`` is True for tombstones too — the caller must treat a
         ``(True, None)`` result as "deleted, stop searching older runs".
         """
-        keys = self._keys
+        keys = self.keys
         idx = bisect.bisect_left(keys, key)
         if idx < len(keys) and keys[idx] == key:
-            return True, self._values[idx]
+            return True, self.values[idx]
         return False, None
-
-    def entries(self) -> List[Entry]:
-        """All entries in key order (fresh list)."""
-        return list(zip(self._keys, self._values))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

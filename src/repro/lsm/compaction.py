@@ -10,6 +10,14 @@ caching experiments care about:
   (base capacity times ``SIZE_RATIO`` per level): one victim file plus
   the overlapping files below merge downward.
 
+A merge folds its input files' blocks, oldest first, into one dict
+(newest version of each key wins), sorts the keys and hands the
+key/value columns to :meth:`Compactor.write_run`, the one run writer:
+it chunks sorted columns into ``entries_per_sstable`` tables, allocates
+their ids in key order, installs them and adds them to a level.
+:meth:`~repro.lsm.tree.LSMTree.bulk_load` writes its levels through it
+too.
+
 Compaction rewrites data into SSTables with *new ids*, which is what
 invalidates block-cache entries keyed by ``(sst_id, block_no)`` — the
 effect the paper's range cache is designed to survive.  Listeners are
@@ -20,9 +28,8 @@ collector can count compactions and invalidated blocks per window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.lsm.block import Entry
 from repro.lsm.options import LSMOptions
 from repro.lsm.sstable import SSTable
 from repro.lsm.storage import SimulatedDisk
@@ -134,8 +141,14 @@ class Compactor:
         newer_files: List[SSTable],
         older_files: List[SSTable],
     ) -> None:
-        drop_tombstones = self._is_bottom_output(level_to)
-        merged = self._merge_entries(newer_files, older_files, drop_tombstones)
+        resolved: Dict[str, Optional[str]] = {}
+        # Oldest first so newer writes overwrite; newer_files is newest-first.
+        for table in [*reversed(older_files), *reversed(newer_files)]:
+            for block in table.blocks:
+                resolved.update(zip(block.keys, block.values))
+        keys = sorted(resolved)
+        if self._is_bottom_output(level_to):
+            keys = [key for key in keys if resolved[key] is not None]
 
         event = CompactionEvent(level_from=level_from, level_to=level_to)
         for table in newer_files:
@@ -148,21 +161,9 @@ class Compactor:
             event.blocks_invalidated += table.num_blocks
             self._disk.delete(table.sst_id)
 
-        for chunk_start in range(0, len(merged), self._options.entries_per_sstable):
-            chunk = merged[chunk_start : chunk_start + self._options.entries_per_sstable]
-            if not chunk:
-                continue
-            table = SSTable.from_entries(
-                self._disk.allocate_sst_id(),
-                chunk,
-                self._options.entries_per_block,
-                bloom_seed=self._options.seed,
-            )
-            self._disk.install(table)
-            self._levels.add_to_level(level_to, table)
-            event.output_sst_ids.append(table.sst_id)
-            event.entries_out += table.num_entries
-
+        values = list(map(resolved.__getitem__, keys))
+        event.output_sst_ids = self.write_run(level_to, keys, values)
+        event.entries_out = len(keys)
         self.compactions_total += 1
         self.entries_compacted_total += event.entries_in
         recorder = self.recorder
@@ -190,22 +191,27 @@ class Compactor:
             for lv in range(level_to + 1, self._options.max_levels)
         )
 
-    @staticmethod
-    def _merge_entries(
-        newer_files: List[SSTable],
-        older_files: List[SSTable],
-        drop_tombstones: bool,
-    ) -> List[Entry]:
-        """Merge input runs, newest version of each key winning."""
-        resolved: Dict[str, Optional[str]] = {}
-        # Apply oldest first so newer writes overwrite.
-        for table in reversed(older_files):
-            for key, value in table.all_entries():
-                resolved[key] = value
-        for table in reversed(newer_files):  # newer_files is newest-first
-            for key, value in table.all_entries():
-                resolved[key] = value
-        items: List[Tuple[str, Optional[str]]] = sorted(resolved.items())
-        if drop_tombstones:
-            items = [(k, v) for k, v in items if v is not None]
-        return items
+    def write_run(
+        self, level: int, keys: List[str], values: List[Optional[str]]
+    ) -> List[int]:
+        """Write sorted key/value columns to ``level`` as a run of tables.
+
+        Chunks the columns into ``entries_per_sstable`` tables, allocates
+        their ids in key order, installs each on the disk and adds it to
+        the level; returns the new ids.
+        """
+        options = self._options
+        per_table = options.entries_per_sstable
+        sst_ids = []
+        for start in range(0, len(keys), per_table):
+            table = SSTable.build(
+                self._disk.allocate_sst_id(),
+                keys[start : start + per_table],
+                values[start : start + per_table],
+                options.entries_per_block,
+                options.seed,
+            )
+            self._disk.install(table)
+            self._levels.add_to_level(level, table)
+            sst_ids.append(table.sst_id)
+        return sst_ids

@@ -15,8 +15,6 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Tuple
 
-from repro.lsm.block import Entry
-
 
 class MemTable:
     """Mutable sorted buffer of the newest writes."""
@@ -72,11 +70,6 @@ class MemTable:
         if values is None:
             values = self._sorted_values = list(map(self._data.__getitem__, keys))
         return keys, values, bisect.bisect_left(keys, key)
-
-    def entries(self) -> List[Entry]:
-        """All entries in key order, tombstones included (fresh list)."""
-        keys, values, _ = self.sorted_from("")
-        return list(zip(keys, values))
 
     def approximate_bytes(self, key_size: int, value_size: int) -> int:
         """Logical footprint used for flush decisions in byte-based setups."""

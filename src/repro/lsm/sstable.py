@@ -1,17 +1,19 @@
 """Immutable sorted string tables (SSTables).
 
-An SSTable packs a sorted entry run into fixed-fanout data blocks and
-carries two auxiliary structures that the read path consults *without*
-disk I/O, mirroring RocksDB's pinned index/filter blocks:
+An SSTable packs a sorted run, given as parallel key and value columns,
+into fixed-fanout data blocks and carries two auxiliary structures that
+the read path consults *without* disk I/O, mirroring RocksDB's pinned
+index/filter blocks:
 
 * an index of each block's first key, for binary-searching the block
   that may contain a lookup key, and
 * a bloom filter over all keys, for skipping the file entirely on point
   lookups of absent keys.
 
-Blocks are only materialised through :class:`~repro.lsm.storage.
-SimulatedDisk.read_block` (or a block cache in front of it), so every
-data-block access is metered.
+The read path materialises blocks only through :class:`~repro.lsm.
+storage.SimulatedDisk.read_block` (or a block cache in front of it), so
+every read-path block access is metered; compaction reads its input
+files' :attr:`SSTable.blocks` directly, as a merge reads whole files.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import bisect
 from typing import List, Optional, Sequence
 
 from repro.errors import StorageError
-from repro.lsm.block import BlockHandle, DataBlock, Entry
+from repro.lsm.block import BlockHandle, DataBlock
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.options import BLOCK_SIZE, BLOOM_BITS_PER_KEY
 
@@ -28,8 +30,8 @@ from repro.lsm.options import BLOCK_SIZE, BLOOM_BITS_PER_KEY
 class SSTable:
     """One immutable sorted run file.
 
-    Build via :meth:`from_entries`; entries must be sorted by key and
-    free of duplicates (the compaction/flush machinery guarantees this).
+    Build via :meth:`build`; keys must be sorted and free of duplicates
+    (the compaction/flush machinery guarantees this).
     """
 
     def __init__(
@@ -41,43 +43,48 @@ class SSTable:
         if not blocks:
             raise StorageError("SSTable must contain at least one block")
         self.sst_id = sst_id
-        self._blocks: List[DataBlock] = list(blocks)
-        self._index: List[str] = [b.first_key for b in self._blocks]
+        #: The data blocks in key order (read-only; compaction input).
+        self.blocks: List[DataBlock] = list(blocks)
+        self._index: List[str] = [b.first_key for b in self.blocks]
         # Expected per-block checksums, recorded at build time exactly like
         # the footer checksums RocksDB writes; fault injection tampers with
         # the stored copy to model on-disk bit rot.
-        self._checksums: List[int] = [b.checksum for b in self._blocks]
+        self._checksums: List[int] = [b.checksum for b in self.blocks]
         self.bloom = bloom
         self.block_size = BLOCK_SIZE
-        self.num_entries = sum(len(b) for b in self._blocks)
+        self.num_entries = sum(len(b) for b in self.blocks)
         # Eager key-range bounds: the file is immutable and every point
         # lookup reads them, so plain attributes beat per-call properties.
-        self.first_key: str = self._blocks[0].first_key
-        self.last_key: str = self._blocks[-1].last_key
+        self.first_key: str = self.blocks[0].first_key
+        self.last_key: str = self.blocks[-1].last_key
         #: Prebuilt handles by block number (read-only): the read paths
         #: fetch through these instead of constructing a BlockHandle per
         #: probe/scan step.
-        self.block_handles: List[BlockHandle] = [b.handle for b in self._blocks]
+        self.block_handles: List[BlockHandle] = [b.handle for b in self.blocks]
 
     @classmethod
-    def from_entries(
+    def build(
         cls,
         sst_id: int,
-        entries: Sequence[Entry],
+        keys: List[str],
+        values: List[Optional[str]],
         entries_per_block: int,
-        bloom_seed: int = 0,
+        bloom_seed: int,
     ) -> "SSTable":
-        """Pack sorted ``entries`` into blocks and build the filter/index."""
-        if not entries:
+        """Pack the sorted ``keys`` and their ``values`` into blocks of
+        ``entries_per_block`` and build the filter/index."""
+        if not keys:
             raise StorageError("cannot build an empty SSTable")
-        blocks = []
-        for block_no, start in enumerate(range(0, len(entries), entries_per_block)):
-            chunk = entries[start : start + entries_per_block]
-            blocks.append(DataBlock(BlockHandle(sst_id, block_no), chunk))
+        blocks = [
+            DataBlock(
+                BlockHandle(sst_id, block_no),
+                keys[start : start + entries_per_block],
+                values[start : start + entries_per_block],
+            )
+            for block_no, start in enumerate(range(0, len(keys), entries_per_block))
+        ]
         bloom = BloomFilter.build(
-            (key for key, _ in entries),
-            bits_per_key=BLOOM_BITS_PER_KEY,
-            seed=bloom_seed ^ sst_id,
+            keys, bits_per_key=BLOOM_BITS_PER_KEY, seed=bloom_seed ^ sst_id
         )
         return cls(sst_id, blocks, bloom)
 
@@ -86,7 +93,7 @@ class SSTable:
     @property
     def num_blocks(self) -> int:
         """Number of data blocks."""
-        return len(self._blocks)
+        return len(self.blocks)
 
     def find_block_no(self, key: str) -> Optional[int]:  # hot-path
         """Index lookup: the block that may contain ``key``, or None.
@@ -111,12 +118,12 @@ class SSTable:
 
     def block_at(self, block_no: int) -> DataBlock:
         """The block at position ``block_no``; raises on bad index."""
-        if not 0 <= block_no < len(self._blocks):
+        if not 0 <= block_no < len(self.blocks):
             raise StorageError(
                 f"block {block_no} out of range for sst {self.sst_id} "
-                f"({len(self._blocks)} blocks)"
+                f"({len(self.blocks)} blocks)"
             )
-        return self._blocks[block_no]
+        return self.blocks[block_no]
 
     # -- checksums / corruption ----------------------------------------------
 
@@ -146,13 +153,6 @@ class SSTable:
     def repair_block(self, block_no: int) -> None:
         """Restore the stored checksum from the payload (replica restore)."""
         self._checksums[block_no] = self.block_at(block_no).checksum
-
-    def all_entries(self) -> List[Entry]:
-        """Every entry in the file in key order (compaction input path)."""
-        out: List[Entry] = []
-        for block in self._blocks:
-            out.extend(block.entries())
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

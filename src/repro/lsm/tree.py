@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -243,12 +244,13 @@ class LSMTree:
         self._check_open()
         if not self.memtable:
             return None
-        entries: List[Entry] = self.memtable.entries()
-        table = SSTable.from_entries(
+        keys, values, _ = self.memtable.sorted_from("")
+        table = SSTable.build(
             self.disk.allocate_sst_id(),
-            entries,
+            keys,
+            values,
             self.options.entries_per_block,
-            bloom_seed=self.options.seed,
+            self.options.seed,
         )
         self.disk.install(table)
         self.levels.add_level0(table)
@@ -258,7 +260,7 @@ class LSMTree:
         recorder = self.recorder
         if recorder.enabled:
             recorder.inc(N.LSM_FLUSHES)
-            recorder.event(N.EV_FLUSH, sst=table.sst_id, entries=len(entries))
+            recorder.event(N.EV_FLUSH, sst=table.sst_id, entries=len(keys))
         if self.options.auto_compact:
             self.compactor.maybe_compact()
         if self._sanitizer is not None:
@@ -452,13 +454,13 @@ class LSMTree:
 
     def scan(
         self, start: str, length: int, fetch: Optional[BlockFetch] = None
-    ) -> List[Tuple[str, str]]:  # hot-path
+    ) -> List[Entry]:  # hot-path
         """Return up to ``length`` live entries with key >= ``start``.
 
         A merge over one cursor per sorted run — the MemTable, each
         Level-0 file, each non-empty deeper level — that keeps each
         key's newest version and drops tombstones.  A cursor sits on its
-        run's current block (the ``_keys``/``_values`` lists of a
+        run's current block (the ``keys``/``values`` lists of a
         :class:`DataBlock`, or the MemTable's :meth:`~MemTable.sorted_from`
         lists), and the heap holds one cell per run, ordered by
         ``(head key, priority)``; a lower priority is a newer run.  The
@@ -513,7 +515,7 @@ class LSMTree:
                     heap.append(seek(start, len(heap), files, file_idx, len(files), fetch))
         heapq.heapify(heap)
         heapreplace = heapq.heapreplace
-        out: List[Tuple[str, str]] = []
+        out: List[Entry] = []
         append = out.append
         left = length
         last_key: Optional[str] = None  # an equal head is an older version
@@ -560,11 +562,11 @@ class LSMTree:
                 cell[8] = file_idx
                 block_no = 0
             block = fetch(handles[block_no])
-            keys = block._keys
+            keys = block.keys
             cell[0] = keys[0]
             cell[2] = 0
             cell[3] = keys
-            cell[4] = block._values
+            cell[4] = block.values
             cell[5] = block_no
             heapreplace(heap, cell)
         return out
@@ -587,14 +589,14 @@ class LSMTree:
         handles = table.block_handles
         block_no = table.first_block_no_for(start)
         block = fetch(handles[block_no])
-        keys = block._keys
+        keys = block.keys
         pos = bisect_left(keys, start)
         if pos == len(keys):
             block_no += 1
             block = fetch(handles[block_no])
-            keys = block._keys
+            keys = block.keys
             pos = 0
-        return [keys[pos], priority, pos, keys, block._values, block_no, handles,
+        return [keys[pos], priority, pos, keys, block.values, block_no, handles,
                 files, file_idx, file_end]
 
     # -- crash recovery -----------------------------------------------------------------
@@ -622,7 +624,7 @@ class LSMTree:
 
     # -- bulk loading -----------------------------------------------------------------
 
-    def bulk_load(self, items: Iterable[Tuple[str, str]], seed: int = 7) -> None:
+    def bulk_load(self, items: Iterable[Entry], seed: int = 7) -> None:
         """Pre-populate the tree with sorted unique ``(key, value)`` pairs.
 
         Spreads entries across levels proportionally to level capacity
@@ -633,35 +635,28 @@ class LSMTree:
         self._check_open()
         if self.levels.total_entries() or self.memtable:
             raise StorageError("bulk_load requires an empty tree")
-        entries: List[Entry] = [(k, v) for k, v in items]
-        if not entries:
-            return
-        for i in range(1, len(entries)):
-            if entries[i - 1][0] >= entries[i][0]:
+        keys: List[str] = []
+        values: List[Optional[str]] = []
+        for key, value in items:
+            keys.append(key)
+            values.append(value)
+        for i in range(1, len(keys)):
+            if keys[i - 1] >= keys[i]:
                 raise StorageError("bulk_load input must be sorted and unique")
 
-        levels_used = self._bulk_levels_for(len(entries))
+        levels_used = self._bulk_levels_for(len(keys))
         weights = np.array(
             [self.options.level_capacity_entries(lv) for lv in levels_used],
             dtype=float,
         )
         probs = weights / weights.sum()
         rng = np.random.default_rng(seed)
-        assignment = rng.choice(len(levels_used), size=len(entries), p=probs)
+        assignment = rng.choice(len(levels_used), size=len(keys), p=probs)
         for slot, level in enumerate(levels_used):
-            chunk = [e for e, a in zip(entries, assignment) if a == slot]
-            for start in range(0, len(chunk), self.options.entries_per_sstable):
-                part = chunk[start : start + self.options.entries_per_sstable]
-                if not part:
-                    continue
-                table = SSTable.from_entries(
-                    self.disk.allocate_sst_id(),
-                    part,
-                    self.options.entries_per_block,
-                    bloom_seed=self.options.seed,
-                )
-                self.disk.install(table)
-                self.levels.add_to_level(level, table)
+            mask = (assignment == slot).tolist()
+            self.compactor.write_run(
+                level, list(compress(keys, mask)), list(compress(values, mask))
+            )
 
     def _bulk_levels_for(self, n: int) -> List[int]:
         """Deepest-first contiguous level span whose capacity covers ``n``."""

@@ -23,10 +23,9 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from repro.errors import CacheError, ConfigError, InvariantError
+from repro.lsm.block import Entry
 from repro.serve.base import ServeComponent
 from repro.workloads.generator import Operation
-
-Entry = Tuple[str, str]
 
 
 class Request:

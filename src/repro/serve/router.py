@@ -32,11 +32,11 @@ from typing import AbstractSet, Dict, List, Sequence, Tuple
 from repro.bench.harness import OpResult, apply_operation
 from repro.core.engine import KVEngine
 from repro.errors import ConfigError
+from repro.lsm.block import Entry
 from repro.lsm.bloom import fnv1a
 from repro.workloads.generator import Operation
 from repro.workloads.keys import index_of, key_of
 
-Entry = Tuple[str, str]
 
 PARTITION_MODES = ("hash", "range")
 

@@ -14,7 +14,7 @@ BLOCK = 4096
 
 
 def _block(n: int = 0) -> DataBlock:
-    return DataBlock(BlockHandle(0, n), [(f"k{n:04d}", f"v{n}")])
+    return DataBlock(BlockHandle(0, n), [f"k{n:04d}"], [f"v{n}"])
 
 
 def _key(shard: int, n: int):

@@ -277,7 +277,7 @@ def test_block_cache_detects_misrouted_entry():
 
 
 def _table(sst_id, keys):
-    return SSTable.from_entries(sst_id, [(k, "v") for k in keys], entries_per_block=4)
+    return SSTable.build(sst_id, keys, ["v"] * len(keys), 4, 0)
 
 
 def test_level_state_detects_duplicate_sst_id():

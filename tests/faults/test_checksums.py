@@ -11,23 +11,23 @@ from repro.lsm.storage import SimulatedDisk
 
 
 def _table(sst_id: int = 1, n: int = 8) -> SSTable:
-    entries = [(f"k{i:04d}", f"v{i}") for i in range(n)]
-    return SSTable.from_entries(sst_id, entries, entries_per_block=4)
+    keys = [f"k{i:04d}" for i in range(n)]
+    return SSTable.build(sst_id, keys, [f"v{i}" for i in range(n)], 4, 0)
 
 
 class TestBlockChecksum:
     def test_stable_across_calls(self):
-        block = DataBlock(BlockHandle(1, 0), [("a", "1"), ("b", "2")])
+        block = DataBlock(BlockHandle(1, 0), ["a", "b"], ["1", "2"])
         assert block.checksum == block.checksum
 
     def test_depends_on_payload(self):
-        a = DataBlock(BlockHandle(1, 0), [("a", "1"), ("b", "2")])
-        b = DataBlock(BlockHandle(1, 0), [("a", "1"), ("b", "3")])
+        a = DataBlock(BlockHandle(1, 0), ["a", "b"], ["1", "2"])
+        b = DataBlock(BlockHandle(1, 0), ["a", "b"], ["1", "3"])
         assert a.checksum != b.checksum
 
     def test_tombstone_distinct_from_empty_value(self):
-        dead = DataBlock(BlockHandle(1, 0), [("a", None)])
-        empty = DataBlock(BlockHandle(1, 0), [("a", "")])
+        dead = DataBlock(BlockHandle(1, 0), ["a"], [None])
+        empty = DataBlock(BlockHandle(1, 0), ["a"], [""])
         # None and "" must not collide in the serialized payload.
         assert dead.checksum != empty.checksum
 
@@ -51,9 +51,11 @@ class TestSSTableChecksums:
         """Corruption tampers the stored checksum, not the data — cached
         clean copies of the block must remain trustworthy."""
         table = _table()
-        before = table.block_at(0).entries()
+        block = table.block_at(0)
+        before = (list(block.keys), list(block.values))
         table.corrupt_block(0)
-        assert table.block_at(0).entries() == before
+        assert (block.keys, block.values) == before
+        assert table.block_at(0) is block
 
     def test_corrupt_out_of_range_raises(self):
         table = _table()

@@ -12,8 +12,8 @@ from repro.lsm.sstable import SSTable
 
 
 def _table(sst_id: int = 1, n: int = 8) -> SSTable:
-    entries = [(f"k{i:04d}", f"v{i}") for i in range(n)]
-    return SSTable.from_entries(sst_id, entries, entries_per_block=4)
+    keys = [f"k{i:04d}" for i in range(n)]
+    return SSTable.build(sst_id, keys, [f"v{i}" for i in range(n)], 4, 0)
 
 
 class TestFaultConfig:

@@ -8,7 +8,7 @@ from repro.lsm.block import BlockHandle, DataBlock
 
 
 def make_block(keys, sst_id=1, block_no=0):
-    return DataBlock(BlockHandle(sst_id, block_no), [(k, f"v-{k}") for k in keys])
+    return DataBlock(BlockHandle(sst_id, block_no), list(keys), [f"v-{k}" for k in keys])
 
 
 class TestBlockHandle:
@@ -32,7 +32,7 @@ class TestDataBlock:
         assert block.get("b") == (False, None)
 
     def test_get_tombstone_is_found(self):
-        block = DataBlock(BlockHandle(1, 0), [("a", "1"), ("b", None)])
+        block = DataBlock(BlockHandle(1, 0), ["a", "b"], ["1", None])
         assert block.get("b") == (True, None)
 
     def test_first_last_key(self):

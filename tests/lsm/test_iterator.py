@@ -20,22 +20,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.strategies import build_engine
-from repro.lsm.block import BlockFetch, BlockHandle, DataBlock, Entry
+from repro.lsm.block import BlockFetch, BlockHandle, DataBlock
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import LSMOptions
 from repro.lsm.sstable import SSTable
 from repro.lsm.tree import LSMTree
 
 MergeItem = Tuple[str, int, Optional[str]]  # (key, priority, value)
+Pair = Tuple[str, Optional[str]]  # value None == tombstone
 
 
 # -- the oracle ---------------------------------------------------------------
 
 
-def block_entries_from(block: DataBlock, key: str) -> List[Entry]:
+def block_entries_from(block: DataBlock, key: str) -> List[Pair]:
     """The block's entries with key >= ``key``, in order."""
-    idx = bisect_left(block._keys, key)
-    return list(zip(block._keys[idx:], block._values[idx:]))
+    idx = bisect_left(block.keys, key)
+    return list(zip(block.keys[idx:], block.values[idx:]))
 
 
 def memtable_source(memtable: MemTable, start: str, priority: int) -> Iterator[MergeItem]:
@@ -61,7 +62,7 @@ def sstable_source(
     first = True
     while block_no < len(handles):
         block = fetch(handles[block_no])
-        entries = block_entries_from(block, start) if first else block.entries()
+        entries = block_entries_from(block, start if first else "")
         first = False
         for key, value in entries:
             yield key, priority, value
@@ -124,8 +125,8 @@ def oracle_scan(
 # -- helpers ------------------------------------------------------------------
 
 
-def table_of(sst_id, entries):
-    return SSTable.from_entries(sst_id, entries, 4)
+def table_of(sst_id, keys, values):
+    return SSTable.build(sst_id, keys, values, 4, 0)
 
 
 def direct_fetch_counting(table, counter):
@@ -153,21 +154,21 @@ class TestSources:
         assert out == [("a", 0, "2"), ("b", 0, "1")]
 
     def test_sstable_source_from_midpoint(self):
-        t = table_of(1, [(f"k{i}", str(i)) for i in range(8)])
+        t = table_of(1, [f"k{i}" for i in range(8)], [str(i) for i in range(8)])
         reads = []
         out = list(sstable_source(t, "k5", 1, direct_fetch_counting(t, reads)))
         assert [k for k, _, _ in out] == ["k5", "k6", "k7"]
         assert len(reads) == 1  # only the second block touched
 
     def test_sstable_source_entirely_before_start_costs_nothing(self):
-        t = table_of(1, [("a", "1"), ("b", "2")])
+        t = table_of(1, ["a", "b"], ["1", "2"])
         reads = []
         out = list(sstable_source(t, "z", 1, direct_fetch_counting(t, reads)))
         assert out == [] and reads == []
 
     def test_level_source_skips_early_files(self):
-        t1 = table_of(1, [("a", "1"), ("b", "2")])
-        t2 = table_of(2, [("m", "3"), ("n", "4")])
+        t1 = table_of(1, ["a", "b"], ["1", "2"])
+        t2 = table_of(2, ["m", "n"], ["3", "4"])
         reads = []
 
         def fetch(handle):
@@ -180,15 +181,15 @@ class TestSources:
         assert all(h.sst_id == 2 for h in reads)
 
     def test_block_entries_from_midpoint(self):
-        block = table_of(1, [("a", "1"), ("c", "2"), ("e", "3")]).block_at(0)
+        block = table_of(1, ["a", "c", "e"], ["1", "2", "3"]).block_at(0)
         assert [k for k, _ in block_entries_from(block, "b")] == ["c", "e"]
 
     def test_block_entries_from_before_start(self):
-        block = table_of(1, [("a", "1"), ("c", "2")]).block_at(0)
+        block = table_of(1, ["a", "c"], ["1", "2"]).block_at(0)
         assert [k for k, _ in block_entries_from(block, "")] == ["a", "c"]
 
     def test_block_entries_from_past_end(self):
-        block = table_of(1, [("a", "1"), ("c", "2")]).block_at(0)
+        block = table_of(1, ["a", "c"], ["1", "2"]).block_at(0)
         assert block_entries_from(block, "z") == []
 
 
@@ -244,8 +245,8 @@ class TestTreeScanOracle:
         # Blocks [a c] [e g]: the first-key index sends start "d" to the
         # first block, which holds nothing >= "d"; it is still read.
         tree = LSMTree(LSMOptions(entries_per_block=2, entries_per_sstable=4))
-        table = SSTable.from_entries(
-            tree.disk.allocate_sst_id(), [("a", "1"), ("c", "2"), ("e", "3"), ("g", "4")], 2
+        table = SSTable.build(
+            tree.disk.allocate_sst_id(), ["a", "c", "e", "g"], ["1", "2", "3", "4"], 2, 0
         )
         tree.disk.install(table)
         tree.levels.add_to_level(1, table)
@@ -256,10 +257,12 @@ class TestTreeScanOracle:
     def test_level_entered_by_bisect_reads_no_earlier_file(self):
         tree = LSMTree(LSMOptions(entries_per_block=2, entries_per_sstable=4))
         for i in range(0, 40, 4):
-            table = SSTable.from_entries(
+            table = SSTable.build(
                 tree.disk.allocate_sst_id(),
-                [(f"k{j:03d}", str(j)) for j in range(i, i + 4)],
+                [f"k{j:03d}" for j in range(i, i + 4)],
+                [str(j) for j in range(i, i + 4)],
                 2,
+                0,
             )
             tree.disk.install(table)
             tree.levels.add_to_level(1, table)
@@ -289,8 +292,10 @@ def run_of(min_size: int = 0):
     ).map(lambda d: sorted(d.items()))
 
 
-def install(tree: LSMTree, level: int, entries: List[Entry], per_block: int) -> None:
-    table = SSTable.from_entries(tree.disk.allocate_sst_id(), entries, per_block)
+def install(tree: LSMTree, level: int, entries: List[Pair], per_block: int) -> None:
+    keys = [key for key, _ in entries]
+    values = [value for _, value in entries]
+    table = SSTable.build(tree.disk.allocate_sst_id(), keys, values, per_block, 0)
     tree.disk.install(table)
     if level == 0:
         tree.levels.add_level0(table)
@@ -303,7 +308,7 @@ def trees(draw) -> Tuple[LSMTree, Dict[str, Optional[str]]]:
     """A tree built run by run, and the newest value of every key."""
     per_block = draw(st.integers(min_value=1, max_value=3))
     tree = LSMTree(LSMOptions(max_levels=4, auto_compact=False))
-    runs: List[List[Entry]] = []  # newest first
+    runs: List[List[Pair]] = []  # newest first
     memtable = draw(run_of())
     for key, value in memtable:
         if value is None:

@@ -48,7 +48,7 @@ class TestIteration:
         m = MemTable()
         for k in ["c", "a", "b"]:
             m.put(k, k.upper())
-        assert [k for k, _ in m.entries()] == ["a", "b", "c"]
+        assert m.sorted_from("")[0] == ["a", "b", "c"]
 
     def test_sorted_from(self):
         m = MemTable()
@@ -65,14 +65,14 @@ class TestIteration:
         m = MemTable()
         m.put("a", "1")
         m.delete("b")
-        assert list(m.entries()) == [("a", "1"), ("b", None)]
+        assert m.sorted_from("") == (["a", "b"], ["1", None], 0)
 
     def test_sorted_view_refreshes_after_mutation(self):
         m = MemTable()
         m.put("b", "1")
-        list(m.entries())  # force sort
+        m.sorted_from("")  # force sort
         m.put("a", "2")
-        assert [k for k, _ in m.entries()] == ["a", "b"]
+        assert m.sorted_from("")[:2] == (["a", "b"], ["2", "1"])
 
     def test_approximate_bytes(self):
         m = MemTable()
@@ -97,4 +97,4 @@ def test_property_matches_dict_model(pairs):
         model[k] = v
     for k, v in model.items():
         assert m.get(k) == (True, v)
-    assert [k for k, _ in m.entries()] == sorted(model)
+    assert m.sorted_from("")[0] == sorted(model)

@@ -9,8 +9,9 @@ from repro.lsm.sstable import SSTable
 
 
 def build_table(n=16, sst_id=1, entries_per_block=4, start=0, step=1):
-    entries = [(f"k{start + i * step:05d}", f"v{i}") for i in range(n)]
-    return SSTable.from_entries(sst_id, entries, entries_per_block)
+    keys = [f"k{start + i * step:05d}" for i in range(n)]
+    values = [f"v{i}" for i in range(n)]
+    return SSTable.build(sst_id, keys, values, entries_per_block, 0)
 
 
 class TestConstruction:
@@ -21,7 +22,7 @@ class TestConstruction:
 
     def test_empty_rejected(self):
         with pytest.raises(StorageError):
-            SSTable.from_entries(1, [], 4)
+            SSTable.build(1, [], [], 4, 0)
 
     def test_key_span(self):
         table = build_table(n=8)
@@ -63,7 +64,8 @@ class TestRangeMetadata:
 
     def test_all_entries_roundtrip(self):
         table = build_table(n=10)
-        assert [k for k, _ in table.all_entries()] == [f"k{i:05d}" for i in range(10)]
+        assert [k for b in table.blocks for k in b.keys] == [f"k{i:05d}" for i in range(10)]
+        assert [v for b in table.blocks for v in b.values] == [f"v{i}" for i in range(10)]
 
     def test_handles_enumerate_blocks(self):
         table = build_table(n=10, entries_per_block=4, sst_id=9)

@@ -11,8 +11,8 @@ from repro.lsm.storage import SimulatedDisk
 
 
 def installed_table(disk, n=8):
-    table = SSTable.from_entries(
-        disk.allocate_sst_id(), [(f"k{i:03d}", "v") for i in range(n)], 4
+    table = SSTable.build(
+        disk.allocate_sst_id(), [f"k{i:03d}" for i in range(n)], ["v"] * n, 4, 0
     )
     disk.install(table)
     return table

@@ -10,8 +10,8 @@ from repro.lsm.version import LevelState
 
 
 def table(sst_id, start, n=4):
-    entries = [(f"k{start + i:05d}", "v") for i in range(n)]
-    return SSTable.from_entries(sst_id, entries, 4)
+    keys = [f"k{start + i:05d}" for i in range(n)]
+    return SSTable.build(sst_id, keys, ["v"] * n, 4, 0)
 
 
 class TestLevel0:
