@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.workloads.keys import key_of, value_of
@@ -90,3 +93,47 @@ class TestEvents:
             tree.put(key_of(i), value_of(i))
         for event in events:
             assert not set(event.input_sst_ids) & set(event.output_sst_ids)
+
+
+def columns(tables):
+    """The ``(key, value)`` pairs of ``tables``, block by block."""
+    return [
+        pair for table in tables for block in table.blocks
+        for pair in zip(block.keys, block.values)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=60, max_size=300))
+def test_output_matches_per_entry_merge(writes):
+    """Every compaction writes what a per-entry merge of its inputs gives:
+    the newest version of each key in key order, tombstones kept unless
+    no deeper level holds data, in full tables but the last."""
+    tree = LSMTree(LSMOptions(
+        entries_per_block=2, entries_per_sstable=4, memtable_entries=4, max_levels=4
+    ))
+    built = {}
+    install = tree.disk.install
+
+    def record(table):
+        built[table.sst_id] = table
+        install(table)
+
+    def check(event):
+        newest = {}
+        # Inputs are listed newer runs first (L0 newest first): first seen wins.
+        for key, value in columns(built[i] for i in event.input_sst_ids):
+            newest.setdefault(key, value)
+        bottom = not any(tree.levels.level_files(lv) for lv in range(event.level_to + 1, 4))
+        expected = [(k, v) for k, v in sorted(newest.items()) if v is not None or not bottom]
+        outputs = [built[i] for i in event.output_sst_ids]
+        assert columns(outputs) == expected
+        assert all(t.num_entries == 4 for t in outputs[:-1])
+
+    tree.disk.install = record
+    tree.add_compaction_listener(check)
+    for n, (k, delete) in enumerate(writes):
+        if delete:
+            tree.delete(f"k{k:03d}")
+        else:
+            tree.put(f"k{k:03d}", f"v{n}")
