@@ -18,8 +18,7 @@ from pathlib import Path
 
 from repro.analysis.characterize import characterize, format_profile
 from repro.analysis.reuse import mattson_hit_rates, miss_ratio_curve
-from repro.cache.base import BudgetedCache
-from repro.cache.lru import LRUPolicy
+from repro.cache.base import LRUCache
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 from repro.workloads.trace import load_trace, record_trace
 
@@ -55,7 +54,7 @@ def main() -> None:
     # Cross-check one point against a real LRU cache.
     capacity = 500
     predicted = mattson_hit_rates(point_keys, [capacity])[capacity]
-    cache = BudgetedCache(capacity, LRUPolicy(), lambda k, v: 1)
+    cache = LRUCache(capacity, 1)
     hits = 0
     for key in point_keys:
         if cache.get(key) is not None:

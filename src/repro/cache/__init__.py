@@ -2,7 +2,8 @@
 
 Building blocks
 ---------------
-* :mod:`repro.cache.base` — budgeted cache container + policy interface.
+* :mod:`repro.cache.base` — the LRU container, the budgeted container
+  for pluggable policies, and the policy interface.
 * :mod:`repro.cache.lru` / :mod:`lfu` / :mod:`clock` — classic policies.
 * :mod:`repro.cache.arc` — Adaptive Replacement Cache (AC-Key heritage).
 * :mod:`repro.cache.lecar` / :mod:`cacheus` — learning-based policies
@@ -19,7 +20,7 @@ LSM-facing caches
   array with complete-interval tracking (Range Cache reimplementation).
 """
 
-from repro.cache.base import BudgetedCache, CacheStats, EvictionPolicy
+from repro.cache.base import BudgetedCache, CacheStats, EvictionPolicy, LRUCache
 from repro.cache.block_cache import BlockCache
 from repro.cache.kv_cache import KVCache
 from repro.cache.range_cache import RangeCache
@@ -27,6 +28,7 @@ from repro.cache.range_cache import RangeCache
 __all__ = [
     "BudgetedCache",
     "CacheStats",
+    "LRUCache",
     "EvictionPolicy",
     "BlockCache",
     "KVCache",

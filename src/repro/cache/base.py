@@ -1,16 +1,25 @@
-"""Core cache abstractions: stats, eviction-policy interface, container.
+"""Core cache abstractions: stats, eviction-policy interface, containers.
 
-The container/policy split mirrors how RocksDB separates the sharded
-hash table from its LRU/Clock policies: :class:`BudgetedCache` owns the
-key->value map and the byte budget, and delegates *which* resident key
-to sacrifice to an :class:`EvictionPolicy`.  LeCaR and Cacheus plug in
-through the same interface, receiving eviction/ghost feedback via
-``record_evict``.
+Two containers share one surface (stats, ``get``/``put``/``remove``,
+``get_or_fill``, ``resize``, ``clear``, ``keys``/``peek``, the
+``on_evict`` feed and the sanitizer checks):
+
+* :class:`LRUCache` is the uniform-charge LRU of RocksDB's block cache
+  and of the row cache.  One ``OrderedDict`` holds key -> value in
+  recency order, so a hit is one ``move_to_end`` and an eviction one
+  ``popitem(last=False)``; no second structure mirrors its keys.
+* :class:`BudgetedCache` owns a key -> (value, charge) map and the byte
+  budget, and delegates *which* resident key to sacrifice to an
+  :class:`EvictionPolicy`, as RocksDB separates its hash table from the
+  Clock policy.  CLOCK, ARC, LFU, LeCaR and Cacheus plug in here;
+  learning policies receive eviction/ghost feedback via
+  ``record_evict``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
 
@@ -70,12 +79,13 @@ class CacheBase(sanitize.Sanitized):
     """Uniform surface every cache container exposes.
 
     Concrete caches (block, range, kv, tier-2, and the generic
-    :class:`BudgetedCache`) all present the same capacity pair —
-    :attr:`budget_bytes` / :attr:`used_bytes` — so the sanitizer, the
-    controller, and metrics read one interface regardless of which
-    composition is running.  The ``check_invariants()`` protocol and the
-    sampled gate come from :class:`~repro.sanitize.Sanitized`; every
-    cache reads ``REPRO_SANITIZE`` when it is built.
+    :class:`LRUCache` and :class:`BudgetedCache`) all present the same
+    capacity pair — :attr:`budget_bytes` / :attr:`used_bytes` — so the
+    sanitizer, the controller, and metrics read one interface regardless
+    of which composition is running.  The ``check_invariants()``
+    protocol and the sampled gate come from
+    :class:`~repro.sanitize.Sanitized`; every cache reads
+    ``REPRO_SANITIZE`` when it is built.
     """
 
     @property
@@ -223,6 +233,23 @@ class BudgetedCache(CacheBase, Generic[K, V]):
         self._policy.record_access(key)
         return entry[0]
 
+    def get_or_fill(self, key: K, fill: Callable[[K], V]) -> V:  # hot-path
+        """Value for ``key`` (promoting it), or ``fill(key)`` put on a miss.
+
+        One call for a read-through cache: the same stats, policy calls
+        and evictions as :meth:`get` followed, on a miss, by
+        :meth:`put` of the filled value.
+        """
+        entry = self._data.get(key)
+        if entry is not None:
+            self.stats.hits += 1
+            self._policy.record_access(key)
+            return entry[0]
+        self.stats.misses += 1
+        value = fill(key)
+        self.put(key, value)
+        return value
+
     def peek(self, key: K) -> Optional[V]:
         """Value for ``key`` without touching stats or recency."""
         entry = self._data.get(key)
@@ -298,10 +325,6 @@ class BudgetedCache(CacheBase, Generic[K, V]):
 
     # -- sanitizer protocol ------------------------------------------------------
 
-    def entry_charges(self) -> Iterator[Tuple[K, int]]:
-        """``(key, charge)`` of every resident entry (sanitizer/diagnostics)."""
-        return ((key, charge) for key, (_, charge) in self._data.items())
-
     def check_invariants(self) -> None:
         """Byte-accounting conservation and policy/dict cross-consistency."""
         total = sum(charge for _, charge in self._data.values())
@@ -329,3 +352,162 @@ class BudgetedCache(CacheBase, Generic[K, V]):
                     f"eviction policy"
                 )
         self._policy.check_invariants()
+
+
+class LRUCache(CacheBase, Generic[K, V]):
+    """Byte-budgeted LRU cache with one constant charge per entry.
+
+    The value map is the recency order: least recent first.  Hits,
+    misses, victims and victim order are those of a
+    :class:`BudgetedCache` over an :class:`~repro.cache.lru.LRUPolicy`
+    with a constant charge, which ``tests/cache/test_lru_equivalence.py``
+    checks step by step.
+
+    Parameters
+    ----------
+    budget_bytes:
+        Capacity.  May be resized at runtime (the dynamic boundary).
+    charge:
+        Logical bytes charged per entry.
+    """
+
+    def __init__(self, budget_bytes: int, charge: int) -> None:
+        if budget_bytes < 0:
+            raise CacheError("budget_bytes must be >= 0")
+        self._budget = budget_bytes
+        self.charge = charge
+        self._data: "OrderedDict[K, V]" = OrderedDict()
+        self._used = 0
+        self.stats = CacheStats()
+        #: Capacity-eviction listener ``(key, value)``; invalidations do
+        #: not fire it (a removed key is dead, not demoted).
+        self.on_evict: Optional[Callable[[K, V], None]] = None
+        self._sanitizer = sanitize.from_env()
+
+    # -- capacity ---------------------------------------------------------------
+
+    @property
+    def budget_bytes(self) -> int:
+        """Current capacity in (logical) bytes."""
+        return self._budget
+
+    @property
+    def used_bytes(self) -> int:
+        """Bytes currently charged."""
+        return self._used
+
+    def resize(self, budget_bytes: int) -> int:
+        """Change capacity, evicting as needed; returns evictions made."""
+        if budget_bytes < 0:
+            raise CacheError("budget_bytes must be >= 0")
+        self._budget = budget_bytes
+        evicted = self._evict_to_fit()
+        self._after_mutation()
+        return evicted
+
+    # -- lookups ---------------------------------------------------------------
+
+    def get(self, key: K) -> Optional[V]:  # hot-path
+        """Value for ``key`` (promoting it), or None; counts hit/miss."""
+        data = self._data
+        value = data.get(key)
+        if value is None:
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        data.move_to_end(key)
+        return value
+
+    def get_or_fill(self, key: K, fill: Callable[[K], V]) -> V:  # hot-path
+        """Value for ``key`` (promoting it), or ``fill(key)`` put on a miss."""
+        data = self._data
+        value = data.get(key)
+        if value is not None:
+            self.stats.hits += 1
+            data.move_to_end(key)
+            return value
+        self.stats.misses += 1
+        value = fill(key)
+        self.put(key, value)
+        return value
+
+    def peek(self, key: K) -> Optional[V]:
+        """Value for ``key`` without touching stats or recency."""
+        return self._data.get(key)
+
+    def __contains__(self, key: K) -> bool:
+        return key in self._data
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def keys(self) -> Iterator[K]:
+        """Resident keys, least recent first."""
+        return iter(self._data)
+
+    # -- mutation ---------------------------------------------------------------
+
+    def put(self, key: K, value: V) -> bool:  # hot-path
+        """Insert or overwrite ``key``; returns False if it can never fit."""
+        if self.charge > self._budget:
+            self.stats.rejections += 1
+            return False
+        data = self._data
+        if key in data:
+            data[key] = value
+            data.move_to_end(key)
+        else:
+            data[key] = value
+            self._used += self.charge
+            self.stats.insertions += 1
+            if self._used > self._budget:
+                self._evict_to_fit()
+        if self._sanitizer is not None:
+            self._sanitizer.after_mutation(self)
+        return True
+
+    def remove(self, key: K) -> bool:
+        """Invalidate ``key`` (not an eviction); returns whether present."""
+        if self._data.pop(key, None) is None:
+            return False
+        self._used -= self.charge
+        self.stats.invalidations += 1
+        self._after_mutation()
+        return True
+
+    def clear(self) -> None:
+        """Invalidate everything."""
+        self.stats.invalidations += len(self._data)
+        self._data.clear()
+        self._used = 0
+        self._after_mutation()
+
+    def _evict_to_fit(self) -> int:
+        data = self._data
+        popitem = data.popitem
+        on_evict = self.on_evict
+        evicted = 0
+        while self._used > self._budget and data:
+            victim, value = popitem(False)
+            self._used -= self.charge
+            self.stats.evictions += 1
+            evicted += 1
+            if on_evict is not None:
+                on_evict(victim, value)
+        return evicted
+
+    # -- sanitizer protocol ------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Byte accounting: one constant charge per entry, within budget."""
+        expected = len(self._data) * self.charge
+        if expected != self._used:
+            raise InvariantError(
+                f"LRUCache byte accounting drift: {len(self._data)} entries "
+                f"x charge {self.charge} = {expected} != used_bytes {self._used}"
+            )
+        if self._used > self._budget:
+            raise InvariantError(
+                f"LRUCache over budget at rest: used_bytes {self._used} "
+                f"> budget_bytes {self._budget}"
+            )

@@ -9,21 +9,25 @@ paper.
 
 The cache is sharded by handle hash with a lock per shard, like
 RocksDB's ``LRUCache``; every block read from the backing store is
-admitted.
+admitted.  A shard is an :class:`~repro.cache.base.LRUCache` (values in
+recency order) unless a ``policy_factory`` asks for another policy, in
+which case it is a :class:`~repro.cache.base.BudgetedCache` over that
+policy.  Either way a read is one ``get_or_fill`` call on one shard,
+under that shard's lock.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 from repro import sanitize
-from repro.cache.base import BudgetedCache, CacheBase, CacheStats, EvictionPolicy
-from repro.cache.lru import LRUPolicy
+from repro.cache.base import BudgetedCache, CacheBase, CacheStats, EvictionPolicy, LRUCache
 from repro.errors import CacheError, InvariantError
 from repro.lsm.block import BlockFetch, BlockHandle, DataBlock
 
 PolicyFactory = Callable[[], EvictionPolicy[BlockHandle]]
+Shard = Union[LRUCache[BlockHandle, DataBlock], BudgetedCache[BlockHandle, DataBlock]]
 
 
 class BlockCache(CacheBase):
@@ -40,7 +44,8 @@ class BlockCache(CacheBase):
     num_shards:
         Shard count; 1 gives a single lock-free-path cache.
     policy_factory:
-        Builds one eviction policy per shard (default LRU).
+        Builds one eviction policy per shard; None (the default) gives
+        LRU shards that keep their blocks in recency order.
     """
 
     def __init__(
@@ -56,16 +61,18 @@ class BlockCache(CacheBase):
         self.block_size = block_size
         self._backing_fetch = backing_fetch
         self._num_shards = num_shards
-        factory = policy_factory or LRUPolicy
-        charge = lambda _key, _value: block_size  # noqa: E731 - tiny closure
-        self._shards: List[BudgetedCache[BlockHandle, DataBlock]] = [
-            BudgetedCache(budget_bytes // num_shards, factory(), charge)
-            for _ in range(num_shards)
-        ]
+        per_shard = budget_bytes // num_shards
+        self._shards: List[Shard]
+        if policy_factory is None:
+            self._shards = [LRUCache(per_shard, block_size) for _ in range(num_shards)]
+        else:
+            charge = lambda _key, _value: block_size  # noqa: E731 - tiny closure
+            self._shards = [
+                BudgetedCache(per_shard, policy_factory(), charge)
+                for _ in range(num_shards)
+            ]
         # Give any remainder to shard 0 so budgets sum exactly.
-        self._shards[0].resize(
-            budget_bytes - (budget_bytes // num_shards) * (num_shards - 1)
-        )
+        self._shards[0].resize(budget_bytes - per_shard * (num_shards - 1))
         self._locks = [threading.Lock() for _ in range(num_shards)]
         self._sanitizer = sanitize.from_env()
 
@@ -90,16 +97,11 @@ class BlockCache(CacheBase):
 
         This is what gets installed as the LSM tree's ``block_fetch``.
         The shard lock is taken once, across the probe, the backing read
-        and the fill, so a miss costs one acquisition, not two.
+        and the fill, which are one ``get_or_fill`` call on the shard.
         """
         idx = hash(handle) % self._num_shards
-        shard = self._shards[idx]
         with self._locks[idx]:
-            block = shard.get(handle)
-            if block is not None:
-                return block
-            block = self._backing_fetch(handle)
-            shard.put(handle, block)
+            block = self._shards[idx].get_or_fill(handle, self._backing_fetch)
         if self._sanitizer is not None:
             self._sanitizer.after_mutation(self)
         return block

@@ -7,12 +7,10 @@ that a pure point-result cache is blind to range traffic.
 
 from __future__ import annotations
 
-from repro.cache.base import BudgetedCache
-from repro.cache.lru import LRUPolicy
-from repro.errors import InvariantError
+from repro.cache.base import LRUCache
 
 
-class KVCache(BudgetedCache[str, str]):
+class KVCache(LRUCache[str, str]):
     """Byte-budgeted LRU key-value result cache.
 
     Parameters
@@ -24,8 +22,7 @@ class KVCache(BudgetedCache[str, str]):
     """
 
     def __init__(self, budget_bytes: int, entry_charge: int = 1024) -> None:
-        super().__init__(budget_bytes, LRUPolicy(), lambda _key, _value: entry_charge)
-        self.entry_charge = entry_charge
+        super().__init__(budget_bytes, entry_charge)
 
     def on_write(self, key: str, value: str) -> None:
         """Refresh a resident entry after an upstream put (stale otherwise)."""
@@ -39,13 +36,3 @@ class KVCache(BudgetedCache[str, str]):
     def contains(self, key: str) -> bool:
         """Residency probe without stats side effects."""
         return key in self._data
-
-    def check_invariants(self) -> None:
-        """Budgeted-cache health plus the uniform per-entry charge."""
-        super().check_invariants()
-        for key, charge in self.entry_charges():
-            if charge != self.entry_charge:
-                raise InvariantError(
-                    f"KVCache entry {key!r} charged {charge} bytes, expected "
-                    f"uniform charge {self.entry_charge}"
-                )

@@ -6,9 +6,9 @@ lookups, runs of adjacent keys from scans — are stored in logical key
 order, decoupled from SSTable layout, so compactions never invalidate
 them.  The paper asks only for "a sorted structure (e.g., a skip
 list)"; here it is one sorted ``list`` of keys searched with
-:mod:`bisect`, beside one ``dict`` from key to value.  A scan result
-enters the array with one slice assignment, and one eviction pass
-removes all of its victims together.
+:mod:`bisect`, beside one ``OrderedDict`` from key to value.  A scan
+result enters the array with one slice assignment, and one eviction
+pass removes all of its victims together.
 
 Correctness for scans needs more than resident keys: a scan must know
 that *no* database key in the requested window is missing from the
@@ -18,8 +18,12 @@ cache.  The cache therefore tracks *complete intervals*
 the requested number of entries is found without leaving it.  Evicting
 any entry splits the interval around the evicted key.
 
-Eviction policy is pluggable (LRU by default; LeCaR and Cacheus form
-the paper's baseline variants) and works at single-entry granularity.
+Eviction works at single-entry granularity.  Built without a policy,
+the cache is LRU and the value map *is* the recency order, least recent
+first: a hit is a ``move_to_end`` and the victims are the map's oldest
+entries.  A policy passed explicitly (LeCaR and Cacheus form the
+paper's baseline variants) is told of every insert, hit, eviction and
+removal instead, and the map's order is then unused.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ import functools
 import operator
 import threading
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from collections import OrderedDict
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import sanitize
 from repro.cache.base import CacheBase, CacheStats, EvictionPolicy
 from repro.cache.intervals import IntervalSet
-from repro.cache.lru import LRUPolicy
 from repro.errors import CacheError, InvariantError
 from repro.lsm.block import Entry
 from repro.obs import names as N
@@ -73,7 +77,8 @@ class RangeCache(CacheBase):
     entry_charge:
         Logical bytes charged per cached entry (key + value size).
     policy:
-        Eviction policy over cached keys (default: fresh LRU).
+        Eviction policy over cached keys; None (the default) is LRU in
+        the value map's own order.
     seed:
         Seed for the sampled invariant checks (``REPRO_SANITIZE``).
     """
@@ -92,9 +97,10 @@ class RangeCache(CacheBase):
         self._budget = budget_bytes
         self.entry_charge = entry_charge
         self._keys: List[str] = []  # resident keys, strictly ascending
-        self._values: Dict[str, str] = {}
+        #: key -> value; with no policy, least recently used first.
+        self._values: "OrderedDict[str, str]" = OrderedDict()
         self._intervals = IntervalSet()
-        self._policy: EvictionPolicy[str] = policy if policy is not None else LRUPolicy()
+        self._policy: Optional[EvictionPolicy[str]] = policy
         self._used = 0
         self._lock = threading.RLock()
         self.stats = CacheStats()
@@ -144,7 +150,10 @@ class RangeCache(CacheBase):
             if key in values:
                 self.stats.hits += 1
                 self.point_hits += 1
-                self._policy.record_access(key)
+                if self._policy is None:
+                    values.move_to_end(key)
+                else:
+                    self._policy.record_access(key)
                 return values[key]
             self.stats.misses += 1
             return None
@@ -205,7 +214,9 @@ class RangeCache(CacheBase):
                 return None
             values = self._values
             result = [(key, values[key]) for key in window]
-            record_access = self._policy.record_access
+            record_access = (
+                values.move_to_end if self._policy is None else self._policy.record_access
+            )
             for key in window:
                 record_access(key)
             self.stats.hits += 1
@@ -253,7 +264,10 @@ class RangeCache(CacheBase):
             values = self._values
             if key in values:
                 values[key] = value
-                self._policy.record_access(key)
+                if self._policy is None:
+                    values.move_to_end(key)
+                else:
+                    self._policy.record_access(key)
             elif self._intervals.covering(key) is not None:
                 if not self._admit(((key, value),)):
                     keys = self._keys
@@ -274,7 +288,8 @@ class RangeCache(CacheBase):
                 keys = self._keys
                 del keys[bisect_left(keys, key)]
                 self._used -= self.entry_charge
-                self._policy.record_remove(key)
+                if self._policy is not None:
+                    self._policy.record_remove(key)
                 self.stats.invalidations += 1
             if self._sanitizer is not None:
                 self._sanitizer.after_mutation(self)
@@ -284,7 +299,8 @@ class RangeCache(CacheBase):
     def _admit(self, pairs: Sequence[Entry]) -> int:  # hot-path
         """Make ``pairs`` (ascending by key) resident, then evict to fit.
 
-        Policy and stats calls run once per pair in ``pairs`` order, as
+        Recency updates (a ``move_to_end``, or the policy's insert or
+        access call) and stats run once per pair in ``pairs`` order, as
         one insert per pair would make them; the new keys enter the key
         array with one slice assignment, which for a single key is
         :func:`bisect.insort`.  Returns ``len(pairs)``, or 0 — one
@@ -295,14 +311,19 @@ class RangeCache(CacheBase):
             return 0
         values = self._values
         policy = self._policy
-        record_insert = policy.record_insert
-        record_access = policy.record_access
+        touch: Callable[[str], None]
+        record_insert: Optional[Callable[[str], None]]
+        if policy is None:
+            touch, record_insert = values.move_to_end, None
+        else:
+            touch, record_insert = policy.record_access, policy.record_insert
         new: List[str] = []
         for key, value in pairs:
             if key in values:
-                record_access(key)
+                touch(key)
             else:
-                record_insert(key)
+                if record_insert is not None:
+                    record_insert(key)
                 new.append(key)
             values[key] = value
         if new:
@@ -318,11 +339,12 @@ class RangeCache(CacheBase):
     def _evict_to_fit(self) -> int:  # hot-path
         """Evict until the budget holds; returns the number evicted.
 
-        Charges are uniform, so the victim count is known up front and
-        the policy draws all victims in one :meth:`~EvictionPolicy.evict`
-        call (learning policies still see one ``select_victim`` /
-        ``record_evict`` pair per victim); they then leave the array,
-        the value map and the complete intervals together.
+        Charges are uniform, so the victim count is known up front: the
+        value map's oldest entries under built-in LRU, or one
+        :meth:`~EvictionPolicy.evict` call to the policy (learning
+        policies still see one ``select_victim`` / ``record_evict`` pair
+        per victim).  The victims then leave the array and the complete
+        intervals together.
         """
         excess = self._used - self._budget
         if excess <= 0:
@@ -330,10 +352,14 @@ class RangeCache(CacheBase):
         keys = self._keys
         charge = self.entry_charge
         count = min(len(keys), -(-excess // charge))
-        victims = self._policy.evict(count)
         values = self._values
-        for victim in victims:
-            del values[victim]
+        if self._policy is None:
+            popitem = values.popitem
+            victims = [popitem(False)[0] for _ in range(count)]
+        else:
+            victims = self._policy.evict(count)
+            for victim in victims:
+                del values[victim]
         victims.sort()
         # Remove the victims in ascending order.  Each one's index is then
         # where it sits among the keys that stay, and a victim adjacent to
@@ -369,9 +395,10 @@ class RangeCache(CacheBase):
     @_locked
     def clear(self) -> None:
         """Drop all entries and intervals."""
-        record_remove = self._policy.record_remove
-        for key in self._keys:
-            record_remove(key)
+        if self._policy is not None:
+            record_remove = self._policy.record_remove
+            for key in self._keys:
+                record_remove(key)
         self._used -= len(self._keys) * self.entry_charge
         self._keys.clear()
         self._values.clear()
@@ -381,7 +408,8 @@ class RangeCache(CacheBase):
 
     @_locked
     def check_invariants(self) -> None:
-        """Sorted key array, array/map agreement, bytes, policy sync, intervals."""
+        """Sorted key array, array/map agreement, bytes, intervals, and an
+        explicit policy's agreement with the key array."""
         keys = self._keys
         values = self._values
         for i in range(1, len(keys)):
@@ -412,18 +440,20 @@ class RangeCache(CacheBase):
                 f"RangeCache over budget at rest: used_bytes {self._used} "
                 f"> budget_bytes {self._budget}"
             )
-        policy_len = len(self._policy)
-        if policy_len != len(keys):
+        self._intervals.check_invariants()
+        policy = self._policy
+        if policy is None:
+            return
+        if len(policy) != len(keys):
             raise InvariantError(
                 f"RangeCache policy/key-array divergence: policy tracks "
-                f"{policy_len} keys, key array holds {len(keys)} "
+                f"{len(policy)} keys, key array holds {len(keys)} "
                 f"(a ghost entry leaked or a resident key went untracked)"
             )
         for key in keys:
-            if key not in self._policy:
+            if key not in policy:
                 raise InvariantError(
                     f"RangeCache resident key {key!r} is unknown to the "
                     f"eviction policy"
                 )
-        self._intervals.check_invariants()
-        self._policy.check_invariants()
+        policy.check_invariants()

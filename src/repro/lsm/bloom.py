@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -146,7 +146,7 @@ class BloomFilter:
 
     @classmethod
     def build(
-        cls, keys: Iterable[str], bits_per_key: int = 10, seed: int = 0
+        cls, keys: Sequence[str], bits_per_key: int = 10, seed: int = 0
     ) -> "BloomFilter":
         """Build a filter sized for and populated with ``keys``.
 
@@ -159,19 +159,18 @@ class BloomFilter:
         under 2 % of builds are that small on any benchmark workload, so
         there is one path (see ``docs/performance.md``).
         """
-        key_list = list(keys)
-        n = len(key_list)
+        n = len(keys)
         bloom = cls(n, bits_per_key=bits_per_key, seed=seed)
         num_bits = bloom._num_bits
         if not num_bits or n == 0:
             return bloom
-        prefix = os.path.commonprefix(key_list)
+        prefix = os.path.commonprefix(keys)
         head = prefix.encode("utf-8")
         bloom._prefix = prefix
         bloom._state1 = state1 = fnv1a(head, seed)
         bloom._state2 = state2 = fnv1a(head, seed ^ GOLDEN_GAMMA)
         cut = len(prefix)
-        datas = [key[cut:].encode("utf-8") for key in key_list]
+        datas = [key[cut:].encode("utf-8") for key in keys]
         # The salt ``state ^ _FNV_OFFSET`` starts the fold at ``state``.
         digests = fnv1a_batch_multi(datas, [state1 ^ _FNV_OFFSET, state2 ^ _FNV_OFFSET])
         # Probe i sits at (h1 + i*h2) % m; uint64 wraps like the probe's

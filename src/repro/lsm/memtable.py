@@ -70,7 +70,3 @@ class MemTable:
         if values is None:
             values = self._sorted_values = list(map(self._data.__getitem__, keys))
         return keys, values, bisect.bisect_left(keys, key)
-
-    def approximate_bytes(self, key_size: int, value_size: int) -> int:
-        """Logical footprint used for flush decisions in byte-based setups."""
-        return len(self._data) * (key_size + value_size)

@@ -67,13 +67,13 @@ class TestStrategies:
 
     def test_range_variants_carry_their_policy(self):
         """Regression: an *empty* learned policy is falsy (it defines
-        __len__), so `policy or LRUPolicy()` silently replaced it."""
+        __len__), so `policy or LRUPolicy()` silently replaced it.  Plain
+        ``range`` is LRU by its value map's order and holds no policy."""
         from repro.cache.cacheus import CacheusPolicy
         from repro.cache.lecar import LeCaRPolicy
-        from repro.cache.lru import LRUPolicy
 
         expected = {
-            "range": LRUPolicy,
+            "range": type(None),
             "range-lecar": LeCaRPolicy,
             "range-cacheus": CacheusPolicy,
         }

@@ -9,7 +9,7 @@ drift) and asserts ``check_invariants()`` raises an
 import pytest
 
 from repro import sanitize
-from repro.cache.base import BudgetedCache
+from repro.cache.base import BudgetedCache, LRUCache
 from repro.cache.block_cache import BlockCache
 from repro.cache.intervals import IntervalSet
 from repro.cache.kv_cache import KVCache
@@ -28,8 +28,8 @@ def _budgeted(budget=1024, charge=64):
     return BudgetedCache(budget, LRUPolicy(), lambda _k, _v: charge)
 
 
-def _filled_range_cache(n=20):
-    cache = RangeCache(budget_bytes=64 * n, entry_charge=64, seed=3)
+def _filled_range_cache(n=20, policy=None):
+    cache = RangeCache(budget_bytes=64 * n, entry_charge=64, policy=policy, seed=3)
     for i in range(n):
         cache.insert_point(f"k{i:04d}", f"v{i}")
     return cache
@@ -138,6 +138,41 @@ def test_budgeted_cache_detects_untracked_resident_key():
         cache.check_invariants()
 
 
+# -- LRUCache corruptions ----------------------------------------------------
+
+
+def _lru(budget=1024, charge=64):
+    cache = LRUCache(budget, charge)
+    for i in range(10):
+        cache.put(f"k{i}", "v")
+    return cache
+
+
+def test_lru_cache_clean_state_passes():
+    _lru().check_invariants()
+
+
+def test_lru_cache_detects_byte_drift():
+    cache = _lru()
+    cache._used -= 64  # a lost increment on insert
+    with pytest.raises(InvariantError, match="byte accounting drift"):
+        cache.check_invariants()
+
+
+def test_lru_cache_detects_entry_the_charge_missed():
+    cache = _lru()
+    cache._data["stray"] = "v"  # the map gained a key put never charged
+    with pytest.raises(InvariantError, match="11 entries x charge 64"):
+        cache.check_invariants()
+
+
+def test_lru_cache_detects_resting_over_budget():
+    cache = _lru()
+    cache._budget = 128  # resize that forgot to evict
+    with pytest.raises(InvariantError, match="over budget at rest"):
+        cache.check_invariants()
+
+
 def test_enabled_sanitizer_trips_on_next_mutation():
     cache = _budgeted()
     cache._sanitizer = sanitize.Sanitizer(1, 0)
@@ -209,7 +244,8 @@ def test_range_cache_clean_state_passes():
 
 
 def test_range_cache_detects_leaked_ghost_entry():
-    cache = _filled_range_cache()
+    # Only an explicit policy tracks keys apart from the value map.
+    cache = _filled_range_cache(policy=LRUPolicy())
     cache._policy.record_insert("ghost-key")
     with pytest.raises(InvariantError, match="policy/key-array divergence"):
         cache.check_invariants()
@@ -219,6 +255,15 @@ def test_range_cache_detects_byte_drift():
     cache = _filled_range_cache()
     cache._used -= 64
     with pytest.raises(InvariantError, match="byte accounting drift"):
+        cache.check_invariants()
+
+
+def test_builtin_lru_range_cache_detects_array_key_the_map_lost():
+    # Built-in LRU evicts by popping the value map; a victim left in the
+    # key array is the fault this path can make.
+    cache = _filled_range_cache()
+    del cache._values["k0007"]  # an eviction that skipped the key array
+    with pytest.raises(InvariantError, match="length drift"):
         cache.check_invariants()
 
 

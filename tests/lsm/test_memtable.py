@@ -74,12 +74,6 @@ class TestIteration:
         m.put("a", "2")
         assert m.sorted_from("")[:2] == (["a", "b"], ["2", "1"])
 
-    def test_approximate_bytes(self):
-        m = MemTable()
-        m.put("a", "1")
-        m.put("b", "2")
-        assert m.approximate_bytes(24, 1000) == 2 * 1024
-
 
 @settings(max_examples=50, deadline=None)
 @given(
