@@ -17,9 +17,11 @@ The claims under test:
 * the adaptive controller beats the learned-eviction baselines
   (range-lecar, range-cacheus) on simulated I/O per op in more
   scenarios than it loses.  (At this scaled-down fleet geometry the
-  plain block cache wins most scenarios outright — 1 KB logical values
-  make range-cache entries ~250x the footprint of a cached block, so
-  small budgets favour blocks; the honest matrix reports that.)
+  plain block cache wins most scenarios outright, and the matrix
+  reports that.  Footprint is not the reason: a range entry is charged
+  24 B key + 1 000 B value = 1 024 B, and a 4 096 B block holds
+  ``entries_per_block`` = 4 entries, also 1 024 B per entry.  Why
+  blocks win 6 of 7 cells is still unexplained.)
 """
 
 from __future__ import annotations

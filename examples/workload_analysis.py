@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro.analysis.characterize import characterize, format_profile
 from repro.analysis.reuse import mattson_hit_rates, miss_ratio_curve
-from repro.cache.base import LRUCache
+from repro.cache.base import BudgetedCache
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 from repro.workloads.trace import load_trace, record_trace
 
@@ -54,7 +54,7 @@ def main() -> None:
     # Cross-check one point against a real LRU cache.
     capacity = 500
     predicted = mattson_hit_rates(point_keys, [capacity])[capacity]
-    cache = LRUCache(capacity, 1)
+    cache = BudgetedCache(capacity, 1)
     hits = 0
     for key in point_keys:
         if cache.get(key) is not None:

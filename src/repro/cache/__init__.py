@@ -2,8 +2,8 @@
 
 Building blocks
 ---------------
-* :mod:`repro.cache.base` — the LRU container, the budgeted container
-  for pluggable policies, and the policy interface.
+* :mod:`repro.cache.base` — the one byte-budgeted container (LRU by its
+  own order, or driven by a pluggable policy) and the policy interface.
 * :mod:`repro.cache.lru` / :mod:`lfu` / :mod:`clock` — classic policies.
 * :mod:`repro.cache.arc` — Adaptive Replacement Cache (AC-Key heritage).
 * :mod:`repro.cache.lecar` / :mod:`cacheus` — learning-based policies
@@ -18,9 +18,11 @@ LSM-facing caches
 * :mod:`repro.cache.kv_cache` — point-lookup result cache (row cache).
 * :mod:`repro.cache.range_cache` — result-based cache over a sorted key
   array with complete-interval tracking (Range Cache reimplementation).
+* :mod:`repro.cache.tier2` — the fleet-shared L2: a budgeted container
+  over ARC with a reuse filter in front of admission.
 """
 
-from repro.cache.base import BudgetedCache, CacheStats, EvictionPolicy, LRUCache
+from repro.cache.base import BudgetedCache, CacheStats, EvictionPolicy
 from repro.cache.block_cache import BlockCache
 from repro.cache.kv_cache import KVCache
 from repro.cache.range_cache import RangeCache
@@ -28,7 +30,6 @@ from repro.cache.range_cache import RangeCache
 __all__ = [
     "BudgetedCache",
     "CacheStats",
-    "LRUCache",
     "EvictionPolicy",
     "BlockCache",
     "KVCache",

@@ -14,8 +14,9 @@ used in this simulator the two are proportional.  The ghost bookkeeping
 is the shared :class:`~repro.cache.ghost.GhostList`.
 
 This is the repo's one T1/T2/B1/B2 state machine: the fleet L2 tier
-(:mod:`repro.cache.tier2`) is a container around the same policy, with
-an admission filter in front of :meth:`ARCPolicy.record_insert`.
+(:mod:`repro.cache.tier2`) is a
+:class:`~repro.cache.base.BudgetedCache` over this policy, with an
+admission filter in front that reads :meth:`ARCPolicy.ghost_of`.
 """
 
 from __future__ import annotations
@@ -70,30 +71,29 @@ class ARCPolicy(EvictionPolicy[K], Generic[K]):
         """Every key with state here: residents first, then ghosts."""
         return chain(self._t1, self._t2, self._b1, self._b2)
 
-    def readmit_ghost(self, key: K) -> Optional[str]:
-        """Seat a ghost-remembered ``key`` in T2, steering ``p``.
+    def ghost_of(self, key: K) -> Optional[str]:
+        """The ghost list that remembers ``key`` (``"B1"``/``"B2"``), or
+        None; changes nothing."""
+        if key in self._b1:
+            return "B1"
+        if key in self._b2:
+            return "B2"
+        return None
 
-        Returns the list that remembered it (``"B1"``/``"B2"``), or None
-        with nothing changed when neither does.
-        """
+    def record_insert(self, key: K) -> None:
         if key in self._b1:
             # Ghost hit in B1: T1 was evicted too eagerly -> grow p.
             delta = max(1.0, len(self._b2) / max(1, len(self._b1)))
             self._p = min(float(self._c), self._p + delta)
             self._b1.discard(key)
             self._t2[key] = None
-            return "B1"
-        if key in self._b2:
+        elif key in self._b2:
             # Ghost hit in B2 -> shrink p.
             delta = max(1.0, len(self._b1) / max(1, len(self._b2)))
             self._p = max(0.0, self._p - delta)
             self._b2.discard(key)
             self._t2[key] = None
-            return "B2"
-        return None
-
-    def record_insert(self, key: K) -> None:
-        if self.readmit_ghost(key) is None:
+        else:
             self._t1[key] = None
 
     def record_access(self, key: K) -> None:

@@ -1,19 +1,15 @@
-"""Core cache abstractions: stats, eviction-policy interface, containers.
+"""Core cache abstractions: stats, eviction-policy interface, container.
 
-Two containers share one surface (stats, ``get``/``put``/``remove``,
-``get_or_fill``, ``resize``, ``clear``, ``keys``/``peek``, the
-``on_evict`` feed and the sanitizer checks):
-
-* :class:`LRUCache` is the uniform-charge LRU of RocksDB's block cache
-  and of the row cache.  One ``OrderedDict`` holds key -> value in
-  recency order, so a hit is one ``move_to_end`` and an eviction one
-  ``popitem(last=False)``; no second structure mirrors its keys.
-* :class:`BudgetedCache` owns a key -> (value, charge) map and the byte
-  budget, and delegates *which* resident key to sacrifice to an
-  :class:`EvictionPolicy`, as RocksDB separates its hash table from the
-  Clock policy.  CLOCK, ARC, LFU, LeCaR and Cacheus plug in here;
-  learning policies receive eviction/ghost feedback via
-  ``record_evict``.
+:class:`BudgetedCache` is the one byte-budgeted container under the
+block cache's shards, the row cache and the shared L2 tier.  It holds
+key -> value in one ``OrderedDict`` and charges one constant size per
+entry.  Built without a policy it is the uniform-charge LRU of RocksDB's
+block cache and row cache: the map's order is the recency order, so a
+hit is one ``move_to_end`` and an eviction one ``popitem(last=False)``.
+Built with an :class:`EvictionPolicy` it delegates *which* resident key
+to sacrifice to the policy, as RocksDB separates its hash table from
+the Clock policy.  CLOCK, ARC, LFU, LeCaR and Cacheus plug in here;
+learning policies receive eviction/ghost feedback via ``record_evict``.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Collection, Generic, Hashable, Iterator, List, Optional, TypeVar
 
 from repro import sanitize
 from repro.errors import CacheError, InvariantError
@@ -79,7 +75,7 @@ class CacheBase(sanitize.Sanitized):
     """Uniform surface every cache container exposes.
 
     Concrete caches (block, range, kv, tier-2, and the generic
-    :class:`LRUCache` and :class:`BudgetedCache`) all present the same
+    :class:`BudgetedCache`) all present the same
     capacity pair — :attr:`budget_bytes` / :attr:`used_bytes` — so the
     sanitizer, the controller, and metrics read one interface regardless
     of which composition is running.  The ``check_invariants()``
@@ -167,201 +163,40 @@ class EvictionPolicy(ABC, Generic[K]):
         """
 
 
-class BudgetedCache(CacheBase, Generic[K, V]):
-    """Byte-budgeted key-value cache with a pluggable eviction policy.
+def check_policy_residency(
+    label: str, policy: EvictionPolicy[K], keys: Collection[K]
+) -> None:
+    """Raise :class:`~repro.errors.InvariantError` unless ``policy`` tracks
+    exactly the resident ``keys``, then run the policy's own checks.
 
-    Parameters
-    ----------
-    budget_bytes:
-        Capacity.  May be resized at runtime (the dynamic boundary).
-    policy:
-        Eviction policy instance; owns no values, only key ordering.
-    charge_of:
-        Size function applied to ``(key, value)`` on insert.
+    ``label`` names the owner and its key holder in the messages (for
+    example ``"RangeCache policy/key-array"``).
     """
-
-    def __init__(
-        self,
-        budget_bytes: int,
-        policy: EvictionPolicy[K],
-        charge_of: Callable[[K, V], int],
-    ) -> None:
-        if budget_bytes < 0:
-            raise CacheError("budget_bytes must be >= 0")
-        self._budget = budget_bytes
-        self._policy = policy
-        self._charge_of = charge_of
-        self._data: Dict[K, Tuple[V, int]] = {}
-        self._used = 0
-        self.stats = CacheStats()
-        #: Capacity-eviction listener ``(key, value)``; invalidations do
-        #: not fire it (a removed key is dead, not demoted).  The tiered
-        #: serving cache uses this as its L1 demotion feed.
-        self.on_evict: Optional[Callable[[K, V], None]] = None
-        self._sanitizer = sanitize.from_env()
-
-    # -- capacity ---------------------------------------------------------------
-
-    @property
-    def budget_bytes(self) -> int:
-        """Current capacity in (logical) bytes."""
-        return self._budget
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently charged."""
-        return self._used
-
-    def resize(self, budget_bytes: int) -> int:
-        """Change capacity, evicting as needed; returns evictions made."""
-        if budget_bytes < 0:
-            raise CacheError("budget_bytes must be >= 0")
-        self._budget = budget_bytes
-        evicted = self._evict_to_fit()
-        self._after_mutation()
-        return evicted
-
-    # -- lookups ---------------------------------------------------------------
-
-    def get(self, key: K) -> Optional[V]:  # hot-path
-        """Value for ``key`` (promoting it), or None; counts hit/miss."""
-        entry = self._data.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._policy.record_access(key)
-        return entry[0]
-
-    def get_or_fill(self, key: K, fill: Callable[[K], V]) -> V:  # hot-path
-        """Value for ``key`` (promoting it), or ``fill(key)`` put on a miss.
-
-        One call for a read-through cache: the same stats, policy calls
-        and evictions as :meth:`get` followed, on a miss, by
-        :meth:`put` of the filled value.
-        """
-        entry = self._data.get(key)
-        if entry is not None:
-            self.stats.hits += 1
-            self._policy.record_access(key)
-            return entry[0]
-        self.stats.misses += 1
-        value = fill(key)
-        self.put(key, value)
-        return value
-
-    def peek(self, key: K) -> Optional[V]:
-        """Value for ``key`` without touching stats or recency."""
-        entry = self._data.get(key)
-        return entry[0] if entry else None
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def keys(self) -> Iterator[K]:
-        """Resident keys (unordered)."""
-        return iter(self._data)
-
-    # -- mutation ---------------------------------------------------------------
-
-    def put(self, key: K, value: V) -> bool:  # hot-path
-        """Insert or overwrite ``key``; returns False if it can never fit."""
-        charge = self._charge_of(key, value)
-        if charge > self._budget:
-            self.stats.rejections += 1
-            return False
-        data = self._data
-        old = data.get(key)
-        if old is not None:
-            self._used -= old[1]
-            data[key] = (value, charge)
-            self._used += charge
-            self._policy.record_access(key)
-        else:
-            data[key] = (value, charge)
-            self._used += charge
-            self._policy.record_insert(key)
-            self.stats.insertions += 1
-        if self._used > self._budget:
-            self._evict_to_fit()
-        if self._sanitizer is not None:
-            self._sanitizer.after_mutation(self)
-        return True
-
-    def remove(self, key: K) -> bool:
-        """Invalidate ``key`` (not an eviction); returns whether present."""
-        entry = self._data.pop(key, None)
-        if entry is None:
-            return False
-        self._used -= entry[1]
-        self._policy.record_remove(key)
-        self.stats.invalidations += 1
-        self._after_mutation()
-        return True
-
-    def clear(self) -> None:
-        """Invalidate everything."""
-        for key in list(self._data):
-            self.remove(key)
-
-    def _evict_to_fit(self) -> int:
-        evicted = 0
-        on_evict = self.on_evict
-        while self._used > self._budget and self._data:
-            victim = self._policy.select_victim()
-            entry = self._data.pop(victim, None)
-            if entry is None:
-                raise CacheError(f"policy chose non-resident victim {victim!r}")
-            self._used -= entry[1]
-            self._policy.record_evict(victim)
-            self.stats.evictions += 1
-            evicted += 1
-            if on_evict is not None:
-                on_evict(victim, entry[0])
-        return evicted
-
-    # -- sanitizer protocol ------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Byte-accounting conservation and policy/dict cross-consistency."""
-        total = sum(charge for _, charge in self._data.values())
-        if total != self._used:
+    if len(policy) != len(keys):
+        raise InvariantError(
+            f"{label} divergence: policy tracks {len(policy)} keys, the "
+            f"cache holds {len(keys)} (a ghost entry leaked or a resident "
+            f"key went untracked)"
+        )
+    for key in keys:
+        if key not in policy:
             raise InvariantError(
-                f"BudgetedCache byte accounting drift: sum of entry charges "
-                f"{total} != used_bytes {self._used} ({len(self._data)} entries)"
+                f"{label}: resident key {key!r} is unknown to the eviction policy"
             )
-        if self._used > self._budget:
-            raise InvariantError(
-                f"BudgetedCache over budget at rest: used_bytes {self._used} "
-                f"> budget_bytes {self._budget}"
-            )
-        policy_len = len(self._policy)
-        if policy_len != len(self._data):
-            raise InvariantError(
-                f"BudgetedCache policy/dict divergence: policy tracks "
-                f"{policy_len} keys, cache holds {len(self._data)} "
-                f"(a ghost entry leaked or a resident key went untracked)"
-            )
-        for key in self._data:
-            if key not in self._policy:
-                raise InvariantError(
-                    f"BudgetedCache resident key {key!r} is unknown to the "
-                    f"eviction policy"
-                )
-        self._policy.check_invariants()
+    policy.check_invariants()
 
 
-class LRUCache(CacheBase, Generic[K, V]):
-    """Byte-budgeted LRU cache with one constant charge per entry.
+class BudgetedCache(CacheBase, Generic[K, V]):
+    """Byte-budgeted key-value cache with one constant charge per entry.
 
-    The value map is the recency order: least recent first.  Hits,
-    misses, victims and victim order are those of a
-    :class:`BudgetedCache` over an :class:`~repro.cache.lru.LRUPolicy`
-    with a constant charge, which ``tests/cache/test_lru_equivalence.py``
-    checks step by step.
+    One ``OrderedDict`` maps key -> value.  With no policy the map's
+    order is LRU, least recent first: a hit is one ``move_to_end`` and
+    an eviction one ``popitem(last=False)``.  With a policy the map's
+    order is unused and the policy is told of every insert, hit,
+    eviction and removal, and picks every victim.
+    ``tests/cache/test_lru_equivalence.py`` checks step by step that
+    the built-in order matches an explicit
+    :class:`~repro.cache.lru.LRUPolicy`.
 
     Parameters
     ----------
@@ -369,18 +204,28 @@ class LRUCache(CacheBase, Generic[K, V]):
         Capacity.  May be resized at runtime (the dynamic boundary).
     charge:
         Logical bytes charged per entry.
+    policy:
+        Eviction policy instance (owns no values, only key ordering);
+        None (the default) is LRU in the value map's own order.
     """
 
-    def __init__(self, budget_bytes: int, charge: int) -> None:
+    def __init__(
+        self,
+        budget_bytes: int,
+        charge: int,
+        policy: Optional[EvictionPolicy[K]] = None,
+    ) -> None:
         if budget_bytes < 0:
             raise CacheError("budget_bytes must be >= 0")
         self._budget = budget_bytes
         self.charge = charge
+        self._policy = policy
         self._data: "OrderedDict[K, V]" = OrderedDict()
         self._used = 0
         self.stats = CacheStats()
         #: Capacity-eviction listener ``(key, value)``; invalidations do
-        #: not fire it (a removed key is dead, not demoted).
+        #: not fire it (a removed key is dead, not demoted).  The tiered
+        #: serving cache uses this as its L1 demotion feed.
         self.on_evict: Optional[Callable[[K, V], None]] = None
         self._sanitizer = sanitize.from_env()
 
@@ -415,16 +260,27 @@ class LRUCache(CacheBase, Generic[K, V]):
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        data.move_to_end(key)
+        if self._policy is None:
+            data.move_to_end(key)
+        else:
+            self._policy.record_access(key)
         return value
 
     def get_or_fill(self, key: K, fill: Callable[[K], V]) -> V:  # hot-path
-        """Value for ``key`` (promoting it), or ``fill(key)`` put on a miss."""
+        """Value for ``key`` (promoting it), or ``fill(key)`` put on a miss.
+
+        One call for a read-through cache: the same stats, policy calls
+        and evictions as :meth:`get` followed, on a miss, by
+        :meth:`put` of the filled value.
+        """
         data = self._data
         value = data.get(key)
         if value is not None:
             self.stats.hits += 1
-            data.move_to_end(key)
+            if self._policy is None:
+                data.move_to_end(key)
+            else:
+                self._policy.record_access(key)
             return value
         self.stats.misses += 1
         value = fill(key)
@@ -442,7 +298,7 @@ class LRUCache(CacheBase, Generic[K, V]):
         return len(self._data)
 
     def keys(self) -> Iterator[K]:
-        """Resident keys, least recent first."""
+        """Resident keys; with no policy, least recent first."""
         return iter(self._data)
 
     # -- mutation ---------------------------------------------------------------
@@ -453,12 +309,18 @@ class LRUCache(CacheBase, Generic[K, V]):
             self.stats.rejections += 1
             return False
         data = self._data
+        policy = self._policy
         if key in data:
             data[key] = value
-            data.move_to_end(key)
+            if policy is None:
+                data.move_to_end(key)
+            else:
+                policy.record_access(key)
         else:
             data[key] = value
             self._used += self.charge
+            if policy is not None:
+                policy.record_insert(key)
             self.stats.insertions += 1
             if self._used > self._budget:
                 self._evict_to_fit()
@@ -471,12 +333,17 @@ class LRUCache(CacheBase, Generic[K, V]):
         if self._data.pop(key, None) is None:
             return False
         self._used -= self.charge
+        if self._policy is not None:
+            self._policy.record_remove(key)
         self.stats.invalidations += 1
         self._after_mutation()
         return True
 
     def clear(self) -> None:
         """Invalidate everything."""
+        if self._policy is not None:
+            for key in self._data:
+                self._policy.record_remove(key)
         self.stats.invalidations += len(self._data)
         self._data.clear()
         self._used = 0
@@ -484,11 +351,18 @@ class LRUCache(CacheBase, Generic[K, V]):
 
     def _evict_to_fit(self) -> int:
         data = self._data
-        popitem = data.popitem
+        policy = self._policy
         on_evict = self.on_evict
         evicted = 0
         while self._used > self._budget and data:
-            victim, value = popitem(False)
+            if policy is None:
+                victim, value = data.popitem(False)
+            else:
+                victim = policy.select_victim()
+                if victim not in data:
+                    raise CacheError(f"policy chose non-resident victim {victim!r}")
+                value = data.pop(victim)
+                policy.record_evict(victim)
             self._used -= self.charge
             self.stats.evictions += 1
             evicted += 1
@@ -499,15 +373,19 @@ class LRUCache(CacheBase, Generic[K, V]):
     # -- sanitizer protocol ------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Byte accounting: one constant charge per entry, within budget."""
+        """Byte accounting (one constant charge per entry, within budget)
+        and, with a policy, the policy's agreement with the value map."""
+        name = type(self).__name__
         expected = len(self._data) * self.charge
         if expected != self._used:
             raise InvariantError(
-                f"LRUCache byte accounting drift: {len(self._data)} entries "
+                f"{name} byte accounting drift: {len(self._data)} entries "
                 f"x charge {self.charge} = {expected} != used_bytes {self._used}"
             )
         if self._used > self._budget:
             raise InvariantError(
-                f"LRUCache over budget at rest: used_bytes {self._used} "
+                f"{name} over budget at rest: used_bytes {self._used} "
                 f"> budget_bytes {self._budget}"
             )
+        if self._policy is not None:
+            check_policy_residency(f"{name} policy/dict", self._policy, self._data)

@@ -9,25 +9,23 @@ paper.
 
 The cache is sharded by handle hash with a lock per shard, like
 RocksDB's ``LRUCache``; every block read from the backing store is
-admitted.  A shard is an :class:`~repro.cache.base.LRUCache` (values in
-recency order) unless a ``policy_factory`` asks for another policy, in
-which case it is a :class:`~repro.cache.base.BudgetedCache` over that
-policy.  Either way a read is one ``get_or_fill`` call on one shard,
+admitted.  A shard is a :class:`~repro.cache.base.BudgetedCache`: LRU in
+its value map's own order, or over the policy a ``policy_factory``
+builds.  Either way a read is one ``get_or_fill`` call on one shard,
 under that shard's lock.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 from repro import sanitize
-from repro.cache.base import BudgetedCache, CacheBase, CacheStats, EvictionPolicy, LRUCache
+from repro.cache.base import BudgetedCache, CacheBase, CacheStats, EvictionPolicy
 from repro.errors import CacheError, InvariantError
 from repro.lsm.block import BlockFetch, BlockHandle, DataBlock
 
 PolicyFactory = Callable[[], EvictionPolicy[BlockHandle]]
-Shard = Union[LRUCache[BlockHandle, DataBlock], BudgetedCache[BlockHandle, DataBlock]]
 
 
 class BlockCache(CacheBase):
@@ -62,15 +60,12 @@ class BlockCache(CacheBase):
         self._backing_fetch = backing_fetch
         self._num_shards = num_shards
         per_shard = budget_bytes // num_shards
-        self._shards: List[Shard]
-        if policy_factory is None:
-            self._shards = [LRUCache(per_shard, block_size) for _ in range(num_shards)]
-        else:
-            charge = lambda _key, _value: block_size  # noqa: E731 - tiny closure
-            self._shards = [
-                BudgetedCache(per_shard, policy_factory(), charge)
-                for _ in range(num_shards)
-            ]
+        self._shards: List[BudgetedCache[BlockHandle, DataBlock]] = [
+            BudgetedCache(
+                per_shard, block_size, policy_factory() if policy_factory else None
+            )
+            for _ in range(num_shards)
+        ]
         # Give any remainder to shard 0 so budgets sum exactly.
         self._shards[0].resize(budget_bytes - per_shard * (num_shards - 1))
         self._locks = [threading.Lock() for _ in range(num_shards)]

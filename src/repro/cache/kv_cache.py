@@ -7,10 +7,10 @@ that a pure point-result cache is blind to range traffic.
 
 from __future__ import annotations
 
-from repro.cache.base import LRUCache
+from repro.cache.base import BudgetedCache
 
 
-class KVCache(LRUCache[str, str]):
+class KVCache(BudgetedCache[str, str]):
     """Byte-budgeted LRU key-value result cache.
 
     Parameters

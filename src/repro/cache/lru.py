@@ -2,12 +2,13 @@
 
 The paper's baseline caches (RocksDB block cache, KV cache, vanilla
 Range Cache) do not use this class: they are LRU by the order of their
-own value map (:class:`~repro.cache.base.LRUCache`, and
-:class:`~repro.cache.range_cache.RangeCache` built without a policy).
-``LRUPolicy`` serves the rest: it is one of LeCaR's two experts, callers
-that pass an LRU policy explicitly (``BudgetedCache(budget,
-LRUPolicy(), ...)``, ``RangeCache(policy=LRUPolicy())``), and the tests'
-reference for those built-in orders.
+own value map (:class:`~repro.cache.base.BudgetedCache` and
+:class:`~repro.cache.range_cache.RangeCache`, each built without a
+policy).  ``LRUPolicy`` serves the rest: it is one of LeCaR's two
+experts, callers that pass an LRU policy explicitly
+(``BudgetedCache(budget, charge, LRUPolicy())``,
+``RangeCache(policy=LRUPolicy())``), and the tests' reference for those
+built-in orders.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from collections import OrderedDict
 from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import sanitize
-from repro.cache.base import CacheBase, CacheStats, EvictionPolicy
+from repro.cache.base import CacheBase, CacheStats, EvictionPolicy, check_policy_residency
 from repro.cache.intervals import IntervalSet
 from repro.errors import CacheError, InvariantError
 from repro.lsm.block import Entry
@@ -441,19 +441,5 @@ class RangeCache(CacheBase):
                 f"> budget_bytes {self._budget}"
             )
         self._intervals.check_invariants()
-        policy = self._policy
-        if policy is None:
-            return
-        if len(policy) != len(keys):
-            raise InvariantError(
-                f"RangeCache policy/key-array divergence: policy tracks "
-                f"{len(policy)} keys, key array holds {len(keys)} "
-                f"(a ghost entry leaked or a resident key went untracked)"
-            )
-        for key in keys:
-            if key not in policy:
-                raise InvariantError(
-                    f"RangeCache resident key {key!r} is unknown to the "
-                    f"eviction policy"
-                )
-        policy.check_invariants()
+        if self._policy is not None:
+            check_policy_residency("RangeCache policy/key-array", self._policy, keys)

@@ -10,9 +10,11 @@ read — that turns one shard's evicted-but-hot blocks into fleet-wide
 capacity, the motivation LSbM-tree (arXiv:1606.02015) gives for a
 dedicated second buffer under compaction churn.
 
-Structure is ARC (Megiddo & Modha, FAST'03), held by one
-:class:`~repro.cache.arc.ARCPolicy`: resident blocks live in a recency
-list T1 or a frequency list T2; the ghost lists B1/B2 remember recent
+The tier is a :class:`~repro.cache.base.BudgetedCache` over one
+:class:`~repro.cache.arc.ARCPolicy` (Megiddo & Modha, FAST'03): the
+container holds the blocks, the byte budget, the stats and the eviction
+loop; the policy holds residency order — a recency list T1 and a
+frequency list T2 — and the ghost lists B1/B2 that remember recent
 evictions and steer the adaptive recency target ``p``.  Admission is
 *filtered*: an L1 victim enters only with proven reuse — a ghost hit
 (the block was here before and was re-demanded) or a decaying
@@ -36,11 +38,10 @@ file not named ``tier2.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro import sanitize
 from repro.cache.arc import ARCPolicy
-from repro.cache.base import CacheBase
+from repro.cache.base import BudgetedCache
 from repro.cache.sketch import CountMinSketch
 from repro.errors import CacheError, InvariantError
 from repro.lsm.block import BlockHandle, DataBlock
@@ -49,8 +50,12 @@ from repro.lsm.block import BlockHandle, DataBlock
 Tier2Key = Tuple[int, BlockHandle]
 
 
-class Tier2Cache(CacheBase):
+class Tier2Cache(BudgetedCache[Tier2Key, DataBlock]):
     """Shared L2 block cache: ARC ghosts + double-hit admission.
+
+    Hits, misses, admits (``stats.insertions``), evictions and
+    invalidations are the container's :attr:`stats`; the offers, the
+    rejected offers and the ghost hits behind admits are counted here.
 
     Parameters
     ----------
@@ -65,46 +70,23 @@ class Tier2Cache(CacheBase):
     def __init__(
         self, budget_bytes: int, block_size: int, sketch_seed: int = 0
     ) -> None:
-        if budget_bytes < 0:
-            raise CacheError("budget_bytes must be >= 0")
         if block_size <= 0:
             raise CacheError("block_size must be positive")
-        self.block_size = block_size
-        self._budget = budget_bytes
-        # Residency order, ghosts and the adaptive target live in the
-        # policy (capacity in blocks: the classic ARC ghost bound);
-        # this container holds the payloads.
+        # ARC capacity in blocks: the classic ghost bound.
         self._arc: ARCPolicy[Tier2Key] = ARCPolicy(
             max(1, budget_bytes // block_size)
         )
-        self._blocks: Dict[Tier2Key, DataBlock] = {}
+        super().__init__(budget_bytes, block_size, self._arc)
         self._sketch = CountMinSketch(
             width=2048, depth=4, saturation=16, seed=sketch_seed
         )
-        # Fleet-visible outcome counters (single writer: the serve
+        # Fleet-visible admission counters (single writer: the serve
         # coordinator mutates, everyone else reads).
-        self.hits = 0
-        self.misses = 0
         self.ghost_hits_recency = 0  # B1 hits at admission
         self.ghost_hits_frequency = 0  # B2 hits at admission
         self.demotions = 0  # L1 victims offered
-        self.admits = 0
         self.rejects = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self._sanitizer = sanitize.from_env(sketch_seed)
-
-    # -- capacity ---------------------------------------------------------
-
-    @property
-    def budget_bytes(self) -> int:
-        """Current shared capacity in bytes."""
-        return self._budget
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes charged by resident blocks."""
-        return len(self._blocks) * self.block_size
+        self.sanitize_from_env(sketch_seed)
 
     @property
     def ghost_hits(self) -> int:
@@ -119,7 +101,7 @@ class Tier2Cache(CacheBase):
         would have realised.  The budget arbiter reads the deltas of
         this signal to learn the fleet L1/L2 split.
         """
-        return self.hits + self.ghost_hits_recency + self.ghost_hits_frequency
+        return self.stats.hits + self.ghost_hits_recency + self.ghost_hits_frequency
 
     # -- reads ------------------------------------------------------------
 
@@ -136,13 +118,9 @@ class Tier2Cache(CacheBase):
         the fleet-wide demand count the double-hit filter consults when
         this block is later demoted out of some shard's L1.
         """
-        block = self._blocks.get(key)
+        block = self.get(key)
         if block is None:
-            self.misses += 1
             self._sketch.increment(self._sketch_key(key))
-            return None
-        self._arc.record_access(key)
-        self.hits += 1
         return block
 
     # -- admission (L1 demotion) -------------------------------------------
@@ -153,9 +131,9 @@ class Tier2Cache(CacheBase):
         Admission evidence, in priority order:
 
         * **B1 ghost hit** — the block was evicted from L2's recency
-          side and demanded again: grow ``p`` and seat it in T2;
+          side and demanded again: ARC grows ``p`` and seats it in T2;
         * **B2 ghost hit** — evicted from the frequency side and back:
-          shrink ``p``, seat in T2;
+          ARC shrinks ``p``, seats it in T2;
         * **sketch count >= 2** — at least two L2 misses for this block
           across the fleet: seat in T1 (first residency, unproven).
 
@@ -163,13 +141,13 @@ class Tier2Cache(CacheBase):
         shared bytes.  Returns whether the block was admitted.
         """
         self.demotions += 1
-        if self.block_size > self._budget or key in self._blocks:
+        if self.charge > self._budget or key in self._data:
             # Larger than the whole tier, or already resident (another
             # shard re-fetched it first or a probe raced a demotion
             # through the loop): the offer is counted as a reject.
             self.rejects += 1
             return False
-        ghost = self._arc.readmit_ghost(key)
+        ghost = self._arc.ghost_of(key)
         if ghost == "B1":
             self.ghost_hits_recency += 1
         elif ghost == "B2":
@@ -177,24 +155,8 @@ class Tier2Cache(CacheBase):
         elif self._sketch.estimate(self._sketch_key(key)) < 2:
             self.rejects += 1
             return False
-        else:
-            self._arc.record_insert(key)
-        self._blocks[key] = block
-        self.admits += 1
-        self._evict_to_fit()
-        self._after_mutation()
-        return True
-
-    def _evict_to_fit(self) -> int:
-        """REPLACE: evict T1 past target ``p`` (else T2) into ghosts."""
-        evicted = 0
-        while self.used_bytes > self._budget and self._blocks:
-            victim = self._arc.select_victim()
-            self._arc.record_evict(victim)
-            del self._blocks[victim]
-            evicted += 1
-        self.evictions += evicted
-        return evicted
+        # ARC's record_insert seats a ghost in T2 and anything else in T1.
+        return self.put(key, block)
 
     # -- maintenance -------------------------------------------------------
 
@@ -202,22 +164,8 @@ class Tier2Cache(CacheBase):
         """Rebound the shared budget; returns evictions forced."""
         if budget_bytes < 0:
             raise CacheError("budget_bytes must be >= 0")
-        self._budget = budget_bytes
-        self._arc.resize(max(1, budget_bytes // self.block_size))
-        evicted = self._evict_to_fit()
-        self._after_mutation()
-        return evicted
-
-    def _forget(self, keys: List[Tier2Key]) -> int:
-        """Erase ``keys`` from residency and history; returns blocks dropped."""
-        dropped = 0
-        for key in keys:
-            self._arc.record_remove(key)
-            if self._blocks.pop(key, None) is not None:
-                dropped += 1
-        self.invalidations += dropped
-        self._after_mutation()
-        return dropped
+        self._arc.resize(max(1, budget_bytes // self.charge))
+        return self.resize(budget_bytes)
 
     def tier2_drop_shard(self, shard_id: int) -> int:
         """Purge one shard's namespace (its engine was replaced).
@@ -225,39 +173,24 @@ class Tier2Cache(CacheBase):
         A promoted replica allocates SSTable ids from its own simulated
         disk, so the dead primary's cached blocks would alias fresh
         handles with stale bytes.  Ghosts go too: the signal they
-        encode belongs to the dead namespace.
+        encode belongs to the dead namespace.  Returns blocks dropped.
         """
-        return self._forget(
-            [key for key in self._arc.tracked_keys() if key[0] == shard_id]
-        )
-
-    # -- introspection -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def __contains__(self, key: Tier2Key) -> bool:
-        return key in self._blocks
+        dropped = 0
+        for key in [k for k in self._arc.tracked_keys() if k[0] == shard_id]:
+            if self.remove(key):
+                dropped += 1
+            else:
+                self._arc.record_remove(key)
+        return dropped
 
     # -- sanitizer protocol -------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Budget conservation, the policy's own invariants, accounting."""
-        if self.used_bytes > self._budget:
+        """The container's checks (budget, accounting, ARC agreement)
+        plus admission accounting."""
+        super().check_invariants()
+        if self.stats.insertions + self.rejects != self.demotions:
             raise InvariantError(
-                f"Tier2Cache over budget at rest: used_bytes "
-                f"{self.used_bytes} > budget_bytes {self._budget}"
-            )
-        self._arc.check_invariants()
-        if len(self._arc) != len(self._blocks) or any(
-            key not in self._arc for key in self._blocks
-        ):
-            raise InvariantError(
-                f"Tier2Cache payloads and policy disagree: {len(self._blocks)} "
-                f"blocks held, {len(self._arc)} keys resident"
-            )
-        if self.admits + self.rejects != self.demotions:
-            raise InvariantError(
-                f"Tier2Cache admission accounting drift: {self.admits} "
+                f"Tier2Cache admission accounting drift: {self.stats.insertions} "
                 f"admits + {self.rejects} rejects != {self.demotions} offers"
             )

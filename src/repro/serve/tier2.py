@@ -208,7 +208,7 @@ class Tier2Coordinator(ServeComponent):
         mark = (
             cache.ghost_hits_recency,
             cache.ghost_hits_frequency,
-            cache.evictions,
+            cache.stats.evictions,
         )
         ghr0, ghf0, ev0 = self._obs_mark
         self._obs_mark = mark
@@ -237,7 +237,7 @@ class Tier2Coordinator(ServeComponent):
         result.l2_admits = sum(c.admits for c in clients)
         result.l2_rejects = result.l2_demotions - result.l2_admits
         result.l2_ghost_hits = self.cache.ghost_hits
-        result.l2_evictions = self.cache.evictions
+        result.l2_evictions = self.cache.stats.evictions
         result.l2_budget_bytes = self.budget_bytes
         result.l2_used_bytes = self.used_bytes
         result.l2_share_final = self.share

@@ -68,7 +68,7 @@ class TestMattson:
 
 
 def simulate_lru_hits(keys, capacity):
-    cache = BudgetedCache(capacity, LRUPolicy(), lambda k, v: 1)
+    cache = BudgetedCache(capacity, 1, LRUPolicy())
     hits = 0
     for key in keys:
         if cache.get(key) is not None:

@@ -10,7 +10,7 @@ from repro.errors import CacheError
 
 
 def make_cache(budget=4, charge=1):
-    return BudgetedCache(budget, LRUPolicy(), lambda k, v: charge)
+    return BudgetedCache(budget, charge, LRUPolicy())
 
 
 class TestStats:
@@ -53,7 +53,7 @@ class TestCapacity:
         assert c.stats.evictions == 1
 
     def test_oversized_item_rejected(self):
-        c = BudgetedCache(4, LRUPolicy(), lambda k, v: 10)
+        c = BudgetedCache(4, 10, LRUPolicy())
         assert c.put("big", "x") is False
         assert c.stats.rejections == 1
         assert len(c) == 0
@@ -76,21 +76,13 @@ class TestCapacity:
         with pytest.raises(CacheError):
             make_cache().resize(-1)
         with pytest.raises(CacheError):
-            BudgetedCache(-1, LRUPolicy(), lambda k, v: 1)
+            BudgetedCache(-1, 1, LRUPolicy())
 
     def test_occupancy(self):
         c = make_cache(budget=4)
         c.put("a", "1")
         assert c.occupancy == 0.25
-        assert BudgetedCache(0, LRUPolicy(), lambda k, v: 1).occupancy == 0.0
-
-    def test_variable_charges_tracked(self):
-        c = BudgetedCache(10, LRUPolicy(), lambda k, v: len(v))
-        c.put("a", "xxx")
-        c.put("b", "yyyy")
-        assert c.used_bytes == 7
-        c.put("a", "z")  # overwrite shrinks the charge
-        assert c.used_bytes == 5
+        assert BudgetedCache(0, 1, LRUPolicy()).occupancy == 0.0
 
 
 class TestMutation:

@@ -56,7 +56,7 @@ class TestLeCaR:
         arm sacrifices the never-returning colds instead.
         """
         p = LeCaRPolicy(history_size=64, seed=3)
-        cache = BudgetedCache(4, p, lambda k, v: 1)
+        cache = BudgetedCache(4, 1, p)
         cold = 0
         for _ in range(100):
             for _ in range(5):
@@ -124,7 +124,7 @@ class TestCacheus:
     def test_learning_rate_adapts(self):
         p = CacheusPolicy(history_size=16, seed=1)
         initial_lr = p.learning_rate
-        cache = BudgetedCache(4, p, lambda k, v: 1)
+        cache = BudgetedCache(4, 1, p)
         for i in range(200):
             cache.put(f"k{i % 40}", "v")
             cache.get(f"k{(i * 3) % 40}")
@@ -141,7 +141,7 @@ class TestCacheus:
         assert p.select_victim() == "b"
 
     def test_contract_under_budgeted_cache(self):
-        cache = BudgetedCache(8, CacheusPolicy(history_size=8, seed=2), lambda k, v: 1)
+        cache = BudgetedCache(8, 1, CacheusPolicy(history_size=8, seed=2))
         for i in range(100):
             cache.put(i % 20, "v")
             cache.get((i * 7) % 20)

@@ -1,11 +1,11 @@
 """Built-in LRU orders against an explicit ``LRUPolicy``, step by step.
 
-:class:`~repro.cache.base.LRUCache`, a policy-less
-:class:`~repro.cache.range_cache.RangeCache` and a default
-:class:`~repro.cache.block_cache.BlockCache` keep recency in their own
-value map.  Each runs here in lock-step with the same cache over an
-explicit :class:`~repro.cache.lru.LRUPolicy` on random operation
-sequences; after every step the two must agree on the return value,
+:class:`~repro.cache.base.BudgetedCache` and
+:class:`~repro.cache.range_cache.RangeCache` built without a policy,
+and a default :class:`~repro.cache.block_cache.BlockCache`, keep
+recency in their own value map.  Each runs here in lock-step with the
+same cache over an explicit :class:`~repro.cache.lru.LRUPolicy` on
+random operation sequences; after every step the two must agree on the return value,
 the stats, the resident entries and their recency order, the complete
 intervals (range cache) and the ``on_evict`` feed (block caches).
 """
@@ -17,7 +17,7 @@ from typing import Any, List, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.base import BudgetedCache, LRUCache
+from repro.cache.base import BudgetedCache
 from repro.cache.block_cache import BlockCache
 from repro.cache.lru import LRUPolicy
 from repro.cache.range_cache import RangeCache
@@ -35,7 +35,7 @@ def _run(a: Any, b: Any, op: Tuple[Any, ...]) -> Tuple[Any, Any]:
     return getattr(a, name)(*args), getattr(b, name)(*args)
 
 
-# -- LRUCache against BudgetedCache(LRUPolicy()) ------------------------------
+# -- BudgetedCache() against BudgetedCache(LRUPolicy()) -----------------------
 
 CONTAINER_OPS = st.one_of(
     st.tuples(st.just("get"), KEYS),
@@ -51,8 +51,8 @@ CONTAINER_OPS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(budget=BUDGETS, ops=st.lists(CONTAINER_OPS, max_size=80))
 def test_lru_cache_matches_budgeted_lru_policy(budget, ops):
-    lru: LRUCache[str, str] = LRUCache(budget, CHARGE)
-    ref: BudgetedCache[str, str] = BudgetedCache(budget, LRUPolicy(), lambda _k, _v: CHARGE)
+    lru: BudgetedCache[str, str] = BudgetedCache(budget, CHARGE)
+    ref: BudgetedCache[str, str] = BudgetedCache(budget, CHARGE, LRUPolicy())
     lru_evicted: List[Tuple[str, str]] = []
     ref_evicted: List[Tuple[str, str]] = []
     lru.on_evict = lambda key, value: lru_evicted.append((key, value))

@@ -144,7 +144,7 @@ class TestARC:
 )
 def test_policy_contract_under_budgeted_cache(policy_factory):
     """Any policy must keep a BudgetedCache within budget and consistent."""
-    cache = BudgetedCache(8, policy_factory(), lambda k, v: 1)
+    cache = BudgetedCache(8, 1, policy_factory())
     for i in range(50):
         cache.put(i, str(i))
         cache.get(i % 7)

@@ -74,7 +74,7 @@ class TestAdmission:
         cache = _cache()
         key = _key(0, 0)
         assert not cache.tier2_offer(key, _block())
-        assert cache.rejects == 1 and cache.admits == 0
+        assert cache.rejects == 1 and cache.stats.insertions == 0
         assert key not in cache
 
     def test_second_demand_admits_via_sketch(self):
@@ -83,7 +83,7 @@ class TestAdmission:
         cache.tier2_probe(key)  # first fleet sighting
         cache.tier2_probe(key)  # second: estimate reaches 2
         assert cache.tier2_offer(key, _block())
-        assert key in cache and cache.admits == 1
+        assert key in cache and cache.stats.insertions == 1
 
     def test_ghost_hit_admits_and_counts(self):
         cache = _cache(blocks=1)
@@ -104,7 +104,7 @@ class TestAdmission:
                 cache.tier2_probe(key)
                 cache.tier2_probe(key)
             cache.tier2_offer(key, _block(i))
-        assert cache.admits + cache.rejects == cache.demotions
+        assert cache.stats.insertions + cache.rejects == cache.demotions
         cache.check_invariants()
 
     def test_probe_hit_and_t1_to_t2_promotion(self):
@@ -112,9 +112,9 @@ class TestAdmission:
         key = _key(0, 0)
         _fill(cache, [key])
         assert cache.tier2_probe(key) is not None  # T1 -> T2
-        assert cache.hits == 1
+        assert cache.stats.hits == 1
         assert cache.tier2_probe(key) is not None  # stays in T2
-        assert cache.hits == 2
+        assert cache.stats.hits == 2
 
 
 class TestConservation:
@@ -126,7 +126,7 @@ class TestConservation:
                 cache.tier2_offer(key, _block(i))
             assert cache.used_bytes <= cache.budget_bytes
             cache.check_invariants()
-        assert cache.evictions > 0
+        assert cache.stats.evictions > 0
 
     def test_resize_evicts_to_fit(self):
         cache = _cache(blocks=4)
@@ -149,7 +149,7 @@ class TestConservation:
         key = _key(0, 0)
         _fill(cache, [key])
         assert not cache.tier2_offer(key, _block())
-        assert cache.admits + cache.rejects == cache.demotions
+        assert cache.stats.insertions + cache.rejects == cache.demotions
 
 
 class TestShardNamespace:
@@ -186,7 +186,7 @@ class TestDeterminism:
                 if not hit:
                     admitted = cache.tier2_offer(key, _block(i))
                 log.append((hit, admitted))
-            return log, cache.hits, cache.admits, cache.ghost_hits
+            return log, cache.stats.hits, cache.stats.insertions, cache.ghost_hits
 
         assert run() == run()
 

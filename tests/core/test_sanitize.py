@@ -9,7 +9,7 @@ drift) and asserts ``check_invariants()`` raises an
 import pytest
 
 from repro import sanitize
-from repro.cache.base import BudgetedCache, LRUCache
+from repro.cache.base import BudgetedCache
 from repro.cache.block_cache import BlockCache
 from repro.cache.intervals import IntervalSet
 from repro.cache.kv_cache import KVCache
@@ -25,7 +25,7 @@ from repro.lsm.version import LevelState
 
 
 def _budgeted(budget=1024, charge=64):
-    return BudgetedCache(budget, LRUPolicy(), lambda _k, _v: charge)
+    return BudgetedCache(budget, charge, LRUPolicy())
 
 
 def _filled_range_cache(n=20, policy=None):
@@ -138,11 +138,11 @@ def test_budgeted_cache_detects_untracked_resident_key():
         cache.check_invariants()
 
 
-# -- LRUCache corruptions ----------------------------------------------------
+# -- policy-less (built-in LRU) BudgetedCache corruptions ---------------------
 
 
 def _lru(budget=1024, charge=64):
-    cache = LRUCache(budget, charge)
+    cache = BudgetedCache(budget, charge)
     for i in range(10):
         cache.put(f"k{i}", "v")
     return cache
@@ -302,6 +302,21 @@ def test_env_sanitizer_catches_tier2_admission_drift(monkeypatch):
             cache.tier2_probe(key)
             cache.tier2_probe(key)  # two misses: sketch proof of reuse
             assert cache.tier2_offer(key, object())
+
+
+def test_tier2_cache_detects_resident_block_its_policy_lost():
+    """The shared tier inherits the container's policy/residency check:
+    a resident block ARC no longer tracks is caught."""
+    cache = Tier2Cache(16 * 4096, 4096)
+    keys = [(0, BlockHandle(1, block_no)) for block_no in range(3)]
+    for key in keys:
+        cache.tier2_probe(key)
+        cache.tier2_probe(key)
+        assert cache.tier2_offer(key, object())
+    cache.check_invariants()
+    cache._policy.record_remove(keys[1])  # payload kept, ARC forgot it
+    with pytest.raises(InvariantError, match="policy/dict divergence"):
+        cache.check_invariants()
 
 
 def test_block_cache_detects_misrouted_entry():
