@@ -2,8 +2,9 @@
 
 Building blocks
 ---------------
-* :mod:`repro.cache.base` — the one byte-budgeted container (LRU by its
-  own order, or driven by a pluggable policy) and the policy interface.
+* :mod:`repro.cache.base` — the one byte-budgeted container under every
+  cache below (LRU by its own order, or driven by a pluggable policy)
+  and the policy interface.
 * :mod:`repro.cache.lru` / :mod:`lfu` / :mod:`clock` — classic policies.
 * :mod:`repro.cache.arc` — Adaptive Replacement Cache (AC-Key heritage).
 * :mod:`repro.cache.lecar` / :mod:`cacheus` — learning-based policies
@@ -16,8 +17,9 @@ LSM-facing caches
 -----------------
 * :mod:`repro.cache.block_cache` — RocksDB-style sharded block cache.
 * :mod:`repro.cache.kv_cache` — point-lookup result cache (row cache).
-* :mod:`repro.cache.range_cache` — result-based cache over a sorted key
-  array with complete-interval tracking (Range Cache reimplementation).
+* :mod:`repro.cache.range_cache` — result-based cache: the container
+  plus a sorted key array with complete-interval tracking (Range Cache
+  reimplementation).
 * :mod:`repro.cache.tier2` — the fleet-shared L2: a budgeted container
   over ARC with a reuse filter in front of admission.
 """

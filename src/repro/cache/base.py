@@ -1,15 +1,19 @@
 """Core cache abstractions: stats, eviction-policy interface, container.
 
-:class:`BudgetedCache` is the one byte-budgeted container under the
-block cache's shards, the row cache and the shared L2 tier.  It holds
-key -> value in one ``OrderedDict`` and charges one constant size per
-entry.  Built without a policy it is the uniform-charge LRU of RocksDB's
-block cache and row cache: the map's order is the recency order, so a
-hit is one ``move_to_end`` and an eviction one ``popitem(last=False)``.
-Built with an :class:`EvictionPolicy` it delegates *which* resident key
-to sacrifice to the policy, as RocksDB separates its hash table from
-the Clock policy.  CLOCK, ARC, LFU, LeCaR and Cacheus plug in here;
-learning policies receive eviction/ghost feedback via ``record_evict``.
+:class:`BudgetedCache` is the one byte-budgeted container under every
+cache: the block cache's shards, the row cache, the shared L2 tier and
+the Range Cache.  It holds key -> value in one ``OrderedDict`` and
+charges one constant size per entry.  Built without a policy it is the
+uniform-charge LRU of RocksDB's block cache and row cache: the map's
+order is the recency order, so a hit is one ``move_to_end`` and an
+eviction one ``popitem(last=False)``.  Built with an
+:class:`EvictionPolicy` it delegates *which* resident key to sacrifice
+to the policy, as RocksDB separates its hash table from the Clock
+policy.  CLOCK, ARC, LFU, LeCaR and Cacheus plug in here; learning
+policies receive eviction/ghost feedback via ``record_evict``.
+Subclasses that index the keys a second way (the Range Cache's sorted
+key array) extend :meth:`BudgetedCache._evict_to_fit`, which hands back
+its victims in eviction order.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Collection, Generic, Hashable, Iterator, List, Optional, TypeVar
+from typing import Callable, Generic, Hashable, Iterator, List, Optional, TypeVar
 
 from repro import sanitize
 from repro.errors import CacheError, InvariantError
@@ -74,9 +78,9 @@ class CacheStats:
 class CacheBase(sanitize.Sanitized):
     """Uniform surface every cache container exposes.
 
-    Concrete caches (block, range, kv, tier-2, and the generic
-    :class:`BudgetedCache`) all present the same
-    capacity pair — :attr:`budget_bytes` / :attr:`used_bytes` — so the
+    The sharded block cache and :class:`BudgetedCache` (and through it
+    the range, kv and tier-2 caches) all present the same capacity
+    pair — :attr:`budget_bytes` / :attr:`used_bytes` — so the
     sanitizer, the controller, and metrics read one interface regardless
     of which composition is running.  The ``check_invariants()``
     protocol and the sampled gate come from
@@ -107,9 +111,10 @@ class EvictionPolicy(ABC, Generic[K]):
     The container calls ``record_insert`` when a key becomes resident,
     ``record_access`` on every hit, ``select_victim`` when over budget,
     ``record_evict`` when the chosen victim leaves (capacity pressure,
-    so learning policies may ghost-list it), ``evict`` when it needs
-    several victims at once, and ``record_remove`` for non-capacity
-    removals (invalidation), which must not count as a policy mistake.
+    so learning policies may ghost-list it), and ``record_remove`` for
+    non-capacity removals (invalidation), which must not count as a
+    policy mistake.  ``evict`` draws several victims in one call for
+    callers outside the container.
     """
 
     @abstractmethod
@@ -163,29 +168,6 @@ class EvictionPolicy(ABC, Generic[K]):
         """
 
 
-def check_policy_residency(
-    label: str, policy: EvictionPolicy[K], keys: Collection[K]
-) -> None:
-    """Raise :class:`~repro.errors.InvariantError` unless ``policy`` tracks
-    exactly the resident ``keys``, then run the policy's own checks.
-
-    ``label`` names the owner and its key holder in the messages (for
-    example ``"RangeCache policy/key-array"``).
-    """
-    if len(policy) != len(keys):
-        raise InvariantError(
-            f"{label} divergence: policy tracks {len(policy)} keys, the "
-            f"cache holds {len(keys)} (a ghost entry leaked or a resident "
-            f"key went untracked)"
-        )
-    for key in keys:
-        if key not in policy:
-            raise InvariantError(
-                f"{label}: resident key {key!r} is unknown to the eviction policy"
-            )
-    policy.check_invariants()
-
-
 class BudgetedCache(CacheBase, Generic[K, V]):
     """Byte-budgeted key-value cache with one constant charge per entry.
 
@@ -203,7 +185,7 @@ class BudgetedCache(CacheBase, Generic[K, V]):
     budget_bytes:
         Capacity.  May be resized at runtime (the dynamic boundary).
     charge:
-        Logical bytes charged per entry.
+        Logical bytes charged per entry (positive).
     policy:
         Eviction policy instance (owns no values, only key ordering);
         None (the default) is LRU in the value map's own order.
@@ -217,6 +199,8 @@ class BudgetedCache(CacheBase, Generic[K, V]):
     ) -> None:
         if budget_bytes < 0:
             raise CacheError("budget_bytes must be >= 0")
+        if charge <= 0:
+            raise CacheError("charge must be positive")
         self._budget = budget_bytes
         self.charge = charge
         self._policy = policy
@@ -246,7 +230,7 @@ class BudgetedCache(CacheBase, Generic[K, V]):
         if budget_bytes < 0:
             raise CacheError("budget_bytes must be >= 0")
         self._budget = budget_bytes
-        evicted = self._evict_to_fit()
+        evicted = len(self._evict_to_fit())
         self._after_mutation()
         return evicted
 
@@ -349,12 +333,16 @@ class BudgetedCache(CacheBase, Generic[K, V]):
         self._used = 0
         self._after_mutation()
 
-    def _evict_to_fit(self) -> int:
+    def _evict_to_fit(self) -> List[K]:  # hot-path
+        """Evict until the budget holds; returns the victims in eviction
+        order (least recent first under built-in LRU)."""
         data = self._data
         policy = self._policy
         on_evict = self.on_evict
-        evicted = 0
-        while self._used > self._budget and data:
+        budget, charge, used = self._budget, self.charge, self._used
+        victims: List[K] = []
+        # used == len(data) * charge, so the map is empty only at used 0.
+        while used > budget:
             if policy is None:
                 victim, value = data.popitem(False)
             else:
@@ -363,12 +351,13 @@ class BudgetedCache(CacheBase, Generic[K, V]):
                     raise CacheError(f"policy chose non-resident victim {victim!r}")
                 value = data.pop(victim)
                 policy.record_evict(victim)
-            self._used -= self.charge
-            self.stats.evictions += 1
-            evicted += 1
+            used -= charge
+            victims.append(victim)
             if on_evict is not None:
                 on_evict(victim, value)
-        return evicted
+        self._used = used
+        self.stats.evictions += len(victims)
+        return victims
 
     # -- sanitizer protocol ------------------------------------------------------
 
@@ -387,5 +376,18 @@ class BudgetedCache(CacheBase, Generic[K, V]):
                 f"{name} over budget at rest: used_bytes {self._used} "
                 f"> budget_bytes {self._budget}"
             )
-        if self._policy is not None:
-            check_policy_residency(f"{name} policy/dict", self._policy, self._data)
+        policy = self._policy
+        if policy is None:
+            return
+        if len(policy) != len(self._data):
+            raise InvariantError(
+                f"{name} policy/dict divergence: policy tracks {len(policy)} "
+                f"keys, the cache holds {len(self._data)} (a ghost entry "
+                f"leaked or a resident key went untracked)"
+            )
+        for key in self._data:
+            if key not in policy:
+                raise InvariantError(
+                    f"{name}: resident key {key!r} is unknown to the eviction policy"
+                )
+        policy.check_invariants()

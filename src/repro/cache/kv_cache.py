@@ -32,7 +32,3 @@ class KVCache(BudgetedCache[str, str]):
     def on_delete(self, key: str) -> None:
         """Invalidate after an upstream delete."""
         self.remove(key)
-
-    def contains(self, key: str) -> bool:
-        """Residency probe without stats side effects."""
-        return key in self._data

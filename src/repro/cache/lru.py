@@ -1,10 +1,10 @@
 """Least-recently-used eviction policy.
 
 The paper's baseline caches (RocksDB block cache, KV cache, vanilla
-Range Cache) do not use this class: they are LRU by the order of their
-own value map (:class:`~repro.cache.base.BudgetedCache` and
-:class:`~repro.cache.range_cache.RangeCache`, each built without a
-policy).  ``LRUPolicy`` serves the rest: it is one of LeCaR's two
+Range Cache) do not use this class: each is a
+:class:`~repro.cache.base.BudgetedCache` built without a policy, LRU by
+the order of the container's own value map.  ``LRUPolicy`` serves the
+rest: it is one of LeCaR's two
 experts, callers that pass an LRU policy explicitly
 (``BudgetedCache(budget, charge, LRUPolicy())``,
 ``RangeCache(policy=LRUPolicy())``), and the tests' reference for those

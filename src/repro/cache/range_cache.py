@@ -6,9 +6,10 @@ lookups, runs of adjacent keys from scans — are stored in logical key
 order, decoupled from SSTable layout, so compactions never invalidate
 them.  The paper asks only for "a sorted structure (e.g., a skip
 list)"; here it is one sorted ``list`` of keys searched with
-:mod:`bisect`, beside one ``OrderedDict`` from key to value.  A scan
-result enters the array with one slice assignment, and one eviction
-pass removes all of its victims together.
+:mod:`bisect`, beside the value map of the
+:class:`~repro.cache.base.BudgetedCache` this class extends.  A scan
+result enters the array with one slice assignment, and the victims of
+one eviction pass leave it together.
 
 Correctness for scans needs more than resident keys: a scan must know
 that *no* database key in the requested window is missing from the
@@ -18,27 +19,27 @@ cache.  The cache therefore tracks *complete intervals*
 the requested number of entries is found without leaving it.  Evicting
 any entry splits the interval around the evicted key.
 
-Eviction works at single-entry granularity.  Built without a policy,
-the cache is LRU and the value map *is* the recency order, least recent
-first: a hit is a ``move_to_end`` and the victims are the map's oldest
-entries.  A policy passed explicitly (LeCaR and Cacheus form the
-paper's baseline variants) is told of every insert, hit, eviction and
-removal instead, and the map's order is then unused.
+Eviction works at single-entry granularity and is the container's:
+it owns the budget, the charge, the value map, the stats and the victim
+choice.  Built without a policy, the cache is LRU and the value map
+*is* the recency order, least recent first.  A policy passed explicitly
+(LeCaR and Cacheus form the paper's baseline variants) is told of every
+insert, hit, eviction and removal instead.  This class adds only what
+the Range Cache needs on top: the sorted key array, the complete
+intervals, a lock, and batched admission.  Every mutator, inherited
+ones included, keeps the array and the intervals in step with the map.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 import threading
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
-from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro import sanitize
-from repro.cache.base import CacheBase, CacheStats, EvictionPolicy, check_policy_residency
+from repro.cache.base import BudgetedCache, EvictionPolicy
 from repro.cache.intervals import IntervalSet
-from repro.errors import CacheError, InvariantError
+from repro.errors import InvariantError
 from repro.lsm.block import Entry
 from repro.obs import names as N
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -48,26 +49,8 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 #: order and the last write wins as in a scalar insert loop.
 _entry_key = operator.itemgetter(0)
 
-F = TypeVar("F", bound=Callable[..., Any])
 
-
-def _locked(method: F) -> F:
-    """Guard a RangeCache method with the instance lock.
-
-    The paper shards the range cache for multi-client deployments; at
-    simulator scale a single re-entrant lock gives the same safety with
-    negligible cost next to the simulated I/O.
-    """
-
-    @functools.wraps(method)
-    def wrapper(self: "RangeCache", *args: Any, **kwargs: Any) -> Any:
-        with self._lock:
-            return method(self, *args, **kwargs)
-
-    return wrapper  # type: ignore[return-value]
-
-
-class RangeCache(CacheBase):
+class RangeCache(BudgetedCache[str, str]):
     """Sorted result cache with complete-interval tracking.
 
     Parameters
@@ -90,47 +73,20 @@ class RangeCache(CacheBase):
         policy: Optional[EvictionPolicy[str]] = None,
         seed: int = 0,
     ) -> None:
-        if budget_bytes < 0:
-            raise CacheError("budget_bytes must be >= 0")
-        if entry_charge <= 0:
-            raise CacheError("entry_charge must be positive")
-        self._budget = budget_bytes
-        self.entry_charge = entry_charge
+        super().__init__(budget_bytes, entry_charge, policy)
         self._keys: List[str] = []  # resident keys, strictly ascending
-        #: key -> value; with no policy, least recently used first.
-        self._values: "OrderedDict[str, str]" = OrderedDict()
         self._intervals = IntervalSet()
-        self._policy: Optional[EvictionPolicy[str]] = policy
-        self._used = 0
+        # The paper shards the range cache for multi-client deployments;
+        # at simulator scale one re-entrant lock around each entry
+        # point gives the same safety.
         self._lock = threading.RLock()
-        self.stats = CacheStats()
-        self.point_hits = 0
-        self.range_hits = 0
         self.recorder: Recorder = NULL_RECORDER
-        self._sanitizer = sanitize.from_env(seed)
+        self.sanitize_from_env(seed)
 
-    # -- capacity -------------------------------------------------------------
-
-    @property
-    def budget_bytes(self) -> int:
-        """Current capacity in logical bytes."""
-        return self._budget
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently charged."""
-        return self._used
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    @_locked
     def resize(self, budget_bytes: int) -> int:
         """Change capacity, evicting to fit; returns evictions made."""
-        if budget_bytes < 0:
-            raise CacheError("budget_bytes must be >= 0")
-        self._budget = budget_bytes
-        evicted = self._evict_to_fit()
+        with self._lock:
+            evicted = super().resize(budget_bytes)
         if evicted and self.recorder.enabled:
             self.recorder.event(
                 N.EV_CACHE_EVICT,
@@ -138,7 +94,6 @@ class RangeCache(CacheBase):
                 evicted=evicted,
                 budget_bytes=budget_bytes,
             )
-        self._after_mutation()
         return evicted
 
     # -- point lookups -----------------------------------------------------------
@@ -146,30 +101,19 @@ class RangeCache(CacheBase):
     def get_point(self, key: str) -> Optional[str]:  # hot-path
         """Serve a point lookup from cache, or None on miss."""
         with self._lock:
-            values = self._values
-            if key in values:
-                self.stats.hits += 1
-                self.point_hits += 1
-                if self._policy is None:
-                    values.move_to_end(key)
-                else:
-                    self._policy.record_access(key)
-                return values[key]
-            self.stats.misses += 1
-            return None
+            return self.get(key)
 
-    @_locked
-    def contains(self, key: str) -> bool:
-        """Residency probe without stats side effects."""
-        return key in self._values
-
-    def insert_point(self, key: str, value: str) -> bool:  # hot-path
-        """Admit one point-lookup result."""
+    def put(self, key: str, value: str) -> bool:  # hot-path
+        """Admit one point-lookup result; False if its charge exceeds
+        the budget."""
         with self._lock:
             admitted = self._admit(((key, value),)) > 0
             if self._sanitizer is not None:
                 self._sanitizer.after_mutation(self)
             return admitted
+
+    #: The engine's name for :meth:`put`.
+    insert_point = put
 
     def insert_points(self, pairs: List[Entry]) -> int:  # hot-path
         """Admit a batch of point-lookup results in one sorted splice.
@@ -212,15 +156,14 @@ class RangeCache(CacheBase):
                 # so this is a miss even though a prefix was covered.
                 self.stats.misses += 1
                 return None
-            values = self._values
-            result = [(key, values[key]) for key in window]
+            data = self._data
+            result = [(key, data[key]) for key in window]
             record_access = (
-                values.move_to_end if self._policy is None else self._policy.record_access
+                data.move_to_end if self._policy is None else self._policy.record_access
             )
             for key in window:
                 record_access(key)
             self.stats.hits += 1
-            self.range_hits += 1
             return result
 
     def insert_range(
@@ -241,7 +184,7 @@ class RangeCache(CacheBase):
             if admit_count is None:
                 admit_count = len(entries)
             admit_count = max(0, min(admit_count, len(entries)))
-            if admit_count == 0 or self.entry_charge > self._budget:
+            if admit_count == 0 or self.charge > self._budget:
                 self.stats.rejections += 1
                 return 0
             admitted = entries if admit_count == len(entries) else entries[:admit_count]
@@ -261,11 +204,11 @@ class RangeCache(CacheBase):
         when its charge exceeds the budget, cut out of the interval.
         """
         with self._lock:
-            values = self._values
-            if key in values:
-                values[key] = value
+            data = self._data
+            if key in data:
+                data[key] = value
                 if self._policy is None:
-                    values.move_to_end(key)
+                    data.move_to_end(key)
                 else:
                     self._policy.record_access(key)
             elif self._intervals.covering(key) is not None:
@@ -275,24 +218,30 @@ class RangeCache(CacheBase):
             if self._sanitizer is not None:
                 self._sanitizer.after_mutation(self)
 
-    def on_delete(self, key: str) -> None:  # hot-path
-        """Keep the cache coherent with an upstream delete.
+    def remove(self, key: str) -> bool:  # hot-path
+        """Invalidate ``key`` (not an eviction); returns whether present.
 
-        Removing the entry preserves interval completeness: the key is
-        no longer a live database key, so scans must not return it.
+        The key leaves the array first, so the container's sampled check
+        sees both in step.  No interval is cut: a deleted key is no
+        longer a live database key, so scans must not return it.
         """
         with self._lock:
-            values = self._values
-            if key in values:
-                del values[key]
+            if key in self._data:
                 keys = self._keys
                 del keys[bisect_left(keys, key)]
-                self._used -= self.entry_charge
-                if self._policy is not None:
-                    self._policy.record_remove(key)
-                self.stats.invalidations += 1
-            if self._sanitizer is not None:
-                self._sanitizer.after_mutation(self)
+            return super().remove(key)
+
+    def on_delete(self, key: str) -> None:  # hot-path
+        """Keep the cache coherent with an upstream delete."""
+        self.remove(key)
+
+    def clear(self) -> None:
+        """Drop all entries and intervals; each entry counts one
+        invalidation, as the container's ``clear`` counts them."""
+        with self._lock:
+            self._keys.clear()
+            self._intervals.clear()
+            super().clear()
 
     # -- internals -----------------------------------------------------------
 
@@ -303,78 +252,61 @@ class RangeCache(CacheBase):
         access call) and stats run once per pair in ``pairs`` order, as
         one insert per pair would make them; the new keys enter the key
         array with one slice assignment, which for a single key is
-        :func:`bisect.insort`.  Returns ``len(pairs)``, or 0 — one
-        rejection per pair — when one entry's charge exceeds the budget.
+        :func:`bisect.insort`.  Eviction runs once, and only when the new
+        keys pushed the cache over budget.  Returns ``len(pairs)``, or 0
+        — one rejection per pair — when one entry's charge exceeds the
+        budget.
         """
-        if self.entry_charge > self._budget:
+        if self.charge > self._budget:
             self.stats.rejections += len(pairs)
             return 0
-        values = self._values
+        data = self._data
         policy = self._policy
         touch: Callable[[str], None]
         record_insert: Optional[Callable[[str], None]]
         if policy is None:
-            touch, record_insert = values.move_to_end, None
+            touch, record_insert = data.move_to_end, None
         else:
             touch, record_insert = policy.record_access, policy.record_insert
         new: List[str] = []
         for key, value in pairs:
-            if key in values:
+            if key in data:
                 touch(key)
             else:
                 if record_insert is not None:
                     record_insert(key)
                 new.append(key)
-            values[key] = value
+            data[key] = value
         if new:
             keys = self._keys
             lo = bisect_left(keys, new[0])
             hi = bisect_right(keys, new[-1], lo)
             keys[lo:hi] = sorted(keys[lo:hi] + new)
-            self._used += len(new) * self.entry_charge
+            self._used += len(new) * self.charge
             self.stats.insertions += len(new)
-        self._evict_to_fit()
+            if self._used > self._budget:
+                self._evict_to_fit()
         return len(pairs)
 
-    def _evict_to_fit(self) -> int:  # hot-path
-        """Evict until the budget holds; returns the number evicted.
-
-        Charges are uniform, so the victim count is known up front: the
-        value map's oldest entries under built-in LRU, or one
-        :meth:`~EvictionPolicy.evict` call to the policy (learning
-        policies still see one ``select_victim`` / ``record_evict`` pair
-        per victim).  The victims then leave the array and the complete
-        intervals together.
-        """
-        excess = self._used - self._budget
-        if excess <= 0:
-            return 0
-        keys = self._keys
-        charge = self.entry_charge
-        count = min(len(keys), -(-excess // charge))
-        values = self._values
-        if self._policy is None:
-            popitem = values.popitem
-            victims = [popitem(False)[0] for _ in range(count)]
-        else:
-            victims = self._policy.evict(count)
+    def _evict_to_fit(self) -> List[str]:  # hot-path
+        """The container's eviction, then its victims leave the key array
+        and the complete intervals together; returns them in key order."""
+        victims = super()._evict_to_fit()
+        if victims:
+            victims.sort()
+            keys = self._keys
+            # Remove the victims in ascending order.  Each one's index is
+            # then where it sits among the keys that stay, and a victim
+            # adjacent to the previous one has just slid into that index.
+            cuts: List[int] = []
+            cut = 0
             for victim in victims:
-                del values[victim]
-        victims.sort()
-        # Remove the victims in ascending order.  Each one's index is then
-        # where it sits among the keys that stay, and a victim adjacent to
-        # the previous one has just slid into that same index.
-        cuts: List[int] = []
-        cut = 0
-        for victim in victims:
-            if keys[cut] is not victim:
-                cut = bisect_left(keys, victim, cut)
-            del keys[cut]
-            cuts.append(cut)
-        self._used -= count * charge
-        self.stats.evictions += count
-        self._intervals.split_evicted(victims, cuts, keys)
-        return count
+                if keys[cut] is not victim:
+                    cut = bisect_left(keys, victim, cut)
+                del keys[cut]
+                cuts.append(cut)
+            self._intervals.split_evicted(victims, cuts, keys)
+        return victims
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -387,59 +319,34 @@ class RangeCache(CacheBase):
         """Copy of the complete-interval list (diagnostics/tests)."""
         return self._intervals.intervals()
 
-    @_locked
     def resident_keys(self) -> List[str]:
         """All cached keys in order (diagnostics/sanitizer)."""
-        return list(self._keys)
-
-    @_locked
-    def clear(self) -> None:
-        """Drop all entries and intervals."""
-        if self._policy is not None:
-            record_remove = self._policy.record_remove
-            for key in self._keys:
-                record_remove(key)
-        self._used -= len(self._keys) * self.entry_charge
-        self._keys.clear()
-        self._values.clear()
-        self._intervals.clear()
+        with self._lock:
+            return list(self._keys)
 
     # -- sanitizer protocol -----------------------------------------------------
 
-    @_locked
     def check_invariants(self) -> None:
-        """Sorted key array, array/map agreement, bytes, intervals, and an
-        explicit policy's agreement with the key array."""
-        keys = self._keys
-        values = self._values
-        for i in range(1, len(keys)):
-            if keys[i - 1] >= keys[i]:
+        """Sorted key array in step with the value map, then the
+        container's checks (bytes, budget, policy), then the intervals."""
+        with self._lock:
+            keys = self._keys
+            data = self._data
+            for i in range(1, len(keys)):
+                if keys[i - 1] >= keys[i]:
+                    raise InvariantError(
+                        f"RangeCache key array out of order at {i}: "
+                        f"{keys[i - 1]!r} >= {keys[i]!r}"
+                    )
+            if len(keys) != len(data):
                 raise InvariantError(
-                    f"RangeCache key array out of order at {i}: "
-                    f"{keys[i - 1]!r} >= {keys[i]!r}"
+                    f"RangeCache key array/value map length drift: "
+                    f"{len(keys)} keys, {len(data)} values"
                 )
-        if len(keys) != len(values):
-            raise InvariantError(
-                f"RangeCache key array/value map length drift: "
-                f"{len(keys)} keys, {len(values)} values"
-            )
-        for key in keys:
-            if key not in values:
-                raise InvariantError(
-                    f"RangeCache key array holds {key!r} with no value"
-                )
-        expected = len(keys) * self.entry_charge
-        if expected != self._used:
-            raise InvariantError(
-                f"RangeCache byte accounting drift: {len(keys)} "
-                f"entries x charge {self.entry_charge} = {expected} != "
-                f"used_bytes {self._used}"
-            )
-        if self._used > self._budget:
-            raise InvariantError(
-                f"RangeCache over budget at rest: used_bytes {self._used} "
-                f"> budget_bytes {self._budget}"
-            )
-        self._intervals.check_invariants()
-        if self._policy is not None:
-            check_policy_residency("RangeCache policy/key-array", self._policy, keys)
+            for key in keys:
+                if key not in data:
+                    raise InvariantError(
+                        f"RangeCache key array holds {key!r} with no value"
+                    )
+            super().check_invariants()
+            self._intervals.check_invariants()

@@ -70,11 +70,10 @@ class Tier2Cache(BudgetedCache[Tier2Key, DataBlock]):
     def __init__(
         self, budget_bytes: int, block_size: int, sketch_seed: int = 0
     ) -> None:
-        if block_size <= 0:
-            raise CacheError("block_size must be positive")
-        # ARC capacity in blocks: the classic ghost bound.
+        # ARC capacity in blocks: the classic ghost bound.  The container
+        # rejects a block_size below 1; the floor only defers it there.
         self._arc: ARCPolicy[Tier2Key] = ARCPolicy(
-            max(1, budget_bytes // block_size)
+            max(1, budget_bytes // max(1, block_size))
         )
         super().__init__(budget_bytes, block_size, self._arc)
         self._sketch = CountMinSketch(

@@ -359,28 +359,42 @@ class PolicyDecisionController:
         admission opens fully so no result is rejected while blind.
         """
         if self.config.enable_partitioning:
-            step = MAX_RATIO_STEP
-            target = self.config.initial_range_ratio
-            ratio = min(
-                self._range_ratio + step, max(self._range_ratio - step, target)
-            )
-            self._range_ratio = ratio
-            total = self.config.total_cache_bytes
-            range_budget = int(total * ratio)
-            if self.range_cache is not None:
-                self.range_cache.resize(range_budget)
-            if self.block_cache is not None:
-                self.block_cache.resize(total - range_budget)
+            self._move_boundary(self.config.initial_range_ratio, announce=False)
         if self.config.enable_admission:
-            self._point_threshold = 0.0
-            self._a = INITIAL_A
-            self._b = INITIAL_B
-            if self.freq_admission is not None:
-                self.freq_admission.set_threshold(self._point_threshold)
-            if self.scan_admission is not None:
-                self.scan_admission.set_params(self._a, self._b)
+            self._set_admission(0.0, INITIAL_A, INITIAL_B)
 
     # -- internals ------------------------------------------------
+
+    def _move_boundary(self, target: float, announce: bool) -> None:
+        """Walk the range/block boundary toward ``target`` and resize both
+        caches to it.
+
+        The walk is rate-limited to ``MAX_RATIO_STEP`` per window, so a
+        single exploratory action cannot flush either cache.
+        ``announce`` emits the boundary move (RL actions only), before
+        the resizes' eviction events.
+        """
+        old_ratio = self._range_ratio
+        ratio = min(old_ratio + MAX_RATIO_STEP, max(old_ratio - MAX_RATIO_STEP, target))
+        self._range_ratio = ratio
+        if announce and ratio != old_ratio and self.recorder.enabled:
+            self.recorder.event(N.EV_BOUNDARY_MOVE, range_ratio=ratio, previous=old_ratio)
+        total = self.config.total_cache_bytes
+        range_budget = int(total * ratio)
+        if self.range_cache is not None:
+            self.range_cache.resize(range_budget)
+        if self.block_cache is not None:
+            self.block_cache.resize(total - range_budget)
+
+    def _set_admission(self, point_threshold: float, a: float, b: float) -> None:
+        """Apply the admission parameters to both admission filters."""
+        self._point_threshold = point_threshold
+        self._a = a
+        self._b = b
+        if self.freq_admission is not None:
+            self.freq_admission.set_threshold(point_threshold)
+        if self.scan_admission is not None:
+            self.scan_admission.set_params(a, b)
 
     def _featurize(self, window: WindowStats, h_smoothed: float) -> np.ndarray:
         return state_vector(
@@ -404,30 +418,9 @@ class PolicyDecisionController:
         """Execute an action; returns the normalized action as applied."""
         ratio, thr_norm, a_norm, b = action.tolist()
         if self.config.enable_partitioning:
-            # Walk the boundary toward the target at a bounded rate so a
-            # single exploratory action cannot flush either cache.
-            step = MAX_RATIO_STEP
-            old_ratio = self._range_ratio
-            ratio = min(self._range_ratio + step, max(self._range_ratio - step, ratio))
-            self._range_ratio = ratio
-            if ratio != old_ratio and self.recorder.enabled:
-                self.recorder.event(
-                    N.EV_BOUNDARY_MOVE, range_ratio=ratio, previous=old_ratio
-                )
-            total = self.config.total_cache_bytes
-            range_budget = int(total * ratio)
-            if self.range_cache is not None:
-                self.range_cache.resize(range_budget)
-            if self.block_cache is not None:
-                self.block_cache.resize(total - range_budget)
+            self._move_boundary(ratio, announce=True)
         if self.config.enable_admission:
-            self._point_threshold = thr_norm * POINT_THRESHOLD_MAX
-            self._a = a_norm * A_MAX
-            self._b = b
-            if self.freq_admission is not None:
-                self.freq_admission.set_threshold(self._point_threshold)
-            if self.scan_admission is not None:
-                self.scan_admission.set_params(self._a, self._b)
+            self._set_admission(thr_norm * POINT_THRESHOLD_MAX, a_norm * A_MAX, b)
         return np.array(
             [
                 self._range_ratio,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Tuple
 
 
 @dataclass
@@ -128,6 +128,32 @@ class WindowStats:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
+#: The counter fields of :class:`WindowStats`: per-window tallies that
+#: sum across windows and shards (the rest are end-of-window snapshots).
+COUNTERS: Tuple[str, ...] = (
+    "ops",
+    "points",
+    "scans",
+    "writes",
+    "deletes",
+    "scan_length_sum",
+    "range_point_hits",
+    "range_scan_hits",
+    "kv_hits",
+    "block_hits",
+    "block_misses",
+    "io_miss",
+    "compactions",
+    "blocks_invalidated",
+)
+
+
+def _add_counters(out: WindowStats, window: WindowStats) -> None:
+    """Add ``window``'s :data:`COUNTERS` into ``out``."""
+    for name in COUNTERS:
+        setattr(out, name, getattr(out, name) + getattr(window, name))
+
+
 def merge_windows(windows: list[WindowStats]) -> WindowStats:
     """Aggregate several windows into one (cross-shard reporting).
 
@@ -157,20 +183,7 @@ def merge_windows(windows: list[WindowStats]) -> WindowStats:
     occ_range = occ_block = ratio = 0.0
     occ_range_w = occ_block_w = ratio_w = 0.0
     for w in windows:
-        out.ops += w.ops
-        out.points += w.points
-        out.scans += w.scans
-        out.writes += w.writes
-        out.deletes += w.deletes
-        out.scan_length_sum += w.scan_length_sum
-        out.range_point_hits += w.range_point_hits
-        out.range_scan_hits += w.range_scan_hits
-        out.kv_hits += w.kv_hits
-        out.block_hits += w.block_hits
-        out.block_misses += w.block_misses
-        out.io_miss += w.io_miss
-        out.compactions += w.compactions
-        out.blocks_invalidated += w.blocks_invalidated
+        _add_counters(out, w)
         out.num_levels = max(out.num_levels, w.num_levels)
         out.level0_runs = max(out.level0_runs, w.level0_runs)
         weight = float(max(0, w.ops)) if total_ops else 1.0
@@ -252,31 +265,17 @@ class StatsCollector:
         """Operations recorded since the last :meth:`end_window`."""
         return self.current.ops
 
-    def totals(self) -> WindowStats:  # hot-path
+    def totals(self) -> WindowStats:
         """Lifetime counters including the in-progress window.
 
-        Built in one constructor call (the serving simulator captures
-        totals once per request, so the two-pass accumulate loop this
-        replaces showed up in profiles).
+        Read a few times per run, by the benchmark harness and the perf
+        metrics; the serving simulator's clock reads :attr:`lifetime`
+        and :attr:`current` directly.
         """
-        life = self.lifetime
-        cur = self.current
-        return WindowStats(
-            ops=life.ops + cur.ops,
-            points=life.points + cur.points,
-            scans=life.scans + cur.scans,
-            writes=life.writes + cur.writes,
-            deletes=life.deletes + cur.deletes,
-            scan_length_sum=life.scan_length_sum + cur.scan_length_sum,
-            range_point_hits=life.range_point_hits + cur.range_point_hits,
-            range_scan_hits=life.range_scan_hits + cur.range_scan_hits,
-            kv_hits=life.kv_hits + cur.kv_hits,
-            block_hits=life.block_hits + cur.block_hits,
-            block_misses=life.block_misses + cur.block_misses,
-            io_miss=life.io_miss + cur.io_miss,
-            compactions=life.compactions + cur.compactions,
-            blocks_invalidated=life.blocks_invalidated + cur.blocks_invalidated,
-        )
+        out = WindowStats()
+        _add_counters(out, self.lifetime)
+        _add_counters(out, self.current)
+        return out
 
     # -- window boundary ------------------------------------------------------------
 
@@ -305,26 +304,9 @@ class StatsCollector:
         window.block_occupancy = block_occupancy
         window.range_ratio = range_ratio
 
-        self._accumulate_lifetime(window)
+        _add_counters(self.lifetime, window)
         self._window_index += 1
         self.current = WindowStats()
         self._pending_compactions = 0
         self._pending_blocks_invalidated = 0
         return window
-
-    def _accumulate_lifetime(self, w: WindowStats) -> None:
-        life = self.lifetime
-        life.ops += w.ops
-        life.points += w.points
-        life.scans += w.scans
-        life.writes += w.writes
-        life.deletes += w.deletes
-        life.scan_length_sum += w.scan_length_sum
-        life.range_point_hits += w.range_point_hits
-        life.range_scan_hits += w.range_scan_hits
-        life.kv_hits += w.kv_hits
-        life.block_hits += w.block_hits
-        life.block_misses += w.block_misses
-        life.io_miss += w.io_miss
-        life.compactions += w.compactions
-        life.blocks_invalidated += w.blocks_invalidated

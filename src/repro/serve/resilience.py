@@ -446,7 +446,7 @@ def _resident(key: str, engine: KVEngine) -> bool:
     for cache in (engine.range_cache, engine.kv_cache):
         if cache is not None:
             probed = True
-            if cache.contains(key):
+            if key in cache:
                 return True
     # Engines with no probe-capable cache (pure block strategy) cannot
     # distinguish cold keys; treat reads as resident.

@@ -78,6 +78,11 @@ class TestCapacity:
         with pytest.raises(CacheError):
             BudgetedCache(-1, 1, LRUPolicy())
 
+    def test_nonpositive_charge_rejected(self):
+        for charge in (0, -1):
+            with pytest.raises(CacheError, match="charge must be positive"):
+                BudgetedCache(10, charge)
+
     def test_occupancy(self):
         c = make_cache(budget=4)
         c.put("a", "1")

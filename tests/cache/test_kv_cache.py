@@ -37,7 +37,7 @@ class TestKVCache:
     def test_contains_no_stats(self):
         c = KVCache(4096)
         c.put("a", "1")
-        assert c.contains("a") and not c.contains("b")
+        assert "a" in c and "b" not in c
         assert c.stats.lookups == 0
 
     def test_resize(self):

@@ -109,15 +109,11 @@ def test_builtin_lru_range_cache_matches_explicit_lru_policy(budget, ops):
         got, want = _run(builtin, explicit, op)
         assert got == want, op
         assert builtin.stats == explicit.stats, op
-        assert (builtin.point_hits, builtin.range_hits) == (
-            explicit.point_hits,
-            explicit.range_hits,
-        )
         assert builtin.used_bytes == explicit.used_bytes
         assert builtin.resident_keys() == explicit.resident_keys(), op
         assert builtin.complete_intervals() == explicit.complete_intervals(), op
-        assert list(builtin._values) == list(explicit._policy._order), op
-        assert dict(builtin._values) == dict(explicit._values)
+        assert list(builtin._data) == list(explicit._policy._order), op
+        assert dict(builtin._data) == dict(explicit._data)
         builtin.check_invariants()
 
 

@@ -24,7 +24,7 @@ class TestPointPath:
         rc = cache_of()
         rc.insert_point("a", "1")
         assert rc.get_point("a") == "1"
-        assert rc.point_hits == 1
+        assert rc.stats.hits == 1
 
     def test_point_miss(self):
         rc = cache_of()
@@ -42,7 +42,7 @@ class TestRangePath:
         rc = cache_of()
         rc.insert_range("k0000", entries(0, 8))
         assert rc.get_range("k0002", 4) == entries(2, 6)
-        assert rc.range_hits == 1
+        assert rc.stats.hits == 1
 
     def test_hit_from_scan_start_key(self):
         rc = cache_of()
@@ -93,7 +93,7 @@ class TestRangePath:
         assert rc.get_range("k0001", 0) == []
         assert rc.get_range("k0001", -3) == []
         assert rc.get_range("k0099", 0) is None  # not covered: still a miss
-        assert (rc.stats.hits, rc.stats.misses, rc.range_hits) == (2, 1, 2)
+        assert (rc.stats.hits, rc.stats.misses) == (2, 1)
 
     def test_miss_when_interval_end_is_not_resident(self):
         rc = cache_of()
@@ -186,7 +186,7 @@ class TestWriteCoherence:
         rc = cache_of()
         rc.insert_range("k0000", entries(0, 2))
         rc.on_write("k9999", "x")
-        assert not rc.contains("k9999")
+        assert "k9999" not in rc
 
     def test_delete_keeps_interval_complete(self):
         rc = cache_of()
@@ -231,6 +231,44 @@ class TestMisc:
         rc = RangeCache(400, entry_charge=100, policy=LRUPolicy())
         rc.insert_point("a", "1")
         assert rc.get_point("a") == "1"
+
+    def test_policy_naming_a_non_resident_victim_raises(self):
+        class Phantom(LRUPolicy):
+            def select_victim(self):
+                return "not-cached"
+
+        rc = RangeCache(2 * 100, entry_charge=100, policy=Phantom())
+        rc.insert_range("k0000", entries(0, 2))
+        with pytest.raises(CacheError, match="non-resident victim"):
+            rc.insert_point("k0009", "v9")
+
+
+@pytest.mark.parametrize("policy", [None, LRUPolicy], ids=["builtin", "explicit"])
+def test_container_mutators_keep_array_and_intervals_in_step(policy):
+    """The inherited surface (put, get_or_fill, remove, resize, clear)
+    moves the key array and the intervals with the value map."""
+    rc = RangeCache(6 * 100, entry_charge=100, policy=policy and policy(), seed=3)
+    rc.insert_range("k0000", entries(0, 4))
+    assert rc.put("k0010", "v10") is True
+    rc.check_invariants()
+    assert rc.get_or_fill("k0011", lambda key: "filled") == "filled"
+    assert rc.get_or_fill("k0011", lambda key: "unused") == "filled"
+    rc.check_invariants()
+    assert rc.resident_keys() == [f"k{i:04d}" for i in (0, 1, 2, 3, 10, 11)]
+    rc.put("k0012", "v12")  # evicts k0000, the least recent
+    rc.check_invariants()
+    assert "k0000" not in rc and rc.complete_intervals() == [("k0001", "k0003")]
+    assert rc.remove("k0002") is True and rc.remove("k0002") is False
+    rc.check_invariants()
+    assert rc.get_range("k0001", 2) == [("k0001", "v1"), ("k0003", "v3")]
+    assert rc.resize(2 * 100) == 3  # the scan hit made k0001/k0003 recent
+    rc.check_invariants()
+    assert rc.resident_keys() == ["k0001", "k0003"]
+    assert rc.complete_intervals() == [("k0001", "k0003")]
+    rc.clear()
+    rc.check_invariants()
+    assert len(rc) == 0 and rc.used_bytes == 0 and rc.resident_keys() == []
+    assert rc.stats.invalidations == 1 + 2  # one remove, two cleared
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,10 @@ Both run in lock-step under LRU, LeCaR and Cacheus.  After every
 operation they must agree on return values, resident keys and values,
 complete intervals, :class:`~repro.cache.base.CacheStats`, and every call
 made to the eviction policy, in order.
+
+``clear`` follows the container's semantics: one invalidation per
+resident entry, and ``record_remove`` in value-map order (insertion
+order, since every cache here runs under an explicit policy).
 """
 
 from __future__ import annotations
@@ -66,12 +70,10 @@ class ReferenceRangeCache:
         self.entry_charge = entry_charge
         self._policy = policy
         self._keys: List[str] = []
-        self._values: Dict[str, str] = {}
+        self._data: Dict[str, str] = {}
         self._intervals = IntervalSet()
         self._used = 0
         self.stats = CacheStats()
-        self.point_hits = 0
-        self.range_hits = 0
 
     @property
     def used_bytes(self) -> int:
@@ -88,11 +90,10 @@ class ReferenceRangeCache:
         return self._evict_to_fit()
 
     def get_point(self, key: str) -> Optional[str]:
-        if key in self._values:
+        if key in self._data:
             self.stats.hits += 1
-            self.point_hits += 1
             self._policy.record_access(key)
-            return self._values[key]
+            return self._data[key]
         self.stats.misses += 1
         return None
 
@@ -120,7 +121,7 @@ class ReferenceRangeCache:
         for key in self._keys[bisect_left(self._keys, start) :]:
             if key > end or remaining <= 0:
                 break
-            result.append((key, self._values[key]))
+            result.append((key, self._data[key]))
             remaining -= 1
         if len(result) < length:
             self.stats.misses += 1
@@ -128,7 +129,6 @@ class ReferenceRangeCache:
         for key, _ in result:
             self._policy.record_access(key)
         self.stats.hits += 1
-        self.range_hits += 1
         return result
 
     def insert_range(
@@ -148,8 +148,8 @@ class ReferenceRangeCache:
         return admit_count
 
     def on_write(self, key: str, value: str) -> None:
-        if key in self._values:
-            self._values[key] = value
+        if key in self._data:
+            self._data[key] = value
             self._policy.record_access(key)
         elif self._intervals.covering(key) is not None:
             if not self._insert_entry(key, value):
@@ -160,20 +160,21 @@ class ReferenceRangeCache:
             self.stats.invalidations += 1
 
     def clear(self) -> None:
-        for key in list(self._keys):
+        for key in list(self._data):
             self._drop_entry(key, split_interval=False)
+            self.stats.invalidations += 1
         self._intervals.clear()
 
     def _insert_entry(self, key: str, value: str, defer_eviction: bool = False) -> bool:
         if self.entry_charge > self._budget:
             self.stats.rejections += 1
             return False
-        if key in self._values:
-            self._values[key] = value
+        if key in self._data:
+            self._data[key] = value
             self._policy.record_access(key)
         else:
             insort(self._keys, key)
-            self._values[key] = value
+            self._data[key] = value
             self._used += self.entry_charge
             self._policy.record_insert(key)
             self.stats.insertions += 1
@@ -182,11 +183,11 @@ class ReferenceRangeCache:
         return True
 
     def _drop_entry(self, key: str, split_interval: bool, evicted: bool = False) -> bool:
-        if key not in self._values:
+        if key not in self._data:
             return False
         idx = bisect_left(self._keys, key)
         del self._keys[idx]
-        del self._values[key]
+        del self._data[key]
         left = self._keys[idx - 1] if idx else None
         right = self._keys[idx] if idx < len(self._keys) else None
         self._used -= self.entry_charge
@@ -271,10 +272,9 @@ class Pair:
     def check(self) -> None:
         new, ref = self.new, self.ref
         assert new.resident_keys() == ref.resident_keys()
-        assert new._values == ref._values
+        assert new._data == ref._data
         assert new.complete_intervals() == ref.complete_intervals()
         assert new.stats == ref.stats
-        assert (new.point_hits, new.range_hits) == (ref.point_hits, ref.range_hits)
         assert new.used_bytes == ref.used_bytes
         assert self.logs[0] == self.logs[1]
         self.new.check_invariants()

@@ -1,7 +1,7 @@
 """Range Cache storage against a ``dict`` + ``sorted()`` model.
 
-The cache keeps its entries as one sorted key array beside one value
-map.  These tests drive it through its public surface — point and batch
+The cache keeps its entries as one sorted key array beside the
+container's value map.  These tests drive it through its public surface — point and batch
 admissions, overwrites, scan admissions with partial ``admit_count``,
 write/delete coherence and resizes — and compare what it holds with a
 plain dict, sorted on demand.
@@ -27,10 +27,9 @@ class _EvictionLog(LRUPolicy):
         super().__init__()
         self.evicted: List[str] = []
 
-    def evict(self, count: int) -> List[str]:
-        victims = super().evict(count)
-        self.evicted.extend(victims)
-        return victims
+    def record_evict(self, key: str) -> None:
+        super().record_evict(key)
+        self.evicted.append(key)
 
 
 def cache_of(budget_entries: int = 16) -> RangeCache:
@@ -64,7 +63,7 @@ class TestBasics:
     def test_contains(self):
         rc = cache_of()
         rc.insert_point("x", "1")
-        assert rc.contains("x") and not rc.contains("y")
+        assert "x" in rc and "y" not in rc
 
 
 class TestOrderedQueries:
@@ -218,7 +217,7 @@ def test_property_matches_sorted_dict(script, budget_entries):
         policy.evicted.clear()
 
         assert rc.resident_keys() == sorted(model)
-        assert rc._values == model
+        assert rc._data == model
         assert len(rc) == len(model)
         assert rc.used_bytes == len(model) * CHARGE <= rc.budget_bytes
         for a, b in rc.complete_intervals():

@@ -67,7 +67,7 @@ class TestQueryHandlingPath:
         engine.put(key_of(3000), "memonly")
         engine.get(key_of(3000))
         # Served from the memtable; there is nothing to cache.
-        assert engine.range_cache.contains(key_of(3000)) is False
+        assert key_of(3000) not in engine.range_cache
 
     def test_absent_key_returns_none_and_is_not_cached(self):
         tree = seeded()
@@ -129,7 +129,7 @@ class TestFrequencyAdmissionPath:
             CountMinSketch(width=512, depth=4, seed=1), threshold=0.0
         )
         engine.get(key_of(1))
-        assert engine.range_cache.contains(key_of(1))
+        assert key_of(1) in engine.range_cache
 
 
 class TestWriteCoherence:

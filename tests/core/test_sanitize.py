@@ -197,14 +197,14 @@ def test_range_cache_detects_key_without_value():
     cache = _filled_range_cache()
     # The map loses a key and gains another: lengths still agree, but
     # one array key no longer has a value.
-    cache._values["k0005x"] = cache._values.pop("k0005")
+    cache._data["k0005x"] = cache._data.pop("k0005")
     with pytest.raises(InvariantError, match="with no value"):
         cache.check_invariants()
 
 
 def test_range_cache_detects_array_map_length_drift():
     cache = _filled_range_cache()
-    cache._values["stray"] = "v"  # a value the key array never got
+    cache._data["stray"] = "v"  # a value the key array never got
     with pytest.raises(InvariantError, match="length drift"):
         cache.check_invariants()
 
@@ -247,7 +247,7 @@ def test_range_cache_detects_leaked_ghost_entry():
     # Only an explicit policy tracks keys apart from the value map.
     cache = _filled_range_cache(policy=LRUPolicy())
     cache._policy.record_insert("ghost-key")
-    with pytest.raises(InvariantError, match="policy/key-array divergence"):
+    with pytest.raises(InvariantError, match="policy/dict divergence"):
         cache.check_invariants()
 
 
@@ -262,7 +262,7 @@ def test_builtin_lru_range_cache_detects_array_key_the_map_lost():
     # Built-in LRU evicts by popping the value map; a victim left in the
     # key array is the fault this path can make.
     cache = _filled_range_cache()
-    del cache._values["k0007"]  # an eviction that skipped the key array
+    del cache._data["k0007"]  # an eviction that skipped the key array
     with pytest.raises(InvariantError, match="length drift"):
         cache.check_invariants()
 
