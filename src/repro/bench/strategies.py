@@ -27,17 +27,11 @@ from repro.cache.cacheus import CacheusPolicy
 from repro.cache.kv_cache import KVCache
 from repro.cache.lecar import LeCaRPolicy
 from repro.cache.range_cache import RangeCache
-from repro.core.adcache import (
-    ACTION_DIM,
-    ACTOR_LR,
-    CRITIC_LR,
-    AdCacheEngine,
-    default_entry_charge,
-)
+from repro.core.adcache import ACTION_DIM, ACTOR_LR, CRITIC_LR, AdCacheEngine
 from repro.core.config import AdCacheConfig
 from repro.core.engine import KVEngine
 from repro.errors import ConfigError
-from repro.lsm.options import BLOCK_SIZE
+from repro.lsm.options import BLOCK_SIZE, ENTRY_CHARGE
 from repro.lsm.tree import LSMTree
 from repro.rl.actor_critic import ActorCriticAgent
 from repro.rl.features import STATE_DIM
@@ -77,16 +71,15 @@ def _arc_factory(cache_bytes: int):
 
 
 def _kv_engine(tree: LSMTree, cache_bytes: int, seed: int) -> KVEngine:
-    cache = KVCache(cache_bytes, entry_charge=default_entry_charge())
+    cache = KVCache(cache_bytes)
     return KVEngine(tree, kv_cache=cache)
 
 
 def _range_engine_with(policy_factory) -> Callable[..., KVEngine]:
     def build(tree: LSMTree, cache_bytes: int, seed: int) -> KVEngine:
-        charge = default_entry_charge()
-        capacity_entries = max(16, cache_bytes // charge)
+        capacity_entries = max(16, cache_bytes // ENTRY_CHARGE)
         policy = policy_factory(capacity_entries, seed)
-        cache = RangeCache(cache_bytes, entry_charge=charge, policy=policy, seed=seed)
+        cache = RangeCache(cache_bytes, policy=policy)
         return KVEngine(tree, range_cache=cache)
 
     return build

@@ -84,8 +84,8 @@ class CacheBase(sanitize.Sanitized):
     sanitizer, the controller, and metrics read one interface regardless
     of which composition is running.  The ``check_invariants()``
     protocol and the sampled gate come from
-    :class:`~repro.sanitize.Sanitized`; every cache reads
-    ``REPRO_SANITIZE`` when it is built.
+    :class:`~repro.sanitize.Sanitized`, whose constructor every cache
+    calls, so each reads ``REPRO_SANITIZE`` when it is built.
     """
 
     @property
@@ -113,8 +113,7 @@ class EvictionPolicy(ABC, Generic[K]):
     ``record_evict`` when the chosen victim leaves (capacity pressure,
     so learning policies may ghost-list it), and ``record_remove`` for
     non-capacity removals (invalidation), which must not count as a
-    policy mistake.  ``evict`` draws several victims in one call for
-    callers outside the container.
+    policy mistake.
     """
 
     @abstractmethod
@@ -136,21 +135,6 @@ class EvictionPolicy(ABC, Generic[K]):
     @abstractmethod
     def record_remove(self, key: K) -> None:
         """A key left for a non-capacity reason (e.g. invalidation)."""
-
-    def evict(self, count: int) -> List[K]:
-        """Choose ``count`` victims and evict them; returns them in order.
-
-        ``count`` rounds of :meth:`select_victim` then
-        :meth:`record_evict`, so a learning policy sees the same call
-        sequence (and RNG draws) as a per-victim loop.  Policies that
-        can drop a batch faster override this with the same result.
-        """
-        victims: List[K] = []
-        for _ in range(count):
-            victim = self.select_victim()
-            self.record_evict(victim)
-            victims.append(victim)
-        return victims
 
     @abstractmethod
     def __len__(self) -> int:
@@ -201,6 +185,7 @@ class BudgetedCache(CacheBase, Generic[K, V]):
             raise CacheError("budget_bytes must be >= 0")
         if charge <= 0:
             raise CacheError("charge must be positive")
+        super().__init__()
         self._budget = budget_bytes
         self.charge = charge
         self._policy = policy
@@ -211,7 +196,6 @@ class BudgetedCache(CacheBase, Generic[K, V]):
         #: not fire it (a removed key is dead, not demoted).  The tiered
         #: serving cache uses this as its L1 demotion feed.
         self.on_evict: Optional[Callable[[K, V], None]] = None
-        self._sanitizer = sanitize.from_env()
 
     # -- capacity ---------------------------------------------------------------
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional
 
-from repro import sanitize
 from repro.cache.base import BudgetedCache, CacheBase, CacheStats, EvictionPolicy
 from repro.errors import CacheError, InvariantError
 from repro.lsm.block import BlockFetch, BlockHandle, DataBlock
@@ -56,6 +55,7 @@ class BlockCache(CacheBase):
     ) -> None:
         if num_shards <= 0:
             raise CacheError("num_shards must be positive")
+        super().__init__()
         self.block_size = block_size
         self._backing_fetch = backing_fetch
         self._num_shards = num_shards
@@ -69,7 +69,6 @@ class BlockCache(CacheBase):
         # Give any remainder to shard 0 so budgets sum exactly.
         self._shards[0].resize(budget_bytes - per_shard * (num_shards - 1))
         self._locks = [threading.Lock() for _ in range(num_shards)]
-        self._sanitizer = sanitize.from_env()
 
     def _shard_of(self, handle: BlockHandle) -> int:
         return hash(handle) % self._num_shards

@@ -8,6 +8,7 @@ that a pure point-result cache is blind to range traffic.
 from __future__ import annotations
 
 from repro.cache.base import BudgetedCache
+from repro.lsm.options import ENTRY_CHARGE
 
 
 class KVCache(BudgetedCache[str, str]):
@@ -21,7 +22,7 @@ class KVCache(BudgetedCache[str, str]):
         Logical bytes per entry (key + value size).
     """
 
-    def __init__(self, budget_bytes: int, entry_charge: int = 1024) -> None:
+    def __init__(self, budget_bytes: int, entry_charge: int = ENTRY_CHARGE) -> None:
         super().__init__(budget_bytes, entry_charge)
 
     def on_write(self, key: str, value: str) -> None:

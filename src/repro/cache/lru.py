@@ -14,7 +14,7 @@ built-in orders.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Hashable, List, TypeVar
+from typing import Generic, Hashable, TypeVar
 
 from repro.cache.base import EvictionPolicy
 from repro.errors import CacheError
@@ -50,14 +50,6 @@ class LRUPolicy(EvictionPolicy[K], Generic[K]):
 
     def record_evict(self, key: K) -> None:
         self._order.pop(key, None)
-
-    def evict(self, count: int) -> List[K]:  # hot-path
-        """The ``count`` least recent keys, oldest first, popped at once."""
-        order = self._order
-        if count > len(order):
-            raise CacheError(f"LRU policy holds {len(order)} keys, asked to evict {count}")
-        popitem = order.popitem
-        return [popitem(False)[0] for _ in range(count)]
 
     def record_remove(self, key: K) -> None:
         self._order.pop(key, None)

@@ -41,6 +41,7 @@ from repro.cache.base import BudgetedCache, EvictionPolicy
 from repro.cache.intervals import IntervalSet
 from repro.errors import InvariantError
 from repro.lsm.block import Entry
+from repro.lsm.options import ENTRY_CHARGE
 from repro.obs import names as N
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
@@ -62,16 +63,13 @@ class RangeCache(BudgetedCache[str, str]):
     policy:
         Eviction policy over cached keys; None (the default) is LRU in
         the value map's own order.
-    seed:
-        Seed for the sampled invariant checks (``REPRO_SANITIZE``).
     """
 
     def __init__(
         self,
         budget_bytes: int,
-        entry_charge: int = 1024,
+        entry_charge: int = ENTRY_CHARGE,
         policy: Optional[EvictionPolicy[str]] = None,
-        seed: int = 0,
     ) -> None:
         super().__init__(budget_bytes, entry_charge, policy)
         self._keys: List[str] = []  # resident keys, strictly ascending
@@ -81,7 +79,6 @@ class RangeCache(BudgetedCache[str, str]):
         # point gives the same safety.
         self._lock = threading.RLock()
         self.recorder: Recorder = NULL_RECORDER
-        self.sanitize_from_env(seed)
 
     def resize(self, budget_bytes: int) -> int:
         """Change capacity, evicting to fit; returns evictions made."""

@@ -85,7 +85,6 @@ class Tier2Cache(BudgetedCache[Tier2Key, DataBlock]):
         self.ghost_hits_frequency = 0  # B2 hits at admission
         self.demotions = 0  # L1 victims offered
         self.rejects = 0
-        self.sanitize_from_env(sketch_seed)
 
     @property
     def ghost_hits(self) -> int:

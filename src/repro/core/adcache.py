@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from repro.cache.admission import FrequencyAdmission, PartialScanAdmission
 from repro.cache.block_cache import BlockCache
 from repro.cache.range_cache import RangeCache
@@ -28,7 +26,7 @@ from repro.cache.sketch import CountMinSketch
 from repro.core.config import AdCacheConfig
 from repro.core.controller import A_MAX, INITIAL_A, INITIAL_B, PolicyDecisionController
 from repro.core.engine import KVEngine
-from repro.lsm.options import BLOCK_SIZE, KEY_SIZE, VALUE_SIZE
+from repro.lsm.options import BLOCK_SIZE
 from repro.lsm.tree import LSMTree
 from repro.obs.recorder import Recorder
 from repro.rl.actor_critic import ActorCriticAgent
@@ -78,7 +76,6 @@ class AdCacheEngine(KVEngine):
         config = config or AdCacheConfig()
         self.config = config
         opts = tree.options
-        entry_charge = KEY_SIZE + VALUE_SIZE
 
         range_budget = int(config.total_cache_bytes * config.initial_range_ratio)
         block_budget = config.total_cache_bytes - range_budget
@@ -88,9 +85,7 @@ class AdCacheEngine(KVEngine):
             backing_fetch=tree.disk.read_block,
             num_shards=config.num_shards,
         )
-        range_cache = RangeCache(
-            range_budget, entry_charge=entry_charge, seed=config.seed
-        )
+        range_cache = RangeCache(range_budget)
 
         sketch = CountMinSketch(
             width=SKETCH_WIDTH,
@@ -111,16 +106,13 @@ class AdCacheEngine(KVEngine):
 
         self._agent_init: Optional[Dict[str, Any]] = None
         if agent is None:
-            initial_policy = [
-                config.initial_range_ratio,
-                0.0,  # point-admission bar: admit everything
-                INITIAL_A / A_MAX,
-                INITIAL_B,
-            ]
             # The agent's full construction record: with it, an audit
             # log replays the decision stream bit-for-bit offline (see
             # repro.obs.audit).  Externally supplied agents carry state
-            # the log cannot reconstruct, so they record None.
+            # the log cannot reconstruct, so they record None.  The
+            # initial policy is the paper's initial configuration — the
+            # configured boundary, admission wide open, (a, b) at their
+            # initial values — instead of an arbitrary mid-scale point.
             self._agent_init = {
                 "state_dim": STATE_DIM,
                 "action_dim": ACTION_DIM,
@@ -130,22 +122,14 @@ class AdCacheEngine(KVEngine):
                 "gamma": GAMMA,
                 "initial_log_std": EXPLORATION_LOG_STD,
                 "seed": config.seed,
-                "initial_policy": initial_policy,
+                "initial_policy": [
+                    config.initial_range_ratio,
+                    0.0,  # point-admission bar: admit everything
+                    INITIAL_A / A_MAX,
+                    INITIAL_B,
+                ],
             }
-            agent = ActorCriticAgent(
-                state_dim=STATE_DIM,
-                action_dim=ACTION_DIM,
-                hidden_dim=config.hidden_dim,
-                actor_lr=ACTOR_LR,
-                critic_lr=CRITIC_LR,
-                gamma=GAMMA,
-                initial_log_std=EXPLORATION_LOG_STD,
-                seed=config.seed,
-            )
-            # Start from the paper's initial configuration — the
-            # configured boundary, admission wide open, (a, b) at their
-            # initial values — instead of an arbitrary mid-scale point.
-            agent.set_initial_policy(np.array(initial_policy, dtype=np.float32))
+            agent = ActorCriticAgent.from_record(self._agent_init)
         self.agent = agent
         self.controller = PolicyDecisionController(
             config=config,
@@ -179,34 +163,15 @@ class AdCacheEngine(KVEngine):
         super().attach_recorder(recorder)
         self.controller.attach_recorder(recorder, agent_init=self._agent_init)
 
-    @property
-    def entry_charge(self) -> int:
-        """Logical bytes charged per cached key-value entry."""
-        return KEY_SIZE + VALUE_SIZE
-
     def set_cache_budget(self, total_bytes: int) -> int:
         """Adopt a new total budget, split at the learned boundary.
 
         The serving layer's global arbiter moves budget between shards;
         an AdCache shard re-splits its new total at the controller's
         *current* range ratio (not the raw cache shares, which drift
-        with rounding) and updates ``config.total_cache_bytes`` so every
-        subsequent controller decision scales from the new total.
-        Returns the evictions the resize forced.
+        with rounding), so every subsequent controller decision scales
+        from the new total (see
+        :meth:`PolicyDecisionController.set_total_budget`).  Returns
+        the evictions the resize forced.
         """
-        if total_bytes < 0:
-            raise ValueError("total_bytes must be >= 0")
-        self.config.total_cache_bytes = total_bytes
-        ratio = self.controller.range_ratio
-        range_budget = int(total_bytes * ratio)
-        evicted = 0
-        if self.range_cache is not None:
-            evicted += self.range_cache.resize(range_budget)
-        if self.block_cache is not None:
-            evicted += self.block_cache.resize(total_bytes - range_budget)
-        return evicted
-
-
-def default_entry_charge() -> int:
-    """The paper's logical entry footprint (24 B key + 1000 B value)."""
-    return KEY_SIZE + VALUE_SIZE
+        return self.controller.set_total_budget(total_bytes)

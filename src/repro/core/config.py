@@ -52,7 +52,8 @@ class AdCacheConfig:
     num_shards:
         Shards for the block cache (multi-client support).
     seed:
-        Master seed for the agent, sketch, and range-cache sanitizers.
+        Master seed for the agent, the admission sketch and the
+        controller's replay sampling.
     """
 
     total_cache_bytes: int = 4 << 20

@@ -34,7 +34,7 @@ from repro.obs import names as N
 from repro.obs.recorder import NULL_RECORDER, ObsRecorder, Recorder
 from repro.rl.actor_critic import ActorCriticAgent
 from repro.rl.features import state_vector
-from repro.rl.reward import RewardCalculator, adapt_learning_rate
+from repro.rl.reward import RewardCalculator, RewardOutput, adapt_learning_rate
 
 #: The point-admission action is scaled into [0, this]; normalized key
 #: frequencies live in that range for realistic skews.
@@ -171,8 +171,26 @@ class PolicyDecisionController:
                 self.level0_max_runs,
             )
 
-    def _observe(self, window: WindowStats, record: ControlRecord) -> ControlRecord:
-        """Fold one decision into the recorder (metrics, trace, audit)."""
+    def _record(
+        self, window: WindowStats, reward_out: Optional[RewardOutput], degraded: bool
+    ) -> ControlRecord:
+        """Log one window's decision: the applied parameters with the
+        window's reward (zeros without one) go to :attr:`history` and
+        the recorder (metrics, trace, audit)."""
+        record = ControlRecord(
+            window_index=window.window_index,
+            reward=reward_out.reward if reward_out is not None else 0.0,
+            trend=reward_out.trend if reward_out is not None else 0.0,
+            h_estimate=reward_out.h_estimate if reward_out is not None else 0.0,
+            h_smoothed=reward_out.h_smoothed if reward_out is not None else 0.0,
+            actor_lr=self.agent.actor_lr,
+            range_ratio=self._range_ratio,
+            point_threshold=self._point_threshold,
+            scan_a=self._a,
+            scan_b=self._b,
+            degraded=degraded,
+        )
+        self.history.append(record)
         recorder = self.recorder
         if not isinstance(recorder, ObsRecorder):
             return record
@@ -254,7 +272,8 @@ class PolicyDecisionController:
             self._healthy_streak += 1
             if self._healthy_streak < DEGRADED_RECOVERY_WINDOWS:
                 self.degraded_windows_total += 1
-                return self._record_pinned(window, reward_out)
+                self._apply_safe_defaults()
+                return self._record(window, reward_out, degraded=True)
             self._degraded = False
             self.degraded_recoveries_total += 1
             if self.recorder.enabled:
@@ -296,21 +315,7 @@ class PolicyDecisionController:
         # with the clamped execution's reward would drag the policy
         # toward whatever extreme the noise proposed.
         self._prev_action = applied
-
-        record = ControlRecord(
-            window_index=window.window_index,
-            reward=reward_out.reward,
-            trend=reward_out.trend,
-            h_estimate=reward_out.h_estimate,
-            h_smoothed=reward_out.h_smoothed,
-            actor_lr=self.agent.actor_lr,
-            range_ratio=self._range_ratio,
-            point_threshold=self._point_threshold,
-            scan_a=self._a,
-            scan_b=self._b,
-        )
-        self.history.append(record)
-        return self._observe(window, record)
+        return self._record(window, reward_out, degraded=False)
 
     # -- degraded mode ------------------------------------------------
 
@@ -328,28 +333,8 @@ class PolicyDecisionController:
         # Any pending transition may span the blackout; never train on it.
         self._prev_state = None
         self._prev_action = None
-        return self._record_pinned(window, None)
-
-    def _record_pinned(
-        self, window: WindowStats, reward_out
-    ) -> ControlRecord:
-        """Apply the safe static defaults and log a degraded record."""
         self._apply_safe_defaults()
-        record = ControlRecord(
-            window_index=window.window_index,
-            reward=reward_out.reward if reward_out is not None else 0.0,
-            trend=reward_out.trend if reward_out is not None else 0.0,
-            h_estimate=reward_out.h_estimate if reward_out is not None else 0.0,
-            h_smoothed=reward_out.h_smoothed if reward_out is not None else 0.0,
-            actor_lr=self.agent.actor_lr,
-            range_ratio=self._range_ratio,
-            point_threshold=self._point_threshold,
-            scan_a=self._a,
-            scan_b=self._b,
-            degraded=True,
-        )
-        self.history.append(record)
-        return self._observe(window, record)
+        return self._record(window, None, degraded=True)
 
     def _apply_safe_defaults(self) -> None:
         """Walk the applied parameters to the paper's static defaults.
@@ -379,12 +364,27 @@ class PolicyDecisionController:
         self._range_ratio = ratio
         if announce and ratio != old_ratio and self.recorder.enabled:
             self.recorder.event(N.EV_BOUNDARY_MOVE, range_ratio=ratio, previous=old_ratio)
+        self._resize()
+
+    def set_total_budget(self, total_bytes: int) -> int:
+        """Adopt a new total cache budget, split at the applied boundary;
+        returns the evictions the resize forced."""
+        if total_bytes < 0:
+            raise ValueError("total_bytes must be >= 0")
+        self.config.total_cache_bytes = total_bytes
+        return self._resize()
+
+    def _resize(self) -> int:
+        """Split the total budget at the applied boundary and resize both
+        caches to it, range first; returns the evictions."""
         total = self.config.total_cache_bytes
-        range_budget = int(total * ratio)
+        range_budget = int(total * self._range_ratio)
+        evicted = 0
         if self.range_cache is not None:
-            self.range_cache.resize(range_budget)
+            evicted += self.range_cache.resize(range_budget)
         if self.block_cache is not None:
-            self.block_cache.resize(total - range_budget)
+            evicted += self.block_cache.resize(total - range_budget)
+        return evicted
 
     def _set_admission(self, point_threshold: float, a: float, b: float) -> None:
         """Apply the admission parameters to both admission filters."""

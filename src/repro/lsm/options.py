@@ -21,6 +21,8 @@ from repro.errors import ConfigError
 KEY_SIZE = 24
 #: Logical value size in bytes (paper Section 5.1).
 VALUE_SIZE = 1000
+#: Logical bytes one cached key-value entry is charged (24 B + 1000 B).
+ENTRY_CHARGE = KEY_SIZE + VALUE_SIZE
 #: Logical data-block size in bytes (paper Section 5.1).
 BLOCK_SIZE = 4096
 #: Capacity ratio between adjacent levels (paper: 10).

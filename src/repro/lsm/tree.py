@@ -54,7 +54,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 _SCALAR_PROBE_MAX = 7
 
 
-class LSMTree:
+class LSMTree(sanitize.Sanitized):
     """A RocksDB-flavoured LSM-tree key-value store (simulated disk).
 
     Parameters
@@ -68,6 +68,7 @@ class LSMTree:
     """
 
     def __init__(self, options: Optional[LSMOptions] = None) -> None:
+        super().__init__()
         self.options = options or LSMOptions()
         self.disk = SimulatedDisk()
         self.levels = LevelState(self.options.max_levels)
@@ -76,7 +77,6 @@ class LSMTree:
         self.compactor = Compactor(self.options, self.disk, self.levels)
         self._block_fetch: BlockFetch = self.disk.read_block
         self._closed = False
-        self._sanitizer = sanitize.from_env(self.options.seed)
         # read-path counters
         self.gets_total = 0
         self.scans_total = 0
@@ -263,8 +263,7 @@ class LSMTree:
             recorder.event(N.EV_FLUSH, sst=table.sst_id, entries=len(keys))
         if self.options.auto_compact:
             self.compactor.maybe_compact()
-        if self._sanitizer is not None:
-            self._sanitizer.after_mutation(self)
+        self._after_mutation()
         return table
 
     # -- point lookups -----------------------------------------------------------------

@@ -148,26 +148,9 @@ def build_replay_controller(header: Dict[str, Any]) -> "Any":
             "audit header has no agent_init (externally supplied agent); "
             "replay needs the original agent construction parameters"
         )
-    config = AdCacheConfig(**header["config"])
-
-    initial_policy = agent_init.get("initial_policy")
-    agent = ActorCriticAgent(
-        state_dim=int(agent_init["state_dim"]),
-        action_dim=int(agent_init["action_dim"]),
-        hidden_dim=int(agent_init["hidden_dim"]),
-        actor_lr=float(agent_init["actor_lr"]),
-        critic_lr=float(agent_init["critic_lr"]),
-        gamma=float(agent_init["gamma"]),
-        initial_log_std=float(agent_init["initial_log_std"]),
-        seed=int(agent_init["seed"]),
-    )
-    if initial_policy is not None:
-        import numpy as np
-
-        agent.set_initial_policy(np.asarray(initial_policy, dtype=np.float32))
     return PolicyDecisionController(
-        config=config,
-        agent=agent,
+        config=AdCacheConfig(**header["config"]),
+        agent=ActorCriticAgent.from_record(agent_init),
         block_cache=None,
         range_cache=None,
         freq_admission=None,

@@ -15,7 +15,7 @@ threshold, and the scan-admission parameters ``a`` and ``b``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -81,6 +81,21 @@ class ActorCriticAgent:
         )
         self._rng = np.random.default_rng(seed + 2)
         self.updates_total = 0
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, Any]) -> "ActorCriticAgent":
+        """Build the agent an audit ``agent_init`` record describes.
+
+        The record holds every constructor argument by name, plus an
+        ``initial_policy`` (action means for :meth:`set_initial_policy`,
+        or None to keep the random initial policy).
+        """
+        params = dict(record)
+        initial_policy = params.pop("initial_policy", None)
+        agent = cls(**params)
+        if initial_policy is not None:
+            agent.set_initial_policy(np.asarray(initial_policy, dtype=np.float32))
+        return agent
 
     def set_initial_policy(self, action_means: Array) -> None:
         """Pin the untrained policy's mean to ``action_means``.

@@ -16,10 +16,11 @@ spirit of a sanitizer-instrumented debug build:
   ``n``; a value that is not an integer also means
   :data:`DEFAULT_PERIOD`, and ``0`` or a negative value disables.
 
-Structures inherit the gate from :class:`Sanitized` and adopt the
-environment's schedule when they are built.  A test that wants a check
-after every mutation installs ``Sanitizer(1, seed)`` as the structure's
-``_sanitizer`` directly.
+Structures inherit the gate from :class:`Sanitized`, whose constructor
+adopts the environment's schedule: every checked structure checks
+itself from the moment it is built, on one schedule (seed 0).  A test
+that wants a check after every mutation installs ``Sanitizer(1, seed)``
+as the structure's ``_sanitizer`` directly.
 
 Sampling is probabilistic but *deterministic*: each :class:`Sanitizer`
 draws check gaps from its own seeded :class:`random.Random`, so two runs
@@ -105,32 +106,31 @@ class Sanitizer:
             target.check_invariants()
 
 
-def from_env(seed: int = 0) -> Optional["Sanitizer"]:
+def from_env() -> Optional["Sanitizer"]:
     """A :class:`Sanitizer` per ``REPRO_SANITIZE``, or None when disabled."""
     period = env_period()
-    return Sanitizer(period, seed) if period else None
+    return Sanitizer(period) if period else None
 
 
 class Sanitized(ABC):
     """A structure whose invariants the sampled gate checks.
 
     Subclasses implement ``check_invariants()`` (abstract, so a class
-    without one cannot be instantiated) and call :meth:`_after_mutation`
-    after each mutation.  ``_sanitizer`` defaults to None at class
-    level, so checking starts disabled for every subclass, slotted or
-    not, until the structure adopts the ``REPRO_SANITIZE`` schedule.
+    without one cannot be instantiated), call ``super().__init__()`` and
+    call :meth:`_after_mutation` after each mutation.  The constructor
+    adopts the ``REPRO_SANITIZE`` schedule; a subclass that skips it
+    fails on its first mutation instead of silently never checking.
     """
 
     #: Sampled invariant-check gate; None when sanitizing is disabled.
-    _sanitizer: Optional[Sanitizer] = None
+    _sanitizer: Optional[Sanitizer]
+
+    def __init__(self) -> None:
+        self._sanitizer = from_env()
 
     @abstractmethod
     def check_invariants(self) -> None:
         """Raise :class:`~repro.errors.InvariantError` on corrupt state."""
-
-    def sanitize_from_env(self, seed: int = 0) -> None:
-        """Adopt the ``REPRO_SANITIZE`` schedule (no-op when disabled)."""
-        self._sanitizer = from_env(seed)
 
     def _after_mutation(self) -> None:
         """Hot-path hook: run a sampled invariant check when enabled."""

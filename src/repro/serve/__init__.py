@@ -15,7 +15,6 @@ reads, per-op deadlines, and a graceful-degradation ladder.
 """
 
 from repro.serve.arbiter import BudgetArbiter
-from repro.serve.base import ServeComponent
 from repro.serve.events import EventLoop
 from repro.serve.queueing import Request, RequestQueue, SubRequest
 from repro.serve.resilience import (
@@ -44,7 +43,6 @@ __all__ = [
     "RequestQueue",
     "ResilienceConfig",
     "ScriptedSession",
-    "ServeComponent",
     "ServeConfig",
     "ServeResult",
     "ShardResult",

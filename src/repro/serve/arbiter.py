@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.engine import KVEngine
 from repro.errors import ConfigError, InvariantError
-from repro.serve.base import ServeComponent
+from repro.sanitize import Sanitized
 from repro.serve.tier2 import Tier2Coordinator
 
 #: Floor every shard keeps of the L1 pool; the fleet needs
@@ -43,7 +43,7 @@ MIN_L2_SHARE = 0.05
 MAX_L2_SHARE = 0.5
 
 
-class BudgetArbiter(ServeComponent):
+class BudgetArbiter(Sanitized):
     """Re-splits one total cache budget across shard engines."""
 
     __slots__ = (
@@ -75,6 +75,7 @@ class BudgetArbiter(ServeComponent):
             raise ConfigError(
                 f"{n} shards cannot each keep the {MIN_SHARE} min share"
             )
+        super().__init__()
         self._engines = list(engines)
         self.total_budget_bytes = total_budget_bytes
         self._tier2 = tier2

@@ -24,7 +24,7 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.errors import CacheError, ConfigError, InvariantError
 from repro.lsm.block import Entry
-from repro.serve.base import ServeComponent
+from repro.sanitize import Sanitized
 from repro.workloads.generator import Operation
 
 
@@ -97,7 +97,7 @@ class SubRequest:
         self.epoch = epoch
 
 
-class RequestQueue(ServeComponent):
+class RequestQueue(Sanitized):
     """Bounded FIFO of sub-requests in front of one shard's server.
 
     ``capacity`` is the queue's admission budget: when it is full, new
@@ -120,6 +120,7 @@ class RequestQueue(ServeComponent):
     def __init__(self, shard_id: int, capacity: int) -> None:
         if capacity <= 0:
             raise ConfigError(f"queue capacity must be positive, got {capacity}")
+        super().__init__()
         self.shard_id = shard_id
         self.capacity = capacity
         self._items: Deque[SubRequest] = deque()

@@ -40,7 +40,6 @@ from repro.core.engine import KVEngine
 from repro.errors import ConfigError, InvariantError
 from repro.faults.fleet import FleetFaultConfig, FleetFaultPlan
 from repro.obs import names as N
-from repro.serve.base import ServeComponent
 from repro.serve.queueing import Request, SubRequest
 from repro.serve.session import ClientSession
 from repro.workloads.generator import Operation
@@ -141,7 +140,7 @@ class ResilienceConfig:
             raise ConfigError("hedge_min_samples must be positive")
 
 
-class CircuitBreaker(ServeComponent):
+class CircuitBreaker(sanitize.Sanitized):
     """Per-shard health gate: closed / open / half-open.
 
     All transitions are functions of recorded outcomes and simulated
@@ -166,6 +165,7 @@ class CircuitBreaker(ServeComponent):
         shard_id: int,
         on_transition: Optional[Callable[[str, str, str], None]] = None,
     ) -> None:
+        super().__init__()
         self.shard_id = shard_id
         #: Called with ``(from, to, reason)`` after each transition.
         self.on_transition = on_transition
@@ -283,7 +283,7 @@ class CircuitBreaker(ServeComponent):
             )
 
 
-class DegradationLadder(ServeComponent):
+class DegradationLadder(sanitize.Sanitized):
     """Fleet-wide graceful-degradation state machine (levels 0-3).
 
     ``observe()`` is called at every arrival with the current fleet
@@ -303,6 +303,7 @@ class DegradationLadder(ServeComponent):
     def __init__(
         self, on_transition: Optional[Callable[[int, int, float], None]] = None
     ) -> None:
+        super().__init__()
         #: Called with ``(from, to, pressure)`` after each move.
         self.on_transition = on_transition
         self.level = LEVEL_NORMAL
@@ -475,9 +476,7 @@ class FailureModel:
         # would be cyclic garbage that outlives its run.
         self.sim: "_Simulation" = weakref.proxy(sim)
         self.config = config
-        seed = sim.config.seed
         self.ladder = DegradationLadder(partial(_ladder_moved, self.sim))
-        self.ladder.sanitize_from_env(seed=seed + 71)
         self._owners: Set[str] = {s.name for s in sim.sessions[:OWNER_TENANTS]}
         self._queue_capacity = sim.config.num_shards * sim.config.queue_depth
         self.acked: Dict[str, Tuple[int, Optional[str]]] = {}
@@ -488,7 +487,6 @@ class FailureModel:
             breaker = CircuitBreaker(
                 shard.shard_id, partial(_breaker_moved, self.sim, shard.shard_id)
             )
-            breaker.sanitize_from_env(seed=seed + 53 + shard.shard_id)
             replica = spawn_replica(shard.shard_id)
             clock = SimClock(replica)
             failover = Failover(

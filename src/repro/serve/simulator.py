@@ -247,7 +247,6 @@ def _build_shards(config: ServeConfig, slices: List[List[int]]) -> List[_Shard]:
             config, shard_id, ids, config.seed + 101 * (shard_id + 1)
         )
         queue = RequestQueue(shard_id, config.queue_depth)
-        queue.sanitize_from_env(seed=config.seed + 31 + shard_id)
         clock = SimClock(engine)
         shards.append(_Shard(shard_id, engine, queue, clock, len(ids)))
     return shards
@@ -360,7 +359,6 @@ class _Simulation:
                 config.cache_bytes,
                 tier2=self.tier2,
             )
-            self.arbiter.sanitize_from_env(seed=config.seed + 17)
         self.latency = Histogram(growth=LATENCY_GROWTH)
         self.queue_wait = Histogram(growth=LATENCY_GROWTH)
         self.completed_total = 0

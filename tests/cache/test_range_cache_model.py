@@ -33,7 +33,7 @@ class _EvictionLog(LRUPolicy):
 
 
 def cache_of(budget_entries: int = 16) -> RangeCache:
-    return RangeCache(budget_entries * CHARGE, entry_charge=CHARGE, seed=1)
+    return RangeCache(budget_entries * CHARGE, entry_charge=CHARGE)
 
 
 class TestBasics:
@@ -97,7 +97,7 @@ class TestOrderedQueries:
         assert rc.get_range("b", 2) == [("c", "2"), ("d", "3")]
 
     def test_eviction_cuts_interval_at_neighbours(self):
-        rc = RangeCache(5 * CHARGE, entry_charge=CHARGE, seed=1)
+        rc = RangeCache(5 * CHARGE, entry_charge=CHARGE)
         rc.insert_range("a", [(k, k) for k in "abcde"])
         for k in "abde":
             rc.get_point(k)  # "c" becomes the LRU victim
@@ -108,7 +108,7 @@ class TestOrderedQueries:
     def test_eviction_next_to_non_resident_bound(self):
         # The interval starts at a key the scan did not find: evicting
         # the first resident key leaves nothing resident in [start, c).
-        rc = RangeCache(3 * CHARGE, entry_charge=CHARGE, seed=1)
+        rc = RangeCache(3 * CHARGE, entry_charge=CHARGE)
         rc.insert_range("a0", [("b", "1"), ("c", "2"), ("d", "3")])
         rc.resize(2 * CHARGE)
         assert rc.resident_keys() == ["c", "d"]

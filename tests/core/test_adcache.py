@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.adcache import ACTION_DIM, AdCacheEngine, default_entry_charge
+from repro.core.adcache import ACTION_DIM, AdCacheEngine
 from repro.core.config import AdCacheConfig
-from repro.lsm.options import LSMOptions
+from repro.lsm.options import ENTRY_CHARGE, KEY_SIZE, VALUE_SIZE, LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.rl.actor_critic import ActorCriticAgent
 from repro.rl.features import STATE_DIM
@@ -59,8 +59,8 @@ class TestConstruction:
 
     def test_entry_charge_matches_options(self):
         engine = seeded_engine()
-        assert engine.entry_charge == 24 + 1000
-        assert default_entry_charge() == 1024
+        assert ENTRY_CHARGE == KEY_SIZE + VALUE_SIZE == 24 + 1000
+        assert engine.range_cache.charge == ENTRY_CHARGE
 
 
 class TestOperation:

@@ -29,7 +29,7 @@ def _budgeted(budget=1024, charge=64):
 
 
 def _filled_range_cache(n=20, policy=None):
-    cache = RangeCache(budget_bytes=64 * n, entry_charge=64, policy=policy, seed=3)
+    cache = RangeCache(budget_bytes=64 * n, entry_charge=64, policy=policy)
     for i in range(n):
         cache.insert_point(f"k{i:04d}", f"v{i}")
     return cache
@@ -186,7 +186,7 @@ def test_enabled_sanitizer_trips_on_next_mutation():
 
 
 def test_range_cache_key_array_clean_state_passes():
-    cache = RangeCache(budget_bytes=64 * 150, entry_charge=64, seed=5)
+    cache = RangeCache(budget_bytes=64 * 150, entry_charge=64)
     cache.insert_range("k00000", [(f"k{i:05d}", str(i)) for i in range(200)])
     for i in range(0, 200, 3):
         cache.on_delete(f"k{i:05d}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import sanitize
 from repro.errors import CacheError, ConfigError, InvariantError
 from repro.sanitize import Sanitizer
 from repro.serve.queueing import Request, RequestQueue, SubRequest
@@ -82,7 +83,8 @@ class TestQueue:
 
     def test_sampled_sanitizer_hook(self):
         q = RequestQueue(0, 4)
-        assert q._sanitizer is None  # slotted, yet starts disabled
+        # Slotted, yet starts on the REPRO_SANITIZE schedule.
+        assert (q._sanitizer is None) == (sanitize.from_env() is None)
         q._sanitizer = Sanitizer(1, 0)
         q.push(sub(0))
         q.pop_live(0.0)
