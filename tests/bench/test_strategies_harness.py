@@ -25,17 +25,19 @@ from repro.workloads.generator import (
     point_lookup_workload,
 )
 from repro.workloads.keys import key_of, value_of
+from tests.reference_model import ReferenceModel
 
 OPTS = LSMOptions(memtable_entries=32, entries_per_sstable=64)
 
 
 class TestStrategies:
     def test_every_strategy_builds_and_serves(self):
+        model = ReferenceModel.seeded(300)
         for name in STRATEGIES:
             tree = seed_database(300, OPTS)
             engine = build_engine(name, tree, cache_bytes=64 * 1024, seed=1)
-            assert engine.get(key_of(10)) == value_of(10), name
-            assert engine.scan(key_of(20), 4)[0][0] == key_of(20), name
+            assert engine.get(key_of(10)) == model.get(key_of(10)), name
+            assert engine.scan(key_of(20), 4) == model.scan(key_of(20), 4), name
 
     def test_display_names_cover_strategies(self):
         assert set(DISPLAY_NAMES) == set(STRATEGIES)
@@ -132,12 +134,16 @@ class TestHarness:
 
         tree = seed_database(100, OPTS)
         engine = build_engine("block", tree, cache_bytes=32 * 1024)
-        assert apply_operation(engine, Operation("get", key_of(3))) == value_of(3)
-        entries = apply_operation(engine, Operation("scan", key_of(5), length=2))
-        assert entries == [(key_of(5), value_of(5)), (key_of(6), value_of(6))]
-        assert apply_operation(engine, Operation("put", key_of(3), value="x")) is None
-        assert apply_operation(engine, Operation("delete", key_of(3))) is None
-        assert apply_operation(engine, Operation("get", key_of(3))) is None
+        model = ReferenceModel.seeded(100)
+        for op in (
+            Operation("get", key_of(3)),
+            Operation("scan", key_of(5), length=2),
+            Operation("put", key_of(3), value="x"),
+            Operation("get", key_of(3)),
+            Operation("delete", key_of(3)),
+            Operation("get", key_of(3)),
+        ):
+            assert apply_operation(engine, op) == model.apply(op), op
         with pytest.raises(ConfigError, match="unknown operation kind"):
             apply_operation(engine, Operation("merge", key_of(3)))
 

@@ -9,13 +9,14 @@ plain dict, sorted on demand.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.lru import LRUPolicy
 from repro.cache.range_cache import RangeCache
+from tests.reference_model import ReferenceModel
 
 CHARGE = 100
 
@@ -159,14 +160,15 @@ ops = st.one_of(
 def test_property_matches_sorted_dict(script, budget_entries):
     """Hits equal the database, and the cache holds exactly what was
     admitted and not since evicted, deleted or rejected."""
-    db: Dict[str, str] = {k: f"v{k}" for k in KEYS[::2]}  # odd keys absent
+    db = ReferenceModel((k, f"v{k}") for k in KEYS[::2])  # odd keys absent
     policy = _EvictionLog()
     rc = RangeCache(budget_entries * CHARGE, entry_charge=CHARGE, policy=policy)
-    model: Dict[str, str] = {}
+    model = ReferenceModel()  # what the cache must hold
 
     def admit(pairs):
         if CHARGE <= rc.budget_bytes:
-            model.update(pairs)
+            for key, value in pairs:
+                model.put(key, value)
 
     for op in script:
         kind = op[0]
@@ -174,19 +176,19 @@ def test_property_matches_sorted_dict(script, budget_entries):
             key = KEYS[op[1]]
             hit = rc.get_point(key)
             if hit is not None:
-                assert hit == db[key]
+                assert hit == db.get(key)
             elif key in db:
-                admit([(key, db[key])])
-                rc.insert_point(key, db[key])
+                admit([(key, db.get(key))])
+                rc.insert_point(key, db.get(key))
         elif kind == "points":
-            pairs = [(KEYS[i], db[KEYS[i]]) for i in op[1] if KEYS[i] in db]
+            pairs = [(KEYS[i], db.get(KEYS[i])) for i in op[1] if KEYS[i] in db]
             if pairs:
                 admit(pairs)
                 rc.insert_points(pairs)
         elif kind == "scan":
             _, idx, length, admit_count = op
             start = KEYS[idx]
-            expected = [(k, db[k]) for k in sorted(db) if k >= start][:length]
+            expected = db.scan(start, length)
             hit = rc.get_range(start, length)
             if hit is not None:
                 assert hit == expected
@@ -201,26 +203,26 @@ def test_property_matches_sorted_dict(script, budget_entries):
         elif kind == "put":
             key, value = KEYS[op[1]], f"w{op[2]}"
             covered = any(a <= key <= b for a, b in rc.complete_intervals())
-            db[key] = value
+            db.put(key, value)
             if key in model or covered:
                 admit([(key, value)])
             rc.on_write(key, value)
         elif kind == "delete":
             key = KEYS[op[1]]
-            db.pop(key, None)
-            model.pop(key, None)
+            db.delete(key)
+            model.delete(key)
             rc.on_delete(key)
         else:
             rc.resize(op[1] * CHARGE)
         for key in policy.evicted:
-            model.pop(key, None)
+            model.delete(key)
         policy.evicted.clear()
 
-        assert rc.resident_keys() == sorted(model)
-        assert rc._data == model
+        assert rc.resident_keys() == model.keys()
+        assert rc._data == model.data
         assert len(rc) == len(model)
         assert rc.used_bytes == len(model) * CHARGE <= rc.budget_bytes
         for a, b in rc.complete_intervals():
             # Completeness: every live key inside an interval is cached.
-            assert all(k in model for k in db if a <= k <= b), (a, b)
+            assert all(k in model for k in db.keys() if a <= k <= b), (a, b)
         rc.check_invariants()

@@ -7,6 +7,7 @@ from repro.bench.strategies import build_engine
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.workloads.keys import key_of, value_of
+from tests.reference_model import ReferenceModel
 
 OPTS = LSMOptions(memtable_entries=32, entries_per_sstable=64)
 
@@ -56,11 +57,9 @@ class TestCorrectnessAcrossCompaction:
     def test_cached_reads_stay_fresh_through_update_churn(self):
         """Values read through any strategy match ground truth even as
         compaction rewrites files and caches serve hits."""
-        ground_truth = {}
+        ground_truth = ReferenceModel.seeded(2000)
         tree = seeded_tree()
         engine = build_engine("adcache", tree, cache_bytes=256 * 1024, seed=1)
-        for i in range(2000):
-            ground_truth[key_of(i)] = value_of(i)
         from random import Random
 
         rng = Random(9)
@@ -71,16 +70,12 @@ class TestCorrectnessAcrossCompaction:
             if action < 0.4:
                 value = value_of(i, step)
                 engine.put(key, value)
-                ground_truth[key] = value
+                ground_truth.put(key, value)
             elif action < 0.8:
                 assert engine.get(key) == ground_truth.get(key), (step, key)
             else:
-                start_i = min(i, 2000 - 8)
-                result = engine.scan(key_of(start_i), 8)
-                keys_sorted = sorted(ground_truth)
-                expected = [
-                    (k, ground_truth[k])
-                    for k in keys_sorted
-                    if k >= key_of(start_i)
-                ][:8]
-                assert result == expected, (step, start_i)
+                start = key_of(min(i, 2000 - 8))
+                assert engine.scan(start, 8) == ground_truth.scan(start, 8), (
+                    step,
+                    start,
+                )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm.memtable import MemTable
+from tests.reference_model import ReferenceModel
 
 
 class TestBasics:
@@ -85,10 +86,10 @@ class TestIteration:
 def test_property_matches_dict_model(pairs):
     """MemTable behaves like a dict plus sortedness."""
     m = MemTable()
-    model = {}
+    model = ReferenceModel()
     for k, v in pairs:
         m.put(k, v)
-        model[k] = v
+        model.put(k, v)
     for k, v in model.items():
         assert m.get(k) == (True, v)
-    assert m.sorted_from("")[0] == sorted(model)
+    assert m.sorted_from("")[0] == model.keys()

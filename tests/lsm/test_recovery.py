@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.workloads.keys import key_of, value_of
+from tests.reference_model import ReferenceModel
 
 
 def small_tree():
@@ -69,14 +70,14 @@ class TestRecovery:
 )
 def test_property_crash_never_loses_acknowledged_writes(ops):
     tree = LSMTree(LSMOptions(memtable_entries=8, entries_per_sstable=16))
-    model = {}
+    model = ReferenceModel()
     for kind, key, value in ops:
         if kind == "put":
             tree.put(key, value)
-            model[key] = value
+            model.put(key, value)
         elif kind == "delete":
             tree.delete(key)
-            model.pop(key, None)
+            model.delete(key)
         else:
             tree.flush()
     tree.simulate_crash_and_recover()

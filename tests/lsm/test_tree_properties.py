@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
+from tests.reference_model import ReferenceModel
 
 KEYS = [f"k{i:03d}" for i in range(40)]
 
@@ -26,10 +27,10 @@ def run_ops(tree, model, ops):
     for kind, key, value in ops:
         if kind == "put":
             tree.put(key, value)
-            model[key] = value
+            model.put(key, value)
         elif kind == "delete":
             tree.delete(key)
-            model.pop(key, None)
+            model.delete(key)
         else:
             tree.flush()
 
@@ -38,7 +39,7 @@ def run_ops(tree, model, ops):
 @given(st.lists(op_strategy, max_size=120))
 def test_point_lookups_match_dict_model(ops):
     tree = LSMTree(LSMOptions(memtable_entries=8, entries_per_sstable=16))
-    model = {}
+    model = ReferenceModel()
     run_ops(tree, model, ops)
     for key in KEYS:
         assert tree.get(key) == model.get(key)
@@ -52,17 +53,16 @@ def test_point_lookups_match_dict_model(ops):
 )
 def test_scans_match_dict_model(ops, start, length):
     tree = LSMTree(LSMOptions(memtable_entries=8, entries_per_sstable=16))
-    model = {}
+    model = ReferenceModel()
     run_ops(tree, model, ops)
-    expected = sorted((k, v) for k, v in model.items() if k >= start)[:length]
-    assert tree.scan(start, length) == expected
+    assert tree.scan(start, length) == model.scan(start, length)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(op_strategy, min_size=30, max_size=150))
 def test_structural_invariants_hold(ops):
     tree = LSMTree(LSMOptions(memtable_entries=8, entries_per_sstable=16))
-    run_ops(tree, {}, ops)
+    run_ops(tree, ReferenceModel(), ops)
     # Levels 1+ must hold non-overlapping, sorted files.
     for level in range(1, tree.options.max_levels):
         files = tree.levels.level_files(level)
