@@ -190,3 +190,29 @@ class TestBatchedServing:
         again = _run(**kwargs)
         assert again.fingerprint() == result.fingerprint()
         assert again.shed_by_reason == result.shed_by_reason
+
+    @pytest.mark.parametrize("resilient", [False, True], ids=["plain", "resilient"])
+    def test_shards_start_only_after_the_whole_burst_is_queued(self, resilient):
+        """One start order, with or without the failure model: no shard
+        starts serving while an arrival's burst is still being queued."""
+        from repro.serve.resilience import ResilienceConfig
+
+        result = _run(
+            seed=35,
+            batch_size=8,
+            resilience=ResilienceConfig() if resilient else None,
+        )
+        bursts = {}  # (time, tenant) -> trace index of its first and last arrive
+        starts = []
+        for index, record in enumerate(result.trace):
+            time_us, kind, *fields = record.split()
+            if kind == "arrive":
+                first, _ = bursts.get((time_us, fields[1]), (index, index))
+                bursts[(time_us, fields[1])] = (first, index)
+            elif kind == "start":
+                starts.append(index)
+        assert max(last - first for first, last in bursts.values()) > 0
+        assert starts
+        for first, last in bursts.values():
+            inside = [i for i in starts if first < i < last]
+            assert not inside, result.trace[first : last + 1]
