@@ -183,6 +183,8 @@ class KVEngine:
             recorder.inc(N.WINDOW_DELETES, window.deletes)
             recorder.inc(N.WINDOW_IO_MISS, window.io_miss)
             recorder.inc(N.RANGE_HITS, window.range_point_hits + window.range_scan_hits)
+            if self.kv_cache is not None:
+                recorder.inc(N.KV_HITS, window.kv_hits)
             recorder.inc(N.BLOCK_HITS, window.block_hits)
             recorder.inc(N.BLOCK_MISSES, window.block_misses)
             recorder.observe(N.H_WINDOW_IO_MISS, window.io_miss)

@@ -82,6 +82,7 @@ RANGE_INSERTIONS = register("cache.range.insertions", COUNTER, "range-cache inse
 RANGE_REJECTIONS = register(
     "cache.range.rejections", COUNTER, "range-cache admission rejections"
 )
+KV_HITS = register("cache.kv.hits", COUNTER, "KV-cache point hits")
 BLOCK_HITS = register("cache.block.hits", COUNTER, "block-cache hits")
 BLOCK_MISSES = register("cache.block.misses", COUNTER, "block-cache misses")
 BLOCK_EVICTIONS = register("cache.block.evictions", COUNTER, "block-cache evictions")

@@ -4,6 +4,7 @@ artifacts and recording never perturbs the simulation itself."""
 from __future__ import annotations
 
 from repro.bench.harness import apply_operation
+from repro.bench.strategies import build_engine
 from repro.core.adcache import AdCacheEngine
 from repro.core.config import AdCacheConfig
 from repro.lsm.options import LSMOptions
@@ -50,6 +51,26 @@ class TestEngineInstrumentation:
         # 6 full windows + the flushed partial one.
         assert len(metrics.windows) == 7
         assert metrics.counter_total(N.CTRL_DECISIONS) == 7
+
+    def test_kv_hits_are_exported_only_with_a_kv_cache(self):
+        tree = LSMTree(LSMOptions(memtable_entries=32, entries_per_sstable=64))
+        tree.bulk_load((key_of(i), value_of(i)) for i in range(1500))
+        engine = build_engine("kv", tree, 1 << 20, seed=1)
+        engine.window_size = 100
+        recorder = ObsRecorder()
+        engine.attach_recorder(recorder)
+        drive(engine, ops=650)
+        engine.flush_window()
+        lifetime = engine.collector.lifetime
+        assert lifetime.kv_hits > 0
+        assert recorder.metrics.counter_total(N.KV_HITS) == lifetime.kv_hits
+        # No KV cache, no counter: an AdCache export stays as it was.
+        other = small_engine()
+        other_recorder = ObsRecorder()
+        other.attach_recorder(other_recorder)
+        drive(other, ops=650)
+        other.flush_window()
+        assert N.KV_HITS not in other_recorder.metrics.totals_dict()["counters"]
 
     def test_recording_does_not_perturb_the_run(self):
         plain = small_engine()
