@@ -21,7 +21,7 @@ from repro.errors import ConfigError
 from repro.lsm.block import Entry
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
-from repro.rl.reward import estimate_no_cache_io
+from repro.rl.reward import h_estimate
 from repro.workloads.generator import Operation, WorkloadGenerator, WorkloadSpec
 from repro.workloads.keys import key_of, value_of
 
@@ -138,18 +138,17 @@ def estimated_hit_rate(
         points -= baseline.points
         scans -= baseline.scans
         scan_len_sum -= baseline.scan_entries
-    avg_scan = scan_len_sum / scans if scans else 0.0
-    io_estimate = estimate_no_cache_io(
+    options = engine.tree.options
+    h, io_estimate = h_estimate(
         points,
         scans,
-        avg_scan,
-        engine.tree.options.entries_per_block,
+        scan_len_sum,
+        io_miss,
+        options.entries_per_block,
         engine.tree.num_levels,
-        engine.tree.options.level0_stop_writes_trigger,
+        options.level0_stop_writes_trigger,
     )
-    if io_estimate <= 0:
-        return 0.0, 0.0, io_miss
-    return 1.0 - io_miss / io_estimate, io_estimate, io_miss
+    return h, io_estimate, io_miss
 
 
 def run_workload(

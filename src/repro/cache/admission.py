@@ -86,17 +86,15 @@ class FrequencyAdmission:
     def observe_and_decide_batch(self, keys: Sequence[str]) -> List[bool]:  # hot-path
         """Per-key :meth:`observe_and_decide` for a whole miss batch.
 
-        The row hashes for every key are computed in one vectorized
-        pass (:meth:`~repro.cache.sketch.CountMinSketch.columns_batch`,
-        which warms the sketch's column memo); the increments and
-        decisions then replay in arrival order, because each decision
-        divides by the sketch total *as of that key's update* and a
-        mid-batch decay must halve the counters before later keys are
-        judged.  Decisions and admitted/rejected counters are
+        The increments and decisions run in arrival order, because each
+        decision divides by the sketch total *as of that key's update*
+        and a mid-batch decay must halve the counters before later keys
+        are judged.  The loop is inlined rather than calling
+        :meth:`observe_and_decide` per key, so a traced run records one
+        span per batch.  Decisions and admitted/rejected counters are
         bit-identical to a scalar loop over ``keys``.
         """
         sketch = self._sketch
-        sketch.columns_batch(keys)
         threshold = self._threshold
         increment = sketch.increment
         out: List[bool] = []

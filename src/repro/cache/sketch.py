@@ -31,19 +31,13 @@ always corrupted bookkeeping, never "decay skew", and is raised as
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CacheError
-from repro.lsm.bloom import fnv1a, fnv1a_batch_multi, fnv1a_from
+from repro.lsm.bloom import fnv1a, fnv1a_from
 
 #: Keys whose row columns are memoized before the FIFO starts evicting.
 _MEMO_LIMIT = 8192
-
-#: Batches at or below this size hash through the scalar loop — numpy's
-#: fixed per-call overhead beats its per-key savings under ~8 keys.
-_SCALAR_BATCH_MAX = 7
 
 
 class CountMinSketch:
@@ -110,46 +104,6 @@ class CountMinSketch:
                 del memo[next(iter(memo))]
             memo[key] = cols
         return cols
-
-    def columns_batch(self, keys: Sequence[str]) -> List[Tuple[int, ...]]:
-        """Per-row column indices for a whole key batch.
-
-        Memoized keys are served from the FIFO map; the remainder are
-        hashed in one vectorized numpy pass covering all ``depth`` row
-        salts at once (:func:`~repro.lsm.bloom.fnv1a_batch_multi`)
-        instead of a Python loop per key.  Every tuple equals
-        :meth:`columns` bit-for-bit.
-        """
-        if len(keys) <= _SCALAR_BATCH_MAX:
-            # Below the numpy crossover the scalar loop wins; it also
-            # updates the FIFO memo in the identical order.
-            columns = self.columns
-            return [columns(key) for key in keys]
-        memo = self._memo
-        col_map: Dict[str, Tuple[int, ...]] = {}
-        missing: List[str] = []
-        for key in keys:
-            if key not in col_map:
-                cached = memo.get(key)
-                if cached is None:
-                    col_map[key] = ()  # placeholder; filled below
-                    missing.append(key)
-                else:
-                    col_map[key] = cached
-        if missing:
-            datas = [key.encode("utf-8") for key in missing]
-            width = self.width
-            per_salt = (
-                fnv1a_batch_multi(datas, self._salts) % np.uint64(width)
-            ).tolist()
-            limit = _MEMO_LIMIT
-            for i, key in enumerate(missing):
-                cols = tuple(row_cols[i] for row_cols in per_salt)
-                col_map[key] = cols
-                if len(memo) >= limit:
-                    del memo[next(iter(memo))]
-                memo[key] = cols
-        return [col_map[key] for key in keys]
 
     def estimate(self, key: str) -> int:  # hot-path
         """Frequency estimate for ``key`` (never an underestimate)."""

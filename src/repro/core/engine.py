@@ -310,7 +310,7 @@ class KVEngine:
            duplicate-block coalescing
            (:meth:`~repro.lsm.tree.LSMTree.multi_get_from_sstables`);
         3. fills for the found keys: KV puts in arrival order, one
-           arrival-order vectorized sketch pass for admission
+           arrival-order admission loop over the batch
            (:meth:`~repro.cache.admission.FrequencyAdmission.observe_and_decide_batch`),
            and a sort-and-splice run into the range cache
            (:meth:`~repro.cache.range_cache.RangeCache.insert_points`).

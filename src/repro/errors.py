@@ -60,10 +60,6 @@ class WriteStallError(ReproError):
     """
 
 
-class ClosedError(ReproError):
-    """An operation was attempted on a closed store or engine."""
-
-
 class ObsError(ReproError):
     """The observability layer was misused or fed malformed artifacts.
 

@@ -4,7 +4,7 @@ A per-file lint engine (stdlib :mod:`ast` only — no third-party
 dependency) enforcing the repository's simulation discipline on top of
 what generic linters check.  Each file is parsed once and the rules in
 :mod:`repro.lint.rules` run over its tree: determinism imports
-(SIM001), hot-path numpy use and scalar probe loops (PERF001/PERF002),
+(SIM001), scalar numpy indexing on the hot path (PERF001),
 metric-name constants (OBS001), unordered float accumulation (DET003),
 callback capture after a timer handoff (OWN003), shared-tier mutation
 outside its owner (OWN004), plus mutable defaults (MUT001).

@@ -239,71 +239,6 @@ def check_hot_path_numpy_indexing(
             )
 
 
-#: Scalar hot-path probes with vectorised batch counterparts (PERF002).
-_BATCHABLE_PROBES = {
-    "estimate": "CountMinSketch.columns_batch",
-    "may_contain": "fnv1a_batch_multi + may_contain_hashed",
-    "fetch_block": "a per-batch fetch memo (see LSMTree.multi_get_from_sstables)",
-}
-
-#: Loop constructs a per-element probe can hide in (PERF002).
-_LOOP_NODES = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
-               ast.GeneratorExp)
-
-
-@rule("PERF002")
-def check_hot_path_scalar_probe_loops(
-    tree: ast.Module, path: str
-) -> Iterator[Violation]:
-    """No per-element probe loops where a batched variant exists.
-
-    ``estimate``, ``may_contain`` and ``fetch_block`` all have batched
-    counterparts on the hot path (``CountMinSketch.columns_batch``,
-    bloom digests from one ``fnv1a_batch_multi`` pass tested with
-    ``may_contain_hashed``, and the batched executors' per-batch fetch
-    memo) that hash, probe or fetch for a whole batch in one vectorised
-    call.  Calling the scalar form from a loop inside a ``# hot-path``
-    function re-pays the per-call digest/lookup cost once per element —
-    the exact overhead the batch variants amortise.  Batch variants
-    themselves (``*_batch`` / ``multi_*`` functions) are exempt: their
-    small-batch scalar fallback loops are the intended crossover below
-    which numpy overhead beats its savings.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            source_lines = fh.read().splitlines()
-    except OSError:
-        return
-    for func in _hot_path_functions(tree, source_lines):
-        if func.name.endswith("_batch") or func.name.startswith("multi_"):
-            continue  # the batch variants' intentional scalar fallbacks
-        seen: set = set()
-        for loop in ast.walk(func):
-            if not isinstance(loop, _LOOP_NODES):
-                continue
-            for sub in ast.walk(loop):
-                if not (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _BATCHABLE_PROBES
-                ):
-                    continue
-                site = (sub.lineno, sub.col_offset)
-                if site in seen:
-                    continue  # nested loops walk the same call twice
-                seen.add(site)
-                yield Violation(
-                    path,
-                    sub.lineno,
-                    sub.col_offset,
-                    "PERF002",
-                    f"per-element .{sub.func.attr}() call in a loop inside "
-                    f"hot-path function {func.name}(); a batched variant "
-                    f"exists ({_BATCHABLE_PROBES[sub.func.attr]}) — probe "
-                    f"the whole batch in one call",
-                )
-
-
 @rule("OBS001")
 def check_obs_metric_constants(tree: ast.Module, path: str) -> Iterator[Violation]:
     """Instrumentation sites must use registered metric-name constants.

@@ -9,6 +9,7 @@ files and write stop at 8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -103,8 +104,8 @@ class LSMOptions:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.max_read_retries < 0:
             raise ConfigError("max_read_retries must be >= 0")
-        if self.retry_backoff_us < 0:
-            raise ConfigError("retry_backoff_us must be >= 0")
+        if self.retry_backoff_us < 0 or not math.isfinite(self.retry_backoff_us):
+            raise ConfigError("retry_backoff_us must be finite and >= 0")
         if self.max_corruption_repairs < 0:
             raise ConfigError("max_corruption_repairs must be >= 0")
         if self.entries_per_sstable % self.entries_per_block:

@@ -29,13 +29,11 @@ import numpy as np
 
 from repro import sanitize
 from repro.errors import (
-    ClosedError,
     CorruptionError,
     StorageError,
     TransientIOError,
     WriteStallError,
 )
-from repro.faults.retry import RetryPolicy
 from repro.lsm.block import BlockFetch, BlockHandle, DataBlock, Entry
 from repro.lsm.bloom import GOLDEN_GAMMA, fnv1a_batch_multi
 from repro.lsm.compaction import CompactionListener, Compactor
@@ -76,7 +74,6 @@ class LSMTree(sanitize.Sanitized):
         self.wal = WriteAheadLog()
         self.compactor = Compactor(self.options, self.disk, self.levels)
         self._block_fetch: BlockFetch = self.disk.read_block
-        self._closed = False
         # read-path counters
         self.gets_total = 0
         self.scans_total = 0
@@ -94,11 +91,6 @@ class LSMTree(sanitize.Sanitized):
         self.wal_records_lost_total = 0
         self.fault_injector = None
         self.recorder: Recorder = NULL_RECORDER
-        # Bounded backoff schedule for transient read faults.
-        self.retry_policy = RetryPolicy(
-            max_attempts=self.options.max_read_retries,
-            backoff_us=self.options.retry_backoff_us,
-        )
 
     # -- wiring -----------------------------------------------------------------
 
@@ -130,12 +122,12 @@ class LSMTree(sanitize.Sanitized):
         """Fetch one data block through the configured ``block_fetch``,
         absorbing storage faults.
 
-        * :class:`TransientIOError` — retried under the bounded
-          :class:`~repro.faults.retry.RetryPolicy` (budget
-          ``options.max_read_retries``, exponential backoff); each
-          stall is charged to
-          :attr:`retry_latency_us_total` so the bench clock sees the
-          stall without the host sleeping.
+        * :class:`TransientIOError` — retried at most
+          ``options.max_read_retries`` times, retry ``n`` (0-based)
+          after a ``options.retry_backoff_us * 2**n`` stall; each stall
+          is charged to :attr:`retry_latency_us_total` so the bench
+          clock sees it without the host sleeping, and two same-seed
+          runs reproduce it byte for byte.
         * :class:`CorruptionError` — the block failed checksum
           verification; the disk repairs it from its redundant clean
           copy and the read is re-issued (never serving bad payloads).
@@ -149,9 +141,9 @@ class LSMTree(sanitize.Sanitized):
             try:
                 return self._block_fetch(handle)
             except TransientIOError:
-                if not self.retry_policy.should_retry(transient_attempts):
+                if transient_attempts >= self.options.max_read_retries:
                     raise
-                stall = self.retry_policy.stall_us(transient_attempts)
+                stall = self.options.retry_backoff_us * 2**transient_attempts
                 self.retry_latency_us_total += stall
                 self.retry_stalls_us.append(stall)
                 transient_attempts += 1
@@ -184,23 +176,6 @@ class LSMTree(sanitize.Sanitized):
         """Observe every compaction (used by the stats collector)."""
         self.compactor.add_listener(listener)
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ClosedError("operation on closed LSMTree")
-
-    def close(self) -> None:
-        """Flush pending writes and refuse further operations."""
-        if not self._closed:
-            if self.memtable:
-                self.flush()
-            self._closed = True
-
-    def __enter__(self) -> "LSMTree":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
     # -- write path ----------------------------------------------------------------
 
     def put(self, key: str, value: str) -> None:
@@ -212,7 +187,6 @@ class LSMTree(sanitize.Sanitized):
         self._write(key, None)
 
     def _write(self, key: str, value: Optional[str]) -> None:
-        self._check_open()
         self._maybe_stall()
         self.wal.append(key, value)
         if value is None:
@@ -241,7 +215,6 @@ class LSMTree(sanitize.Sanitized):
 
     def flush(self) -> Optional[SSTable]:
         """Flush the MemTable into a new Level-0 SSTable."""
-        self._check_open()
         if not self.memtable:
             return None
         keys, values, _ = self.memtable.sorted_from("")
@@ -270,7 +243,6 @@ class LSMTree(sanitize.Sanitized):
 
     def get(self, key: str) -> Optional[str]:
         """Point lookup; returns the value or None if absent/deleted."""
-        self._check_open()
         self.gets_total += 1
         found, value = self.memtable.get(key)
         if found:
@@ -279,7 +251,6 @@ class LSMTree(sanitize.Sanitized):
 
     def get_from_memtable(self, key: str) -> Tuple[bool, Optional[str]]:
         """Probe only the MemTable: ``(found, value)``, tombstones found."""
-        self._check_open()
         return self.memtable.get(key)
 
     def get_from_sstables(self, key: str) -> Optional[str]:
@@ -485,7 +456,6 @@ class LSMTree(sanitize.Sanitized):
         cache probe, at most one metered read).  ``None`` — every
         scalar caller — reads through :meth:`fetch_block` unchanged.
         """
-        self._check_open()
         self.scans_total += 1
         if length <= 0:
             return []
@@ -609,7 +579,6 @@ class LSMTree(sanitize.Sanitized):
         is discarded and counted in :attr:`wal_records_lost_total`.
         Returns the number of records replayed.
         """
-        self._check_open()
         records = self.wal.replay()
         self.memtable = MemTable()
         for key, value in records:
@@ -631,7 +600,6 @@ class LSMTree(sanitize.Sanitized):
         LSM shape without replaying millions of puts.  Only valid on an
         empty tree.
         """
-        self._check_open()
         if self.levels.total_entries() or self.memtable:
             raise StorageError("bulk_load requires an empty tree")
         keys: List[str] = []

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigError
 
@@ -66,6 +67,26 @@ def estimate_no_cache_io(
     scan_data_io = scans * (avg_scan_length / entries_per_block)
     scan_seek_io = scans * (num_levels + level0_max_runs / 2.0 - 1.0)
     return point_io + scan_data_io + scan_seek_io
+
+
+def h_estimate(
+    points: int,
+    scans: int,
+    scan_length_sum: int,
+    io_miss: int,
+    entries_per_block: int,
+    num_levels: int,
+    level0_max_runs: int,
+) -> Tuple[float, float]:
+    """``(h_estimate, IO_estimate)`` for the reads any span of counters
+    holds; ``(0.0, 0.0)`` when they hold none."""
+    avg_scan = scan_length_sum / scans if scans else 0.0
+    io_estimate = estimate_no_cache_io(
+        points, scans, avg_scan, entries_per_block, num_levels, level0_max_runs
+    )
+    if io_estimate <= 0:
+        return 0.0, 0.0
+    return 1.0 - io_miss / io_estimate, io_estimate
 
 
 class RewardCalculator:

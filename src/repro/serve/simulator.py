@@ -184,6 +184,13 @@ class ServeConfig:
         """Bytes the shard L1s split after the shared tier's carve-out."""
         return self.cache_bytes - self.l2_budget_bytes
 
+    def lsm_options(self) -> LSMOptions:
+        """Every shard tree's options (``LSMOptions`` defaults elsewhere)."""
+        return LSMOptions(
+            memtable_entries=self.memtable_entries,
+            entries_per_sstable=self.entries_per_sstable,
+        )
+
 
 @dataclass
 class _Shard:
@@ -223,12 +230,7 @@ def _shard_engine(
     budget = pool // config.num_shards
     if shard_id == 0:
         budget = pool - budget * (config.num_shards - 1)
-    tree = LSMTree(
-        LSMOptions(
-            memtable_entries=config.memtable_entries,
-            entries_per_sstable=config.entries_per_sstable,
-        )
-    )
+    tree = LSMTree(config.lsm_options())
     tree.bulk_load(
         ((key_of(i), value_of(i)) for i in ids if i < preload),
         seed=7 + shard_id,

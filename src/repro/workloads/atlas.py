@@ -6,8 +6,8 @@ of cache strategies through the serving simulator, one cell per
 
 * builds the scenario schedule fresh (schedules are pure functions of
   their params, so this is free determinism insurance),
-* runs the fleet with observability on and collects hit rate, simulated
-  I/O per op, and tail latency from the obs window reduction,
+* runs the fleet with observability on and collects the estimated hit
+  rate, simulated I/O per op, and tail latency from the fleet window,
 * **double-runs** and asserts bit-for-bit fleet fingerprint equality —
   a failed cell is a determinism regression, reported and fatal.
 
@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.bench.strategies import STRATEGIES
 from repro.errors import ConfigError
 from repro.obs import names as N
+from repro.rl.reward import h_estimate
 from repro.serve.result import ServeResult
 from repro.serve.simulator import ServeConfig, run_serve
 from repro.workloads.scenarios import (
@@ -252,26 +253,26 @@ class AtlasResult:
         return "\n".join(lines)
 
 
-def _windows_counter(result: ServeResult, name: str) -> int:
-    return sum(w.counters.get(name, 0) for w in result.obs_fleet_windows)
-
-
 def _outcome(
     scenario: str, strategy: str, result: ServeResult, deterministic: bool
 ) -> CellOutcome:
-    """Fold one serve run into a cell, metrics taken from the obs layer."""
-    if result.obs_fleet_windows:
-        hits = _windows_counter(result, N.BLOCK_HITS) + _windows_counter(
-            result, N.RANGE_HITS
-        )
-        io = _windows_counter(result, N.WINDOW_IO_MISS)
-        ops = _windows_counter(result, N.WINDOW_OPS)
-    else:  # pragma: no cover - obs is always on in atlas runs
-        w = result.fleet_window
-        hits = w.block_hits + w.range_point_hits + w.range_scan_hits
-        io = w.io_miss
-        ops = w.ops
-    accesses = hits + io
+    """Fold one serve run into a cell.
+
+    The hit rate is the paper's estimated one (:func:`~repro.rl.reward.h_estimate`
+    over the fleet window), so it counts block, range and KV hits in one
+    unit: disk reads a cacheless store would have paid that no shard did.
+    """
+    w = result.fleet_window
+    options = result.config.lsm_options()
+    hit_rate, _ = h_estimate(
+        w.points,
+        w.scans,
+        w.scan_length_sum,
+        w.io_miss,
+        options.entries_per_block,
+        w.num_levels,
+        options.level0_stop_writes_trigger,
+    )
     return CellOutcome(
         scenario=scenario,
         strategy=strategy,
@@ -280,12 +281,15 @@ def _outcome(
         issued=result.issued,
         completed=result.completed,
         rejected=result.rejected,
-        hit_rate=hits / accesses if accesses else 0.0,
-        io_per_op=io / ops if ops else 0.0,
+        hit_rate=hit_rate,
+        io_per_op=w.io_miss / w.ops if w.ops else 0.0,
         p50_us=result.latency.p50,
         p99_us=result.latency.p99,
         throughput_qps=result.throughput_qps,
-        phase_transitions=_windows_counter(result, N.SERVE_PHASE_TRANSITIONS),
+        phase_transitions=sum(
+            snap.counters.get(N.SERVE_PHASE_TRANSITIONS, 0)
+            for snap in result.obs_fleet_windows
+        ),
     )
 
 

@@ -108,33 +108,6 @@ def test_property_never_underestimates(keys):
     assert sk.total == len(keys)
 
 
-class TestBatchParity:
-    """The batched sketch path must equal the scalar loop bit-for-bit."""
-
-    def _twins(self, **kw):
-        kw.setdefault("width", 64)
-        kw.setdefault("depth", 4)
-        kw.setdefault("saturation", 4)  # low: decay epochs trigger in-test
-        kw.setdefault("seed", 3)
-        return CountMinSketch(**kw), CountMinSketch(**kw)
-
-    def test_columns_batch_equals_scalar(self):
-        batched, scalar = self._twins()
-        keys = [f"k{i % 9}" for i in range(24)]  # > the scalar crossover
-        assert batched.columns_batch(keys) == [scalar.columns(k) for k in keys]
-
-    def test_small_batches_take_the_scalar_fallback(self):
-        batched, scalar = self._twins()
-        keys = ["a", "b", "a"]  # below the numpy crossover
-        assert batched.columns_batch(keys) == [scalar.columns(k) for k in keys]
-        assert list(batched._memo) == list(scalar._memo)
-
-    def test_empty_batch(self):
-        sk, _ = self._twins()
-        assert sk.columns_batch([]) == []
-        assert sk.total == 0
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.sampled_from([f"k{i}" for i in range(6)]), max_size=40),
@@ -143,9 +116,8 @@ class TestBatchParity:
 # Duplicates plus saturation 3 force mid-batch decay epochs.
 @example(keys=[f"k{i % 3}" for i in range(25)], seed=3)
 def test_property_batch_equals_scalar_replay(keys, seed):
-    """The admission batch path (``columns_batch``, then ``increment`` in
-    arrival order) == the scalar loop exactly, for any key sequence
-    (duplicates included) across any decay epochs."""
+    """The admission batch path == the scalar loop exactly, for any key
+    sequence (duplicates included) across any decay epochs."""
     batched = CountMinSketch(width=32, depth=3, saturation=3, seed=seed)
     scalar = CountMinSketch(width=32, depth=3, saturation=3, seed=seed)
     batch_admit = FrequencyAdmission(batched, threshold=0.2)
@@ -156,6 +128,8 @@ def test_property_batch_equals_scalar_replay(keys, seed):
     assert batched._rows_tab == scalar._rows_tab
     assert batched.total == scalar.total
     assert batched.decays_total == scalar.decays_total
+    assert batch_admit.admitted_total == scalar_admit.admitted_total
+    assert batch_admit.rejected_total == scalar_admit.rejected_total
     probe = [f"k{i}" for i in range(6)]
     assert [batched.estimate(k) for k in probe] == [scalar.estimate(k) for k in probe]
 

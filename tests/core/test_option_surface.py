@@ -28,7 +28,6 @@ from repro.bench.simclock import CostModel
 from repro.core.config import AdCacheConfig
 from repro.faults.fleet import FleetFaultConfig
 from repro.faults.injector import FaultConfig
-from repro.faults.retry import RetryPolicy
 from repro.lsm.options import LSMOptions
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.session import TenantConfig
@@ -104,10 +103,6 @@ SURFACE: Dict[type, Dict[str, Setter]] = {
         "retry_backoff_us": LSM_OUT_OF_SCOPE,
         "max_corruption_repairs": LSM_OUT_OF_SCOPE,
         "seed": LSM_OUT_OF_SCOPE,
-    },
-    RetryPolicy: {
-        "max_attempts": Caller("src/repro/lsm/tree.py"),
-        "backoff_us": Caller("src/repro/lsm/tree.py"),
     },
     FleetFaultConfig: {
         "crashes": CLI,

@@ -1,11 +1,12 @@
-"""RetryPolicy: bounds, schedule, tree integration."""
+"""Bounded read retries: the ``LSMOptions`` retry fields, validated and
+honoured by the tree."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigError, TransientIOError
-from repro.faults import FaultConfig, FaultInjector, RetryPolicy
+from repro.faults import FaultConfig, FaultInjector
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.workloads.keys import key_of, value_of
@@ -14,27 +15,10 @@ from repro.workloads.keys import key_of, value_of
 class TestValidation:
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=-1)
-        with pytest.raises(ConfigError):
-            RetryPolicy(backoff_us=-1.0)
-
-
-class TestSchedule:
-    def test_bounded(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert policy.should_retry(0)
-        assert policy.should_retry(2)
-        assert not policy.should_retry(3)
-        assert not RetryPolicy(max_attempts=0).should_retry(0)
-
-    def test_default_matches_historical_doubling(self):
-        policy = RetryPolicy(max_attempts=4, backoff_us=50.0)
-        assert [policy.stall_us(a) for a in range(4)] == [
-            50.0,
-            100.0,
-            200.0,
-            400.0,
-        ]
+            LSMOptions(max_read_retries=-1)
+        for backoff_us in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="finite"):
+                LSMOptions(retry_backoff_us=backoff_us)
 
 
 def _faulted_tree() -> LSMTree:

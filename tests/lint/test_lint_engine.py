@@ -74,7 +74,7 @@ def test_list_rules_grouped_by_family(capsys):
     # Exactly the catalogue docs/static_analysis.md keeps.
     assert sorted(ids) == [
         "DET003", "MUT001", "OBS001", "OWN003", "OWN004",
-        "PERF001", "PERF002", "SIM001",
+        "PERF001", "SIM001",
     ]
 
 

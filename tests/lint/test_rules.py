@@ -140,76 +140,6 @@ def test_perf001_ignores_row_and_column_views(tmp_path):
     assert _lint_source(tmp_path, source, ["PERF001"]) == []
 
 
-# -- PERF002 -----------------------------------------------------------------
-
-
-_PERF002_HOT = (
-    "def lookup(tables, keys):  # hot-path\n"
-    "    out = []\n"
-    "    for key in keys:\n"
-    "        for table in tables:\n"
-    "            if table.may_contain(key):\n"
-    "                out.append(key)\n"
-    "    return out\n"
-)
-
-
-def test_perf002_flags_scalar_probe_loop_in_hot_path(tmp_path):
-    findings = _lint_source(tmp_path, _PERF002_HOT, ["PERF002"])
-    assert _rule_ids(findings) == ["PERF002"]
-    assert "may_contain_hashed" in findings[0].message
-    assert "hot-path function lookup()" in findings[0].message
-
-
-def test_perf002_ignores_unmarked_functions(tmp_path):
-    source = _PERF002_HOT.replace("  # hot-path", "")
-    assert _lint_source(tmp_path, source, ["PERF002"]) == []
-
-
-def test_perf002_exempts_batch_variants_own_fallbacks(tmp_path):
-    source = (
-        "def score_batch(sketch, keys):  # hot-path\n"
-        "    return [sketch.estimate(k) for k in keys]\n"
-        "def multi_get(tree, keys):  # hot-path\n"
-        "    return [tree.fetch_block(k) for k in keys]\n"
-    )
-    assert _lint_source(tmp_path, source, ["PERF002"]) == []
-
-
-def test_perf002_flags_each_probe_kind_once(tmp_path):
-    source = (
-        "def drain(sketch, tree, items):  # hot-path\n"
-        "    total = 0\n"
-        "    for item in items:\n"
-        "        total += sketch.estimate(item)\n"
-        "        tree.fetch_block(item)\n"
-        "    return total\n"
-    )
-    findings = _lint_source(tmp_path, source, ["PERF002"])
-    assert _rule_ids(findings) == ["PERF002", "PERF002"]
-    messages = "\n".join(f.message for f in findings)
-    assert ".estimate()" in messages and ".fetch_block()" in messages
-
-
-def test_perf002_flags_probe_in_comprehension(tmp_path):
-    source = (
-        "def filter_present(bloom, keys):  # hot-path\n"
-        "    return [k for k in keys if bloom.may_contain(k)]\n"
-    )
-    findings = _lint_source(tmp_path, source, ["PERF002"])
-    assert _rule_ids(findings) == ["PERF002"]
-
-
-def test_perf002_ignores_single_probe_outside_loops(tmp_path):
-    source = (
-        "def lookup(table, key):  # hot-path\n"
-        "    if table.may_contain(key):\n"
-        "        return table.fetch_block(key)\n"
-        "    return None\n"
-    )
-    assert _lint_source(tmp_path, source, ["PERF002"]) == []
-
-
 # -- OBS001 ------------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ClosedError, StorageError, WriteStallError
+from repro.errors import StorageError, WriteStallError
 from repro.lsm.options import LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.workloads.keys import key_of, value_of
@@ -149,21 +149,6 @@ class TestBulkLoad:
 
 
 class TestLifecycle:
-    def test_close_flushes_and_blocks_ops(self, tree):
-        tree.put("a", "1")
-        tree.close()
-        assert tree.levels.total_entries() == 1
-        with pytest.raises(ClosedError):
-            tree.get("a")
-        with pytest.raises(ClosedError):
-            tree.put("b", "2")
-
-    def test_context_manager(self, small_opts):
-        with LSMTree(small_opts) as tree:
-            tree.put("a", "1")
-        with pytest.raises(ClosedError):
-            tree.get("a")
-
     def test_wal_protocol(self, tree):
         tree.put("a", "1")
         assert tree.wal.appends_total == 1

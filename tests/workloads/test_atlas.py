@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -77,6 +78,14 @@ class TestMatrix:
             best = min(c.io_per_op for c in cells)
             won = next(c for c in cells if c.strategy == winner)
             assert won.io_per_op == best
+
+    def test_kv_cell_reports_its_hits(self):
+        # KV hits count in the same unit as block and range hits.
+        config = dataclasses.replace(
+            TINY, scenarios=("zipf_drift",), strategies=("kv",), double_run=False
+        )
+        (cell,) = run_atlas(config).cells
+        assert cell.hit_rate > 0.0
 
     def test_reruns_identically(self, tiny_result):
         again = run_atlas(TINY)
