@@ -5,7 +5,7 @@ The paper's claim: background training does not interfere with serving
 equivalent measurements are:
 
 * wall-clock throughput with online learning enabled vs frozen, at 1-8
-  client threads over sharded caches (ratio ~ 1 means no interference);
+  client threads over one shared cache pair (ratio ~ 1 means no interference);
 * the fraction of wall time spent inside the controller (inference +
   training), which the paper's design amortizes to negligible levels.
 """
@@ -50,9 +50,9 @@ def drive_clients(engine, num_clients: int) -> float:
     return time.perf_counter() - start
 
 
-def timed_engine(online: bool, num_shards: int):
+def timed_engine(online: bool):
     tree = seed_database(NUM_KEYS, fresh_options(), seed=7)
-    config = bench_config(CACHE, seed=5, num_shards=num_shards)
+    config = bench_config(CACHE, seed=5)
     config.online_learning = online
     engine = AdCacheEngine(tree, config)
     # Wrap the controller to account its wall time.
@@ -72,9 +72,9 @@ def timed_engine(online: bool, num_shards: int):
 def run_experiment():
     rows = []
     for clients in CLIENT_COUNTS:
-        engine_on, t_ctl = timed_engine(online=True, num_shards=4)
+        engine_on, t_ctl = timed_engine(online=True)
         wall_on = drive_clients(engine_on, clients)
-        engine_off, _ = timed_engine(online=False, num_shards=4)
+        engine_off, _ = timed_engine(online=False)
         wall_off = drive_clients(engine_off, clients)
         total_ops = clients * OPS_PER_CLIENT
         rows.append(

@@ -3,7 +3,7 @@
 Section 5.1's lineup, each built over a caller-supplied LSM tree and a
 single cache budget:
 
-* ``block``          — RocksDB's default block cache (LRU, sharded).
+* ``block``          — RocksDB's default block cache (LRU).
 * ``kv``             — KV (row) cache: point results only.
 * ``range``          — Range Cache with LRU eviction.
 * ``range-lecar``    — Range Cache with LeCaR eviction.
@@ -20,10 +20,13 @@ Figure 10:
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
+from repro.cache.arc import ARCPolicy
+from repro.cache.base import EvictionPolicy
 from repro.cache.block_cache import BlockCache
 from repro.cache.cacheus import CacheusPolicy
+from repro.cache.clock import ClockPolicy
 from repro.cache.kv_cache import KVCache
 from repro.cache.lecar import LeCaRPolicy
 from repro.cache.range_cache import RangeCache
@@ -31,6 +34,7 @@ from repro.core.adcache import ACTION_DIM, ACTOR_LR, CRITIC_LR, AdCacheEngine
 from repro.core.config import AdCacheConfig
 from repro.core.engine import KVEngine
 from repro.errors import ConfigError
+from repro.lsm.block import BlockHandle
 from repro.lsm.options import BLOCK_SIZE, ENTRY_CHARGE
 from repro.lsm.tree import LSMTree
 from repro.rl.actor_critic import ActorCriticAgent
@@ -42,32 +46,20 @@ def _block_engine(
     tree: LSMTree,
     cache_bytes: int,
     seed: int,
-    policy_factory=None,
+    policy: Optional[EvictionPolicy[BlockHandle]] = None,
     prefetch: bool = False,
 ) -> KVEngine:
     cache = BlockCache(
         cache_bytes,
         block_size=BLOCK_SIZE,
         backing_fetch=tree.disk.read_block,
-        policy_factory=policy_factory,
+        policy=policy,
     )
     if prefetch:
         from repro.cache.prefetcher import CompactionPrefetcher
 
         CompactionPrefetcher.attach(tree, cache)
     return KVEngine(tree, block_cache=cache)
-
-
-def _clock_factory():
-    from repro.cache.clock import ClockPolicy
-
-    return ClockPolicy()
-
-
-def _arc_factory(cache_bytes: int):
-    from repro.cache.arc import ARCPolicy
-
-    return ARCPolicy(capacity_hint=max(8, cache_bytes // BLOCK_SIZE))
 
 
 def _kv_engine(tree: LSMTree, cache_bytes: int, seed: int) -> KVEngine:
@@ -119,10 +111,13 @@ def _adcache_engine(
 STRATEGIES: Dict[str, Callable[..., KVEngine]] = {
     "block": _block_engine,
     "block-clock": lambda tree, cache_bytes, seed: _block_engine(
-        tree, cache_bytes, seed, policy_factory=_clock_factory
+        tree, cache_bytes, seed, policy=ClockPolicy()
     ),
     "block-arc": lambda tree, cache_bytes, seed: _block_engine(
-        tree, cache_bytes, seed, policy_factory=lambda: _arc_factory(cache_bytes)
+        tree,
+        cache_bytes,
+        seed,
+        policy=ARCPolicy(capacity_hint=max(8, cache_bytes // BLOCK_SIZE)),
     ),
     "block-prefetch": lambda tree, cache_bytes, seed: _block_engine(
         tree, cache_bytes, seed, prefetch=True

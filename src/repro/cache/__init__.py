@@ -15,7 +15,7 @@ Building blocks
 
 LSM-facing caches
 -----------------
-* :mod:`repro.cache.block_cache` — RocksDB-style sharded block cache.
+* :mod:`repro.cache.block_cache` — RocksDB-style block cache.
 * :mod:`repro.cache.kv_cache` — point-lookup result cache (row cache).
 * :mod:`repro.cache.range_cache` — result-based cache: the container
   plus a sorted key array with complete-interval tracking (Range Cache

@@ -1,8 +1,8 @@
 """Core cache abstractions: stats, eviction-policy interface, container.
 
 :class:`BudgetedCache` is the one byte-budgeted container under every
-cache: the block cache's shards, the row cache, the shared L2 tier and
-the Range Cache.  It holds key -> value in one ``OrderedDict`` and
+cache: the block cache, the row cache, the shared L2 tier and the
+Range Cache.  It holds key -> value in one ``OrderedDict`` and
 charges one constant size per entry.  Built without a policy it is the
 uniform-charge LRU of RocksDB's block cache and row cache: the map's
 order is the recency order, so a hit is one ``move_to_end`` and an
@@ -75,36 +75,6 @@ class CacheStats:
         )
 
 
-class CacheBase(sanitize.Sanitized):
-    """Uniform surface every cache container exposes.
-
-    The sharded block cache and :class:`BudgetedCache` (and through it
-    the range, kv and tier-2 caches) all present the same capacity
-    pair — :attr:`budget_bytes` / :attr:`used_bytes` — so the
-    sanitizer, the controller, and metrics read one interface regardless
-    of which composition is running.  The ``check_invariants()``
-    protocol and the sampled gate come from
-    :class:`~repro.sanitize.Sanitized`, whose constructor every cache
-    calls, so each reads ``REPRO_SANITIZE`` when it is built.
-    """
-
-    @property
-    @abstractmethod
-    def budget_bytes(self) -> int:
-        """Current capacity in (logical) bytes."""
-
-    @property
-    @abstractmethod
-    def used_bytes(self) -> int:
-        """Bytes currently charged against the budget."""
-
-    @property
-    def occupancy(self) -> float:
-        """used/budget in [0, 1]; 0 when the budget is zero."""
-        budget = self.budget_bytes
-        return self.used_bytes / budget if budget else 0.0
-
-
 class EvictionPolicy(ABC, Generic[K]):
     """Decides which resident key a cache should evict.
 
@@ -152,7 +122,7 @@ class EvictionPolicy(ABC, Generic[K]):
         """
 
 
-class BudgetedCache(CacheBase, Generic[K, V]):
+class BudgetedCache(sanitize.Sanitized, Generic[K, V]):
     """Byte-budgeted key-value cache with one constant charge per entry.
 
     One ``OrderedDict`` maps key -> value.  With no policy the map's
@@ -162,7 +132,9 @@ class BudgetedCache(CacheBase, Generic[K, V]):
     eviction and removal, and picks every victim.
     ``tests/cache/test_lru_equivalence.py`` checks step by step that
     the built-in order matches an explicit
-    :class:`~repro.cache.lru.LRUPolicy`.
+    :class:`~repro.cache.lru.LRUPolicy`.  The sampled invariant gate
+    comes from :class:`~repro.sanitize.Sanitized`, so every cache reads
+    ``REPRO_SANITIZE`` when it is built.
 
     Parameters
     ----------
@@ -209,6 +181,11 @@ class BudgetedCache(CacheBase, Generic[K, V]):
         """Bytes currently charged."""
         return self._used
 
+    @property
+    def occupancy(self) -> float:
+        """used/budget in [0, 1]; 0 when the budget is zero."""
+        return self._used / self._budget if self._budget else 0.0
+
     def resize(self, budget_bytes: int) -> int:
         """Change capacity, evicting as needed; returns evictions made."""
         if budget_bytes < 0:
@@ -232,27 +209,6 @@ class BudgetedCache(CacheBase, Generic[K, V]):
             data.move_to_end(key)
         else:
             self._policy.record_access(key)
-        return value
-
-    def get_or_fill(self, key: K, fill: Callable[[K], V]) -> V:  # hot-path
-        """Value for ``key`` (promoting it), or ``fill(key)`` put on a miss.
-
-        One call for a read-through cache: the same stats, policy calls
-        and evictions as :meth:`get` followed, on a miss, by
-        :meth:`put` of the filled value.
-        """
-        data = self._data
-        value = data.get(key)
-        if value is not None:
-            self.stats.hits += 1
-            if self._policy is None:
-                data.move_to_end(key)
-            else:
-                self._policy.record_access(key)
-            return value
-        self.stats.misses += 1
-        value = fill(key)
-        self.put(key, value)
         return value
 
     def peek(self, key: K) -> Optional[V]:

@@ -59,13 +59,13 @@ class CompactionPrefetcher:
     def _hot_ranges(self, input_sst_ids: List[int]) -> List[KeyRange]:
         """Key ranges of cached blocks that the compaction invalidated."""
         inputs = set(input_sst_ids)
+        cache = self._cache
         ranges: List[KeyRange] = []
-        for shard in self._cache._shards:
-            for handle in list(shard.keys()):
-                if handle.sst_id in inputs:
-                    block = shard.peek(handle)
-                    if block is not None:
-                        ranges.append((block.first_key, block.last_key))
+        for handle in list(cache.keys()):
+            if handle.sst_id in inputs:
+                block = cache.peek(handle)
+                if block is not None:
+                    ranges.append((block.first_key, block.last_key))
         return ranges
 
     def on_compaction(self, event: CompactionEvent) -> int:

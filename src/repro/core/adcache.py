@@ -83,7 +83,6 @@ class AdCacheEngine(KVEngine):
             block_budget,
             block_size=BLOCK_SIZE,
             backing_fetch=tree.disk.read_block,
-            num_shards=config.num_shards,
         )
         range_cache = RangeCache(range_budget)
 

@@ -49,8 +49,6 @@ class AdCacheConfig:
         the critic's baseline supply the difference signal.  Level mode
         keeps a learning gradient at plateaus, which matters at
         simulator-scale run lengths.
-    num_shards:
-        Shards for the block cache (multi-client support).
     seed:
         Master seed for the agent, the admission sketch and the
         controller's replay sampling.
@@ -65,7 +63,6 @@ class AdCacheConfig:
     enable_admission: bool = True
     online_learning: bool = True
     reward_mode: str = "level"
-    num_shards: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -77,5 +74,3 @@ class AdCacheConfig:
             raise ConfigError("window_size must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must be in [0, 1]")
-        if self.num_shards <= 0:
-            raise ConfigError("num_shards must be positive")

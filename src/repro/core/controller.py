@@ -253,7 +253,7 @@ class PolicyDecisionController:
         reward_out = self.reward_calc.compute(
             points=window.points,
             scans=window.scans,
-            avg_scan_length=window.avg_scan_length,
+            scan_length_sum=window.scan_length_sum,
             io_miss=window.io_miss,
             num_levels=window.num_levels,
             level0_max_runs=self.level0_max_runs,

@@ -100,7 +100,7 @@ class KVEngine:
         self._window_lock = threading.Lock()
         self._io_snapshot = tree.disk.block_reads_total
         self._block_stats_snapshot = (
-            block_cache.stats if block_cache is not None else None
+            block_cache.stats.snapshot() if block_cache is not None else None
         )
         self.crashes_total = 0
         #: Shared-L2 hook; set by the serving layer's Tier2Coordinator
@@ -146,7 +146,9 @@ class KVEngine:
             self._obs_last = ClockReading.capture(self)
             self._obs_charged_us = 0.0
             self._obs_block_stats = (
-                self.block_cache.stats if self.block_cache is not None else None
+                self.block_cache.stats.snapshot()
+                if self.block_cache is not None
+                else None
             )
             self._obs_range_stats = (
                 self.range_cache.stats.snapshot()
@@ -189,7 +191,7 @@ class KVEngine:
             recorder.inc(N.BLOCK_MISSES, window.block_misses)
             recorder.observe(N.H_WINDOW_IO_MISS, window.io_miss)
         if self.block_cache is not None and self._obs_block_stats is not None:
-            current = self.block_cache.stats
+            current = self.block_cache.stats.snapshot()
             delta = current.delta(self._obs_block_stats)
             self._obs_block_stats = current
             recorder.inc(N.BLOCK_EVICTIONS, delta.evictions)
@@ -550,7 +552,7 @@ class KVEngine:
                 if cache is not None:
                     cache.clear()
             if self.block_cache is not None:
-                self._block_stats_snapshot = self.block_cache.stats
+                self._block_stats_snapshot = self.block_cache.stats.snapshot()
             self.crashes_total += 1
             recorder = self.recorder
             if recorder.enabled:
@@ -579,7 +581,7 @@ class KVEngine:
         io_miss = io_now - self._io_snapshot
         self._io_snapshot = io_now
         if self.block_cache is not None and self._block_stats_snapshot is not None:
-            current = self.block_cache.stats
+            current = self.block_cache.stats.snapshot()
             delta = current.delta(self._block_stats_snapshot)
             self._block_stats_snapshot = current
             block_hits, block_misses = delta.hits, delta.misses

@@ -157,52 +157,17 @@ def _add_counters(out: WindowStats, window: WindowStats) -> None:
 def merge_windows(windows: list[WindowStats]) -> WindowStats:
     """Aggregate several windows into one (cross-shard reporting).
 
-    Counters sum; end-of-window snapshots (levels, occupancies, ratio)
-    take the op-weighted mean so the merged view reflects where the
-    traffic actually went.  The serving layer uses this to expose a
-    fleet-wide window built from each shard's export.
-
-    Edge cases are handled explicitly rather than propagated:
-
-    * an empty list merges to the default (empty) window;
-    * when no window did any work (all ``ops == 0`` — e.g. a fleet of
-      idle shards at startup) the snapshots fall back to a plain mean,
-      so occupancy and split still describe the shards instead of
-      collapsing to zero;
-    * non-finite snapshot values (a blackout-poisoned shard) are
-      excluded from the means so one bad shard cannot NaN the fleet
-      view — its *counters* still sum, and ``is_healthy()`` on the
-      poisoned per-shard window is how blackouts are detected.
+    Counters sum; the structural snapshots (``num_levels``,
+    ``level0_runs``) take the maximum, because the fleet is as deep as
+    its deepest shard.  The serving layer merges its shards' lifetime
+    windows into the fleet-wide window; the other snapshots keep their
+    defaults, and an empty list merges to the default window.
     """
     out = WindowStats()
-    if not windows:
-        return out
-    total_ops = sum(max(0, w.ops) for w in windows)
-    # Weighted-mean accumulators: value-sum and weight-sum per snapshot
-    # field, skipping non-finite contributions.
-    occ_range = occ_block = ratio = 0.0
-    occ_range_w = occ_block_w = ratio_w = 0.0
     for w in windows:
         _add_counters(out, w)
         out.num_levels = max(out.num_levels, w.num_levels)
         out.level0_runs = max(out.level0_runs, w.level0_runs)
-        weight = float(max(0, w.ops)) if total_ops else 1.0
-        if math.isfinite(w.range_occupancy):
-            occ_range += w.range_occupancy * weight
-            occ_range_w += weight
-        if math.isfinite(w.block_occupancy):
-            occ_block += w.block_occupancy * weight
-            occ_block_w += weight
-        if math.isfinite(w.range_ratio):
-            ratio += w.range_ratio * weight
-            ratio_w += weight
-    if occ_range_w:
-        out.range_occupancy = occ_range / occ_range_w
-    if occ_block_w:
-        out.block_occupancy = occ_block / occ_block_w
-    if ratio_w:
-        out.range_ratio = ratio / ratio_w
-    out.window_index = max(w.window_index for w in windows)
     return out
 
 
@@ -219,7 +184,8 @@ class StatsCollector:
         self._window_index = 0
         self._pending_compactions = 0
         self._pending_blocks_invalidated = 0
-        # lifetime aggregates (for end-of-run reports)
+        #: Lifetime counters plus the last sealed window's structural
+        #: snapshots (for end-of-run reports).
         self.lifetime = WindowStats()
 
     # -- per-op events ------------------------------------------------------------
@@ -304,7 +270,10 @@ class StatsCollector:
         window.block_occupancy = block_occupancy
         window.range_ratio = range_ratio
 
-        _add_counters(self.lifetime, window)
+        life = self.lifetime
+        _add_counters(life, window)
+        life.num_levels = num_levels
+        life.level0_runs = level0_runs
         self._window_index += 1
         self.current = WindowStats()
         self._pending_compactions = 0

@@ -254,14 +254,14 @@ def merge_window_snapshots(
 ) -> List[WindowSnapshot]:
     """Fleet-wide reduction of per-shard window snapshot streams.
 
-    Mirrors :func:`repro.core.stats.merge_windows`: snapshots are joined
-    by position (window *i* of every shard describes the same logical
-    window), counters sum, gauges average weighted by each shard's
-    ``window.ops`` counter delta (falling back to a plain mean when no
-    shard did work), and the timestamp is the max across shards (the
-    fleet window is sealed when its slowest shard seals).  Shards with
-    fewer windows simply stop contributing, so ragged streams merge
-    without padding.
+    Snapshots are joined by position (window *i* of every shard
+    describes the same logical window).  Counters sum, as in
+    :func:`repro.core.stats.merge_windows`; gauges average weighted by
+    each shard's ``window.ops`` counter delta (falling back to a plain
+    mean when no shard did work), and the timestamp is the max across
+    shards (the fleet window is sealed when its slowest shard seals).
+    Shards with fewer windows simply stop contributing, so ragged
+    streams merge without padding.
     """
     if not groups:
         return []

@@ -126,36 +126,36 @@ class RewardCalculator:
         self,
         points: int,
         scans: int,
-        avg_scan_length: float,
+        scan_length_sum: int,
         io_miss: int,
         num_levels: int,
         level0_max_runs: int,
     ) -> RewardOutput:
         """Score one window and update the smoothed state."""
-        io_estimate = estimate_no_cache_io(
+        hit, io_estimate = h_estimate(
             points,
             scans,
-            avg_scan_length,
+            scan_length_sum,
+            io_miss,
             self.entries_per_block,
             num_levels,
             level0_max_runs,
         )
-        if io_estimate <= 0.0:
+        if not io_estimate:
             # Pure-write window: no read traffic to score; hold state.
             reward = self._h_smoothed if self.mode == "level" else 0.0
             return RewardOutput(
                 0.0, io_miss, self._h_smoothed, self._h_smoothed, reward, 0.0
             )
-        h_estimate = 1.0 - io_miss / io_estimate
         if not self._initialized:
-            self._h_smoothed = h_estimate
+            self._h_smoothed = hit
             self._initialized = True
-            reward = h_estimate if self.mode == "level" else 0.0
+            reward = hit if self.mode == "level" else 0.0
             return RewardOutput(
-                io_estimate, io_miss, h_estimate, self._h_smoothed, reward, 0.0
+                io_estimate, io_miss, hit, self._h_smoothed, reward, 0.0
             )
         previous = self._h_smoothed
-        self._h_smoothed = self.alpha * previous + (1.0 - self.alpha) * h_estimate
+        self._h_smoothed = self.alpha * previous + (1.0 - self.alpha) * hit
         if abs(self._h_smoothed) < 1e-9:
             trend = 0.0
         else:
@@ -169,7 +169,7 @@ class RewardCalculator:
         else:
             reward = trend
         return RewardOutput(
-            io_estimate, io_miss, h_estimate, self._h_smoothed, reward, trend
+            io_estimate, io_miss, hit, self._h_smoothed, reward, trend
         )
 
     def reset(self) -> None:

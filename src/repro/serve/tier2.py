@@ -166,7 +166,7 @@ class Tier2Coordinator(sanitize.Sanitized):
         )
         if block_cache is not None:
             block_cache.set_backing_fetch(client.fetch_through)
-            block_cache.set_eviction_listener(client.on_demote)
+            block_cache.on_evict = client.on_demote
         else:
             engine.tree.set_block_fetch(client.fetch_through)
         engine.tier2_client = client

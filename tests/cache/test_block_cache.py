@@ -1,18 +1,15 @@
-"""Block cache: fetch-through, sharding, compaction decay, admission hook."""
+"""Block cache: fetch-through, compaction decay, capacity."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cache.block_cache import BlockCache
-from repro.errors import CacheError
 from repro.lsm.block import BlockHandle
 from repro.lsm.options import BLOCK_SIZE, LSMOptions
 from repro.lsm.tree import LSMTree
 from repro.workloads.keys import key_of, value_of
 
 
-def tree_with_cache(budget_blocks=8, num_shards=1, num_keys=500):
+def tree_with_cache(budget_blocks=8, num_keys=500):
     opts = LSMOptions(memtable_entries=32, entries_per_sstable=64)
     tree = LSMTree(opts)
     tree.bulk_load((key_of(i), value_of(i)) for i in range(num_keys))
@@ -20,7 +17,6 @@ def tree_with_cache(budget_blocks=8, num_shards=1, num_keys=500):
         budget_blocks * BLOCK_SIZE,
         block_size=BLOCK_SIZE,
         backing_fetch=tree.disk.read_block,
-        num_shards=num_shards,
     )
     tree.set_block_fetch(cache.fetch_through)
     return tree, cache
@@ -57,7 +53,7 @@ class TestCompactionDecay:
         tree, cache = tree_with_cache(budget_blocks=64)
         for i in range(0, 500, 5):
             tree.get(key_of(i))
-        cached_before = {h.sst_id for h in cache._shards[0].keys()}
+        cached_before = {h.sst_id for h in cache.keys()}
         # Heavy updates force compactions that rewrite most files.
         for i in range(1500):
             tree.put(key_of(i % 500), value_of(i % 500, 1))
@@ -68,37 +64,24 @@ class TestCompactionDecay:
     def test_purge_sst(self):
         tree, cache = tree_with_cache(budget_blocks=64)
         tree.get(key_of(100))
-        sst_ids = {h.sst_id for h in cache._shards[0].keys()}
+        sst_ids = {h.sst_id for h in cache.keys()}
         assert sst_ids
         victim = next(iter(sst_ids))
         dropped = cache.purge_sst(victim)
         assert dropped >= 1
-        assert all(h.sst_id != victim for h in cache._shards[0].keys())
+        assert all(h.sst_id != victim for h in cache.keys())
 
 
 class TestSharding:
-    def test_shard_budgets_sum_to_total(self):
-        tree, cache = tree_with_cache(budget_blocks=7, num_shards=3)
-        assert cache.budget_bytes == 7 * BLOCK_SIZE
-
-    def test_sharded_operation(self):
-        tree, cache = tree_with_cache(budget_blocks=16, num_shards=4)
-        for i in range(0, 500, 7):
-            tree.get(key_of(i))
-        assert cache.used_bytes <= cache.budget_bytes
-        assert cache.stats.lookups > 0
+    """Resize and occupancy of the one cache."""
 
     def test_resize_repartitions(self):
-        tree, cache = tree_with_cache(budget_blocks=16, num_shards=4)
+        tree, cache = tree_with_cache(budget_blocks=16)
         for i in range(0, 500, 7):
             tree.get(key_of(i))
-        cache.resize(4 * BLOCK_SIZE)
-        assert cache.budget_bytes == 4 * BLOCK_SIZE
-        assert cache.used_bytes <= cache.budget_bytes
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(CacheError):
-            BlockCache(1024, 256, lambda h: None, num_shards=0)
+        assert cache.resize(4 * BLOCK_SIZE) == 12
+        assert cache.budget_bytes == cache.used_bytes == 4 * BLOCK_SIZE
+        assert len(cache) == 4
 
     def test_occupancy(self):
         tree, cache = tree_with_cache(budget_blocks=8)

@@ -41,7 +41,6 @@ CONTAINER_OPS = st.one_of(
     st.tuples(st.just("get"), KEYS),
     st.tuples(st.just("peek"), KEYS),
     st.tuples(st.just("put"), KEYS, VALUES),
-    st.tuples(st.just("get_or_fill"), KEYS, st.just(str.upper)),
     st.tuples(st.just("remove"), KEYS),
     st.tuples(st.just("resize"), BUDGETS),
     st.tuples(st.just("clear")),
@@ -117,7 +116,7 @@ def test_builtin_lru_range_cache_matches_explicit_lru_policy(budget, ops):
         builtin.check_invariants()
 
 
-# -- BlockCache default shards against policy_factory=LRUPolicy ---------------
+# -- BlockCache() against BlockCache(policy=LRUPolicy()) ---------------------
 
 HANDLES = st.builds(
     BlockHandle,
@@ -141,18 +140,15 @@ def _backing(handle: BlockHandle) -> str:
 @settings(max_examples=200, deadline=None)
 @given(
     budget=st.integers(min_value=0, max_value=16 * CHARGE),
-    num_shards=st.integers(min_value=1, max_value=3),
     ops=st.lists(BLOCK_OPS, max_size=80),
 )
-def test_default_block_cache_matches_lru_policy_factory(budget, num_shards, ops):
-    builtin = BlockCache(budget, CHARGE, _backing, num_shards=num_shards)
-    explicit = BlockCache(
-        budget, CHARGE, _backing, num_shards=num_shards, policy_factory=LRUPolicy
-    )
+def test_default_block_cache_matches_lru_policy(budget, ops):
+    builtin = BlockCache(budget, CHARGE, _backing)
+    explicit = BlockCache(budget, CHARGE, _backing, policy=LRUPolicy())
     builtin_evicted: List[Tuple[BlockHandle, Any]] = []
     explicit_evicted: List[Tuple[BlockHandle, Any]] = []
-    builtin.set_eviction_listener(lambda h, block: builtin_evicted.append((h, block)))
-    explicit.set_eviction_listener(lambda h, block: explicit_evicted.append((h, block)))
+    builtin.on_evict = lambda h, block: builtin_evicted.append((h, block))
+    explicit.on_evict = lambda h, block: explicit_evicted.append((h, block))
     for op in ops:
         got, want = _run(builtin, explicit, op)
         assert got == want, op
@@ -163,6 +159,5 @@ def test_default_block_cache_matches_lru_policy_factory(budget, num_shards, ops)
             explicit.budget_bytes,
             len(explicit),
         )
-        for mine, theirs in zip(builtin._shards, explicit._shards):
-            assert list(mine.keys()) == list(theirs._policy._order), op
+        assert list(builtin.keys()) == list(explicit._policy._order), op
         builtin.check_invariants()

@@ -245,14 +245,15 @@ class TestMisc:
 
 @pytest.mark.parametrize("policy", [None, LRUPolicy], ids=["builtin", "explicit"])
 def test_container_mutators_keep_array_and_intervals_in_step(policy):
-    """The inherited surface (put, get_or_fill, remove, resize, clear)
-    moves the key array and the intervals with the value map."""
+    """The inherited surface (put, get, remove, resize, clear) moves
+    the key array and the intervals with the value map."""
     rc = RangeCache(6 * 100, entry_charge=100, policy=policy and policy())
     rc.insert_range("k0000", entries(0, 4))
     assert rc.put("k0010", "v10") is True
     rc.check_invariants()
-    assert rc.get_or_fill("k0011", lambda key: "filled") == "filled"
-    assert rc.get_or_fill("k0011", lambda key: "unused") == "filled"
+    assert rc.get("k0011") is None
+    assert rc.put("k0011", "filled") is True
+    assert rc.get("k0011") == "filled"
     rc.check_invariants()
     assert rc.resident_keys() == [f"k{i:04d}" for i in (0, 1, 2, 3, 10, 11)]
     rc.put("k0012", "v12")  # evicts k0000, the least recent

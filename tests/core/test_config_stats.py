@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core.adcache import ACTOR_LR, CRITIC_LR, GAMMA, SKETCH_SATURATION
@@ -32,7 +30,6 @@ class TestConfig:
             ("initial_range_ratio", 1.5),
             ("window_size", 0),
             ("alpha", -0.1),
-            ("num_shards", 0),
         ],
     )
     def test_validation(self, field, value):
@@ -69,31 +66,14 @@ class TestMergeWindows:
     def test_empty_list_merges_to_default_window(self):
         assert merge_windows([]) == WindowStats()
 
-    def test_counters_sum_and_snapshots_weight_by_ops(self):
-        a = WindowStats(
-            ops=300, io_miss=30, num_levels=2, level0_runs=1, window_index=3,
-            range_occupancy=0.9, block_occupancy=0.1, range_ratio=0.8,
-        )
-        b = WindowStats(
-            ops=100, io_miss=10, num_levels=4, level0_runs=3, window_index=4,
-            range_occupancy=0.1, block_occupancy=0.5, range_ratio=0.4,
-        )
+    def test_counters_sum_and_structure_takes_max(self):
+        a = WindowStats(ops=300, io_miss=30, num_levels=2, level0_runs=1)
+        b = WindowStats(ops=100, io_miss=10, num_levels=4, level0_runs=3)
         m = merge_windows([a, b])
         assert m.ops == 400 and m.io_miss == 40
-        assert m.range_occupancy == pytest.approx(0.9 * 0.75 + 0.1 * 0.25)
-        assert m.block_occupancy == pytest.approx(0.1 * 0.75 + 0.5 * 0.25)
-        assert m.range_ratio == pytest.approx(0.8 * 0.75 + 0.4 * 0.25)
         # Structural maxima, not means: the fleet is as deep as its
         # deepest shard.
         assert m.num_levels == 4 and m.level0_runs == 3
-        assert m.window_index == 4
-
-    def test_idle_fleet_falls_back_to_plain_mean(self):
-        a = WindowStats(ops=0, range_occupancy=0.2, range_ratio=0.4)
-        b = WindowStats(ops=0, range_occupancy=0.6, range_ratio=0.6)
-        m = merge_windows([a, b])
-        assert m.range_occupancy == pytest.approx(0.4)
-        assert m.range_ratio == pytest.approx(0.5)
 
     def test_poisoned_shard_cannot_nan_the_fleet_view(self):
         poisoned = WindowStats(
@@ -107,19 +87,8 @@ class TestMergeWindows:
         )
         m = merge_windows([poisoned, healthy])
         assert m.io_miss == 12  # counters still sum
-        assert m.range_occupancy == pytest.approx(0.3)
-        assert m.block_occupancy == pytest.approx(0.4)
-        assert m.range_ratio == pytest.approx(0.6)
-        assert all(
-            math.isfinite(v)
-            for v in (m.range_occupancy, m.block_occupancy, m.range_ratio)
-        )
-
-    def test_negative_ops_window_contributes_no_weight(self):
-        wrapped = WindowStats(ops=-5, range_occupancy=0.9)
-        good = WindowStats(ops=10, range_occupancy=0.1)
-        m = merge_windows([wrapped, good])
-        assert m.range_occupancy == pytest.approx(0.1)
+        # Only counters and structure merge; the gauges keep defaults.
+        assert (m.range_occupancy, m.block_occupancy, m.range_ratio) == (0.0, 0.0, 0.0)
 
     def test_to_dict_from_dict_roundtrip(self):
         w = WindowStats(
@@ -181,6 +150,12 @@ class TestCollector:
         assert c.lifetime.points == 1
         assert c.lifetime.scans == 1
         assert c.lifetime.io_miss == 5
+
+    def test_lifetime_keeps_the_last_sealed_structure(self):
+        c = StatsCollector()
+        self.seal(c, num_levels=3, level0_runs=2)
+        self.seal(c, num_levels=2, level0_runs=1)
+        assert (c.lifetime.num_levels, c.lifetime.level0_runs) == (2, 1)
 
     def test_totals_include_partial_window(self):
         c = StatsCollector()

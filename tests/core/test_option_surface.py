@@ -80,7 +80,6 @@ SURFACE: Dict[type, Dict[str, Setter]] = {
             "paper section 3.5: the delta reward against the level reward; "
             "choosing one needs a benchmark that measures both"
         ),
-        "num_shards": Caller("benchmarks/test_fig11a_overhead.py"),
         "seed": STRATEGIES,
     },
     ResilienceConfig: {

@@ -1,7 +1,8 @@
-"""Multi-client support: sharded caches under concurrent read traffic."""
+"""Multi-client support: the caches under concurrent read traffic."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.bench.harness import seed_database
@@ -48,19 +49,44 @@ def run_clients(engine, num_clients, ops_per_client):
 
 
 class TestShardedConcurrency:
-    def test_sharded_block_cache_concurrent_reads(self):
+    def test_block_cache_concurrent_reads_with_resize(self):
+        """Four readers and a thread moving the budget between two sizes
+        share the block cache's one lock without a wrong read."""
         tree = seed_database(NUM_KEYS, OPTS)
-        cache = BlockCache(256 * 1024, BLOCK_SIZE, tree.disk.read_block, num_shards=4)
+        cache = BlockCache(256 * 1024, BLOCK_SIZE, tree.disk.read_block)
         engine = KVEngine(tree, block_cache=cache)
-        errors = run_clients(engine, num_clients=4, ops_per_client=300)
-        assert errors == []
-        assert engine.block_cache.used_bytes <= engine.block_cache.budget_bytes
+        stop = threading.Event()
+        resize_errors = []
+
+        def resizer():
+            try:
+                while not stop.is_set():
+                    cache.resize(16 * BLOCK_SIZE)
+                    cache.resize(256 * 1024)
+            except Exception as exc:  # noqa: BLE001 - surfaced to the test
+                resize_errors.append(repr(exc))
+
+        thread = threading.Thread(target=resizer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            thread.start()
+            errors = run_clients(engine, num_clients=4, ops_per_client=300)
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert errors == [] and resize_errors == []
+        assert cache.stats.evictions > 0  # the resizes bit while reads ran
+        assert cache.used_bytes <= cache.budget_bytes
+        cache.check_invariants()
 
     def test_adcache_concurrent_reads_with_training(self):
         """Background control must not corrupt results under 4 clients."""
         tree = seed_database(NUM_KEYS, OPTS)
         engine = AdCacheEngine(
-            tree, AdCacheConfig(total_cache_bytes=256 * 1024, num_shards=4, seed=1)
+            tree, AdCacheConfig(total_cache_bytes=256 * 1024, seed=1)
         )
         engine.window_size = 200  # force frequent controller activity
         errors = run_clients(engine, num_clients=4, ops_per_client=300)

@@ -234,8 +234,8 @@ def test_sanitized_run_matches_unsanitized_run(monkeypatch):
     assert results_plain == results_sane
     assert _fingerprint(engine_plain) == _fingerprint(engine_sane)
     # The sanitizer must actually have run checks, not just been armed.
-    shards = engine_sane.block_cache._shards
-    assert sum(s._sanitizer.checks_run for s in shards if s._sanitizer) > 0
+    assert engine_sane.block_cache._sanitizer is not None
+    assert engine_sane.block_cache._sanitizer.checks_run > 0
     assert engine_sane.range_cache._sanitizer is not None
     assert engine_sane.range_cache._sanitizer.checks_run > 0
 

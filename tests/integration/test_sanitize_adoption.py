@@ -39,7 +39,6 @@ _OPAQUE = (types.ModuleType, type, types.FunctionType, types.CodeType)
 FLEET_CLASSES = {
     "BlockCache",
     "BudgetArbiter",
-    "BudgetedCache",
     "CircuitBreaker",
     "DegradationLadder",
     "LSMTree",
@@ -94,7 +93,7 @@ def test_every_structure_adopts_the_schedule(monkeypatch, build):
     if build is _fleet:
         assert FLEET_CLASSES <= names
     else:
-        assert {"BlockCache", "BudgetedCache", "LSMTree", "RangeCache"} <= names
+        assert {"BlockCache", "LSMTree", "RangeCache"} <= names
 
 
 @pytest.mark.parametrize("build", [_adcache_engine, _fleet], ids=["adcache", "fleet"])

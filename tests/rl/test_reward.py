@@ -10,6 +10,7 @@ from repro.rl.reward import (
     RewardCalculator,
     adapt_learning_rate,
     estimate_no_cache_io,
+    h_estimate,
 )
 
 
@@ -81,6 +82,13 @@ class TestRewardCalculator:
         out = rc.compute(0, 0, 0, io_miss=0, num_levels=4, level0_max_runs=8)
         assert out.reward == 0.0
         assert out.h_smoothed == pytest.approx(0.5)
+
+    def test_scan_window_scores_its_h_estimate(self):
+        rc = self.calc()
+        out = rc.compute(100, 10, 160, io_miss=150, num_levels=3, level0_max_runs=8)
+        # IO = 100 + 10 * 16 / 4 + 10 * (3 + 8 / 2 - 1) = 200
+        assert (out.h_estimate, out.io_estimate) == (0.25, 200.0)
+        assert (out.h_estimate, out.io_estimate) == h_estimate(100, 10, 160, 150, 4, 3, 8)
 
     def test_reset(self):
         rc = self.calc()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serve import ServeConfig, run_serve
+from repro.serve.simulator import _Simulation
 
 FAST = dict(
     num_clients=4,
@@ -150,6 +151,13 @@ class TestStrategies:
         assert result.fleet_window.ops == sum(
             s.subrequests_served for s in result.shards
         )
+
+    def test_fleet_window_is_as_deep_as_the_deepest_shard(self):
+        sim = _Simulation(ServeConfig(**dict(FAST, seed=15)))
+        result = sim.run()
+        levels = [shard.engine.tree.num_levels for shard in sim.shards]
+        assert max(levels) > 1
+        assert result.fleet_window.num_levels == max(levels)
 
 
 class TestBatchedServing:
